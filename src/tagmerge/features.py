@@ -431,11 +431,9 @@ def avg_topic_overlap(model: TopicModel, doc_a: str, doc_b: str, top_n: int = 10
     """
     if not model.has_doc(doc_a) or not model.has_doc(doc_b):
         raise ValueError(f"model was not fitted over both {doc_a!r} and {doc_b!r}")
-    total = 0
-    for k in range(model.n_topics):
-        set_a = set(model.top_words_in_doc(doc_a, k, top_n))
-        set_b = set(model.top_words_in_doc(doc_b, k, top_n))
-        total += len(set_a & set_b)
+    tops_a = model.doc_top_words(doc_a, top_n)
+    tops_b = model.doc_top_words(doc_b, top_n)
+    total = sum(len(set(a).intersection(b)) for a, b in zip(tops_a, tops_b))
     return total / model.n_topics
 
 

@@ -2,14 +2,21 @@
 
 Each hashtag-and-window pair becomes one bag-of-words document; topics are
 fit by collapsed Gibbs sampling with symmetric priors. Sampling is seeded
-and single-threaded, so a fixed seed reproduces the model bit for bit.
+and single-threaded. The sweep runs over plain Python lists and draws its
+uniforms in blocks, one block per document, from the same PCG64 stream that
+one scalar draw per token would read. Each weight, its running sum and the
+search over that sum are the same floating-point operations as numpy's
+elementwise product, cumsum and searchsorted, so a fixed seed reproduces the
+model bit for bit.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -102,14 +109,22 @@ class TopicModel:
 
     def top_words_in_doc(self, doc_id: str, topic: int, n: int = 100) -> list[str]:
         """Topic ranking restricted to words the document actually contains."""
-        if not self.has_doc(doc_id):
-            raise ValueError(f"model was not fitted over document {doc_id!r}")
         if not 0 <= topic < self.n_topics:
             raise ValueError(f"topic {topic} out of range")
-        column = self.word_topic[:, topic]
-        members = sorted(self.doc_vocab[self.doc_index[doc_id]])
-        order = sorted(members, key=lambda i: (-column[i], self.vocab[i]))
-        return [self.vocab[i] for i in order[:n]]
+        return self.doc_top_words(doc_id, n)[topic]
+
+    def doc_top_words(self, doc_id: str, n: int = 100) -> list[list[str]]:
+        """Per topic, the document's n highest-count words; ties resolve alphabetically.
+
+        Members are sorted alphabetically first, so one stable sort of the
+        negated counts, column by column, gives the (-count, word) order.
+        """
+        if not self.has_doc(doc_id):
+            raise ValueError(f"model was not fitted over document {doc_id!r}")
+        members = sorted(self.doc_vocab[self.doc_index[doc_id]], key=self.vocab.__getitem__)
+        words = np.array([self.vocab[i] for i in members], dtype=object)
+        order = np.argsort(-self.word_topic[members], axis=0, kind="stable")[:n]
+        return words[order].T.tolist()
 
     def to_payload(self) -> dict:
         return {
@@ -178,81 +193,92 @@ def fit_lda(
         raise ValueError("all documents are empty, nothing to fit")
     word_index = {w: i for i, w in enumerate(vocab)}
 
-    doc_of: list[int] = []
-    word_of: list[int] = []
-    for d, doc in enumerate(documents):
-        for tok in doc.tokens:
-            doc_of.append(d)
-            word_of.append(word_index[tok])
-    doc_arr = np.array(doc_of, dtype=np.int64)
-    word_arr = np.array(word_of, dtype=np.int64)
-    n_tokens = len(word_arr)
-    n_docs = len(documents)
+    word_of = [word_index[tok] for doc in documents for tok in doc.tokens]
+    spans = []  # each document's contiguous run of token positions
+    for doc in documents:
+        lo = spans[-1][1] if spans else 0
+        spans.append((lo, lo + len(doc.tokens)))
+    n_tokens = len(word_of)
     v = len(vocab)
 
     rng = np.random.default_rng(seed)
-    assignments = rng.integers(0, n_topics, size=n_tokens)
+    assignments = rng.integers(0, n_topics, size=n_tokens).tolist()
 
-    word_topic = np.zeros((v, n_topics), dtype=np.int64)
-    doc_topic = np.zeros((n_docs, n_topics), dtype=np.int64)
-    topic_total = np.zeros(n_topics, dtype=np.int64)
-    np.add.at(word_topic, (word_arr, assignments), 1)
-    np.add.at(doc_topic, (doc_arr, assignments), 1)
-    np.add.at(topic_total, assignments, 1)
+    word_topic = [[0] * n_topics for _ in range(v)]
+    doc_topic = [[0] * n_topics for _ in documents]
+    topic_total = [0] * n_topics
+    for (lo, hi), counts in zip(spans, doc_topic):
+        for w, k in zip(word_of[lo:hi], assignments[lo:hi]):
+            word_topic[w][k] += 1
+            counts[k] += 1
+            topic_total[k] += 1
 
+    # float mirrors of n_dk + alpha and n_k + V*beta, refreshed from the int
+    # count whenever it changes, so each weight below rounds exactly as the
+    # elementwise numpy (n_wk + beta) * (n_dk + alpha) / (n_k + V*beta)
     v_beta = v * beta
+    doc_alpha = [[c + alpha for c in counts] for counts in doc_topic]
+    total_v_beta = [c + v_beta for c in topic_total]
+    last = n_topics - 1
     for sweep in range(iterations):
-        for t in range(n_tokens):
-            w = word_arr[t]
-            d = doc_arr[t]
-            k = assignments[t]
-            word_topic[w, k] -= 1
-            doc_topic[d, k] -= 1
-            topic_total[k] -= 1
-            weights = (word_topic[w] + beta) * (doc_topic[d] + alpha) / (topic_total + v_beta)
-            cum = np.cumsum(weights)
-            draw = rng.random() * cum[-1]
-            k_new = int(np.searchsorted(cum, draw, side="right"))
-            if k_new == n_topics:
-                k_new = n_topics - 1
-            assignments[t] = k_new
-            word_topic[w, k_new] += 1
-            doc_topic[d, k_new] += 1
-            topic_total[k_new] += 1
+        for (lo, hi), counts, mirror in zip(spans, doc_topic, doc_alpha):
+            # one uniform per token, in token order: the same stream as scalar draws
+            for t, u in zip(range(lo, hi), rng.random(hi - lo).tolist()):
+                row = word_topic[word_of[t]]
+                k = assignments[t]
+                row[k] -= 1
+                counts[k] -= 1
+                mirror[k] = counts[k] + alpha
+                topic_total[k] -= 1
+                total_v_beta[k] = topic_total[k] + v_beta
+                cum = list(accumulate([
+                    (n_wk + beta) * m_dk / m_k
+                    for n_wk, m_dk, m_k in zip(row, mirror, total_v_beta)
+                ]))
+                k = bisect_right(cum, u * cum[-1])
+                if k > last:
+                    k = last
+                assignments[t] = k
+                row[k] += 1
+                counts[k] += 1
+                mirror[k] = counts[k] + alpha
+                topic_total[k] += 1
+                total_v_beta[k] = topic_total[k] + v_beta
         if validate_every and (sweep + 1) % validate_every == 0:
-            _check_counts(word_topic, doc_topic, topic_total, n_tokens, assignments, n_topics)
+            _check_counts(word_topic, doc_topic, topic_total, doc_alpha, total_v_beta,
+                          assignments, n_topics, alpha, v_beta)
 
-    _check_counts(word_topic, doc_topic, topic_total, n_tokens, assignments, n_topics)
-    doc_vocab = tuple(
-        frozenset(int(w) for w in np.unique(word_arr[doc_arr == d])) for d in range(n_docs)
-    )
+    _check_counts(word_topic, doc_topic, topic_total, doc_alpha, total_v_beta,
+                  assignments, n_topics, alpha, v_beta)
     return TopicModel(
         n_topics=n_topics,
         alpha=alpha,
         beta=beta,
         vocab=vocab,
         doc_ids=tuple(doc.doc_id for doc in documents),
-        word_topic=word_topic,
-        doc_topic=doc_topic,
-        doc_vocab=doc_vocab,
+        word_topic=np.array(word_topic, dtype=np.int64),
+        doc_topic=np.array(doc_topic, dtype=np.int64),
+        doc_vocab=tuple(frozenset(word_of[lo:hi]) for lo, hi in spans),
         seed=seed,
         iterations=iterations,
     )
 
 
-def _check_counts(word_topic, doc_topic, topic_total, n_tokens, assignments, n_topics):
-    if int(word_topic.sum()) != n_tokens or int(doc_topic.sum()) != n_tokens:
+def _check_counts(word_topic, doc_topic, topic_total, doc_alpha, total_v_beta,
+                  assignments, n_topics, alpha, v_beta):
+    n_tokens = len(assignments)
+    if sum(map(sum, word_topic)) != n_tokens or sum(map(sum, doc_topic)) != n_tokens:
         raise AssertionError("token counts drifted during sampling")
-    if int(topic_total.sum()) != n_tokens:
+    if sum(topic_total) != n_tokens:
         raise AssertionError("topic totals drifted during sampling")
-    if not np.array_equal(word_topic.sum(axis=0), topic_total):
+    if [sum(column) for column in zip(*word_topic)] != topic_total:
         raise AssertionError("word-topic matrix disagrees with topic totals")
-    if assignments.min() < 0 or assignments.max() >= n_topics:
+    if min(assignments) < 0 or max(assignments) >= n_topics:
         raise AssertionError("topic assignment out of range")
-
-
-def top_words(model: TopicModel, topic: int, n: int = 100) -> list[str]:
-    return model.top_words(topic, n)
+    if doc_alpha != [[c + alpha for c in counts] for counts in doc_topic]:
+        raise AssertionError("document-topic mirrors disagree with their counts")
+    if total_v_beta != [c + v_beta for c in topic_total]:
+        raise AssertionError("topic-total mirrors disagree with their counts")
 
 
 def fit_candidate_topics(

@@ -44,7 +44,7 @@ from tagmerge.lexicon import (
     load_ngram_table,
     load_pos_lexicon,
 )
-from tagmerge.topicmodel import fit_candidate_topics
+from tagmerge.topicmodel import TopicModel, fit_candidate_topics
 
 from conftest import make_tweet, utc
 
@@ -525,3 +525,40 @@ def test_topic_overlap_restricted_to_document_words():
     assert avg_topic_overlap(model, doc_a, doc_a) == len(vocab_a)
     with pytest.raises(ValueError):
         avg_topic_overlap(model, doc_a, "no-such-doc")
+
+
+def brute_force_top(model, doc_id, topic, n):
+    words = [model.vocab[i] for i in model.doc_vocab[model.doc_index[doc_id]]]
+    count = {w: int(model.word_topic[model.word_index[w], topic]) for w in words}
+    return sorted(words, key=lambda w: (-count[w], w))[:n]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_topic_overlap_top_n_cut_matches_brute_force_ranking(seed):
+    """Documents larger than top_n, tied counts, and a vocabulary out of alphabetical order."""
+    rng = np.random.default_rng(seed)
+    vocab = ("kiwi", "apple", "mango", "fig", "date", "lime", "banana", "cherry",
+             "grape", "elder", "plum", "quince", "nectarine", "olive")
+    n_topics, top_n = 3, 4
+    # counts from {0, 1, 2} tie often, including across the top_n boundary
+    word_topic = rng.integers(0, 3, size=(len(vocab), n_topics))
+    doc_vocab = (
+        frozenset(rng.choice(len(vocab), size=9, replace=False).tolist()),
+        frozenset(rng.choice(len(vocab), size=7, replace=False).tolist()),
+    )
+    model = TopicModel(
+        n_topics=n_topics, alpha=1.0, beta=0.01, vocab=vocab, doc_ids=("a@0", "b@0"),
+        word_topic=word_topic, doc_topic=np.zeros((2, n_topics), dtype=np.int64),
+        doc_vocab=doc_vocab, seed=0, iterations=1,
+    )
+    expected = 0
+    for k in range(n_topics):
+        top_a = brute_force_top(model, "a@0", k, top_n)
+        top_b = brute_force_top(model, "b@0", k, top_n)
+        assert model.top_words_in_doc("a@0", k, top_n) == top_a
+        assert model.top_words_in_doc("b@0", k, top_n) == top_b
+        assert model.top_words_in_doc("a@0", k) == brute_force_top(model, "a@0", k, 100)
+        expected += len(set(top_a) & set(top_b))
+    assert avg_topic_overlap(model, "a@0", "b@0", top_n) == expected / n_topics
+    # with no cut the feature is the plain vocabulary overlap
+    assert avg_topic_overlap(model, "a@0", "b@0") == len(doc_vocab[0] & doc_vocab[1])

@@ -1,5 +1,8 @@
 """Gibbs-sampled topic model: bookkeeping, determinism, and recovery."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -83,6 +86,44 @@ def test_fit_lda_is_seed_deterministic():
     assert np.array_equal(m1.doc_topic, m2.doc_topic)
     m3 = fit_lda(docs, n_topics=3, iterations=8, seed=43)
     assert not np.array_equal(m1.word_topic, m3.word_topic)
+
+
+def wide_docs():
+    """Twelve 40-token documents over a 53-word vocabulary, overlapping unevenly."""
+    return [
+        doc(f"w{d:02d}@0", [f"word{(d * 7 + j * j) % 53:02d}" for j in range(40)])
+        for d in range(12)
+    ]
+
+
+def docs_with_empties():
+    """Six two-topic documents with empty ones first, in the middle and last."""
+    docs, _, _ = two_topic_docs(6, 10)
+    return [doc("a-empty@0", [])] + docs[:3] + [doc("m-empty@0", [])] + docs[3:] + [
+        doc("z-empty@0", [])
+    ]
+
+
+# SHA-256 of the sorted-key JSON payload. The digests pin the draws: one
+# uniform per token, in token order, from the seed's PCG64 stream, weights
+# summed left to right, and the first topic whose running sum exceeds the
+# scaled uniform. Any change to the draws, the weights or their summation
+# order shows here.
+GOLDEN_FITS = [
+    (lambda: two_topic_docs(10, 12)[0], dict(n_topics=4, iterations=5, seed=1, validate_every=1),
+     "17be95ec5272750d2ae6da4c91763f708ab1038bffda8fe501b2932ed9a241fb"),
+    (wide_docs, dict(n_topics=30, alpha=0.5, iterations=3, seed=7),
+     "3a90d3c0ac46712ad8a5ccfa424238b57157a77494e297faeb9691ccc214eb56"),
+    (docs_with_empties, dict(n_topics=3, iterations=4, seed=5, validate_every=1),
+     "b321e72a551908329fcb0041dc1ec995f3abeb93c9568c0e49dff2f3c66b2ffc"),
+]
+
+
+@pytest.mark.parametrize("make_docs, settings, digest", GOLDEN_FITS, ids=["k4", "k30", "empty"])
+def test_fit_lda_reproduces_golden_models(make_docs, settings, digest):
+    model = fit_lda(make_docs(), **settings)
+    payload = json.dumps(model.to_payload(), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
 
 def test_alpha_defaults_to_fifty_over_k():
