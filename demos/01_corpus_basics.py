@@ -28,11 +28,14 @@ for month in index.months:
     print(f"  {month}: snow={index.monthly_frequency('snow', month)}"
           f" snowday={index.monthly_frequency('snowday', month)}")
 
-# window queries are half-open (from, to]: the left edge is excluded
+# window queries are open on both sides: a tweet at either edge is excluded,
+# so nothing at the compounding instant leaks into pre-compounding history
 frm = T0
 to = shift_months(frm, 1)
-print(f"snow in ({frm}, {to}]: {index.window_frequency('snow', frm, to)}")
+print(f"day in ({frm}, {to}): {index.count_between('day', frm, to)} (t3 sits on the edge)")
 
-# count_between is open on both sides, used for pre-compounding history
+# timestamps are whole seconds, so (frm, to] is the open window (frm, to + 1)
+print(f"day in ({frm}, {to}]: {index.count_between('day', frm, to + 1)}")
+
 t4 = index.first_seen("snowday")
 print(f"snow strictly inside ({frm}, {t4}): {index.count_between('snow', frm, t4)}")

@@ -23,44 +23,45 @@ from tagmerge.lexicon import load_dictionary, load_gazetteer, load_ngram_table, 
 from tagmerge.synth import generate, signal_scenario, write_scenario
 from tagmerge.topicmodel import fit_candidate_topics
 
-workdir = Path(tempfile.mkdtemp(prefix="tagmerge-demo-"))
-config = signal_scenario(n_candidates=8, seed=1, strength=1.0)
-paths = write_scenario(config, workdir / "scen")
+with tempfile.TemporaryDirectory(prefix="tagmerge-demo-") as tmp:
+    workdir = Path(tmp)
+    config = signal_scenario(n_candidates=8, seed=1, strength=1.0)
+    paths = write_scenario(config, workdir / "scen")
 
-result = generate(config)
-index = CorpusIndex(result.tweets)
-eligible = filter_eligible(detect_candidates(index), index)
-print(f"{len(eligible)} candidates pass the support filter")
+    result = generate(config)
+    index = CorpusIndex(result.tweets)
+    eligible = filter_eligible(detect_candidates(index), index)
+    print(f"{len(eligible)} candidates pass the support filter")
 
-dictionary = load_dictionary(paths["dictionary.txt"])
-pos = load_pos_lexicon(paths["pos_lexicon.tsv"])
-gaz = load_gazetteer(paths["gazetteer.tsv"])
-model, doc_keys = fit_candidate_topics(index, eligible, n_topics=4, iterations=15, seed=0)
-resources = FeatureResources(
-    dictionary=dictionary,
-    ngrams=load_ngram_table(paths["ngrams.tsv"]),
-    pos_lexicon=pos,
-    gazetteer=gaz,
-    topic_model=model,
-    topic_doc_keys=doc_keys,
-)
+    dictionary = load_dictionary(paths["dictionary.txt"])
+    pos = load_pos_lexicon(paths["pos_lexicon.tsv"])
+    gaz = load_gazetteer(paths["gazetteer.tsv"])
+    model, doc_keys = fit_candidate_topics(index, eligible, n_topics=4, iterations=15, seed=0)
+    resources = FeatureResources(
+        dictionary=dictionary,
+        ngrams=load_ngram_table(paths["ngrams.tsv"]),
+        pos_lexicon=pos,
+        gazetteer=gaz,
+        topic_model=model,
+        topic_doc_keys=doc_keys,
+    )
 
-combos = [zone_combo(c, dictionary, pos, gaz) for c in eligible]
-schema = build_schema(combos, ObservationConfig(obs_months=6, horizon_months=10, lda_topics=4))
-vectors, combos = featurize_all(eligible, index, resources, schema)
+    combos = [zone_combo(c, dictionary, pos, gaz) for c in eligible]
+    schema = build_schema(combos, ObservationConfig(obs_months=6, horizon_months=10, lda_topics=4))
+    vectors, combos = featurize_all(eligible, index, resources, schema)
 
-vec = vectors[0]
-print(f"\n#{eligible[0].compound.canonical}: {len(schema.names)} features, a few of them:")
-for name in ("char_length", "word_count", "pos_diversity", "clarity_a",
-             "word_overlap", "collocation_frequency", "common_users"):
-    print(f"  {name:>24} = {vec.values[name]:.4f}")
+    vec = vectors[0]
+    print(f"\n#{eligible[0].compound.canonical}: {len(schema.names)} features, a few of them:")
+    for name in ("char_length", "word_count", "pos_diversity", "clarity_a",
+                 "word_overlap", "collocation_frequency", "common_users"):
+        print(f"  {name:>24} = {vec.values[name]:.4f}")
 
-labels = [1 if label_candidate(index, c, 10).value == "Popular" else 0 for c in eligible]
-csv_path = workdir / "features.csv"
-write_feature_csv(csv_path, vectors, labels, schema, combos=combos)
-matrix, back_labels, back_schema, _ = read_feature_csv(csv_path)
+    labels = [1 if label_candidate(index, c, 10).value == "Popular" else 0 for c in eligible]
+    csv_path = workdir / "features.csv"
+    write_feature_csv(csv_path, vectors, labels, schema, combos=combos)
+    matrix, back_labels, back_schema, _ = read_feature_csv(csv_path)
 
-original = np.array([v.as_array(schema.names) for v in vectors])
-intact = np.array_equal(matrix, original) and list(back_labels) == labels
-print(f"\nwrote {csv_path}")
-print(f"round trip intact: {intact}")
+    original = np.array([v.as_array(schema.names) for v in vectors])
+    intact = np.array_equal(matrix, original) and list(back_labels) == labels
+    print(f"\nwrote {csv_path}")
+    print(f"round trip intact: {intact}")

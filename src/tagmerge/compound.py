@@ -188,9 +188,10 @@ def label_candidate(
             f"corpus coverage ends before t0+{horizon_months} months for "
             f"{candidate.compound.canonical!r}"
         )
-    freq_ab = index.window_frequency(candidate.compound.canonical, t0, end)
-    freq_a = index.window_frequency(candidate.part_a.canonical, t0, end)
-    freq_b = index.window_frequency(candidate.part_b.canonical, t0, end)
+    # timestamps are whole seconds, so the open (t0, end + 1) is (t0, end]
+    freq_ab = index.count_between(candidate.compound.canonical, t0, end + 1)
+    freq_a = index.count_between(candidate.part_a.canonical, t0, end + 1)
+    freq_b = index.count_between(candidate.part_b.canonical, t0, end + 1)
     popular = freq_ab > freq_a and freq_ab > freq_b
     return PopularityLabel(
         value="Popular" if popular else "Unpopular",
@@ -218,9 +219,9 @@ def classify_trend(index: CorpusIndex, candidate: CompoundCandidate) -> TrendCat
     for i in range(1, TREND_MONTHS + 1):
         lo = shift_months(t0, i - 1)
         hi = shift_months(t0, i)
-        ab = index.window_frequency(candidate.compound.canonical, lo, hi)
-        a = index.window_frequency(candidate.part_a.canonical, lo, hi)
-        b = index.window_frequency(candidate.part_b.canonical, lo, hi)
+        ab = index.count_between(candidate.compound.canonical, lo, hi + 1)
+        a = index.count_between(candidate.part_a.canonical, lo, hi + 1)
+        b = index.count_between(candidate.part_b.canonical, lo, hi + 1)
         if not (ab > a and ab > b):
             failures += 1
     if failures == 0:

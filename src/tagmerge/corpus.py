@@ -3,7 +3,10 @@
 The index is built once from a JSONL corpus and answers every time-sliced
 query the rest of the pipeline needs: first appearance of a hashtag, monthly
 and windowed usage counts, the tweets a hashtag occurs in, and unigram
-background statistics of the whole token stream.
+background counts of the token stream before an instant. It holds no state
+that a query changes, so queries may come in any order and one index may be
+shared. Every window query takes the open interval (lo, hi): a tweet at
+either bound is outside it.
 """
 
 from __future__ import annotations
@@ -204,26 +207,6 @@ class Tweet:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class BackgroundLM:
-    """Unigram model over the corpus token stream."""
-
-    words: tuple[str, ...]
-    counts: np.ndarray
-    total: int
-
-    @property
-    def probs(self) -> np.ndarray:
-        return self.counts / self.total
-
-    def prob(self, word: str) -> float:
-        try:
-            idx = self.words.index(word)
-        except ValueError:
-            return 0.0
-        return float(self.counts[idx]) / self.total
-
-
 class _TagEntry:
     __slots__ = ("display", "first_seen", "month_counts", "positions", "ts_list")
 
@@ -240,7 +223,10 @@ class CorpusIndex:
 
     Tweets are held sorted by (timestamp, id); every derived quantity is a
     pure function of that ordering, so identical inputs serialize to
-    identical bytes.
+    identical bytes. Nothing is assigned after construction: every query is
+    a pure read, answers the same in any call order, and is safe on a shared
+    index. Window queries (`tweets_between`, `count_between`) exclude both
+    bounds.
     """
 
     def __init__(self, tweets: Sequence[Tweet], skipped: int = 0, filtered: int = 0):
@@ -281,19 +267,16 @@ class CorpusIndex:
         else:
             self.months = ()
 
-        bg: dict[str, int] = {}
-        for toks in self._tokens:
-            for tok in toks:
-                bg[tok] = bg.get(tok, 0) + 1
-        self._vocab: tuple[str, ...] = tuple(sorted(bg))
+        words = {tok for toks in self._tokens for tok in toks}
+        self._vocab: tuple[str, ...] = tuple(sorted(words))
         self._word_index = {w: i for i, w in enumerate(self._vocab)}
-        self._bg_counts = np.array([bg[w] for w in self._vocab], dtype=np.int64)
-        self._bg_total = int(self._bg_counts.sum())
-
-        # incremental cursor for time-bounded background queries
-        self._cursor_pos = 0
-        self._cursor_counts = np.zeros(len(self._vocab), dtype=np.int64)
-        self._cursor_total = 0
+        # all token ids in tweet order; _token_offsets[k] counts the tokens before tweet k
+        self._token_offsets = np.cumsum([0] + [len(toks) for toks in self._tokens])
+        self._token_ids = np.fromiter(
+            (self._word_index[tok] for toks in self._tokens for tok in toks),
+            dtype=np.int32,
+            count=int(self._token_offsets[-1]),
+        )
 
     # -- basic access -------------------------------------------------------
 
@@ -357,30 +340,15 @@ class CorpusIndex:
         entry = self._entry(canonical)
         return entry.month_counts.get(month, 0)
 
-    def window_frequency(self, canonical: str, frm: int, to: int) -> int:
-        """Distinct tweets containing the hashtag in the half-open (frm, to]."""
-        if frm >= to:
-            raise ValueError(f"empty window: from {frm} >= to {to}")
-        entry = self._entry(canonical)
-        return bisect_right(entry.ts_list, to) - bisect_right(entry.ts_list, frm)
-
-    def tweets_of(self, canonical: str, frm: int, to: int) -> list[Tweet]:
-        """Tweets containing the hashtag in (frm, to], ordered by (time, id)."""
-        if frm >= to:
-            raise ValueError(f"empty window: from {frm} >= to {to}")
-        entry = self._entry(canonical)
-        lo = bisect_right(entry.ts_list, frm)
-        hi = bisect_right(entry.ts_list, to)
-        return [self._tweets[p] for p in entry.positions[lo:hi]]
-
     def tweets_between(self, canonical: str, lo: int, hi: int) -> list[Tweet]:
-        """Tweets containing the hashtag with lo < timestamp < hi (both open)."""
+        """Tweets containing the hashtag with lo < timestamp < hi, ordered by (time, id)."""
         entry = self._entry(canonical)
         i = bisect_right(entry.ts_list, lo)
         j = bisect_left(entry.ts_list, hi)
         return [self._tweets[p] for p in entry.positions[i:j]]
 
     def count_between(self, canonical: str, lo: int, hi: int) -> int:
+        """Distinct tweets containing the hashtag with lo < timestamp < hi."""
         entry = self._entry(canonical)
         return bisect_left(entry.ts_list, hi) - bisect_right(entry.ts_list, lo)
 
@@ -393,27 +361,10 @@ class CorpusIndex:
     def word_index(self, word: str) -> int | None:
         return self._word_index.get(word)
 
-    def background_lm(self) -> BackgroundLM:
-        return BackgroundLM(words=self._vocab, counts=self._bg_counts.copy(), total=self._bg_total)
-
     def background_before(self, ts: int) -> tuple[np.ndarray, int]:
-        """Token counts (aligned with `vocabulary`) over tweets strictly before `ts`.
-
-        Repeated calls with non-decreasing `ts` advance an internal cursor;
-        going backwards rebuilds from scratch.
-        """
-        if self._cursor_pos > 0 and self._tweets[self._cursor_pos - 1].timestamp >= ts:
-            self._cursor_pos = 0
-            self._cursor_counts = np.zeros(len(self._vocab), dtype=np.int64)
-            self._cursor_total = 0
-        pos = self._cursor_pos
-        while pos < len(self._tweets) and self._tweets[pos].timestamp < ts:
-            for tok in self._tokens[pos]:
-                self._cursor_counts[self._word_index[tok]] += 1
-                self._cursor_total += 1
-            pos += 1
-        self._cursor_pos = pos
-        return self._cursor_counts.copy(), self._cursor_total
+        """Token counts (aligned with `vocabulary`) over tweets strictly before `ts`."""
+        end = int(self._token_offsets[bisect_left(self._tweets, ts, key=lambda t: t.timestamp)])
+        return np.bincount(self._token_ids[:end], minlength=len(self._vocab)), end
 
     # -- serialization ------------------------------------------------------
 

@@ -128,18 +128,15 @@ class ComboSchema:
         return cls(pos_pairs=parse(payload["pos_pairs"]), ne_pairs=parse(payload["ne_pairs"]))
 
 
-def _slot_names() -> tuple[list[str], list[str], list[str]]:
-    pos = [f"pos_combo_{i:02d}" for i in range(POS_SLOTS)]
-    ne = [f"ne_combo_{i:02d}" for i in range(NE_SLOTS)]
-    oov = [f"zone_{p.lower().replace('-', '_')}" for p in OOV_PAIRS]
-    return pos, ne, oov
+_POS_NAMES = tuple(f"pos_combo_{i:02d}" for i in range(POS_SLOTS))
+_NE_NAMES = tuple(f"ne_combo_{i:02d}" for i in range(NE_SLOTS))
+_OOV_NAMES = tuple(f"zone_{p.lower().replace('-', '_')}" for p in OOV_PAIRS)
 
 
 def feature_layout() -> tuple[tuple[str, ...], dict[str, str], frozenset[str]]:
     """Canonical feature order, group tags, and the binary feature set."""
-    pos_names, ne_names, oov_names = _slot_names()
     names: list[str] = ["char_length", "word_count", "ngram_presence", "pos_diversity"]
-    names += pos_names + ne_names + oov_names
+    names += _POS_NAMES + _NE_NAMES + _OOV_NAMES
     tweet_names = [
         "word_overlap",
         "ngram_overlap",
@@ -166,7 +163,7 @@ def feature_layout() -> tuple[tuple[str, ...], dict[str, str], frozenset[str]]:
     groups = {n: GROUP_HASHTAG for n in names[: 4 + POS_SLOTS + NE_SLOTS + len(OOV_PAIRS)]}
     groups.update({n: GROUP_TWEET for n in tweet_names})
     groups.update({n: GROUP_USER for n in user_names})
-    binary = frozenset(["ngram_presence"] + pos_names + ne_names + oov_names)
+    binary = frozenset(("ngram_presence",) + _POS_NAMES + _NE_NAMES + _OOV_NAMES)
     return tuple(names), groups, binary
 
 
@@ -304,13 +301,12 @@ def zone_combo(
 
 def combo_bits(combo: ZoneCombo, schema: ComboSchema) -> dict[str, float]:
     """Expand one zone combo into the 44 binary slot values."""
-    pos_names, ne_names, oov_names = _slot_names()
     out: dict[str, float] = {}
-    for name, pair in zip(pos_names, schema.pos_pairs):
+    for name, pair in zip(_POS_NAMES, schema.pos_pairs):
         out[name] = 1.0 if pair is not None and pair == combo.pos else 0.0
-    for name, pair in zip(ne_names, schema.ne_pairs):
+    for name, pair in zip(_NE_NAMES, schema.ne_pairs):
         out[name] = 1.0 if pair is not None and pair == combo.ne else 0.0
-    for name, pair in zip(oov_names, OOV_PAIRS):
+    for name, pair in zip(_OOV_NAMES, OOV_PAIRS):
         out[name] = 1.0 if combo.oov == pair else 0.0
     return out
 
@@ -562,18 +558,18 @@ def featurize_all(
 ) -> tuple[list[FeatureVector], list[ZoneCombo]]:
     """Vectors and zone combos for many candidates, in input order.
 
-    Candidates are processed by ascending compounding time so the
-    background cursor only moves forward.
+    Nothing here changes the index or the resources, so a candidate's
+    vector is the same whatever the order of `candidates`.
     """
     combos = [
         zone_combo(c, resources.dictionary, resources.pos_lexicon, resources.gazetteer)
         for c in candidates
     ]
-    vectors: list[FeatureVector | None] = [None] * len(candidates)
-    order = sorted(range(len(candidates)), key=lambda i: candidates[i].compound_first_seen)
-    for i in order:
-        vectors[i] = featurize(candidates[i], index, resources, schema, combo=combos[i])
-    return vectors, combos  # type: ignore[return-value]
+    vectors = [
+        featurize(c, index, resources, schema, combo=combo)
+        for c, combo in zip(candidates, combos)
+    ]
+    return vectors, combos
 
 
 # ---------------------------------------------------------------------------

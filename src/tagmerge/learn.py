@@ -13,7 +13,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .features import FeatureSchema, FeatureVector, ZoneCombo, derive_combo_schema, read_feature_csv
+from .features import (
+    FeatureSchema, FeatureVector, ZoneCombo, combo_bits, derive_combo_schema, read_feature_csv,
+)
 
 MODEL_FORMAT = "tagmerge-model"
 MODEL_VERSION = 1
@@ -478,6 +480,23 @@ def _metrics(y_true: np.ndarray, y_pred: np.ndarray, scores: np.ndarray) -> dict
     }
 
 
+def _report(kind: str, m: dict, n_rows: int, per_fold: list, protocol: dict) -> EvalReport:
+    """EvalReport from the metrics that `_metrics` returns."""
+    return EvalReport(
+        kind=kind,
+        accuracy=m["accuracy"],
+        precision=m["weighted"]["precision"],
+        recall=m["weighted"]["recall"],
+        f_score=m["weighted"]["f_score"],
+        roc_area=m["roc_area"],
+        per_class=m["per_class"],
+        confusion=m["confusion"],
+        n_rows=n_rows,
+        per_fold=per_fold,
+        protocol=protocol,
+    )
+
+
 def stratified_folds(labels, n_folds: int, seed: int = 0) -> list[np.ndarray]:
     """Seeded stratified partition; fold sizes differ by at most one."""
     labels = np.asarray(labels, dtype=int)
@@ -517,14 +536,11 @@ def _rebind_combo_columns(
     """Copy of the matrix with combination slots derived from training rows."""
     schema = derive_combo_schema([combos[i] for i in train_idx])
     out = matrix.copy()
-    name_to_col = {n: i for i, n in enumerate(feature_names)}
-    pos_names = [n for n in feature_names if n.startswith("pos_combo_")]
-    ne_names = [n for n in feature_names if n.startswith("ne_combo_")]
+    slots = [(col, n) for col, n in enumerate(feature_names) if n.startswith(COMBO_SLOT_PREFIXES)]
     for row, combo in enumerate(combos):
-        for name, pair in zip(pos_names, schema.pos_pairs):
-            out[row, name_to_col[name]] = 1.0 if pair is not None and pair == combo.pos else 0.0
-        for name, pair in zip(ne_names, schema.ne_pairs):
-            out[row, name_to_col[name]] = 1.0 if pair is not None and pair == combo.ne else 0.0
+        bits = combo_bits(combo, schema)
+        for col, name in slots:
+            out[row, col] = bits[name]
     return out
 
 
@@ -583,19 +599,8 @@ def cross_validate(
             }
         )
     m = _metrics(dataset.labels, pooled_pred, pooled_score)
-    return EvalReport(
-        kind=kind,
-        accuracy=m["accuracy"],
-        precision=m["weighted"]["precision"],
-        recall=m["weighted"]["recall"],
-        f_score=m["weighted"]["f_score"],
-        roc_area=m["roc_area"],
-        per_class=m["per_class"],
-        confusion=m["confusion"],
-        n_rows=dataset.n_rows,
-        per_fold=per_fold,
-        protocol={"mode": "cv", "folds": n_folds, "seed": seed},
-    )
+    protocol = {"mode": "cv", "folds": n_folds, "seed": seed}
+    return _report(kind, m, dataset.n_rows, per_fold, protocol)
 
 
 def holdout_evaluate(
@@ -626,22 +631,11 @@ def holdout_evaluate(
     train_idx = np.setdiff1d(np.arange(dataset.n_rows), test_idx)
     preds, scores = _fit_eval_split(dataset, kind, train_idx, test_idx, config)
     m = _metrics(labels[test_idx], preds, scores)
-    return EvalReport(
-        kind=kind,
-        accuracy=m["accuracy"],
-        precision=m["weighted"]["precision"],
-        recall=m["weighted"]["recall"],
-        f_score=m["weighted"]["f_score"],
-        roc_area=m["roc_area"],
-        per_class=m["per_class"],
-        confusion=m["confusion"],
-        n_rows=int(len(test_idx)),
-        per_fold=[],
-        protocol={
-            "mode": "holdout",
-            "test_fraction": test_fraction,
-            "seed": seed,
-            "n_train": int(len(train_idx)),
-            "n_test": int(len(test_idx)),
-        },
-    )
+    protocol = {
+        "mode": "holdout",
+        "test_fraction": test_fraction,
+        "seed": seed,
+        "n_train": int(len(train_idx)),
+        "n_test": int(len(test_idx)),
+    }
+    return _report(kind, m, int(len(test_idx)), [], protocol)

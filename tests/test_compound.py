@@ -189,6 +189,20 @@ def test_window_excludes_first_compound_tweet():
     assert label.value == "Unpopular"
 
 
+def test_window_includes_tweet_at_horizon_end():
+    t0 = utc(2011, 6, 15)
+    end = shift_months(t0, 2)
+    index = index_of(
+        make_tweet("#snow #day seeds", utc(2011, 5, 2)),
+        make_tweet("#snowday born", t0),
+        make_tweet("#snowday on the edge", end),
+        make_tweet("#snowday one second late", end + 1),
+        make_tweet("#quiet sentinel", shift_months(t0, 3)),  # extends coverage
+    )
+    label = label_candidate(index, only_candidate(index), 2)
+    assert (label.freq_ab, label.freq_a, label.freq_b) == (1, 0, 0)
+
+
 def test_unsupported_horizon_needs_opt_in():
     index = labeled_corpus(1, 0, 0)
     cand = only_candidate(index)
@@ -263,6 +277,24 @@ def test_trend_other_bucket():
         pattern[m] = (1, 3, 0)
     index = trend_corpus(pattern)
     assert classify_trend(index, only_candidate(index)) is TrendCategory.OTHER
+
+
+def test_trend_month_includes_its_end():
+    # month i is (t0 + i-1, t0 + i]: two compound tweets sit exactly at each
+    # month's end and one constituent tweet inside it, so a month that
+    # dropped its end tweets would tie or lose
+    t0 = utc(2011, 6, 15)
+    tweets = [
+        make_tweet("#snow #day seeds", utc(2011, 5, 2)),
+        make_tweet("#snowday born", t0),
+        make_tweet("#quiet sentinel", utc(2012, 4, 20)),  # extends coverage past t0+10
+    ]
+    for i in range(1, 11):
+        end = shift_months(t0, i)
+        tweets += [make_tweet("#snowday edge", end), make_tweet("#snowday edge", end)]
+        tweets.append(make_tweet("#snow inside", end - 86400))
+    index = CorpusIndex(tweets)
+    assert classify_trend(index, only_candidate(index)) is TrendCategory.ALWAYS_HIGHER
 
 
 def test_trend_undefined_for_unpopular():

@@ -194,17 +194,6 @@ def test_monthly_frequency_counts_distinct_tweets():
     assert index.monthly_frequency("beta", "2011-07") == 1
 
 
-def test_window_frequency_is_half_open():
-    index = build_small_index()
-    ts = utc(2011, 6, 3)
-    # (from, to]: excludes the left endpoint, includes the right
-    assert index.window_frequency("alpha", ts - 1, ts) == 1
-    assert index.window_frequency("alpha", ts, ts + 1) == 0
-    assert index.window_frequency("alpha", ts - 1, utc(2011, 12, 1)) == 4
-    with pytest.raises(ValueError):
-        index.window_frequency("alpha", ts, ts)
-
-
 def test_count_between_is_open_on_both_ends():
     index = build_small_index()
     ts = utc(2011, 6, 3)
@@ -212,9 +201,9 @@ def test_count_between_is_open_on_both_ends():
     assert index.count_between("alpha", ts - 1, utc(2011, 7, 1) + 1) == 3
 
 
-def test_tweets_of_orders_by_time():
+def test_tweets_between_orders_by_time():
     index = build_small_index()
-    got = index.tweets_of("alpha", 0, utc(2012, 1, 1))
+    got = index.tweets_between("alpha", 0, utc(2012, 1, 1))
     assert [t.id for t in got] == ["a1", "a2", "a3", "a6"]
 
 
@@ -242,10 +231,10 @@ def test_vocabulary_is_sorted_and_counts_match():
     index = build_small_index()
     vocab = index.vocabulary
     assert list(vocab) == sorted(vocab)
-    lm = index.background_lm()
+    counts, total = index.background_before(index.coverage_end)
     # "alpha" appears in tweets a1, a2, a3, a6
-    assert lm.prob("alpha") * lm.total == 4
-    assert lm.counts.sum() == lm.total
+    assert counts[index.word_index("alpha")] == 4
+    assert counts.sum() == total
 
 
 def test_background_before_matches_fresh_recount():

@@ -1,11 +1,14 @@
 """Feature extractors: distribution helpers, zone combos, and assembly."""
 
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tagmerge.compound import detect_candidates
+from tagmerge import synth
+from tagmerge.compound import detect_candidates, filter_eligible
 from tagmerge.corpus import CorpusIndex, observation_window, shift_months, tokenize
 from tagmerge.errors import InsufficientHistoryError
 from tagmerge.features import (
@@ -488,6 +491,45 @@ def test_featurize_all_orders_and_round_trips(tmp_path):
     assert combos2 == combos_out
     expect = vectors[0].as_array(schema.names)
     assert np.array_equal(matrix[0], expect)  # repr round trip is exact
+
+
+def test_featurize_all_is_independent_of_input_order(tmp_path):
+    config = synth.signal_scenario(n_candidates=12, seed=4)
+    # stagger the compounding month over three months, keeping n_months
+    plants = []
+    for i, p in enumerate(config.plants):
+        k, cut = i % 3, len(p.post_ab) - i % 3
+        plants.append(replace(
+            p, m0=p.m0 + k, pre_a=p.pre_a + p.pre_a[-1:] * k, pre_b=p.pre_b + p.pre_b[-1:] * k,
+            post_a=p.post_a[:cut], post_b=p.post_b[:cut], post_ab=p.post_ab[:cut],
+        ))
+    result = synth.generate(replace(config, plants=tuple(plants)))
+    index = CorpusIndex(result.tweets)
+    cands = filter_eligible(detect_candidates(index), index)
+    for filename, content in result.resources.items():
+        (tmp_path / filename).write_text(content)
+    model, keys = fit_candidate_topics(index, cands, n_topics=2, iterations=2, seed=0)
+    res = FeatureResources(
+        load_dictionary(tmp_path / "dictionary.txt"),
+        load_ngram_table(tmp_path / "ngrams.tsv"),
+        load_pos_lexicon(tmp_path / "pos_lexicon.tsv"),
+        load_gazetteer(tmp_path / "gazetteer.tsv"),
+        model,
+        keys,
+    )
+    combos = [zone_combo(c, res.dictionary, res.pos_lexicon, res.gazetteer) for c in cands]
+    schema = build_schema(combos, ObservationConfig(obs_months=6, horizon_months=10, lda_topics=2))
+    # pickling captures every attribute by value, arrays included
+    state = {k: pickle.dumps(v) for k, v in vars(index).items()}
+
+    forward, _ = featurize_all(cands, index, res, schema)
+    # latest compounding first, so every background read goes back in time
+    order = sorted(range(len(cands)), key=lambda i: -cands[i].compound_first_seen)
+    assert len({c.compound_first_seen for c in cands}) == 3
+    backward, _ = featurize_all([cands[i] for i in order], index, res, schema)
+
+    assert backward == [forward[i] for i in order]
+    assert {k: pickle.dumps(v) for k, v in vars(index).items()} == state
 
 
 def test_read_feature_csv_rejects_mismatched_header(tmp_path):

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from tagmerge.features import ZoneCombo
+from tagmerge.features import ZoneCombo, derive_combo_schema
 from tagmerge.learn import (
     Dataset,
+    _rebind_combo_columns,
     LinearModel,
     TrainConfig,
     balance_dataset,
@@ -345,6 +346,18 @@ def test_combo_slots_rebound_inside_folds():
         build(slots + 9.0), "logreg", n_folds=4, seed=0, config=TrainConfig(epochs=60)
     )
     assert clean.to_json() == garbage.to_json()
+
+
+def test_combo_slots_rebound_by_name_when_some_are_missing():
+    pos = [("A", "N")] * 6 + [("N", "N")] * 4 + [("V", "N")] * 2
+    combos = [ZoneCombo(pos=p, ne=("none", "none"), oov="INV-INV") for p in pos]
+    names = ("x0", "pos_combo_01")  # slot 00 is absent
+    train_idx = np.arange(len(combos))
+    out = _rebind_combo_columns(np.zeros((len(combos), 2)), names, combos, train_idx)
+    second = derive_combo_schema(combos).pos_pairs[1]
+    assert second == ("N", "N")
+    assert out[:, 1].tolist() == [1.0 if p == second else 0.0 for p in pos]
+    assert out[:, 0].tolist() == [0.0] * len(combos)
 
 
 def test_holdout_split_sizes_and_protocol():
