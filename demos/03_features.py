@@ -13,11 +13,9 @@ from tagmerge.corpus import CorpusIndex
 from tagmerge.features import (
     FeatureResources,
     ObservationConfig,
-    build_schema,
     featurize_all,
     read_feature_csv,
     write_feature_csv,
-    zone_combo,
 )
 from tagmerge.lexicon import load_dictionary, load_gazetteer, load_ngram_table, load_pos_lexicon
 from tagmerge.synth import generate, signal_scenario, write_scenario
@@ -46,9 +44,8 @@ with tempfile.TemporaryDirectory(prefix="tagmerge-demo-") as tmp:
         topic_doc_keys=doc_keys,
     )
 
-    combos = [zone_combo(c, dictionary, pos, gaz) for c in eligible]
-    schema = build_schema(combos, ObservationConfig(obs_months=6, horizon_months=10, lda_topics=4))
-    vectors, combos = featurize_all(eligible, index, resources, schema)
+    observation = ObservationConfig(obs_months=6, horizon_months=10, lda_topics=4)
+    vectors, combos, schema = featurize_all(eligible, index, resources, observation)
 
     vec = vectors[0]
     print(f"\n#{eligible[0].compound.canonical}: {len(schema.names)} features, a few of them:")

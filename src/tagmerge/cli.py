@@ -186,15 +186,10 @@ def _cmd_featurize(args) -> int:
     resources.topic_model = model
     resources.topic_doc_keys = doc_keys
 
-    combos = [
-        features.zone_combo(c, resources.dictionary, resources.pos_lexicon, resources.gazetteer)
-        for c in eligible
-    ]
     config = features.ObservationConfig(
         obs_months=obs_months, horizon_months=horizon, lda_topics=n_topics
     )
-    schema = features.build_schema(combos, config)
-    vectors, combos = features.featurize_all(eligible, index, resources, schema)
+    vectors, combos, schema = features.featurize_all(eligible, index, resources, config)
     y = [1 if labels[(c.compound.canonical, horizon)] == "Popular" else 0 for c in eligible]
     features.write_feature_csv(out, vectors, y, schema, combos=combos)
     print(f"featurized {len(eligible)} candidates ({len(schema.names)} features) -> {out}")

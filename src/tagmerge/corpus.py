@@ -180,6 +180,9 @@ class Tweet:
     def __post_init__(self):
         if not self.id:
             raise ValueError("tweet id must be non-empty")
+        # window bounds are whole seconds; `end + 1` arithmetic assumes integers
+        if isinstance(self.timestamp, bool) or not isinstance(self.timestamp, int):
+            raise ValueError(f"tweet {self.id}: timestamp must be an integer")
         if self.timestamp <= 0:
             raise ValueError(f"tweet {self.id}: timestamp must be strictly positive")
         object.__setattr__(self, "hashtags", tuple(extract_hashtags(self.text)))

@@ -1,9 +1,14 @@
 """Socio-linguistic features of compound candidates.
 
-Every extractor reads only tweets inside the candidate's observation
-window, the open interval of `obs_months` months ending at the compounding
-instant. Nothing at or after t0 may influence a vector; appending later
-tweets to the corpus must leave previously computed vectors bit-identical.
+Every feature reads only tweets inside the candidate's observation window,
+the open interval of `obs_months` months ending at the compounding instant.
+Nothing at or after t0 may influence a vector; appending later tweets to the
+corpus must leave previously computed vectors bit-identical.
+
+`featurize` reads each constituent's window once: its tweets, their tokens
+as the index stored them, one token `Counter` and one set of known n-grams.
+The window extractors take that data and never read the index's tweets or
+tokenize text themselves.
 """
 
 from __future__ import annotations
@@ -12,13 +17,15 @@ import csv
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field
+from collections import Counter
+from collections.abc import Iterator, Set
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .compound import CompoundCandidate, segment_hashtag
-from .corpus import CorpusIndex, Tweet, observation_window, tokenize
+from .corpus import CorpusIndex, Tweet, observation_window
 from .errors import InsufficientHistoryError
 from .lexicon import Dictionary, EntityGazetteer, NgramTable, PosLexicon, ner_tag, pos_tag
 from .topicmodel import TopicModel
@@ -36,6 +43,9 @@ OOV_PAIRS = ("INV-INV", "INV-OOV", "OOV-INV", "OOV-OOV")
 
 SCHEMA_FORMAT = "tagmerge-features"
 SCHEMA_VERSION = 1
+
+# additive smoothing of the hashtag side of `hashtag_clarity`
+CLARITY_EPS = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +80,7 @@ def kl_divergence(p: Sequence[float] | np.ndarray, q: Sequence[float] | np.ndarr
     return float(np.sum(p_arr[mask] * np.log(p_arr[mask] / q_arr[mask])))
 
 
-def overlap_coefficient(a: set, b: set) -> float:
+def overlap_coefficient(a: Set, b: Set) -> float:
     """|A n B| / min(|A|, |B|); zero when either set is empty."""
     if not a or not b:
         return 0.0
@@ -251,14 +261,19 @@ def word_count(candidate: CompoundCandidate, dictionary: Dictionary) -> int:
     return len(segment_hashtag(candidate.compound, dictionary))
 
 
+def _known_phrases(words: Sequence[str], table: NgramTable) -> Iterator[str]:
+    """Table phrases among the 2..5-word windows of `words`, shortest first."""
+    for n in range(2, 6):
+        for i in range(len(words) - n + 1):
+            phrase = " ".join(words[i : i + n])
+            if phrase in table.entries:
+                yield phrase
+
+
 def ngram_presence(candidate: CompoundCandidate, dictionary: Dictionary, table: NgramTable) -> int:
     """1 when any 2..5-word window of the segmented compound is a known phrase."""
     words = [w.lower() for w in segment_hashtag(candidate.compound, dictionary)]
-    for n in range(2, 6):
-        for i in range(len(words) - n + 1):
-            if " ".join(words[i : i + n]) in table.entries:
-                return 1
-    return 0
+    return int(any(_known_phrases(words, table)))
 
 
 def pos_diversity(
@@ -311,109 +326,61 @@ def combo_bits(combo: ZoneCombo, schema: ComboSchema) -> dict[str, float]:
     return out
 
 
-def combo_features(
-    candidate: CompoundCandidate,
-    schema: ComboSchema | None,
-    dictionary: Dictionary,
-    pos_lexicon: PosLexicon,
-    gazetteer: EntityGazetteer,
-) -> dict[str, float]:
-    if schema is None:
-        raise ValueError("combo features need a derived schema")
-    combo = zone_combo(candidate, dictionary, pos_lexicon, gazetteer)
-    return combo_bits(combo, schema)
-
-
 # ---------------------------------------------------------------------------
 # tweet content features
 
-def _token_sets(tweets: Sequence[Tweet]) -> set[str]:
-    out: set[str] = set()
-    for tweet in tweets:
-        out.update(tokenize(tweet.text))
-    return out
+def word_overlap(counts_a: Counter, counts_b: Counter) -> float:
+    """Overlap coefficient of the two constituents' token sets."""
+    return overlap_coefficient(counts_a.keys(), counts_b.keys())
 
 
-def word_overlap(tweets_a: Sequence[Tweet], tweets_b: Sequence[Tweet]) -> float:
-    """Overlap coefficient of the token sets of two tweet collections."""
-    return overlap_coefficient(_token_sets(tweets_a), _token_sets(tweets_b))
+def ngram_overlap(ngrams_a: Set[str], ngrams_b: Set[str]) -> float:
+    """Overlap coefficient of the two constituents' valid n-gram sets."""
+    return overlap_coefficient(ngrams_a, ngrams_b)
 
 
-def _valid_ngrams(tweets: Sequence[Tweet], table: NgramTable) -> set[str]:
-    """Known phrases among the 2..5-token windows of each tweet."""
-    found: set[str] = set()
-    for tweet in tweets:
-        toks = tokenize(tweet.text)
-        for n in range(2, 6):
-            for i in range(len(toks) - n + 1):
-                phrase = " ".join(toks[i : i + n])
-                if phrase in table.entries:
-                    found.add(phrase)
-    return found
-
-
-def ngram_overlap(
-    tweets_a: Sequence[Tweet], tweets_b: Sequence[Tweet], table: NgramTable
-) -> float:
-    """Overlap coefficient of the valid n-gram sets of two tweet collections."""
-    return overlap_coefficient(_valid_ngrams(tweets_a, table), _valid_ngrams(tweets_b, table))
-
-
-def avg_common_ngram_freq(
-    tweets_a: Sequence[Tweet], tweets_b: Sequence[Tweet], table: NgramTable
-) -> float:
-    """Mean table frequency of the n-grams both collections share."""
-    common = _valid_ngrams(tweets_a, table) & _valid_ngrams(tweets_b, table)
+def avg_common_ngram_freq(ngrams_a: Set[str], ngrams_b: Set[str], table: NgramTable) -> float:
+    """Mean table frequency of the n-grams both constituents share."""
+    common = ngrams_a & ngrams_b
     if not common:
         return 0.0
     return float(np.mean([table.entries[g] for g in sorted(common)]))
 
 
-def collocation_frequency(
-    index: CorpusIndex, part_a: str, part_b: str, window: tuple[int, int]
-) -> int:
-    """Tweets in the window mentioning both constituent hashtags."""
-    count = 0
-    for tweet in index.tweets_between(part_a, *window):
-        if part_b in tweet.hashtag_canonicals:
-            count += 1
-    return count
+def collocation_frequency(tweets_a: Sequence[Tweet], part_b: str) -> int:
+    """Tweets of the first constituent's window that also carry `part_b`."""
+    return sum(1 for tweet in tweets_a if part_b in tweet.hashtag_canonicals)
 
 
-def hashtag_clarity(
-    index: CorpusIndex, canonical: str, window: tuple[int, int], eps: float = 1e-6
-) -> float:
-    """KL divergence of the hashtag's language model from the background.
+def hashtag_clarity(index: CorpusIndex, counts: Counter, before: int) -> float:
+    """KL divergence of a hashtag's language model from the background.
 
-    High divergence means focused use. The background is the corpus token
-    distribution up to the window's end, additively smoothed over its own
-    vocabulary for the hashtag side; an empty collection scores zero.
+    `counts` holds the hashtag's window tokens. High divergence means focused
+    use. The background is the corpus token distribution strictly before
+    `before`, the window's end; the hashtag side is additively smoothed over
+    the background's vocabulary. No tokens score zero.
     """
-    bg_counts, bg_total = index.background_before(window[1])
-    counts = np.zeros(len(index.vocabulary), dtype=np.int64)
-    n_tokens = 0
-    for tweet in index.tweets_between(canonical, *window):
-        for tok in index.tokens_of(tweet):
-            counts[index.word_index(tok)] += 1
-            n_tokens += 1
+    n_tokens = sum(counts.values())
     if n_tokens == 0:
-        logger.warning("hashtag %r has no tweets in window, clarity set to 0", canonical)
         return 0.0
+    bg_counts, bg_total = index.background_before(before)
+    tag_counts = np.zeros(len(index.vocabulary), dtype=np.int64)
+    for tok, count in counts.items():
+        tag_counts[index.word_index(tok)] = count
     support = bg_counts > 0
     v = int(support.sum())
-    p = (counts[support] + eps) / (n_tokens + eps * v)
+    p = (tag_counts[support] + CLARITY_EPS) / (n_tokens + CLARITY_EPS * v)
     q = bg_counts[support] / bg_total
     return float(np.sum(p * np.log(p / q)))
 
 
-def word_diversity(index: CorpusIndex, canonical: str, window: tuple[int, int]) -> float:
-    """Entropy of the hashtag's in-window unigram distribution."""
-    counts: dict[str, int] = {}
-    for tweet in index.tweets_between(canonical, *window):
-        for tok in index.tokens_of(tweet):
-            counts[tok] = counts.get(tok, 0) + 1
+def word_diversity(counts: Counter) -> float:
+    """Entropy of a hashtag's window unigram distribution; zero without tokens.
+
+    The float sum follows the order of `counts`, so callers fill it tweet by
+    tweet in (time, id) order.
+    """
     if not counts:
-        logger.warning("hashtag %r has no tweets in window, diversity set to 0", canonical)
         return 0.0
     return entropy(list(counts.values()))
 
@@ -436,16 +403,12 @@ def avg_topic_overlap(model: TopicModel, doc_a: str, doc_b: str, top_n: int = 10
 # ---------------------------------------------------------------------------
 # user features
 
-def user_features(
-    index: CorpusIndex, part_a: str, part_b: str, window: tuple[int, int]
-) -> dict[str, float]:
-    """Audience statistics of both constituents over the window.
+def user_features(tweets_a: Sequence[Tweet], tweets_b: Sequence[Tweet]) -> dict[str, float]:
+    """Audience statistics of the two constituents' window tweets.
 
     Counts are of distinct user ids, distinct mentioned ids, and distinct
     retweet tweet ids; "common" counts the intersection.
     """
-    tweets_a = index.tweets_between(part_a, *window)
-    tweets_b = index.tweets_between(part_b, *window)
     users_a = {t.user_id for t in tweets_a}
     users_b = {t.user_id for t in tweets_b}
     mentions_a = {m for t in tweets_a for m in t.mentions}
@@ -480,6 +443,27 @@ class FeatureResources:
     topic_doc_keys: dict[tuple[str, int], str] | None = None
 
 
+def _read_window(
+    index: CorpusIndex, canonical: str, window: tuple[int, int], table: NgramTable
+) -> tuple[list[Tweet], Counter, set[str]]:
+    """One constituent's window tweets, their token counts and their table n-grams.
+
+    Tokens come from the index, and the counts are filled tweet by tweet in
+    the index's (time, id) order.
+    """
+    tweets = index.tweets_between(canonical, *window)
+    counts: Counter = Counter()
+    ngrams: set[str] = set()
+    for tweet in tweets:
+        tokens = index.tokens_of(tweet)
+        counts.update(tokens)
+        ngrams.update(_known_phrases(tokens, table))
+    if not tweets:
+        logger.warning("hashtag %r has no tweets in window, clarity and diversity set to 0",
+                       canonical)
+    return tweets, counts, ngrams
+
+
 def featurize(
     candidate: CompoundCandidate,
     index: CorpusIndex,
@@ -505,8 +489,8 @@ def featurize(
 
     part_a = candidate.part_a.canonical
     part_b = candidate.part_b.canonical
-    tweets_a = index.tweets_between(part_a, *window)
-    tweets_b = index.tweets_between(part_b, *window)
+    tweets_a, counts_a, ngrams_a = _read_window(index, part_a, window, resources.ngrams)
+    tweets_b, counts_b, ngrams_b = _read_window(index, part_b, window, resources.ngrams)
 
     values: dict[str, float] = {}
     values["char_length"] = float(char_length(candidate))
@@ -522,16 +506,14 @@ def featurize(
         )
     values.update(combo_bits(combo, schema.combo))
 
-    values["word_overlap"] = word_overlap(tweets_a, tweets_b)
-    values["ngram_overlap"] = ngram_overlap(tweets_a, tweets_b, resources.ngrams)
-    values["avg_common_ngram_freq"] = avg_common_ngram_freq(tweets_a, tweets_b, resources.ngrams)
-    values["collocation_frequency"] = float(
-        collocation_frequency(index, part_a, part_b, window)
-    )
-    values["clarity_a"] = hashtag_clarity(index, part_a, window)
-    values["clarity_b"] = hashtag_clarity(index, part_b, window)
-    values["word_diversity_a"] = word_diversity(index, part_a, window)
-    values["word_diversity_b"] = word_diversity(index, part_b, window)
+    values["word_overlap"] = word_overlap(counts_a, counts_b)
+    values["ngram_overlap"] = ngram_overlap(ngrams_a, ngrams_b)
+    values["avg_common_ngram_freq"] = avg_common_ngram_freq(ngrams_a, ngrams_b, resources.ngrams)
+    values["collocation_frequency"] = float(collocation_frequency(tweets_a, part_b))
+    values["clarity_a"] = hashtag_clarity(index, counts_a, window[1])
+    values["clarity_b"] = hashtag_clarity(index, counts_b, window[1])
+    values["word_diversity_a"] = word_diversity(counts_a)
+    values["word_diversity_b"] = word_diversity(counts_b)
 
     if resources.topic_model is None or resources.topic_doc_keys is None:
         raise ValueError("featurize needs a fitted topic model and its document keys")
@@ -544,7 +526,7 @@ def featurize(
         ) from None
     values["topic_overlap"] = avg_topic_overlap(resources.topic_model, doc_a, doc_b)
 
-    values.update(user_features(index, part_a, part_b, window))
+    values.update(user_features(tweets_a, tweets_b))
 
     ordered = {name: values[name] for name in schema.names}
     return FeatureVector(values=ordered, schema_id=schema.schema_id)
@@ -554,22 +536,24 @@ def featurize_all(
     candidates: Sequence[CompoundCandidate],
     index: CorpusIndex,
     resources: FeatureResources,
-    schema: FeatureSchema,
-) -> tuple[list[FeatureVector], list[ZoneCombo]]:
-    """Vectors and zone combos for many candidates, in input order.
+    config: ObservationConfig,
+) -> tuple[list[FeatureVector], list[ZoneCombo], FeatureSchema]:
+    """Vectors, zone combos and the schema bound from those combos.
 
-    Nothing here changes the index or the resources, so a candidate's
-    vector is the same whatever the order of `candidates`.
+    Vectors and combos are in input order. Nothing here changes the index or
+    the resources, and the combo binding does not depend on order, so a
+    candidate's vector is the same whatever the order of `candidates`.
     """
     combos = [
         zone_combo(c, resources.dictionary, resources.pos_lexicon, resources.gazetteer)
         for c in candidates
     ]
+    schema = build_schema(combos, config)
     vectors = [
         featurize(c, index, resources, schema, combo=combo)
         for c, combo in zip(candidates, combos)
     ]
-    return vectors, combos
+    return vectors, combos, schema
 
 
 # ---------------------------------------------------------------------------

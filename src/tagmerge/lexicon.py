@@ -140,13 +140,6 @@ def load_gazetteer(path) -> EntityGazetteer:
     return EntityGazetteer(phrases=phrases, labels=frozenset(labels), max_phrase_len=max_len)
 
 
-def is_inv(dictionary: Dictionary, word: str) -> bool:
-    """Whether a word is in-vocabulary. Case-insensitive; empty is an error."""
-    if not word:
-        raise ValueError("cannot test an empty word")
-    return word.lower() in dictionary.words
-
-
 def pos_tag(lexicon: PosLexicon, words: Sequence[str]) -> list[str]:
     """Tag each word with the closed tagset.
 
@@ -201,10 +194,3 @@ def ner_tag(gazetteer: EntityGazetteer, words: Sequence[str]) -> list[str]:
             i += 1
     return labels
 
-
-def ngram_lookup(table: NgramTable, words: Sequence[str]) -> int | None:
-    """Frequency of a 2..5-word phrase, or None when absent."""
-    if not 2 <= len(words) <= 5:
-        raise ValueError(f"n-gram must have 2..5 words, got {len(words)}")
-    key = " ".join(w.lower() for w in words)
-    return table.entries.get(key)

@@ -219,12 +219,9 @@ def signal_cv_accuracy(tmp_path, strength):
         topic_model=model,
         topic_doc_keys=doc_keys,
     )
-    combos = [
-        zone_combo(c, loaded["dictionary"], loaded["pos_lexicon"], loaded["gazetteer"])
-        for c in eligible
-    ]
-    schema = build_schema(combos, ObservationConfig(obs_months=6, horizon_months=10, lda_topics=4))
-    vectors, combos = featurize_all(eligible, index, resources, schema)
+    vectors, combos, schema = featurize_all(
+        eligible, index, resources, ObservationConfig(obs_months=6, horizon_months=10, lda_topics=4)
+    )
     y = [1 if label_candidate(index, c, 10).value == "Popular" else 0 for c in eligible]
     assert sum(y) == 200
     dataset = Dataset.from_vectors(vectors, y, schema, combos=combos)

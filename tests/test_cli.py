@@ -7,7 +7,7 @@ import pytest
 
 from tagmerge import cli, compound, learn, synth
 from tagmerge.analysis import FeatureRanking
-from tagmerge.corpus import CorpusIndex
+from tagmerge.corpus import CorpusIndex, Tweet
 from tagmerge.topicmodel import TopicModel
 
 
@@ -81,6 +81,17 @@ def test_missing_file_names_the_path(tmp_path, capsys):
 def test_missing_required_option_names_it(capsys):
     assert cli.main(["detect", "--out", "cands.tsv"]) == 1
     assert "--index" in capsys.readouterr().err
+
+
+def test_index_with_a_float_timestamp_is_rejected(tmp_path, capsys):
+    path = tmp_path / "index.json"
+    CorpusIndex([Tweet(id="t1", timestamp=1300000000, user_id="u", text="#a hi")]).save(path)
+    payload = json.loads(path.read_text())
+    payload["tweets"][0]["timestamp"] = 1300000000.5
+    path.write_text(json.dumps(payload))
+    assert cli.main(["detect", "--index", str(path), "--out", str(tmp_path / "c.tsv")]) == 1
+    assert "timestamp must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "c.tsv").exists()
 
 
 def test_internal_errors_exit_two(monkeypatch, capsys):

@@ -160,6 +160,13 @@ def test_tweet_rejects_nonpositive_timestamp():
         Tweet(id="x", timestamp=0, user_id="u", text="hi")
 
 
+@pytest.mark.parametrize("ts", [1300000000.5, 1300000000.0, True, "1300000000"])
+def test_tweet_rejects_non_integer_timestamp(ts):
+    # a tweet at 1300000000.5 would fall inside the open window (1300000000, 1300000001)
+    with pytest.raises(ValueError, match="integer"):
+        Tweet(id="x", timestamp=ts, user_id="u", text="#a hi")
+
+
 # ---------------------------------------------------------------------------
 # the index
 

@@ -1,13 +1,15 @@
 """Feature extractors: distribution helpers, zone combos, and assembly."""
 
+import hashlib
 import math
 import pickle
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tagmerge import synth
+from tagmerge import corpus, features, synth
 from tagmerge.compound import detect_candidates, filter_eligible
 from tagmerge.corpus import CorpusIndex, observation_window, shift_months, tokenize
 from tagmerge.errors import InsufficientHistoryError
@@ -218,6 +220,24 @@ def test_compounding_zone_takes_inner_words(lexicon_dir):
 # tweet content features
 
 
+def token_counts(tweets):
+    """Token counts of a tweet collection in reading order, tokenized afresh."""
+    return Counter(tok for t in tweets for tok in tokenize(t.text))
+
+
+def table_ngrams(tweets, table):
+    """Table phrases among each tweet's 2..5-token windows, by brute force."""
+    found = set()
+    for t in tweets:
+        toks = tokenize(t.text)
+        for n in range(2, 6):
+            for i in range(len(toks) - n + 1):
+                phrase = " ".join(toks[i : i + n])
+                if phrase in table.entries:
+                    found.add(phrase)
+    return found
+
+
 def test_word_overlap_by_hand():
     a = [make_tweet("red sun rises", utc(2011, 6, 1))]
     b = [
@@ -225,7 +245,7 @@ def test_word_overlap_by_hand():
         make_tweet("night falls", utc(2011, 6, 3)),
     ]
     # tokens a: {red, sun, rises}; b: {the, sun, sets, red, night, falls}
-    assert word_overlap(a, b) == pytest.approx(2 / 3)
+    assert word_overlap(token_counts(a), token_counts(b)) == pytest.approx(2 / 3)
 
 
 def test_ngram_overlap_and_common_freq():
@@ -236,10 +256,11 @@ def test_ngram_overlap_and_common_freq():
     a = [make_tweet("new york snow day chaos", utc(2011, 6, 1))]
     b = [make_tweet("a snow day in new york", utc(2011, 6, 2))]
     # both collections contain {"new york", "snow day"}
-    assert ngram_overlap(a, b, table) == 1.0
+    a, b = table_ngrams(a, table), table_ngrams(b, table)
+    assert ngram_overlap(a, b) == 1.0
     assert avg_common_ngram_freq(a, b, table) == pytest.approx((500 + 8) / 2)
-    c = [make_tweet("nothing shared here", utc(2011, 6, 3))]
-    assert ngram_overlap(a, c, table) == 0.0
+    c = table_ngrams([make_tweet("nothing shared here", utc(2011, 6, 3))], table)
+    assert ngram_overlap(a, c) == 0.0
     assert avg_common_ngram_freq(a, c, table) == 0.0
 
 
@@ -255,10 +276,14 @@ def clarity_fixture():
     return CorpusIndex(tweets)
 
 
+def clarity(index, canonical, window):
+    return hashtag_clarity(index, token_counts(index.tweets_between(canonical, *window)), window[1])
+
+
 def test_hashtag_clarity_matches_inline_recompute():
     index = clarity_fixture()
     window = (utc(2011, 2, 1), utc(2011, 3, 1))
-    got = hashtag_clarity(index, "focus", window)
+    got = clarity(index, "focus", window)
 
     # plain-python recomputation from the definition
     eps = 1e-6
@@ -288,21 +313,21 @@ def test_clarity_focused_beats_diffuse():
     index = clarity_fixture()
     window = (utc(2011, 2, 1), utc(2011, 3, 1))
     # #vague reuses common background words, #focus does not
-    assert hashtag_clarity(index, "focus", window) > hashtag_clarity(index, "vague", window)
+    assert clarity(index, "focus", window) > clarity(index, "vague", window)
 
 
 def test_clarity_background_is_time_bounded():
     index = clarity_fixture()
     window = (utc(2011, 2, 1), utc(2011, 3, 1))
-    before = hashtag_clarity(index, "focus", window)
+    before = clarity(index, "focus", window)
     # an identical corpus without the late tweet gives the same value
     trimmed = CorpusIndex([t for t in index.tweets if t.id != "late"])
-    assert hashtag_clarity(trimmed, "focus", window) == before
+    assert clarity(trimmed, "focus", window) == before
 
 
 def test_clarity_empty_window_is_zero():
     index = clarity_fixture()
-    assert hashtag_clarity(index, "focus", (utc(2011, 3, 2), utc(2011, 4, 1))) == 0.0
+    assert clarity(index, "focus", (utc(2011, 3, 2), utc(2011, 4, 1))) == 0.0
 
 
 def test_word_diversity_by_hand():
@@ -310,8 +335,10 @@ def test_word_diversity_by_hand():
     window = (utc(2011, 2, 1), utc(2011, 3, 1))
     # focus tokens: focus x2, laser x4, beam x1
     expect = entropy([2, 4, 1])
-    assert word_diversity(index, "focus", window) == pytest.approx(expect, abs=1e-12)
-    assert word_diversity(index, "focus", (utc(2011, 3, 2), utc(2011, 4, 1))) == 0.0
+    focus = token_counts(index.tweets_between("focus", *window))
+    assert word_diversity(focus) == pytest.approx(expect, abs=1e-12)
+    late = token_counts(index.tweets_between("focus", utc(2011, 3, 2), utc(2011, 4, 1)))
+    assert word_diversity(late) == 0.0
 
 
 def test_collocation_frequency_counts_joint_tweets():
@@ -325,7 +352,7 @@ def test_collocation_frequency_counts_joint_tweets():
         ]
     )
     window = (utc(2011, 5, 31), utc(2011, 7, 1))
-    assert collocation_frequency(index, "red", "ball", window) == 2
+    assert collocation_frequency(index.tweets_between("red", *window), "ball") == 2
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +370,7 @@ def test_user_features_by_hand():
             make_tweet("#bb more", utc(2011, 6, 5), user="u4", tid="t5", retweet_of="x3"),
         ]
     )
-    got = user_features(index, "aa", "bb", window)
+    got = user_features(index.tweets_between("aa", *window), index.tweets_between("bb", *window))
     assert got == {
         "unique_users_a": 3.0,
         "unique_users_b": 3.0,
@@ -421,8 +448,9 @@ def test_featurize_end_to_end():
     window = observation_window(t0, 6)
     tweets_a = index.tweets_between("snow", *window)
     tweets_b = index.tweets_between("day", *window)
-    assert vec.values["word_overlap"] == pytest.approx(word_overlap(tweets_a, tweets_b))
-    assert vec.values["clarity_a"] == pytest.approx(hashtag_clarity(index, "snow", window))
+    counts_a, counts_b = token_counts(tweets_a), token_counts(tweets_b)
+    assert vec.values["word_overlap"] == pytest.approx(word_overlap(counts_a, counts_b))
+    assert vec.values["clarity_a"] == pytest.approx(hashtag_clarity(index, counts_a, window[1]))
     # six monthly posters plus the joint tweet's user; the seed tweet
     # predates the window
     assert vec.values["unique_users_a"] == 7.0
@@ -478,9 +506,10 @@ def test_featurize_all_orders_and_round_trips(tmp_path):
     res = pipeline_resources(index, cands)
     combos = [zone_combo(c, res.dictionary, res.pos_lexicon, res.gazetteer) for c in cands]
     schema = build_schema(combos, ObservationConfig(obs_months=6, horizon_months=2, lda_topics=2))
-    vectors, combos_out = featurize_all(cands, index, res, schema)
+    vectors, combos_out, schema_out = featurize_all(cands, index, res, schema.config)
     assert len(vectors) == len(cands)
     assert combos_out == combos
+    assert schema_out == schema
 
     path = tmp_path / "feats.csv"
     write_feature_csv(path, vectors, [1], schema, combos_out)
@@ -491,6 +520,29 @@ def test_featurize_all_orders_and_round_trips(tmp_path):
     assert combos2 == combos_out
     expect = vectors[0].as_array(schema.names)
     assert np.array_equal(matrix[0], expect)  # repr round trip is exact
+
+
+def test_featurize_all_reads_each_window_once_and_never_tokenizes(monkeypatch):
+    index, _ = pipeline_fixture()
+    cands = detect_candidates(index)
+    res = pipeline_resources(index, cands)
+    reads = []
+    real = CorpusIndex.tweets_between
+
+    def counted(self, canonical, lo, hi):
+        reads.append(canonical)
+        return real(self, canonical, lo, hi)
+
+    def no_tokenize(*args, **kwargs):
+        raise AssertionError("featurize tokenized text the index had already tokenized")
+
+    monkeypatch.setattr(CorpusIndex, "tweets_between", counted)
+    for module in (corpus, features):
+        monkeypatch.setattr(module, "tokenize", no_tokenize, raising=False)
+    observation = ObservationConfig(obs_months=6, horizon_months=2, lda_topics=2)
+    vectors, _, _ = featurize_all(cands * 3, index, res, observation)
+    assert len(vectors) == 3
+    assert reads == ["snow", "day"] * 3
 
 
 def test_featurize_all_is_independent_of_input_order(tmp_path):
@@ -517,28 +569,72 @@ def test_featurize_all_is_independent_of_input_order(tmp_path):
         model,
         keys,
     )
-    combos = [zone_combo(c, res.dictionary, res.pos_lexicon, res.gazetteer) for c in cands]
-    schema = build_schema(combos, ObservationConfig(obs_months=6, horizon_months=10, lda_topics=2))
+    observation = ObservationConfig(obs_months=6, horizon_months=10, lda_topics=2)
     # pickling captures every attribute by value, arrays included
     state = {k: pickle.dumps(v) for k, v in vars(index).items()}
 
-    forward, _ = featurize_all(cands, index, res, schema)
+    forward, _, _ = featurize_all(cands, index, res, observation)
     # latest compounding first, so every background read goes back in time
     order = sorted(range(len(cands)), key=lambda i: -cands[i].compound_first_seen)
     assert len({c.compound_first_seen for c in cands}) == 3
-    backward, _ = featurize_all([cands[i] for i in order], index, res, schema)
+    backward, _, _ = featurize_all([cands[i] for i in order], index, res, observation)
 
     assert backward == [forward[i] for i in order]
     assert {k: pickle.dumps(v) for k, v in vars(index).items()} == state
+
+
+def test_featurize_command_output_matches_golden_digests(tmp_path, capsys):
+    """Pinned bytes of features.csv and its sidecar for a 20-candidate scenario.
+
+    Synth's own n-gram table lists only plant-name phrases, which tweets
+    never contain, so this table lists 2-word phrases from the topic
+    vocabularies instead; the n-gram features are then non-zero in some rows.
+    """
+    from tagmerge import cli
+
+    config = synth.signal_scenario(n_candidates=20, seed=7)
+    scen = synth.write_scenario(config, tmp_path / "scen")
+    phrases = []
+    for k, vocab in enumerate(config.topic_vocabs):
+        for i, word in enumerate(vocab):
+            for d in (1, 2):
+                phrases.append(f"{word} {vocab[(i + d) % len(vocab)]}\t{5 + 7 * k + 3 * i + d}")
+    (tmp_path / "scen" / "ngrams.tsv").write_text("\n".join(phrases) + "\n")
+    index, cands, labeled = tmp_path / "index.json", tmp_path / "c.tsv", tmp_path / "l.tsv"
+    feats = tmp_path / "features.csv"
+    for argv in (
+        ["ingest", "--corpus", scen["corpus"], "--out", str(index)],
+        ["detect", "--index", str(index), "--out", str(cands)],
+        ["label", "--index", str(index), "--candidates", str(cands), "--out", str(labeled)],
+        ["featurize", "--index", str(index), "--candidates", str(labeled), "--out", str(feats),
+         "--dictionary", scen["dictionary.txt"], "--ngrams", scen["ngrams.tsv"],
+         "--pos-lexicon", scen["pos_lexicon.tsv"], "--gazetteer", scen["gazetteer.tsv"],
+         "--topics", "4", "--lda-iterations", "10"],
+    ):
+        assert cli.main(argv) == 0, argv[0]
+    capsys.readouterr()
+
+    matrix, _, schema, _ = read_feature_csv(feats)
+    assert matrix.shape == (20, len(schema.names))
+    for name in ("ngram_overlap", "avg_common_ngram_freq"):
+        assert np.count_nonzero(matrix[:, schema.names.index(name)]) == 10
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (feats, tmp_path / "features.schema.json")
+    }
+    assert digests == {
+        "features.csv": "6a0cf876c4f94922cfb0e67bd12e4119f1a009b2675bb637176e413418751ccc",
+        "features.schema.json": "acee54bf4d5b95f96addc26065f5ff19e3b6bae377bb5314d0236054a52fe82d",
+    }
 
 
 def test_read_feature_csv_rejects_mismatched_header(tmp_path):
     index, _ = pipeline_fixture()
     cands = detect_candidates(index)
     res = pipeline_resources(index, cands)
-    combos = [zone_combo(c, res.dictionary, res.pos_lexicon, res.gazetteer) for c in cands]
-    schema = build_schema(combos, ObservationConfig(obs_months=6, horizon_months=2, lda_topics=2))
-    vectors, combos_out = featurize_all(cands, index, res, schema)
+    vectors, combos_out, schema = featurize_all(
+        cands, index, res, ObservationConfig(obs_months=6, horizon_months=2, lda_topics=2)
+    )
     path = tmp_path / "feats.csv"
     write_feature_csv(path, vectors, [0], schema, combos_out)
     body = path.read_text().splitlines()

@@ -4,13 +4,11 @@ import pytest
 
 from tagmerge.errors import CorpusFormatError
 from tagmerge.lexicon import (
-    is_inv,
     load_dictionary,
     load_gazetteer,
     load_ngram_table,
     load_pos_lexicon,
     ner_tag,
-    ngram_lookup,
     pos_tag,
 )
 
@@ -20,10 +18,6 @@ def test_dictionary_is_case_insensitive(lexicon_dir):
     assert "love" in d
     assert "LOVE" in d
     assert "zzz" not in d
-    assert is_inv(d, "Advice")
-    assert not is_inv(d, "qwerty")
-    with pytest.raises(ValueError):
-        is_inv(d, "")
 
 
 def test_empty_dictionary_rejected(tmp_path):
@@ -35,13 +29,12 @@ def test_empty_dictionary_rejected(tmp_path):
 
 def test_ngram_table_lookup(lexicon_dir):
     table = load_ngram_table(lexicon_dir / "ngrams.tsv")
-    assert ngram_lookup(table, ["golden", "globes"]) == 120
-    assert ngram_lookup(table, ["Golden", "GLOBES"]) == 120
-    assert ngram_lookup(table, ["no", "entry"]) is None
-    with pytest.raises(ValueError):
-        ngram_lookup(table, ["single"])
-    with pytest.raises(ValueError):
-        ngram_lookup(table, list("abcdef"))
+    assert table.entries["golden globes"] == 120
+    assert "no entry" not in table.entries
+    # the loader lowercases and respaces phrases, so they match lowercased tokens
+    mixed = lexicon_dir / "mixed.tsv"
+    mixed.write_text("Golden   GLOBES\t7\n")
+    assert load_ngram_table(mixed).entries == {"golden globes": 7}
 
 
 def test_ngram_table_loader_strictness(tmp_path):

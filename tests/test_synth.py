@@ -195,7 +195,7 @@ def test_co_occurrence_is_carved_out_not_added():
     # round(0.5 * min) joint tweets per pre month
     t0 = index.first_seen("snowday")
     window = observation_window(t0, 6)
-    assert collocation_frequency(index, "snow", "day", window) == 0 + 2 + 2
+    assert collocation_frequency(index.tweets_between("snow", *window), "day") == 0 + 2 + 2
 
 
 def test_user_pools_and_retweets_respond_to_knobs():
