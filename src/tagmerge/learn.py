@@ -4,6 +4,10 @@ Both models are trained from scratch with full-batch (sub)gradient descent
 under L2 regularization. Standardization statistics and combination-slot
 bindings are always derived from training rows only, inside each fold, so
 no test information leaks into the learner.
+
+Descent steps with the gradient alone. Only `train_logreg` and
+`train_linsvm` compute the loss, to record `LinearModel.loss_history`; the
+fits inside `cross_validate` and `holdout_evaluate` never compute it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .features import (
-    FeatureSchema, FeatureVector, ZoneCombo, combo_bits, derive_combo_schema, read_feature_csv,
+    FeatureSchema, FeatureVector, ZoneCombo, derive_combo_schema, feature_layout, read_feature_csv,
 )
 
 MODEL_FORMAT = "tagmerge-model"
@@ -183,6 +187,13 @@ def standardize_apply(stats: StandardizationStats, matrix: np.ndarray) -> np.nda
 
 @dataclass
 class LinearModel:
+    """A trained linear classifier with the statistics that standardize its input.
+
+    `loss_history` holds the training loss before each epoch and after the
+    last one. Only `train_logreg` and `train_linsvm` record it; evaluation
+    fits never compute the loss, and a loaded model's history is empty.
+    """
+
     kind: str
     weights: np.ndarray
     bias: float
@@ -249,53 +260,128 @@ class LinearModel:
         )
 
 
+def _logreg_gradient(matrix: np.ndarray, labels: np.ndarray, l2: float):
+    """Gradient function of the mean regularized logistic loss on one training set.
+
+    The returned function maps (weights, bias) to (grad_w, grad_b). It
+    writes into buffers it reuses, so grad_w is overwritten by the next
+    call. Its floating-point operations and their order are those of the
+    expression `matrix.T @ (p - labels) / n + l2 * weights`, so its results
+    are bit-identical to it.
+    """
+    n = len(labels)
+    matrix_t = matrix.T
+    err = np.empty(n)
+    grad_w = np.empty(matrix.shape[1])
+
+    def gradient(weights: np.ndarray, bias: float) -> tuple[np.ndarray, float]:
+        np.matmul(matrix, weights, out=err)
+        np.add(err, bias, out=err)
+        # p = 0.5 * (1 + tanh(z / 2)), the logistic function without overflow
+        np.multiply(err, 0.5, out=err)
+        np.tanh(err, out=err)
+        np.add(err, 1.0, out=err)
+        np.multiply(err, 0.5, out=err)
+        np.subtract(err, labels, out=err)
+        np.matmul(matrix_t, err, out=grad_w)
+        np.divide(grad_w, n, out=grad_w)
+        np.add(grad_w, l2 * weights, out=grad_w)
+        return grad_w, float(np.add.reduce(err) / n)
+
+    return gradient
+
+
+def _hinge_gradient(matrix: np.ndarray, labels: np.ndarray, l2: float):
+    """Subgradient function of the mean regularized hinge loss; labels are 0/1.
+
+    Same contract as `_logreg_gradient`, matching the expression
+    `-(matrix[active].T @ signed[active]) / n + l2 * weights`. A row is
+    active when its margin 1 - s, with s = signed * z, is positive. That
+    holds exactly when s < 1: for s >= 0.5 the subtraction is exact
+    (Sterbenz), and for s < 0.5 it is at least 0.5. So the margin itself is
+    never formed.
+    """
+    n = len(labels)
+    signed = 2.0 * labels - 1.0
+    scaled = np.empty(n)
+    grad_w = np.empty(matrix.shape[1])
+
+    def gradient(weights: np.ndarray, bias: float) -> tuple[np.ndarray, float]:
+        np.matmul(matrix, weights, out=scaled)
+        np.add(scaled, bias, out=scaled)
+        np.multiply(scaled, signed, out=scaled)
+        active = scaled < 1.0
+        signed_active = signed[active]
+        np.matmul(matrix[active].T, signed_active, out=grad_w)
+        np.negative(grad_w, out=grad_w)
+        np.divide(grad_w, n, out=grad_w)
+        np.add(grad_w, l2 * weights, out=grad_w)
+        return grad_w, float(-np.add.reduce(signed_active) / n)
+
+    return gradient
+
+
+def _logreg_loss(
+    weights: np.ndarray, bias: float, matrix: np.ndarray, labels: np.ndarray, l2: float
+) -> float:
+    z = matrix @ weights + bias
+    return float(np.mean(np.logaddexp(0.0, z) - labels * z) + 0.5 * l2 * np.dot(weights, weights))
+
+
+def _hinge_loss(
+    weights: np.ndarray, bias: float, matrix: np.ndarray, labels: np.ndarray, l2: float
+) -> float:
+    margin = 1.0 - (2.0 * labels - 1.0) * (matrix @ weights + bias)
+    return float(np.mean(np.maximum(margin, 0.0)) + 0.5 * l2 * np.dot(weights, weights))
+
+
 def logreg_loss_grad(
     weights: np.ndarray, bias: float, matrix: np.ndarray, labels: np.ndarray, l2: float
 ) -> tuple[float, np.ndarray, float]:
     """Mean regularized logistic loss and its exact gradient."""
-    z = matrix @ weights + bias
-    loss = float(np.mean(np.logaddexp(0.0, z) - labels * z) + 0.5 * l2 * np.dot(weights, weights))
-    p = 0.5 * (1.0 + np.tanh(0.5 * z))
-    err = p - labels
-    grad_w = matrix.T @ err / len(labels) + l2 * weights
-    grad_b = float(err.mean())
-    return loss, grad_w, grad_b
+    grad_w, grad_b = _logreg_gradient(matrix, labels, l2)(weights, bias)
+    return _logreg_loss(weights, bias, matrix, labels, l2), grad_w, grad_b
 
 
 def hinge_loss_grad(
     weights: np.ndarray, bias: float, matrix: np.ndarray, labels: np.ndarray, l2: float
 ) -> tuple[float, np.ndarray, float]:
     """Mean regularized hinge loss and a subgradient. Labels are 0/1."""
-    signed = 2.0 * labels - 1.0
-    margin = 1.0 - signed * (matrix @ weights + bias)
-    loss = float(np.mean(np.maximum(margin, 0.0)) + 0.5 * l2 * np.dot(weights, weights))
-    active = margin > 0
-    grad_w = -(matrix[active].T @ signed[active]) / len(labels) + l2 * weights
-    grad_b = float(-signed[active].sum() / len(labels))
-    return loss, grad_w, grad_b
+    grad_w, grad_b = _hinge_gradient(matrix, labels, l2)(weights, bias)
+    return _hinge_loss(weights, bias, matrix, labels, l2), grad_w, grad_b
 
 
-_LOSS_GRAD = {"logreg": logreg_loss_grad, "linsvm": hinge_loss_grad}
+_GRADIENT = {"logreg": _logreg_gradient, "linsvm": _hinge_gradient}
+_LOSS = {"logreg": _logreg_loss, "linsvm": _hinge_loss}
 
 
 def _fit_linear(
-    kind: str, matrix: np.ndarray, labels: np.ndarray, config: TrainConfig
-) -> tuple[np.ndarray, float, np.ndarray]:
+    kind: str,
+    matrix: np.ndarray,
+    labels: np.ndarray,
+    config: TrainConfig,
+    record_loss: bool = False,
+) -> tuple[np.ndarray, float, np.ndarray | None]:
+    """Weights, bias and, if `record_loss`, the loss before each epoch and after the last."""
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
     if len(np.unique(labels)) < 2:
         raise ValueError("training data holds a single class")
-    loss_grad = _LOSS_GRAD[kind]
+    gradient = _GRADIENT[kind](matrix, labels, config.l2)
+    loss = _LOSS[kind]
     rng = np.random.default_rng(config.seed)
     weights = rng.normal(0.0, config.init_scale, size=matrix.shape[1])
     bias = 0.0
-    history = np.zeros(config.epochs + 1)
+    history = np.zeros(config.epochs + 1) if record_loss else None
     for epoch in range(config.epochs):
-        loss, grad_w, grad_b = loss_grad(weights, bias, matrix, labels, config.l2)
-        history[epoch] = loss
-        weights = weights - config.learning_rate * grad_w
+        if history is not None:
+            history[epoch] = loss(weights, bias, matrix, labels, config.l2)
+        grad_w, grad_b = gradient(weights, bias)
+        grad_w *= config.learning_rate
+        weights -= grad_w
         bias = bias - config.learning_rate * grad_b
-    history[config.epochs] = loss_grad(weights, bias, matrix, labels, config.l2)[0]
+    if history is not None:
+        history[config.epochs] = loss(weights, bias, matrix, labels, config.l2)
     return weights, bias, history
 
 
@@ -310,7 +396,9 @@ def _train_on_matrix(
 ) -> LinearModel:
     stats = standardize_fit(matrix, binary_mask)
     standardized = standardize_apply(stats, matrix)
-    weights, bias, history = _fit_linear(kind, standardized, labels.astype(float), config)
+    weights, bias, history = _fit_linear(
+        kind, standardized, labels.astype(float), config, record_loss=True
+    )
     return LinearModel(
         kind=kind,
         weights=weights,
@@ -525,6 +613,9 @@ def stratified_folds(labels, n_folds: int, seed: int = 0) -> list[np.ndarray]:
 
 
 COMBO_SLOT_PREFIXES = ("pos_combo_", "ne_combo_")
+_POS_SLOT_NAMES, _NE_SLOT_NAMES = (
+    tuple(n for n in feature_layout()[0] if n.startswith(prefix)) for prefix in COMBO_SLOT_PREFIXES
+)
 
 
 def _rebind_combo_columns(
@@ -533,14 +624,24 @@ def _rebind_combo_columns(
     combos: list[ZoneCombo],
     train_idx: np.ndarray,
 ) -> np.ndarray:
-    """Copy of the matrix with combination slots derived from training rows."""
+    """Copy of the matrix with combination slots derived from training rows.
+
+    A slot column is 1.0 in the rows whose pair equals the pair bound to
+    that slot, and 0.0 elsewhere and when the slot is unbound, exactly as
+    `features.combo_bits` expands each row.
+    """
     schema = derive_combo_schema([combos[i] for i in train_idx])
     out = matrix.copy()
-    slots = [(col, n) for col, n in enumerate(feature_names) if n.startswith(COMBO_SLOT_PREFIXES)]
-    for row, combo in enumerate(combos):
-        bits = combo_bits(combo, schema)
-        for col, name in slots:
-            out[row, col] = bits[name]
+    columns = {name: col for col, name in enumerate(feature_names)}
+    for names, bound, row_pairs in (
+        (_POS_SLOT_NAMES, schema.pos_pairs, [c.pos for c in combos]),
+        (_NE_SLOT_NAMES, schema.ne_pairs, [c.ne for c in combos]),
+    ):
+        slot_of = {pair: slot for slot, pair in enumerate(bound) if pair is not None}
+        row_slots = np.array([slot_of.get(pair, -1) for pair in row_pairs])
+        for slot, name in enumerate(names):
+            if name in columns:
+                out[:, columns[name]] = row_slots == slot
     return out
 
 

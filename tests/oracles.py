@@ -1,8 +1,9 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately take different algorithmic routes than the library:
-detection joins hashtag pairs instead of scanning split positions, and
-segmentation enumerates every one of the 2^(n-1) parses.
+detection joins hashtag pairs instead of scanning split positions,
+segmentation enumerates every one of the 2^(n-1) parses, and model fitting
+is a plain descent loop with no reused buffers and no in-place arithmetic.
 """
 
 from collections import defaultdict
@@ -10,6 +11,7 @@ from collections import defaultdict
 import numpy as np
 
 from tagmerge.corpus import CorpusIndex, Tweet
+from tagmerge.learn import hinge_loss_grad, logreg_loss_grad
 
 
 def oracle_detect(index, window=None):
@@ -87,3 +89,36 @@ def random_corpus(seed, n_tweets=300):
             )
         )
     return CorpusIndex(tweets)
+
+
+def expression_gradient(kind, weights, bias, matrix, labels, l2):
+    """Gradient of the mean regularized loss as one out-of-place expression."""
+    n = len(labels)
+    z = matrix @ weights + bias
+    if kind == "logreg":
+        err = 0.5 * (1.0 + np.tanh(0.5 * z)) - labels
+        return matrix.T @ err / n + l2 * weights, float(err.mean())
+    signed = 2.0 * labels - 1.0
+    active = 1.0 - signed * z > 0
+    grad_w = -(matrix[active].T @ signed[active]) / n + l2 * weights
+    return grad_w, float(-signed[active].sum() / n)
+
+
+def reference_fit(kind, matrix, labels, config):
+    """Weights, bias and losses of plain full-batch descent on the public loss functions.
+
+    Every step builds new arrays; `losses` holds the loss before each epoch
+    and after the last one.
+    """
+    loss_grad = {"logreg": logreg_loss_grad, "linsvm": hinge_loss_grad}[kind]
+    rng = np.random.default_rng(config.seed)
+    weights = rng.normal(0.0, config.init_scale, size=matrix.shape[1])
+    bias = 0.0
+    losses = []
+    for _ in range(config.epochs):
+        loss, grad_w, grad_b = loss_grad(weights, bias, matrix, labels, config.l2)
+        losses.append(loss)
+        weights = weights - config.learning_rate * grad_w
+        bias = bias - config.learning_rate * grad_b
+    losses.append(loss_grad(weights, bias, matrix, labels, config.l2)[0])
+    return weights, bias, losses

@@ -1,5 +1,6 @@
 """End-to-end command line exercises built on generated scenarios."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -255,6 +256,56 @@ def test_ablate_covers_every_group_subset(feature_csv, tmp_path, capsys):
 
     assert set(payload["entries"]) == {name for name, _ in ABLATION_COMBOS}
     capsys.readouterr()
+
+
+def test_evaluation_commands_match_golden_digests(tmp_path, capsys):
+    """Pinned bytes of every evaluation report for a weak-signal scenario.
+
+    At strength 0.1 the cv accuracies sit between 0.4 and 0.75, so the
+    reports depend on the fitted weights rather than saturating at 1.0.
+    """
+    config = synth.signal_scenario(n_candidates=24, seed=7, strength=0.1)
+    scen = synth.write_scenario(config, tmp_path / "scen")
+    index, cands, labeled = tmp_path / "index.json", tmp_path / "c.tsv", tmp_path / "l.tsv"
+    feats = tmp_path / "features.csv"
+    for argv in (
+        ["ingest", "--corpus", scen["corpus"], "--out", str(index)],
+        ["detect", "--index", str(index), "--out", str(cands)],
+        ["label", "--index", str(index), "--candidates", str(cands), "--out", str(labeled)],
+        ["featurize", "--index", str(index), "--candidates", str(labeled), "--out", str(feats),
+         "--dictionary", scen["dictionary.txt"], "--ngrams", scen["ngrams.tsv"],
+         "--pos-lexicon", scen["pos_lexicon.tsv"], "--gazetteer", scen["gazetteer.tsv"],
+         "--topics", "4", "--lda-iterations", "10"],
+    ):
+        assert cli.main(argv) == 0, argv[0]
+    fit = ["--folds", "4", "--epochs", "60"]
+    runs = {
+        "rank_chi2.tsv": ["rank-features", "--method", "chi2"],
+    }
+    for kind in learn.MODEL_KINDS:
+        runs[f"cv_{kind}.json"] = ["evaluate", "cv", "--model", kind, *fit]
+        runs[f"holdout_{kind}.json"] = [
+            "evaluate", "holdout", "--model", kind, "--test-fraction", "0.25", *fit,
+        ]
+        runs[f"ablate_{kind}.json"] = ["ablate", "--model", kind, *fit]
+    for name, argv in runs.items():
+        assert cli.main([*argv, "--features", str(feats), "--out", str(tmp_path / name)]) == 0, name
+    capsys.readouterr()
+
+    accuracy = json.loads((tmp_path / "cv_logreg.json").read_text())["accuracy"]
+    assert 0.5 < accuracy < 1.0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in runs
+    }
+    assert digests == {
+        "rank_chi2.tsv": "745f6c54f71cebdf44de6763521e8f2d182e7bcc4cb9e31e2b54c62777e468f7",
+        "cv_logreg.json": "a622fe61b8107e7dafc081c66ce4b031adbbb024bcf38006cd78ba9b99a0a6e9",
+        "holdout_logreg.json": "20ea6eb855a5c1f91fc860327992098d767475eddc17a3bed7cac8fbc9b521a9",
+        "ablate_logreg.json": "125ce59dd6b85ed4a03f0b753ec2f4962a111026ceaed3d0eddeb5de1def9535",
+        "cv_linsvm.json": "f5f2fb34bfa3f2e3b2ce9d174e7279e4d2dac6eac4072b6ce046ffcd10674e9b",
+        "holdout_linsvm.json": "e019ab9501a5638b6ac2182c33148367779055b573873442d7768466d8305677",
+        "ablate_linsvm.json": "59f788216cb5241e204ce3a8c6dddf017e64f3596cee677e6db5a3a7e7183368",
+    }
 
 
 def test_synth_command_round_trips_a_config(tmp_path, capsys):

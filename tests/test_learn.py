@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from tagmerge.features import ZoneCombo, derive_combo_schema
+from tagmerge.features import OOV_PAIRS, ZoneCombo, combo_bits, derive_combo_schema, feature_layout
 from tagmerge.learn import (
     Dataset,
+    _fit_linear,
     _rebind_combo_columns,
     LinearModel,
     TrainConfig,
@@ -23,6 +24,8 @@ from tagmerge.learn import (
     train_linsvm,
     train_logreg,
 )
+
+from oracles import expression_gradient, reference_fit
 
 
 def toy_dataset(n=40, seed=0, d=3, sep=8.0):
@@ -102,8 +105,72 @@ def test_hinge_gradient_matches_finite_differences_off_the_kink():
     assert checked >= 25
 
 
+def test_gradients_equal_their_out_of_place_expressions():
+    """The buffered gradients do the expressions' arithmetic in the same order."""
+    loss_grads = {"logreg": logreg_loss_grad, "linsvm": hinge_loss_grad}
+    for seed in range(20):
+        rng = np.random.default_rng([seed, 71])
+        n, d = int(rng.integers(4, 91)), (1, 2, 9, 66)[seed % 4]
+        matrix = rng.normal(0, 1, size=(n, d))
+        labels = np.tile([0.0, 1.0], n)[:n]
+        weights = rng.normal(0, 1, size=d)
+        bias, l2 = float(rng.normal()), float(rng.choice([0.0, 1e-3, 0.1]))
+        for kind, loss_grad in loss_grads.items():
+            _, grad_w, grad_b = loss_grad(weights, bias, matrix, labels, l2)
+            want_w, want_b = expression_gradient(kind, weights, bias, matrix, labels, l2)
+            assert np.array_equal(grad_w, want_w), (seed, kind)
+            assert grad_b == want_b, (seed, kind)
+
+
 # ---------------------------------------------------------------------------
 # training
+
+
+@pytest.mark.parametrize("kind", ["logreg", "linsvm"])
+def test_fit_equals_reference_loop_exactly(kind):
+    """Weights and bias equal the reference loop's, on 1-, 3-, 9- and 66-column data."""
+    for seed in range(20):
+        rng = np.random.default_rng([seed, 72])
+        n, d = int(rng.integers(6, 91)), (1, 3, 9, 66)[seed % 4]
+        matrix = rng.normal(0, 1, size=(n, d))
+        labels = (rng.random(n) < 0.5).astype(float)
+        labels[:2] = (0.0, 1.0)
+        matrix[:, 0] += 2.0 * labels
+        config = TrainConfig(
+            learning_rate=float(rng.choice([0.05, 0.1, 0.5])),
+            epochs=int(rng.integers(20, 120)),
+            l2=float(rng.choice([0.0, 1e-3, 0.05])),
+            seed=seed,
+        )
+        weights, bias, history = _fit_linear(kind, matrix, labels, config)
+        want_w, want_b, _ = reference_fit(kind, matrix, labels, config)
+        assert history is None
+        assert np.array_equal(weights, want_w), seed
+        assert bias == want_b, seed
+
+
+def test_hinge_fit_holds_rows_exactly_on_the_margin():
+    """A row with margin 0.0 is inactive, so a fit that reaches it stays there."""
+    matrix = np.array([[1.0], [-1.0]])
+    labels = np.array([1.0, 0.0])
+    config = TrainConfig(learning_rate=1.0, epochs=5, l2=0.0, init_scale=0.0)
+    weights, bias, _ = _fit_linear("linsvm", matrix, labels, config)
+    want_w, want_b, losses = reference_fit("linsvm", matrix, labels, config)
+    assert weights.tolist() == [1.0] and bias == 0.0
+    assert np.array_equal(weights, want_w) and bias == want_b
+    assert (1.0 - (2.0 * labels - 1.0) * (matrix @ weights + bias)).tolist() == [0.0, 0.0]
+    assert losses == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("trainer, kind", [(train_logreg, "logreg"), (train_linsvm, "linsvm")])
+def test_trained_model_records_the_reference_losses(trainer, kind):
+    ds = toy_dataset(n=30, d=4, sep=1.0)
+    config = TrainConfig(epochs=90)
+    model = trainer(ds, config)
+    standardized = standardize_apply(standardize_fit(ds.matrix, ds.binary_mask), ds.matrix)
+    want_w, want_b, losses = reference_fit(kind, standardized, ds.labels.astype(float), config)
+    assert model.loss_history.tolist() == losses
+    assert np.array_equal(model.weights, want_w) and model.bias == want_b
 
 
 def test_logreg_separates_toy_data():
@@ -358,6 +425,64 @@ def test_combo_slots_rebound_by_name_when_some_are_missing():
     assert second == ("N", "N")
     assert out[:, 1].tolist() == [1.0 if p == second else 0.0 for p in pos]
     assert out[:, 0].tolist() == [0.0] * len(combos)
+
+
+def brute_force_rebind(matrix, feature_names, combos, train_idx):
+    """Slot columns filled row by row from `combo_bits`."""
+    schema = derive_combo_schema([combos[i] for i in train_idx])
+    out = matrix.copy()
+    for row, combo in enumerate(combos):
+        bits = combo_bits(combo, schema)
+        for col, name in enumerate(feature_names):
+            if name.startswith(("pos_combo_", "ne_combo_")):
+                out[row, col] = bits[name]
+    return out
+
+
+def test_rebind_matches_per_row_combo_bits():
+    # 25 POS pairs without X and 24 NE pairs besides (none, none): more than
+    # the 20 slots of each, so the cut after slot 20 can fall among tied counts
+    pos_pairs = [(a, b) for a in "ANVDPX" for b in "ANVDPX"]
+    ne_tags = ("none", "PER", "LOC", "ORG", "EVT")
+    ne_pairs = [(a, b) for a in ne_tags for b in ne_tags]
+    layout = feature_layout()[0]
+    slots = [n for n in layout if n.startswith(("pos_combo_", "ne_combo_"))]
+    assert len(slots) == 40
+    seen = {"x_pair": 0, "none_pair": 0, "tie_at_cut": 0, "all": 0, "some": 0, "none": 0}
+    for seed in range(45):
+        rng = np.random.default_rng([seed, 74])
+        n = int(rng.integers(6, 150))
+        combos = [
+            ZoneCombo(
+                pos=pos_pairs[int(rng.integers(len(pos_pairs)))],
+                ne=ne_pairs[int(rng.integers(len(ne_pairs)))],
+                oov=OOV_PAIRS[int(rng.integers(len(OOV_PAIRS)))],
+            )
+            for _ in range(n)
+        ]
+        train_idx = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        mode = ("all", "some", "none")[seed % 3]
+        if mode == "all":
+            names = list(layout)
+        elif mode == "some":
+            names = [name for name in layout if rng.random() < 0.5] + [slots[seed % 40]]
+        else:
+            names = [name for name in layout if name not in slots]
+        names = tuple(dict.fromkeys(names[i] for i in rng.permutation(len(names))))
+        matrix = rng.normal(0, 5, size=(n, len(names)))
+
+        got = _rebind_combo_columns(matrix, names, combos, train_idx)
+        assert np.array_equal(got, brute_force_rebind(matrix, names, combos, train_idx)), seed
+
+        train = [combos[i] for i in train_idx]
+        seen["x_pair"] += any("X" in c.pos for c in train)
+        seen["none_pair"] += any(c.ne == ("none", "none") for c in train)
+        counts = sorted(
+            (sum(c.pos == p for c in train) for p in pos_pairs if "X" not in p), reverse=True
+        )
+        seen["tie_at_cut"] += counts[19] == counts[20] > 0
+        seen[mode] += 1
+    assert all(seen.values()), seen
 
 
 def test_holdout_split_sizes_and_protocol():
