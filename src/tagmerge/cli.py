@@ -3,6 +3,7 @@
 Every command is a pure function of its input files, flags, and seeds, so
 re-running a command reproduces its outputs byte for byte. Options may come
 from a JSON config file (`--config`); explicit flags win over config values.
+`tagmerge <command> --help` lists every option with its default.
 
 Exit codes: 0 success, 1 user error (bad arguments, missing or malformed
 files), 2 internal error.
@@ -11,6 +12,7 @@ files), 2 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -20,7 +22,12 @@ from .corpus import CorpusIndex, IngestConfig, ingest_jsonl
 from .errors import InsufficientHistoryError, TagmergeError
 from .lexicon import load_dictionary, load_gazetteer, load_ngram_table, load_pos_lexicon
 
-logger = logging.getLogger(__name__)
+# Options without a default that a command cannot run without, in the order
+# they are checked. Each may come from a flag or from a config key.
+REQUIRED = (
+    "corpus", "index", "candidates", "features", "out",
+    "dictionary", "ngrams", "pos_lexicon", "gazetteer", "out_dir",
+)
 
 
 class UsageError(Exception):
@@ -30,6 +37,13 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
+
+
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Appends each option's default to its help, unless it has none."""
+
+    def _get_help_string(self, action):
+        return action.help if action.default is None else super()._get_help_string(action)
 
 
 def _load_config_file(path) -> dict:
@@ -45,400 +59,291 @@ def _load_config_file(path) -> dict:
     return payload
 
 
-def _resolve(args: argparse.Namespace, key: str, default=None, required: bool = False):
-    """Flag value, then config-file value, then default. Flags win."""
-    value = getattr(args, key, None)
-    if value is None and args.config_values is not None:
-        value = args.config_values.get(key)
-    if value is None:
-        value = default
-    if required and value is None:
-        raise UsageError(f"missing required option --{key.replace('_', '-')} (or config key {key!r})")
-    return value
+def _apply_config(command: argparse.ArgumentParser, config: dict) -> None:
+    """Make config values the command's defaults, converted by each option's type.
+
+    Keys that name no option of the command are ignored, and so are nulls.
+    """
+    options = {a.dest: a for a in command._actions if a.option_strings and a.dest != "help"}
+    command.set_defaults(**{
+        key: options[key].type(value) if options[key].type else value
+        for key, value in config.items()
+        if key in options and value is not None
+    })
 
 
-def _open_index(path) -> CorpusIndex:
+def _read(what: str, load, path, *rest):
+    """`load(path, *rest)`, reporting a missing file as a usage error about `what`."""
     try:
-        return CorpusIndex.load(path)
+        return load(path, *rest)
     except FileNotFoundError:
-        raise UsageError(f"index file not found: {path}")
+        raise UsageError(f"{what} not found: {path}")
+
+
+def _open_index(args) -> CorpusIndex:
+    return _read("index file", CorpusIndex.load, args.index)
+
+
+def _read_candidates(args, index):
+    return _read("candidate file", compound.read_candidates, args.candidates, index)
 
 
 def _load_resources(args) -> features.FeatureResources:
-    paths = {
-        "dictionary": _resolve(args, "dictionary", required=True),
-        "ngrams": _resolve(args, "ngrams", required=True),
-        "pos_lexicon": _resolve(args, "pos_lexicon", required=True),
-        "gazetteer": _resolve(args, "gazetteer", required=True),
-    }
-    loaders = {
-        "dictionary": load_dictionary,
-        "ngrams": load_ngram_table,
-        "pos_lexicon": load_pos_lexicon,
-        "gazetteer": load_gazetteer,
-    }
-    loaded = {}
-    for key, path in paths.items():
-        try:
-            loaded[key] = loaders[key](path)
-        except FileNotFoundError:
-            raise UsageError(f"resource file not found: {path}")
-    return features.FeatureResources(
-        dictionary=loaded["dictionary"],
-        ngrams=loaded["ngrams"],
-        pos_lexicon=loaded["pos_lexicon"],
-        gazetteer=loaded["gazetteer"],
+    loaders = (
+        ("dictionary", load_dictionary), ("ngrams", load_ngram_table),
+        ("pos_lexicon", load_pos_lexicon), ("gazetteer", load_gazetteer),
     )
+    return features.FeatureResources(**{
+        key: _read("resource file", load, getattr(args, key)) for key, load in loaders
+    })
 
 
-def _read_labeled_candidates(path, index):
-    try:
-        return compound.read_candidates(path, index)
-    except FileNotFoundError:
-        raise UsageError(f"candidate file not found: {path}")
+def _fit_topics(args, index, candidates):
+    return topicmodel.fit_candidate_topics(
+        index, candidates, n_topics=args.topics, obs_months=args.obs_months,
+        iterations=args.lda_iterations, seed=args.seed,
+    )
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 def _cmd_ingest(args) -> int:
-    corpus_path = _resolve(args, "corpus", required=True)
-    out = _resolve(args, "out", required=True)
-    max_bad = float(_resolve(args, "max_malformed_fraction", 0.5))
-    try:
-        index = ingest_jsonl(corpus_path, IngestConfig(max_malformed_fraction=max_bad))
-    except FileNotFoundError:
-        raise UsageError(f"corpus file not found: {corpus_path}")
-    index.save(out)
-    print(f"ingested {len(index)} tweets ({index.skipped} skipped) -> {out}")
+    config = IngestConfig(max_malformed_fraction=args.max_malformed_fraction)
+    index = _read("corpus file", ingest_jsonl, args.corpus, config)
+    index.save(args.out)
+    print(f"ingested {len(index)} tweets ({index.skipped} skipped) -> {args.out}")
     return 0
 
 
 def _cmd_detect(args) -> int:
-    index = _open_index(_resolve(args, "index", required=True))
-    out = _resolve(args, "out", required=True)
+    index = _open_index(args)
     candidates = compound.detect_candidates(index)
-    compound.write_candidates(out, candidates)
-    print(f"detected {len(candidates)} candidates -> {out}")
+    compound.write_candidates(args.out, candidates)
+    print(f"detected {len(candidates)} candidates -> {args.out}")
     return 0
 
 
 def _cmd_label(args) -> int:
-    index = _open_index(_resolve(args, "index", required=True))
-    cand_path = _resolve(args, "candidates", required=True)
-    out = _resolve(args, "out", required=True)
-    any_horizon = bool(_resolve(args, "any_horizon", False))
-    horizons = _resolve(args, "horizon")
-    if horizons is None:
-        horizons = list(compound.SUPPORTED_HORIZONS)
-    else:
-        horizons = [int(horizons)]
-    candidates, _ = _read_labeled_candidates(cand_path, index)
+    index = _open_index(args)
+    horizons = compound.SUPPORTED_HORIZONS if args.horizon is None else (args.horizon,)
+    candidates, _ = _read_candidates(args, index)
     labels = {}
     labeled = 0
     for cand in candidates:
         for horizon in horizons:
             try:
                 label = compound.label_candidate(
-                    index, cand, horizon, strict_horizon=not any_horizon
+                    index, cand, horizon, strict_horizon=not args.any_horizon
                 )
             except InsufficientHistoryError:
                 continue
             labels[(cand.compound.canonical, horizon)] = label
             labeled += 1
-    compound.write_candidates(out, candidates, labels)
-    print(f"labeled {len(candidates)} candidates ({labeled} labels) -> {out}")
+    compound.write_candidates(args.out, candidates, labels)
+    print(f"labeled {len(candidates)} candidates ({labeled} labels) -> {args.out}")
     return 0
 
 
 def _cmd_featurize(args) -> int:
-    index = _open_index(_resolve(args, "index", required=True))
-    cand_path = _resolve(args, "candidates", required=True)
-    out = _resolve(args, "out", required=True)
-    horizon = int(_resolve(args, "horizon", 10))
-    obs_months = int(_resolve(args, "obs_months", 6))
-    n_topics = int(_resolve(args, "topics", 30))
-    iterations = int(_resolve(args, "lda_iterations", 1000))
-    seed = int(_resolve(args, "seed", 0))
-    min_support = int(_resolve(args, "min_support", 50))
-
+    index = _open_index(args)
     resources = _load_resources(args)
-    candidates, labels = _read_labeled_candidates(cand_path, index)
+    candidates, labels = _read_candidates(args, index)
     eligible = compound.filter_eligible(
-        candidates, index, min_support=min_support, obs_months=obs_months
+        candidates, index, min_support=args.min_support, obs_months=args.obs_months
     )
     if not eligible:
         raise UsageError("no candidate passed the eligibility filter")
-    missing = [
-        c.compound.canonical
-        for c in eligible
-        if (c.compound.canonical, horizon) not in labels
-    ]
+    horizon = args.horizon
+    names = [c.compound.canonical for c in eligible]
+    missing = [name for name in names if (name, horizon) not in labels]
     if missing:
         raise UsageError(
             f"{len(missing)} eligible candidates lack a label at horizon {horizon}, "
             f"first: {missing[0]!r} (run the label command first)"
         )
-    model, doc_keys = topicmodel.fit_candidate_topics(
-        index, eligible, n_topics=n_topics, obs_months=obs_months,
-        iterations=iterations, seed=seed,
-    )
-    resources.topic_model = model
-    resources.topic_doc_keys = doc_keys
-
+    resources.topic_model, resources.topic_doc_keys = _fit_topics(args, index, eligible)
     config = features.ObservationConfig(
-        obs_months=obs_months, horizon_months=horizon, lda_topics=n_topics
+        obs_months=args.obs_months, horizon_months=horizon, lda_topics=args.topics
     )
     vectors, combos, schema = features.featurize_all(eligible, index, resources, config)
-    y = [1 if labels[(c.compound.canonical, horizon)] == "Popular" else 0 for c in eligible]
-    features.write_feature_csv(out, vectors, y, schema, combos=combos)
-    print(f"featurized {len(eligible)} candidates ({len(schema.names)} features) -> {out}")
+    y = [1 if labels[(name, horizon)] == "Popular" else 0 for name in names]
+    features.write_feature_csv(args.out, vectors, y, schema, combos=combos)
+    print(f"featurized {len(eligible)} candidates ({len(schema.names)} features) -> {args.out}")
     return 0
 
 
 def _cmd_fit_lda(args) -> int:
-    index = _open_index(_resolve(args, "index", required=True))
-    cand_path = _resolve(args, "candidates", required=True)
-    out = _resolve(args, "out", required=True)
-    obs_months = int(_resolve(args, "obs_months", 6))
-    n_topics = int(_resolve(args, "topics", 30))
-    iterations = int(_resolve(args, "lda_iterations", 1000))
-    seed = int(_resolve(args, "seed", 0))
-    candidates, _ = _read_labeled_candidates(cand_path, index)
+    index = _open_index(args)
+    candidates, _ = _read_candidates(args, index)
     if not candidates:
         raise UsageError("candidate file holds no candidates")
-    model, _ = topicmodel.fit_candidate_topics(
-        index, candidates, n_topics=n_topics, obs_months=obs_months,
-        iterations=iterations, seed=seed,
-    )
-    model.save(out)
-    print(f"fitted {n_topics} topics over {len(model.doc_ids)} documents -> {out}")
+    model, _ = _fit_topics(args, index, candidates)
+    model.save(args.out)
+    print(f"fitted {args.topics} topics over {len(model.doc_ids)} documents -> {args.out}")
     return 0
 
 
 def _load_dataset(args) -> learn.Dataset:
-    path = _resolve(args, "features", required=True)
-    try:
-        dataset = learn.Dataset.from_csv(path)
-    except FileNotFoundError:
-        raise UsageError(f"feature file not found: {path}")
-    if bool(_resolve(args, "balance", False)):
-        dataset = learn.balance_dataset(dataset, seed=int(_resolve(args, "seed", 0)))
-    return dataset
+    dataset = _read("feature file", learn.Dataset.from_csv, args.features)
+    return learn.balance_dataset(dataset, seed=args.seed) if args.balance else dataset
 
 
 def _train_config(args) -> learn.TrainConfig:
     return learn.TrainConfig(
-        learning_rate=float(_resolve(args, "learning_rate", 0.1)),
-        epochs=int(_resolve(args, "epochs", 500)),
-        l2=float(_resolve(args, "l2", 1e-3)),
-        seed=int(_resolve(args, "seed", 0)),
+        learning_rate=args.learning_rate, epochs=args.epochs, l2=args.l2, seed=args.seed
     )
+
+
+def _write_report(report, out) -> None:
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(report.to_json())
+    print(report.format_table())
+    print(f"report -> {out}")
 
 
 def _cmd_train(args) -> int:
     dataset = _load_dataset(args)
-    out = _resolve(args, "out", required=True)
-    kind = _resolve(args, "model", "logreg")
-    config = _train_config(args)
-    trainer = learn.train_logreg if kind == "logreg" else learn.train_linsvm
-    model = trainer(dataset, config)
-    model.save(out)
+    trainer = learn.train_logreg if args.model == "logreg" else learn.train_linsvm
+    model = trainer(dataset, _train_config(args))
+    model.save(args.out)
     print(
-        f"trained {kind} on {dataset.n_rows} rows, "
-        f"final loss {model.loss_history[-1]:.6f} -> {out}"
+        f"trained {args.model} on {dataset.n_rows} rows, "
+        f"final loss {model.loss_history[-1]:.6f} -> {args.out}"
     )
     return 0
 
 
 def _cmd_evaluate(args) -> int:
     dataset = _load_dataset(args)
-    out = _resolve(args, "out", required=True)
-    kind = _resolve(args, "model", "logreg")
-    seed = int(_resolve(args, "seed", 0))
-    config = _train_config(args)
+    fit = dict(kind=args.model, seed=args.seed, config=_train_config(args))
     if args.mode == "cv":
-        report = learn.cross_validate(
-            dataset, kind=kind, n_folds=int(_resolve(args, "folds", 10)),
-            seed=seed, config=config,
-        )
+        report = learn.cross_validate(dataset, n_folds=args.folds, **fit)
     else:
-        report = learn.holdout_evaluate(
-            dataset, kind=kind, test_fraction=float(_resolve(args, "test_fraction", 0.1)),
-            seed=seed, config=config,
-        )
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
-    print(report.format_table())
-    print(f"report -> {out}")
+        report = learn.holdout_evaluate(dataset, test_fraction=args.test_fraction, **fit)
+    _write_report(report, args.out)
     return 0
 
 
 def _cmd_rank_features(args) -> int:
-    dataset = _load_dataset(args)
-    out = _resolve(args, "out", required=True)
-    method = _resolve(args, "method", "chi2")
-    ranking = analysis.rank_features(dataset, method)
-    ranking.save(out)
+    ranking = analysis.rank_features(_load_dataset(args), args.method)
+    ranking.save(args.out)
     top = ", ".join(ranking.top(5))
-    print(f"ranked {len(ranking.entries)} features by {method}; top: {top}")
-    print(f"ranking -> {out}")
+    print(f"ranked {len(ranking.entries)} features by {args.method}; top: {top}")
+    print(f"ranking -> {args.out}")
     return 0
 
 
 def _cmd_ablate(args) -> int:
-    dataset = _load_dataset(args)
-    out = _resolve(args, "out", required=True)
-    kind = _resolve(args, "model", "logreg")
     report = analysis.ablate(
-        dataset, kind=kind, n_folds=int(_resolve(args, "folds", 10)),
-        seed=int(_resolve(args, "seed", 0)), config=_train_config(args),
+        _load_dataset(args), kind=args.model, n_folds=args.folds,
+        seed=args.seed, config=_train_config(args),
     )
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
-    print(report.format_table())
-    print(f"report -> {out}")
+    _write_report(report, args.out)
     return 0
 
 
 def _cmd_synth(args) -> int:
-    out_dir = _resolve(args, "out_dir", required=True)
-    scenario_path = _resolve(args, "scenario_config")
-    name = _resolve(args, "scenario")
-    if scenario_path is not None:
-        try:
-            config = synth.ScenarioConfig.load(scenario_path)
-        except FileNotFoundError:
-            raise UsageError(f"scenario config not found: {scenario_path}")
-    elif name == "reference":
-        config = synth.reference_scenario(seed=int(_resolve(args, "seed", 0)))
-    elif name == "signal":
+    if args.scenario_config is not None:
+        config = _read("scenario config", synth.ScenarioConfig.load, args.scenario_config)
+    elif args.scenario == "reference":
+        config = synth.reference_scenario(seed=args.seed)
+    elif args.scenario == "signal":
         config = synth.signal_scenario(
-            n_candidates=int(_resolve(args, "candidates", 400)),
-            seed=int(_resolve(args, "seed", 0)),
-            strength=float(_resolve(args, "strength", 1.0)),
+            n_candidates=args.candidates, seed=args.seed, strength=args.strength
         )
     else:
         raise UsageError("pass --scenario reference|signal or --scenario-config FILE")
-    paths = synth.write_scenario(config, out_dir)
-    result_manifest = paths["manifest"]
-    print(f"scenario {config.name!r}: corpus -> {paths['corpus']}, manifest -> {result_manifest}")
+    paths = synth.write_scenario(config, args.out_dir)
+    print(f"scenario {config.name!r}: corpus -> {paths['corpus']}, manifest -> {paths['manifest']}")
     return 0
 
 
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common(parser: _Parser) -> None:
-    parser.add_argument("--config", help="JSON file with default option values")
-    parser.add_argument("--seed", type=int, help="random seed (default 0)")
-
-
 def build_parser() -> _Parser:
+    """The parser; each option is declared once, shared ones in parent parsers.
+
+    Build a fresh parser per parse: `--config` rewrites the defaults of the
+    chosen command's options, and commands share those option objects.
+    """
+    train = learn.TrainConfig()
+    obs = features.ObservationConfig()
+    group = functools.partial(argparse.ArgumentParser, add_help=False)
+
+    common = group()
+    common.add_argument("--config", help="JSON object of option values; flags win over it")
+    common.add_argument("--seed", type=int, default=0, help="random seed")
+    out = group()
+    out.add_argument("--out", help="output file")
+    index = group()
+    index.add_argument("--index", help="corpus index written by ingest")
+    cands = group()
+    cands.add_argument("--candidates", help="candidate table written by detect or label")
+    topics = group()
+    topics.add_argument("--topics", type=int, default=obs.lda_topics, help="LDA topics")
+    topics.add_argument("--obs-months", type=int, default=obs.obs_months, help="months observed")
+    topics.add_argument("--lda-iterations", type=int, default=1000, help="Gibbs sweeps")
+    data = group()
+    data.add_argument("--features", help="feature CSV written by featurize")
+    data.add_argument(
+        "--balance", action=argparse.BooleanOptionalAction, default=False,
+        help="downsample the majority class to 50/50",
+    )
+    model = group()
+    model.add_argument("--model", choices=learn.MODEL_KINDS, default="logreg", help="classifier")
+    model.add_argument("--learning-rate", type=float, default=train.learning_rate, help="step size")
+    model.add_argument("--epochs", type=int, default=train.epochs, help="full-batch steps")
+    model.add_argument("--l2", type=float, default=train.l2, help="L2 penalty")
+    folds = group()
+    folds.add_argument("--folds", type=int, default=10, help="cross-validation folds")
+
     parser = _Parser(prog="tagmerge", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
 
-    p = sub.add_parser("ingest", help="build an immutable index from a JSONL corpus")
-    p.add_argument("--corpus")
-    p.add_argument("--out")
-    p.add_argument("--max-malformed-fraction", dest="max_malformed_fraction", type=float)
-    _add_common(p)
-    p.set_defaults(func=_cmd_ingest)
+    def command(name, func, summary, *parents):
+        p = sub.add_parser(
+            name, help=summary, description=summary, parents=[*parents, common],
+            formatter_class=_HelpFormatter,
+        )
+        p.set_defaults(func=func, subparser=p)
+        return p
 
-    p = sub.add_parser("detect", help="detect compound candidates")
-    p.add_argument("--index")
-    p.add_argument("--out")
-    _add_common(p)
-    p.set_defaults(func=_cmd_detect)
-
-    p = sub.add_parser("label", help="attach popularity labels per horizon")
-    p.add_argument("--index")
-    p.add_argument("--candidates")
-    p.add_argument("--out")
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--any-horizon", dest="any_horizon", action="store_true", default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_label)
-
-    p = sub.add_parser("featurize", help="extract the feature matrix")
-    p.add_argument("--index")
-    p.add_argument("--candidates")
-    p.add_argument("--out")
-    p.add_argument("--dictionary")
-    p.add_argument("--ngrams")
-    p.add_argument("--pos-lexicon", dest="pos_lexicon")
-    p.add_argument("--gazetteer")
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--obs-months", dest="obs_months", type=int)
-    p.add_argument("--topics", type=int)
-    p.add_argument("--lda-iterations", dest="lda_iterations", type=int)
-    p.add_argument("--min-support", dest="min_support", type=int)
-    _add_common(p)
-    p.set_defaults(func=_cmd_featurize)
-
-    p = sub.add_parser("fit-lda", help="fit a topic model over candidate documents")
-    p.add_argument("--index")
-    p.add_argument("--candidates")
-    p.add_argument("--out")
-    p.add_argument("--topics", type=int)
-    p.add_argument("--obs-months", dest="obs_months", type=int)
-    p.add_argument("--lda-iterations", dest="lda_iterations", type=int)
-    _add_common(p)
-    p.set_defaults(func=_cmd_fit_lda)
-
-    p = sub.add_parser("train", help="train a classifier on a feature matrix")
-    p.add_argument("--features")
-    p.add_argument("--out")
-    p.add_argument("--model", choices=learn.MODEL_KINDS)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--l2", type=float)
-    p.add_argument("--balance", action=argparse.BooleanOptionalAction, default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("evaluate", help="evaluate by cross validation or holdout")
-    p.add_argument("mode", choices=("cv", "holdout"))
-    p.add_argument("--features")
-    p.add_argument("--out")
-    p.add_argument("--model", choices=learn.MODEL_KINDS)
-    p.add_argument("--folds", type=int)
-    p.add_argument("--test-fraction", dest="test_fraction", type=float)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--l2", type=float)
-    p.add_argument("--balance", action=argparse.BooleanOptionalAction, default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_evaluate)
-
-    p = sub.add_parser("rank-features", help="rank features by chi-square or info gain")
-    p.add_argument("--features")
-    p.add_argument("--out")
-    p.add_argument("--method", choices=analysis.RANK_METHODS)
-    p.add_argument("--balance", action=argparse.BooleanOptionalAction, default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_rank_features)
-
-    p = sub.add_parser("ablate", help="cross-validate every feature-group subset")
-    p.add_argument("--features")
-    p.add_argument("--out")
-    p.add_argument("--model", choices=learn.MODEL_KINDS)
-    p.add_argument("--folds", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--l2", type=float)
-    p.add_argument("--balance", action=argparse.BooleanOptionalAction, default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_ablate)
-
-    p = sub.add_parser("synth", help="generate a synthetic scenario")
-    p.add_argument("--scenario", choices=("reference", "signal"))
-    p.add_argument("--scenario-config", dest="scenario_config")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--candidates", type=int)
-    p.add_argument("--strength", type=float)
-    _add_common(p)
-    p.set_defaults(func=_cmd_synth)
+    p = command("ingest", _cmd_ingest, "build an immutable index from a JSONL corpus", out)
+    p.add_argument("--corpus", help="JSONL file, one tweet object per line")
+    bad = IngestConfig().max_malformed_fraction
+    p.add_argument("--max-malformed-fraction", type=float, default=bad, help="tolerated bad lines")
+    command("detect", _cmd_detect, "detect compound candidates", index, out)
+    p = command("label", _cmd_label, "attach popularity labels per horizon", index, cands, out)
+    p.add_argument("--horizon", type=int, help="label one horizon in months, not 2, 6 and 10")
+    p.add_argument("--any-horizon", action="store_true", help="allow horizons besides 2, 6, 10")
+    summary = "extract the feature matrix"
+    p = command("featurize", _cmd_featurize, summary, index, cands, out, topics)
+    p.add_argument("--dictionary", help="dictionary word list")
+    p.add_argument("--ngrams", help="n-gram frequency table")
+    p.add_argument("--pos-lexicon", help="part-of-speech lexicon")
+    p.add_argument("--gazetteer", help="named-entity gazetteer")
+    p.add_argument("--horizon", type=int, default=obs.horizon_months, help="label horizon, months")
+    p.add_argument("--min-support", type=int, default=50, help="fewest window tweets per part")
+    summary = "fit a topic model over candidate documents"
+    command("fit-lda", _cmd_fit_lda, summary, index, cands, out, topics)
+    command("train", _cmd_train, "train a classifier on a feature matrix", data, out, model)
+    summary = "evaluate by cross validation or holdout"
+    p = command("evaluate", _cmd_evaluate, summary, data, out, model, folds)
+    p.add_argument("mode", choices=("cv", "holdout"), help="protocol")
+    p.add_argument("--test-fraction", type=float, default=0.1, help="holdout share of rows")
+    summary = "rank features by chi-square or info gain"
+    p = command("rank-features", _cmd_rank_features, summary, data, out)
+    p.add_argument("--method", choices=analysis.RANK_METHODS, default="chi2", help="statistic")
+    summary = "cross-validate every feature-group subset"
+    command("ablate", _cmd_ablate, summary, data, out, model, folds)
+    p = command("synth", _cmd_synth, "generate a synthetic scenario")
+    p.add_argument("--scenario", choices=("reference", "signal"), help="named scenario")
+    p.add_argument("--scenario-config", help="scenario config JSON, instead of --scenario")
+    p.add_argument("--out-dir", help="directory to write the scenario into")
+    p.add_argument("--candidates", type=int, default=400, help="signal scenario: candidates")
+    p.add_argument("--strength", type=float, default=1.0, help="signal scenario: signal strength")
 
     return parser
 
@@ -451,14 +356,15 @@ def main(argv=None) -> int:
         if getattr(args, "func", None) is None:
             parser.print_help()
             return 1
-        args.config_values = (
-            _load_config_file(args.config) if getattr(args, "config", None) else None
-        )
+        if args.config:
+            _apply_config(args.subparser, _load_config_file(args.config))
+            args = parser.parse_args(argv)
+        for key in REQUIRED:
+            if vars(args).get(key, "") is None:
+                flag = key.replace("_", "-")
+                raise UsageError(f"missing required option --{flag} (or config key {key!r})")
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (TagmergeError, ValueError, OSError) as exc:
+    except (UsageError, TagmergeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

@@ -11,7 +11,7 @@ import enum
 from dataclasses import dataclass
 
 from .corpus import CorpusIndex, HashtagId, observation_window, shift_months
-from .errors import InsufficientHistoryError
+from .errors import CorpusFormatError, InsufficientHistoryError
 from .lexicon import Dictionary
 
 MIN_COMPOUND_LENGTH = 6
@@ -334,14 +334,16 @@ def read_candidates(
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if header != list(CANDIDATE_COLUMNS):
-            raise ValueError(f"{path}: unexpected candidate table header")
+            raise CorpusFormatError(f"{path}: unexpected candidate table header")
         for line_no, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
                 continue
             parts = line.split("\t")
             if len(parts) != len(CANDIDATE_COLUMNS):
-                raise ValueError(f"{path}:{line_no}: expected {len(CANDIDATE_COLUMNS)} columns")
+                raise CorpusFormatError(
+                    f"{path}:{line_no}: expected {len(CANDIDATE_COLUMNS)} columns"
+                )
             compound, part_a, part_b, split_s, first_s = parts[:5]
             cand = CompoundCandidate(
                 compound=index.hashtag_id(compound),

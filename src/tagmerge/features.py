@@ -5,6 +5,11 @@ the open interval of `obs_months` months ending at the compounding instant.
 Nothing at or after t0 may influence a vector; appending later tweets to the
 corpus must leave previously computed vectors bit-identical.
 
+One exception is open: `topic_overlap` ranks words by a topic model that
+`topicmodel.fit_candidate_topics` fits jointly over every candidate's
+documents, so a later candidate's window text can change an earlier
+candidate's value. Making that fit causal is item 1 of ROADMAP.md.
+
 `featurize` reads each constituent's window once: its tweets, their tokens
 as the index stored them, one token `Counter` and one set of known n-grams.
 The window extractors take that data and never read the index's tweets or
@@ -26,7 +31,7 @@ import numpy as np
 
 from .compound import CompoundCandidate, segment_hashtag
 from .corpus import CorpusIndex, Tweet, observation_window
-from .errors import InsufficientHistoryError
+from .errors import CorpusFormatError, InsufficientHistoryError
 from .lexicon import Dictionary, EntityGazetteer, NgramTable, PosLexicon, ner_tag, pos_tag
 from .topicmodel import TopicModel
 
@@ -617,7 +622,7 @@ def read_feature_csv(
     with open(schema_path, encoding="utf-8") as fh:
         sidecar = json.load(fh)
     if sidecar.get("format") != SCHEMA_FORMAT or sidecar.get("version") != SCHEMA_VERSION:
-        raise ValueError(f"{schema_path}: not a supported feature schema file")
+        raise CorpusFormatError(f"{schema_path}: not a supported feature schema file")
     names = tuple(f["name"] for f in sidecar["features"])
     groups = {f["name"]: f["group"] for f in sidecar["features"]}
     binary = frozenset(f["name"] for f in sidecar["features"] if f["binary"])
@@ -639,7 +644,7 @@ def read_feature_csv(
         reader = csv.reader(fh)
         header = next(reader)
         if header != list(names) + ["label"]:
-            raise ValueError(f"{path}: header does not match schema")
+            raise CorpusFormatError(f"{path}: header does not match schema")
         for row in reader:
             if not row:
                 continue
@@ -656,5 +661,5 @@ def read_feature_csv(
             for c in sidecar["row_combos"]
         ]
         if len(combos) != len(rows):
-            raise ValueError(f"{schema_path}: row_combos does not match the matrix")
+            raise CorpusFormatError(f"{schema_path}: row_combos does not match the matrix")
     return np.array(rows, dtype=float), np.array(labels, dtype=int), schema, combos

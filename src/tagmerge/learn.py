@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .errors import CorpusFormatError
 from .features import (
     FeatureSchema, FeatureVector, ZoneCombo, derive_combo_schema, feature_layout, read_feature_csv,
 )
@@ -236,7 +237,7 @@ class LinearModel:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
         if payload.get("format") != MODEL_FORMAT or payload.get("version") != MODEL_VERSION:
-            raise ValueError(f"{path}: not a supported model file")
+            raise CorpusFormatError(f"{path}: not a supported model file")
         cfg = payload["config"]
         stats = payload["stats"]
         return cls(

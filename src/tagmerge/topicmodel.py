@@ -21,6 +21,7 @@ from itertools import accumulate
 import numpy as np
 
 from .corpus import CorpusIndex, observation_window, tokenize
+from .errors import CorpusFormatError
 
 logger = logging.getLogger(__name__)
 
@@ -152,7 +153,7 @@ class TopicModel:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
         if payload.get("format") != MODEL_FORMAT or payload.get("version") != MODEL_VERSION:
-            raise ValueError(f"{path}: not a supported topic model file")
+            raise CorpusFormatError(f"{path}: not a supported topic model file")
         return cls(
             n_topics=payload["n_topics"],
             alpha=payload["alpha"],
@@ -294,8 +295,11 @@ def fit_candidate_topics(
     """Fit one model over every constituent document of the given candidates.
 
     Each constituent contributes a document over that candidate's own
-    observation window, so the model never sees text from a candidate's
-    future. Returns the model plus a (hashtag, t0) -> doc_id map.
+    observation window. The fit is joint, though: its topic-word counts also
+    come from the windows of candidates that compound later, so a feature an
+    earlier candidate reads from the model can depend on text after that
+    candidate's t0. Making the fit causal is item 1 of ROADMAP.md. Returns
+    the model plus a (hashtag, t0) -> doc_id map.
     """
     doc_keys: dict[tuple[str, int], str] = {}
     documents: list[HashtagDocument] = []

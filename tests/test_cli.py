@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -125,6 +126,34 @@ def test_config_file_must_be_a_json_object(tmp_path, capsys):
     cfg.write_text("[1, 2]")
     assert cli.main(["ingest", "--config", str(cfg), "--corpus", "x", "--out", "y"]) == 1
     assert "JSON object" in capsys.readouterr().err
+
+
+def test_config_values_are_typed_like_flags(feature_csv, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"folds": 4, "epochs": 60.0, "model": "linsvm", "balance": True}))
+    base = ["evaluate", "cv", "--features", str(feature_csv)]
+    from_config, from_flags, flag_wins = (tmp_path / n for n in ("c.json", "f.json", "w.json"))
+
+    assert cli.main([*base, "--config", str(cfg), "--out", str(from_config)]) == 0
+    flags = ["--folds", "4", "--epochs", "60", "--model", "linsvm", "--balance"]
+    assert cli.main([*base, *flags, "--out", str(from_flags)]) == 0
+    assert from_config.read_bytes() == from_flags.read_bytes()
+    assert json.loads(from_config.read_text())["kind"] == "linsvm"
+
+    assert cli.main([*base, "--config", str(cfg), "--folds", "3", "--out", str(flag_wins)]) == 0
+    assert json.loads(flag_wins.read_text())["protocol"]["folds"] == 3
+    capsys.readouterr()
+
+
+def test_config_keys_that_are_not_options_are_ignored(staged, tmp_path, capsys):
+    out = tmp_path / "cands.tsv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"index": str(staged["index"]), "out": str(out), "func": "nope", "topics": 5}
+    ))
+    assert cli.main(["detect", "--config", str(cfg)]) == 0
+    assert out.read_bytes() == staged["cands"].read_bytes()
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------
@@ -327,4 +356,22 @@ def test_synth_named_scenario(tmp_path, capsys):
     assert rc == 0
     rows = synth.read_manifest(out_dir / "manifest.tsv")
     assert len(rows) == 20
+    capsys.readouterr()
+
+
+def readme_quick_start():
+    """The `tagmerge` command lines of the README's "Quick start" block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    commands = readme_quick_start()
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert argv[0] == "tagmerge"
+        assert cli.main(argv[1:]) == 0, shlex.join(argv)
     capsys.readouterr()

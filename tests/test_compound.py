@@ -17,7 +17,7 @@ from tagmerge.compound import (
     write_candidates,
 )
 from tagmerge.corpus import CorpusIndex, shift_months
-from tagmerge.errors import InsufficientHistoryError
+from tagmerge.errors import CorpusFormatError, InsufficientHistoryError
 from tagmerge.lexicon import Dictionary
 
 from conftest import make_tweet, utc
@@ -408,5 +408,5 @@ def test_candidate_table_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("who\twhat\twhere\n")
     index = labeled_corpus(1, 0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(CorpusFormatError):
         read_candidates(path, index)

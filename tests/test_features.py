@@ -12,7 +12,7 @@ import pytest
 from tagmerge import corpus, features, synth
 from tagmerge.compound import detect_candidates, filter_eligible
 from tagmerge.corpus import CorpusIndex, observation_window, shift_months, tokenize
-from tagmerge.errors import InsufficientHistoryError
+from tagmerge.errors import CorpusFormatError, InsufficientHistoryError
 from tagmerge.features import (
     FeatureResources,
     ObservationConfig,
@@ -640,7 +640,7 @@ def test_read_feature_csv_rejects_mismatched_header(tmp_path):
     body = path.read_text().splitlines()
     body[0] = "intruder," + body[0]
     path.write_text("\n".join(body) + "\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(CorpusFormatError):
         read_feature_csv(path)
 
 

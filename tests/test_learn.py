@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tagmerge.errors import CorpusFormatError
 from tagmerge.features import OOV_PAIRS, ZoneCombo, combo_bits, derive_combo_schema, feature_layout
 from tagmerge.learn import (
     Dataset,
@@ -519,7 +520,7 @@ def test_model_save_load_round_trip(tmp_path):
 def test_model_load_rejects_foreign_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format": "nope"}')
-    with pytest.raises(ValueError):
+    with pytest.raises(CorpusFormatError):
         LinearModel.load(path)
 
 

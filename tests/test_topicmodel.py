@@ -8,6 +8,7 @@ import pytest
 
 from tagmerge.compound import detect_candidates
 from tagmerge.corpus import CorpusIndex
+from tagmerge.errors import CorpusFormatError
 from tagmerge.topicmodel import (
     HashtagDocument,
     TopicModel,
@@ -207,7 +208,7 @@ def test_model_save_load_round_trip(tmp_path):
 def test_model_load_rejects_foreign_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format": "other"}')
-    with pytest.raises(ValueError):
+    with pytest.raises(CorpusFormatError):
         TopicModel.load(path)
 
 
