@@ -24,7 +24,7 @@ from .lexicon import load_dictionary, load_gazetteer, load_ngram_table, load_pos
 
 # Options without a default that a command cannot run without, in the order
 # they are checked. Each may come from a flag or from a config key.
-REQUIRED = (
+_REQUIRED = (
     "corpus", "index", "candidates", "features", "out",
     "dictionary", "ngrams", "pos_lexicon", "gazetteer", "out_dir",
 )
@@ -359,7 +359,7 @@ def main(argv=None) -> int:
         if args.config:
             _apply_config(args.subparser, _load_config_file(args.config))
             args = parser.parse_args(argv)
-        for key in REQUIRED:
+        for key in _REQUIRED:
             if vars(args).get(key, "") is None:
                 flag = key.replace("_", "-")
                 raise UsageError(f"missing required option --{flag} (or config key {key!r})")
