@@ -19,7 +19,6 @@ from tagmerge.features import (
 )
 from tagmerge.lexicon import load_dictionary, load_gazetteer, load_ngram_table, load_pos_lexicon
 from tagmerge.synth import generate, signal_scenario, write_scenario
-from tagmerge.topicmodel import fit_candidate_topics
 
 with tempfile.TemporaryDirectory(prefix="tagmerge-demo-") as tmp:
     workdir = Path(tmp)
@@ -34,14 +33,13 @@ with tempfile.TemporaryDirectory(prefix="tagmerge-demo-") as tmp:
     dictionary = load_dictionary(paths["dictionary.txt"])
     pos = load_pos_lexicon(paths["pos_lexicon.tsv"])
     gaz = load_gazetteer(paths["gazetteer.tsv"])
-    model, doc_keys = fit_candidate_topics(index, eligible, n_topics=4, iterations=15, seed=0)
     resources = FeatureResources(
         dictionary=dictionary,
         ngrams=load_ngram_table(paths["ngrams.tsv"]),
         pos_lexicon=pos,
         gazetteer=gaz,
-        topic_model=model,
-        topic_doc_keys=doc_keys,
+        lda_iterations=15,
+        lda_seed=0,
     )
 
     observation = ObservationConfig(obs_months=6, horizon_months=10, lda_topics=4)
@@ -50,7 +48,7 @@ with tempfile.TemporaryDirectory(prefix="tagmerge-demo-") as tmp:
     vec = vectors[0]
     print(f"\n#{eligible[0].compound.canonical}: {len(schema.names)} features, a few of them:")
     for name in ("char_length", "word_count", "pos_diversity", "clarity_a",
-                 "word_overlap", "collocation_frequency", "common_users"):
+                 "word_overlap", "topic_overlap", "collocation_frequency", "common_users"):
         print(f"  {name:>24} = {vec.values[name]:.4f}")
 
     labels = [1 if label_candidate(index, c, 10).value == "Popular" else 0 for c in eligible]

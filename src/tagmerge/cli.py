@@ -62,14 +62,24 @@ def _load_config_file(path) -> dict:
 def _apply_config(command: argparse.ArgumentParser, config: dict) -> None:
     """Make config values the command's defaults, converted by each option's type.
 
-    Keys that name no option of the command are ignored, and so are nulls.
+    Keys that name no option of the command are ignored, and so are nulls. A
+    value outside the option's choices is a usage error, as it is on the
+    command line.
     """
     options = {a.dest: a for a in command._actions if a.option_strings and a.dest != "help"}
-    command.set_defaults(**{
+    defaults = {
         key: options[key].type(value) if options[key].type else value
         for key, value in config.items()
         if key in options and value is not None
-    })
+    }
+    for key, value in defaults.items():
+        choices = options[key].choices
+        if choices is not None and value not in choices:
+            allowed = ", ".join(map(repr, choices))
+            raise UsageError(
+                f"config key {key!r}: invalid choice {value!r} (choose from {allowed})"
+            )
+    command.set_defaults(**defaults)
 
 
 def _read(what: str, load, path, *rest):
@@ -93,15 +103,9 @@ def _load_resources(args) -> features.FeatureResources:
         ("dictionary", load_dictionary), ("ngrams", load_ngram_table),
         ("pos_lexicon", load_pos_lexicon), ("gazetteer", load_gazetteer),
     )
-    return features.FeatureResources(**{
-        key: _read("resource file", load, getattr(args, key)) for key, load in loaders
-    })
-
-
-def _fit_topics(args, index, candidates):
-    return topicmodel.fit_candidate_topics(
-        index, candidates, n_topics=args.topics, obs_months=args.obs_months,
-        iterations=args.lda_iterations, seed=args.seed,
+    return features.FeatureResources(
+        **{key: _read("resource file", load, getattr(args, key)) for key, load in loaders},
+        lda_iterations=args.lda_iterations, lda_seed=args.seed,
     )
 
 
@@ -162,7 +166,6 @@ def _cmd_featurize(args) -> int:
             f"{len(missing)} eligible candidates lack a label at horizon {horizon}, "
             f"first: {missing[0]!r} (run the label command first)"
         )
-    resources.topic_model, resources.topic_doc_keys = _fit_topics(args, index, eligible)
     config = features.ObservationConfig(
         obs_months=args.obs_months, horizon_months=horizon, lda_topics=args.topics
     )
@@ -178,7 +181,10 @@ def _cmd_fit_lda(args) -> int:
     candidates, _ = _read_candidates(args, index)
     if not candidates:
         raise UsageError("candidate file holds no candidates")
-    model, _ = _fit_topics(args, index, candidates)
+    model = topicmodel.fit_candidate_topics(
+        index, candidates, n_topics=args.topics, obs_months=args.obs_months,
+        iterations=args.lda_iterations, seed=args.seed,
+    )
     model.save(args.out)
     print(f"fitted {args.topics} topics over {len(model.doc_ids)} documents -> {args.out}")
     return 0

@@ -14,11 +14,14 @@ from __future__ import annotations
 import calendar
 import json
 import logging
+import math
 import re
 import string
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -244,7 +247,22 @@ class CorpusIndex:
         self.skipped = skipped
         self.filtered = filtered
 
-        self._tokens: list[list[str]] = [tokenize(t.text) for t in self._tweets]
+        # each tweet's tokens as `tokenize` gives them, and the positions, in
+        # the flat token stream, of those that came from a '#' or '@' token
+        self._tokens: list[list[str]] = []
+        tagged = array("i")
+        n_tokens = 0
+        for tweet in self._tweets:
+            tokens = []
+            for raw in tweet.text.split():
+                word = raw.strip(_PUNCT).lower()
+                if word:
+                    if raw[0] in "#@":
+                        tagged.append(n_tokens + len(tokens))
+                    tokens.append(word)
+            self._tokens.append(tokens)
+            n_tokens += len(tokens)
+        self._tagged = tagged
 
         self._tags: dict[str, _TagEntry] = {}
         for pos, tweet in enumerate(self._tweets):
@@ -270,13 +288,13 @@ class CorpusIndex:
         else:
             self.months = ()
 
-        words = {tok for toks in self._tokens for tok in toks}
+        words = set(chain.from_iterable(self._tokens))
         self._vocab: tuple[str, ...] = tuple(sorted(words))
         self._word_index = {w: i for i, w in enumerate(self._vocab)}
         # all token ids in tweet order; _token_offsets[k] counts the tokens before tweet k
         self._token_offsets = np.cumsum([0] + [len(toks) for toks in self._tokens])
         self._token_ids = np.fromiter(
-            (self._word_index[tok] for toks in self._tokens for tok in toks),
+            map(self._word_index.__getitem__, chain.from_iterable(self._tokens)),
             dtype=np.int32,
             count=int(self._token_offsets[-1]),
         )
@@ -295,6 +313,13 @@ class CorpusIndex:
 
     def tokens_of(self, tweet: Tweet) -> list[str]:
         return self._tokens[self._by_id[tweet.id]]
+
+    def plain_tokens_of(self, tweet: Tweet) -> list[str]:
+        """`tokenize(tweet.text, keep_tags=False, keep_mentions=False)`, from the index."""
+        k = self._by_id[tweet.id]
+        start, end = self._token_offsets[k : k + 2].tolist()
+        tagged = self._tagged[bisect_left(self._tagged, start) : bisect_left(self._tagged, end)]
+        return [tok for pos, tok in enumerate(self._tokens[k], start) if pos not in tagged]
 
     def hashtags(self) -> list[str]:
         return sorted(self._tags)
@@ -420,10 +445,17 @@ class IngestConfig:
     max_malformed_fraction: float = 0.5
 
 
+# the last second of 9998 UTC: month arithmetic past a tweet (coverage end,
+# label horizons) must stay inside the years `datetime` can hold
+_MAX_TIMESTAMP = int(datetime(9999, 1, 1, tzinfo=timezone.utc).timestamp()) - 1
+
+
 def _parse_timestamp(value) -> int:
     if isinstance(value, bool):
         raise ValueError("timestamp must be a number or ISO-8601 string")
     if isinstance(value, (int, float)):
+        if not math.isfinite(value):
+            raise ValueError(f"timestamp {value!r} is not finite")
         ts = int(value)
     elif isinstance(value, str):
         text = value.replace("Z", "+00:00")
@@ -433,8 +465,8 @@ def _parse_timestamp(value) -> int:
         ts = int(dt.timestamp())
     else:
         raise ValueError("timestamp must be a number or ISO-8601 string")
-    if ts <= 0:
-        raise ValueError(f"timestamp {value!r} is not strictly positive")
+    if not 0 < ts <= _MAX_TIMESTAMP:
+        raise ValueError(f"timestamp {value!r} is not in (0, {_MAX_TIMESTAMP}]")
     return ts
 
 

@@ -5,15 +5,13 @@ the open interval of `obs_months` months ending at the compounding instant.
 Nothing at or after t0 may influence a vector; appending later tweets to the
 corpus must leave previously computed vectors bit-identical.
 
-One exception is open: `topic_overlap` ranks words by a topic model that
-`topicmodel.fit_candidate_topics` fits jointly over every candidate's
-documents, so a later candidate's window text can change an earlier
-candidate's value. Making that fit causal is item 1 of ROADMAP.md.
-
 `featurize` reads each constituent's window once: its tweets, their tokens
-as the index stored them, one token `Counter` and one set of known n-grams.
-The window extractors take that data and never read the index's tweets or
-tokenize text themselves.
+as the index stored them, one token `Counter`, one set of known n-grams and
+one document of plain words (hashtag and mention tokens dropped). The window
+extractors take that data and never read the index's tweets or tokenize
+text themselves. `topic_overlap` fits its topic model, when it needs one, on
+the candidate's own two documents, so it too depends on nothing but the
+candidate's window.
 """
 
 from __future__ import annotations
@@ -33,7 +31,8 @@ from .compound import CompoundCandidate, segment_hashtag
 from .corpus import CorpusIndex, Tweet, observation_window
 from .errors import CorpusFormatError, InsufficientHistoryError
 from .lexicon import Dictionary, EntityGazetteer, NgramTable, PosLexicon, ner_tag, pos_tag
-from .topicmodel import TopicModel
+from . import topicmodel
+from .topicmodel import HashtagDocument
 
 logger = logging.getLogger(__name__)
 
@@ -390,19 +389,27 @@ def word_diversity(counts: Counter) -> float:
     return entropy(list(counts.values()))
 
 
-def avg_topic_overlap(model: TopicModel, doc_a: str, doc_b: str, top_n: int = 100) -> float:
+def avg_topic_overlap(
+    doc_a: HashtagDocument, doc_b: HashtagDocument, n_topics: int, iterations: int, seed: int,
+    top_n: int = 100,
+) -> float:
     """Mean per-topic overlap of the two documents' top-ranked words.
 
     For each topic the words of a document are ranked by that topic's
-    word probabilities; the count of shared top words is averaged over
-    topics.
+    word probabilities in an LDA fit of these two documents alone; the
+    count of shared top words is averaged over topics. When neither
+    document has more than `top_n` distinct words, every topic keeps all of
+    them, so the value is the size of the shared vocabulary whatever the
+    fit, and no fit runs.
     """
-    if not model.has_doc(doc_a) or not model.has_doc(doc_b):
-        raise ValueError(f"model was not fitted over both {doc_a!r} and {doc_b!r}")
-    tops_a = model.doc_top_words(doc_a, top_n)
-    tops_b = model.doc_top_words(doc_b, top_n)
+    vocab_a, vocab_b = set(doc_a.tokens), set(doc_b.tokens)
+    if len(vocab_a) <= top_n and len(vocab_b) <= top_n:
+        return float(len(vocab_a & vocab_b))
+    model = topicmodel.fit_lda([doc_a, doc_b], n_topics=n_topics, iterations=iterations, seed=seed)
+    tops_a = model.doc_top_words(doc_a.doc_id, top_n)
+    tops_b = model.doc_top_words(doc_b.doc_id, top_n)
     total = sum(len(set(a).intersection(b)) for a, b in zip(tops_a, tops_b))
-    return total / model.n_topics
+    return total / n_topics
 
 
 # ---------------------------------------------------------------------------
@@ -438,35 +445,42 @@ def user_features(tweets_a: Sequence[Tweet], tweets_b: Sequence[Tweet]) -> dict[
 
 @dataclass
 class FeatureResources:
-    """Everything featurization needs beyond the corpus index."""
+    """Everything featurization needs beyond the corpus index.
+
+    The topic fits behind `topic_overlap` run `lda_iterations` sweeps from `lda_seed`.
+    """
 
     dictionary: Dictionary
     ngrams: NgramTable
     pos_lexicon: PosLexicon
     gazetteer: EntityGazetteer
-    topic_model: TopicModel | None = None
-    topic_doc_keys: dict[tuple[str, int], str] | None = None
+    lda_iterations: int = 1000
+    lda_seed: int = 0
 
 
 def _read_window(
     index: CorpusIndex, canonical: str, window: tuple[int, int], table: NgramTable
-) -> tuple[list[Tweet], Counter, set[str]]:
-    """One constituent's window tweets, their token counts and their table n-grams.
+) -> tuple[list[Tweet], Counter, set[str], HashtagDocument]:
+    """One constituent's window tweets, token counts, table n-grams and plain-word document.
 
     Tokens come from the index, and the counts are filled tweet by tweet in
-    the index's (time, id) order.
+    the index's (time, id) order. The document is the one
+    `topicmodel.build_documents` makes for the same window.
     """
     tweets = index.tweets_between(canonical, *window)
     counts: Counter = Counter()
     ngrams: set[str] = set()
+    plain: list[str] = []
     for tweet in tweets:
         tokens = index.tokens_of(tweet)
         counts.update(tokens)
         ngrams.update(_known_phrases(tokens, table))
+        plain.extend(index.plain_tokens_of(tweet))
     if not tweets:
         logger.warning("hashtag %r has no tweets in window, clarity and diversity set to 0",
                        canonical)
-    return tweets, counts, ngrams
+    document = HashtagDocument(f"{canonical}@{window[1]}", canonical, tuple(plain))
+    return tweets, counts, ngrams, document
 
 
 def featurize(
@@ -479,14 +493,12 @@ def featurize(
     """Full feature vector of one eligible candidate.
 
     Raises InsufficientHistoryError when the corpus does not span the whole
-    observation window, and ValueError when the topic model does not cover
-    the candidate's constituent documents.
+    observation window.
     """
     if schema is None:
         raise ValueError("featurize needs a derived schema")
     config = schema.config
-    t0 = candidate.compound_first_seen
-    window = observation_window(t0, config.obs_months)
+    window = observation_window(candidate.compound_first_seen, config.obs_months)
     if window[0] < index.coverage_start:
         raise InsufficientHistoryError(
             f"observation window of {candidate.compound.canonical!r} starts before corpus coverage"
@@ -494,8 +506,8 @@ def featurize(
 
     part_a = candidate.part_a.canonical
     part_b = candidate.part_b.canonical
-    tweets_a, counts_a, ngrams_a = _read_window(index, part_a, window, resources.ngrams)
-    tweets_b, counts_b, ngrams_b = _read_window(index, part_b, window, resources.ngrams)
+    tweets_a, counts_a, ngrams_a, doc_a = _read_window(index, part_a, window, resources.ngrams)
+    tweets_b, counts_b, ngrams_b, doc_b = _read_window(index, part_b, window, resources.ngrams)
 
     values: dict[str, float] = {}
     values["char_length"] = float(char_length(candidate))
@@ -520,16 +532,9 @@ def featurize(
     values["word_diversity_a"] = word_diversity(counts_a)
     values["word_diversity_b"] = word_diversity(counts_b)
 
-    if resources.topic_model is None or resources.topic_doc_keys is None:
-        raise ValueError("featurize needs a fitted topic model and its document keys")
-    try:
-        doc_a = resources.topic_doc_keys[(part_a, t0)]
-        doc_b = resources.topic_doc_keys[(part_b, t0)]
-    except KeyError as exc:
-        raise ValueError(
-            f"topic model lacks a document for constituent {exc.args[0]!r}"
-        ) from None
-    values["topic_overlap"] = avg_topic_overlap(resources.topic_model, doc_a, doc_b)
+    values["topic_overlap"] = avg_topic_overlap(
+        doc_a, doc_b, config.lda_topics, resources.lda_iterations, resources.lda_seed
+    )
 
     values.update(user_features(tweets_a, tweets_b))
 

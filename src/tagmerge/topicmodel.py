@@ -1,8 +1,10 @@
 """Latent topic structure of hashtag tweet collections.
 
-Each hashtag-and-window pair becomes one bag-of-words document; topics are
-fit by collapsed Gibbs sampling with symmetric priors. Sampling is seeded
-and single-threaded. The sweep runs over plain Python lists and draws its
+Each hashtag-and-window pair becomes one bag-of-words document of plain
+words; topics are fit by collapsed Gibbs sampling with symmetric priors.
+`features.avg_topic_overlap` fits one candidate's two documents on their
+own; `fit_candidate_topics` fits a candidate set for `fit-lda`. Sampling is
+seeded and single-threaded. The sweep runs over plain Python lists and draws its
 uniforms in blocks, one block per document, from the same PCG64 stream that
 one scalar draw per token would read. Each weight, its running sum and the
 search over that sum are the same floating-point operations as numpy's
@@ -20,7 +22,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .corpus import CorpusIndex, observation_window, tokenize
+from .corpus import CorpusIndex, observation_window
 from .errors import CorpusFormatError
 
 logger = logging.getLogger(__name__)
@@ -43,15 +45,16 @@ def build_documents(
 ) -> list[HashtagDocument]:
     """One document per hashtag from tweets inside the open window.
 
-    Hashtag and mention tokens are dropped; what remains is the plain text
-    vocabulary. Empty documents are kept but flagged in the log.
+    Hashtag and mention tokens are dropped (`CorpusIndex.plain_tokens_of`);
+    what remains is the plain text vocabulary. Empty documents are kept but
+    flagged in the log.
     """
     lo, hi = window
     docs = []
     for canon in hashtags:
         tokens: list[str] = []
         for tweet in index.tweets_between(canon, lo, hi):
-            tokens.extend(tokenize(tweet.text, keep_tags=False, keep_mentions=False))
+            tokens.extend(index.plain_tokens_of(tweet))
         if not tokens:
             logger.warning("document for %r over (%d, %d) is empty", canon, lo, hi)
         docs.append(HashtagDocument(doc_id=f"{canon}@{hi}", hashtag=canon, tokens=tuple(tokens)))
@@ -97,9 +100,6 @@ class TopicModel:
         totals = self.topic_totals[:, None].astype(float)
         return (self.word_topic.T + self.beta) / (totals + v * self.beta)
 
-    def has_doc(self, doc_id: str) -> bool:
-        return doc_id in self.doc_index
-
     def top_words(self, topic: int, n: int = 100) -> list[str]:
         """Highest-probability words of a topic; ties resolve alphabetically."""
         if not 0 <= topic < self.n_topics:
@@ -120,7 +120,7 @@ class TopicModel:
         Members are sorted alphabetically first, so one stable sort of the
         negated counts, column by column, gives the (-count, word) order.
         """
-        if not self.has_doc(doc_id):
+        if doc_id not in self.doc_index:
             raise ValueError(f"model was not fitted over document {doc_id!r}")
         members = sorted(self.doc_vocab[self.doc_index[doc_id]], key=self.vocab.__getitem__)
         words = np.array([self.vocab[i] for i in members], dtype=object)
@@ -287,33 +287,22 @@ def fit_candidate_topics(
     candidates,
     n_topics: int,
     obs_months: int = 6,
-    alpha: float | None = None,
-    beta: float = 0.01,
     iterations: int = 1000,
     seed: int = 0,
-) -> tuple[TopicModel, dict[tuple[str, int], str]]:
+) -> TopicModel:
     """Fit one model over every constituent document of the given candidates.
 
-    Each constituent contributes a document over that candidate's own
-    observation window. The fit is joint, though: its topic-word counts also
-    come from the windows of candidates that compound later, so a feature an
-    earlier candidate reads from the model can depend on text after that
-    candidate's t0. Making the fit causal is item 1 of ROADMAP.md. Returns
-    the model plus a (hashtag, t0) -> doc_id map.
+    Each constituent contributes one document over that candidate's own
+    observation window, and documents are fitted in doc_id order. This joint
+    fit is for inspecting the topics of a candidate set (the `fit-lda`
+    command); features never read it, since its topic-word counts mix in the
+    windows of candidates that compound later.
     """
-    doc_keys: dict[tuple[str, int], str] = {}
-    documents: list[HashtagDocument] = []
+    documents: dict[tuple[str, int], HashtagDocument] = {}
     for cand in candidates:
         window = observation_window(cand.compound_first_seen, obs_months)
         for part in (cand.part_a.canonical, cand.part_b.canonical):
-            key = (part, cand.compound_first_seen)
-            if key in doc_keys:
-                continue
-            doc = build_documents(index, [part], window)[0]
-            doc_keys[key] = doc.doc_id
-            documents.append(doc)
-    documents.sort(key=lambda d: d.doc_id)
-    model = fit_lda(
-        documents, n_topics=n_topics, alpha=alpha, beta=beta, iterations=iterations, seed=seed
-    )
-    return model, doc_keys
+            if (part, window[1]) not in documents:
+                documents[part, window[1]] = build_documents(index, [part], window)[0]
+    ordered = sorted(documents.values(), key=lambda d: d.doc_id)
+    return fit_lda(ordered, n_topics=n_topics, iterations=iterations, seed=seed)

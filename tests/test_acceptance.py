@@ -7,6 +7,7 @@ nothing here depends on fixtures hand-tuned to the implementation.
 
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import scipy.stats
 
 from conftest import make_tweet, utc
 from oracles import oracle_detect, random_corpus
-from tagmerge import synth
+from tagmerge import synth, topicmodel
 from tagmerge.analysis import (
     bin_column,
     chi_square_stat,
@@ -47,7 +48,7 @@ from tagmerge.lexicon import (
     load_ngram_table,
     load_pos_lexicon,
 )
-from tagmerge.topicmodel import HashtagDocument, fit_candidate_topics, fit_lda
+from tagmerge.topicmodel import HashtagDocument, fit_lda
 from test_features import pipeline_fixture, pipeline_resources
 from test_learn import central_difference, rel_err
 
@@ -208,16 +209,13 @@ def signal_cv_accuracy(tmp_path, strength):
     res_dir = tmp_path / f"res-{strength}"
     res_dir.mkdir()
     loaded = load_resources(res_dir, result)
-    model, doc_keys = fit_candidate_topics(
-        index, eligible, n_topics=4, obs_months=6, iterations=20, seed=0
-    )
     resources = FeatureResources(
         dictionary=loaded["dictionary"],
         ngrams=loaded["ngrams"],
         pos_lexicon=loaded["pos_lexicon"],
         gazetteer=loaded["gazetteer"],
-        topic_model=model,
-        topic_doc_keys=doc_keys,
+        lda_iterations=20,
+        lda_seed=0,
     )
     vectors, combos, schema = featurize_all(
         eligible, index, resources, ObservationConfig(obs_months=6, horizon_months=10, lda_topics=4)
@@ -305,7 +303,7 @@ def test_lda_recovers_planted_disjoint_topics():
 def test_future_tweets_leave_feature_vectors_unchanged():
     index, t0 = pipeline_fixture()
     cands = detect_candidates(index)
-    res = pipeline_resources(index, cands)
+    res = pipeline_resources()
     combos = [zone_combo(cands[0], res.dictionary, res.pos_lexicon, res.gazetteer)]
     schema = build_schema(combos, ObservationConfig(obs_months=6, horizon_months=2, lda_topics=2))
     before = featurize(cands[0], index, res, schema)
@@ -318,6 +316,56 @@ def test_future_tweets_leave_feature_vectors_unchanged():
     grown = CorpusIndex(list(index.tweets) + extra)
     after = featurize(cands[0], grown, res, schema)
     assert after == before
+
+
+def test_later_candidates_leave_earlier_vectors_unchanged(tmp_path, monkeypatch):
+    """A corpus that grows by a later candidate, over documents the topic fit decides.
+
+    Topic vocabularies of 120 words and 8 words per tweet give every
+    constituent document more than 100 distinct plain words, so each
+    `topic_overlap` comes from a fit. The last candidate compounds two months
+    after the others, and its constituents' windows overlap theirs.
+    """
+    config = synth.signal_scenario(n_candidates=4, seed=11, n_topics=2)
+    late = config.plants[-1]
+    plants = config.plants[:-1] + (replace(
+        late, m0=late.m0 + 2, pre_a=late.pre_a + late.pre_a[-1:] * 2,
+        pre_b=late.pre_b + late.pre_b[-1:] * 2, post_a=late.post_a[:-2],
+        post_b=late.post_b[:-2], post_ab=late.post_ab[:-2],
+    ),)
+    config = replace(
+        config, plants=plants, words_per_tweet=8,
+        topic_vocabs=(synth.word_bank(6000, 120), synth.word_bank(6120, 120)),
+    )
+    result = synth.generate(config)
+    full = CorpusIndex(result.tweets)
+    cands = filter_eligible(detect_candidates(full), full)
+    t_late = max(c.compound_first_seen for c in cands)
+    assert [c.compound_first_seen < t_late for c in cands].count(True) == 3
+    early = CorpusIndex([t for t in result.tweets if t.timestamp < t_late])
+    early_cands = filter_eligible(detect_candidates(early), early)
+    assert len(early_cands) == 3
+
+    loaded = load_resources(tmp_path, result)
+    resources = FeatureResources(**loaded, lda_iterations=3, lda_seed=0)
+    combos = [
+        zone_combo(c, resources.dictionary, resources.pos_lexicon, resources.gazetteer)
+        for c in cands
+    ]
+    schema = build_schema(combos, ObservationConfig(obs_months=6, horizon_months=10, lda_topics=3))
+    fits = []
+    real_fit = topicmodel.fit_lda
+
+    def counted_fit(documents, **settings):
+        fits.append(documents)
+        return real_fit(documents, **settings)
+
+    monkeypatch.setattr(topicmodel, "fit_lda", counted_fit)
+    before = [featurize(c, early, resources, schema) for c in early_cands]
+    assert len(fits) == 3
+    assert all(len(set(doc.tokens)) > 100 for docs in fits for doc in docs)
+    after = {c.compound.canonical: featurize(c, full, resources, schema) for c in cands}
+    assert [after[c.compound.canonical] for c in early_cands] == before
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,33 @@ def test_config_values_are_typed_like_flags(feature_csv, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, key", [("train", "model"), ("rank-features", "method")])
+def test_config_value_outside_the_choices_is_a_usage_error(feature_csv, tmp_path, capsys,
+                                                           command, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: "foo"}))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--features", str(feature_csv), "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert f"config key {key!r}: invalid choice 'foo'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ingest_skips_non_finite_and_out_of_range_timestamps(tmp_path, capsys):
+    def line(tid, timestamp):
+        return f'{{"id": "{tid}", "timestamp": {timestamp}, "user": "u", "text": "#a hi"}}'
+
+    good = [line(f"g{i}", 1300000000 + i) for i in range(6)]
+    bad = [line("inf", "Infinity"), line("huge", "1e400"), line("far", "1e18")]
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text("\n".join(good[:3] + bad + good[3:]) + "\n")
+    out = tmp_path / "index.json"
+    assert cli.main(["ingest", "--corpus", str(corpus), "--out", str(out)]) == 0
+    index = CorpusIndex.load(out)
+    assert (len(index), index.skipped) == (6, 3)
+    assert "(3 skipped)" in capsys.readouterr().out
+
+
 def test_config_keys_that_are_not_options_are_ignored(staged, tmp_path, capsys):
     out = tmp_path / "cands.tsv"
     cfg = tmp_path / "cfg.json"

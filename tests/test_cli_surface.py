@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from tagmerge import analysis, cli, compound, learn, synth, topicmodel
+from tagmerge import analysis, cli, compound, features, learn, synth, topicmodel
 from tagmerge.corpus import CorpusIndex, IngestConfig, Tweet
 from tagmerge.errors import InsufficientHistoryError
 
@@ -146,14 +146,18 @@ def test_featurize_defaults(calls, index_path, lexicon_dir, tmp_path):
     # a label only at horizon 10, so any other default horizon stops the command early
     record(compound, "read_candidates", stop=False, result=fake_candidates({("ab", 10): "Popular"}))
     record(compound, "filter_eligible", stop=False, result=lambda candidates, *a, **k: candidates)
-    record(topicmodel, "fit_candidate_topics")
+    record(features, "featurize_all")
     assert run(featurize_argv(index_path, lexicon_dir, tmp_path)) == 2
     (eligible,) = seen["filter_eligible"]
     assert typed({k: eligible[k] for k in ("min_support", "obs_months")}) == typed(
         {"min_support": 50, "obs_months": 6}
     )
-    (fit,) = seen["fit_candidate_topics"]
-    assert typed({k: fit[k] for k in FIT_DEFAULTS}) == typed(FIT_DEFAULTS)
+    (call,) = seen["featurize_all"]
+    resources, config = call["resources"], call["config"]
+    fit = {"n_topics": config.lda_topics, "obs_months": config.obs_months,
+           "iterations": resources.lda_iterations, "seed": resources.lda_seed}
+    assert typed(fit) == typed(FIT_DEFAULTS)
+    assert config.horizon_months == 10
 
 
 def test_fit_lda_defaults(calls, index_path, tmp_path):

@@ -124,6 +124,24 @@ def test_tokenize_keep_flags():
     assert tokenize(text, keep_mentions=False) == ["see", "tag", "by", "now"]
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_index_tokens_match_tokenize_on_random_texts(seed):
+    """Sigils, punctuation-only tokens, '#' and '@' inside or after punctuation."""
+    rng = np.random.default_rng(seed)
+    pieces = ["word", "Tag", "#tag", "@who", "#", "@", "##x", "#!!", "...", "a#b", "x@y",
+              "(#wrapped)", "\"@quoted\"", "#9pm", "rt:", "Mixed!", "#Caps", "-", "é#"]
+    texts = [
+        " ".join(rng.choice(pieces, size=int(rng.integers(0, 12))).tolist()) or "#lone"
+        for _ in range(40)
+    ]
+    index = CorpusIndex([make_tweet(text, utc(2011, 6, 1) + i, tid=f"r{i:02d}")
+                         for i, text in enumerate(texts)])
+    for tweet in index.tweets:
+        assert index.tokens_of(tweet) == tokenize(tweet.text)
+        plain = tokenize(tweet.text, keep_tags=False, keep_mentions=False)
+        assert index.plain_tokens_of(tweet) == plain
+
+
 def test_extract_hashtags_requires_leading_letter():
     tags = extract_hashtags("at #9pm #GoldenGlobes #_ok #x2")
     assert [t.display for t in tags] == ["GoldenGlobes", "_ok", "x2"]

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tagmerge import corpus, features, synth
+from tagmerge import corpus, features, synth, topicmodel
 from tagmerge.compound import detect_candidates, filter_eligible
 from tagmerge.corpus import CorpusIndex, observation_window, shift_months, tokenize
 from tagmerge.errors import CorpusFormatError, InsufficientHistoryError
@@ -49,7 +49,7 @@ from tagmerge.lexicon import (
     load_ngram_table,
     load_pos_lexicon,
 )
-from tagmerge.topicmodel import TopicModel, fit_candidate_topics
+from tagmerge.topicmodel import HashtagDocument, TopicModel, build_documents
 
 from conftest import make_tweet, utc
 
@@ -415,22 +415,21 @@ def pipeline_fixture():
     return CorpusIndex(tweets), t0
 
 
-def pipeline_resources(index, cands):
+def pipeline_resources():
     d = Dictionary(frozenset({"snow", "day", "cold", "warm", "white", "long"}))
     from tagmerge.lexicon import EntityGazetteer, NgramTable, PosLexicon
 
     ngrams = NgramTable(entries={"snow day": 9})
     pos = PosLexicon(tags={"snow": "N", "day": "N"})
     gaz = EntityGazetteer(phrases={}, labels=frozenset({"none"}), max_phrase_len=0)
-    model, keys = fit_candidate_topics(index, cands, n_topics=2, iterations=30, seed=5)
-    return FeatureResources(d, ngrams, pos, gaz, model, keys)
+    return FeatureResources(d, ngrams, pos, gaz, lda_iterations=30, lda_seed=5)
 
 
 def test_featurize_end_to_end():
     index, t0 = pipeline_fixture()
     cands = detect_candidates(index)
     assert [c.compound.canonical for c in cands] == ["snowday"]
-    res = pipeline_resources(index, cands)
+    res = pipeline_resources()
     combos = [zone_combo(c, res.dictionary, res.pos_lexicon, res.gazetteer) for c in cands]
     schema = build_schema(combos, ObservationConfig(obs_months=6, horizon_months=2, lda_topics=2))
     vec = featurize(cands[0], index, res, schema)
@@ -460,28 +459,17 @@ def test_featurize_end_to_end():
 def test_featurize_requires_covered_window():
     index, _ = pipeline_fixture()
     cands = detect_candidates(index)
-    res = pipeline_resources(index, cands)
+    res = pipeline_resources()
     combos = [zone_combo(cands[0], res.dictionary, res.pos_lexicon, res.gazetteer)]
     schema = build_schema(combos, ObservationConfig(obs_months=12, horizon_months=2, lda_topics=2))
     with pytest.raises(InsufficientHistoryError):
         featurize(cands[0], index, res, schema)
 
 
-def test_featurize_requires_topic_model():
-    index, _ = pipeline_fixture()
-    cands = detect_candidates(index)
-    res = pipeline_resources(index, cands)
-    res.topic_model = None
-    combos = [zone_combo(cands[0], res.dictionary, res.pos_lexicon, res.gazetteer)]
-    schema = build_schema(combos, ObservationConfig(obs_months=6, horizon_months=2, lda_topics=2))
-    with pytest.raises(ValueError):
-        featurize(cands[0], index, res, schema)
-
-
 def test_future_tweets_never_change_vectors():
     index, t0 = pipeline_fixture()
     cands = detect_candidates(index)
-    res = pipeline_resources(index, cands)
+    res = pipeline_resources()
     combos = [zone_combo(cands[0], res.dictionary, res.pos_lexicon, res.gazetteer)]
     schema = build_schema(combos, ObservationConfig(obs_months=6, horizon_months=2, lda_topics=2))
     before = featurize(cands[0], index, res, schema)
@@ -495,7 +483,7 @@ def test_future_tweets_never_change_vectors():
     grown = CorpusIndex(list(index.tweets) + extra)
     cands2 = detect_candidates(grown)
     (cand2,) = [c for c in cands2 if c.compound.canonical == "snowday"]
-    res2 = pipeline_resources(grown, [cand2])
+    res2 = pipeline_resources()
     after = featurize(cand2, grown, res2, schema)
     assert after == before  # bit-identical values
 
@@ -503,7 +491,7 @@ def test_future_tweets_never_change_vectors():
 def test_featurize_all_orders_and_round_trips(tmp_path):
     index, _ = pipeline_fixture()
     cands = detect_candidates(index)
-    res = pipeline_resources(index, cands)
+    res = pipeline_resources()
     combos = [zone_combo(c, res.dictionary, res.pos_lexicon, res.gazetteer) for c in cands]
     schema = build_schema(combos, ObservationConfig(obs_months=6, horizon_months=2, lda_topics=2))
     vectors, combos_out, schema_out = featurize_all(cands, index, res, schema.config)
@@ -525,7 +513,7 @@ def test_featurize_all_orders_and_round_trips(tmp_path):
 def test_featurize_all_reads_each_window_once_and_never_tokenizes(monkeypatch):
     index, _ = pipeline_fixture()
     cands = detect_candidates(index)
-    res = pipeline_resources(index, cands)
+    res = pipeline_resources()
     reads = []
     real = CorpusIndex.tweets_between
 
@@ -560,14 +548,13 @@ def test_featurize_all_is_independent_of_input_order(tmp_path):
     cands = filter_eligible(detect_candidates(index), index)
     for filename, content in result.resources.items():
         (tmp_path / filename).write_text(content)
-    model, keys = fit_candidate_topics(index, cands, n_topics=2, iterations=2, seed=0)
     res = FeatureResources(
         load_dictionary(tmp_path / "dictionary.txt"),
         load_ngram_table(tmp_path / "ngrams.tsv"),
         load_pos_lexicon(tmp_path / "pos_lexicon.tsv"),
         load_gazetteer(tmp_path / "gazetteer.tsv"),
-        model,
-        keys,
+        lda_iterations=2,
+        lda_seed=0,
     )
     observation = ObservationConfig(obs_months=6, horizon_months=10, lda_topics=2)
     # pickling captures every attribute by value, arrays included
@@ -631,7 +618,7 @@ def test_featurize_command_output_matches_golden_digests(tmp_path, capsys):
 def test_read_feature_csv_rejects_mismatched_header(tmp_path):
     index, _ = pipeline_fixture()
     cands = detect_candidates(index)
-    res = pipeline_resources(index, cands)
+    res = pipeline_resources()
     vectors, combos_out, schema = featurize_all(
         cands, index, res, ObservationConfig(obs_months=6, horizon_months=2, lda_topics=2)
     )
@@ -651,18 +638,13 @@ def test_read_feature_csv_rejects_mismatched_header(tmp_path):
 def test_topic_overlap_restricted_to_document_words():
     index, _ = pipeline_fixture()
     cands = detect_candidates(index)
-    model, keys = fit_candidate_topics(index, cands, n_topics=2, iterations=30, seed=5)
-    t0 = cands[0].compound_first_seen
-    doc_a = keys[("snow", t0)]
-    doc_b = keys[("day", t0)]
-    overlap = avg_topic_overlap(model, doc_a, doc_b)
+    window = observation_window(cands[0].compound_first_seen, 6)
+    doc_a, doc_b = build_documents(index, ["snow", "day"], window)
+    overlap = avg_topic_overlap(doc_a, doc_b, n_topics=2, iterations=30, seed=5)
     # shared words bound the per-topic overlap from above
-    vocab_a = model.doc_vocab[model.doc_index[doc_a]]
-    vocab_b = model.doc_vocab[model.doc_index[doc_b]]
+    vocab_a, vocab_b = set(doc_a.tokens), set(doc_b.tokens)
     assert 0 <= overlap <= len(vocab_a & vocab_b)
-    assert avg_topic_overlap(model, doc_a, doc_a) == len(vocab_a)
-    with pytest.raises(ValueError):
-        avg_topic_overlap(model, doc_a, "no-such-doc")
+    assert avg_topic_overlap(doc_a, doc_a, n_topics=2, iterations=30, seed=5) == len(vocab_a)
 
 
 def brute_force_top(model, doc_id, topic, n):
@@ -672,7 +654,7 @@ def brute_force_top(model, doc_id, topic, n):
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_topic_overlap_top_n_cut_matches_brute_force_ranking(seed):
+def test_topic_overlap_top_n_cut_matches_brute_force_ranking(seed, monkeypatch):
     """Documents larger than top_n, tied counts, and a vocabulary out of alphabetical order."""
     rng = np.random.default_rng(seed)
     vocab = ("kiwi", "apple", "mango", "fig", "date", "lime", "banana", "cherry",
@@ -697,6 +679,71 @@ def test_topic_overlap_top_n_cut_matches_brute_force_ranking(seed):
         assert model.top_words_in_doc("b@0", k, top_n) == top_b
         assert model.top_words_in_doc("a@0", k) == brute_force_top(model, "a@0", k, 100)
         expected += len(set(top_a) & set(top_b))
-    assert avg_topic_overlap(model, "a@0", "b@0", top_n) == expected / n_topics
-    # with no cut the feature is the plain vocabulary overlap
-    assert avg_topic_overlap(model, "a@0", "b@0") == len(doc_vocab[0] & doc_vocab[1])
+    docs = [
+        HashtagDocument(doc_id, doc_id[0], tuple(vocab[i] for i in sorted(members)))
+        for doc_id, members in zip(model.doc_ids, doc_vocab)
+    ]
+    fits = []
+
+    def fit(documents, **settings):
+        fits.append(documents)
+        return model
+
+    monkeypatch.setattr(topicmodel, "fit_lda", fit)
+    assert avg_topic_overlap(*docs, n_topics, 1, 0, top_n) == expected / n_topics
+    assert fits == [docs]
+
+
+@pytest.fixture
+def fit_calls(monkeypatch):
+    """The document lists `topicmodel.fit_lda` is called with; the fits still run."""
+    calls = []
+    real = topicmodel.fit_lda
+
+    def counted(documents, *args, **kwargs):
+        calls.append(list(documents))
+        return real(documents, *args, **kwargs)
+
+    monkeypatch.setattr(topicmodel, "fit_lda", counted)
+    return calls
+
+
+def words_doc(doc_id, n_words, start=0):
+    """A document of `n_words` distinct words, each twice."""
+    words = [f"w{start + i:03d}" for i in range(n_words)]
+    return HashtagDocument(doc_id, doc_id.split("@")[0], tuple(words + words[::-1]))
+
+
+def test_topic_overlap_without_fit_when_both_documents_fit_the_cut(fit_calls):
+    doc_a, doc_b = words_doc("a@9", 100), words_doc("b@9", 60, start=70)
+    assert avg_topic_overlap(doc_a, doc_b, n_topics=3, iterations=5, seed=0) == 30.0
+    assert avg_topic_overlap(doc_a, words_doc("e@9", 0), n_topics=3, iterations=5, seed=0) == 0.0
+    assert fit_calls == []
+
+
+def test_topic_overlap_fits_the_pair_once_when_a_document_exceeds_the_cut(fit_calls):
+    doc_a, doc_b = words_doc("a@9", 101), words_doc("b@9", 40, start=80)
+    overlap = avg_topic_overlap(doc_a, doc_b, n_topics=3, iterations=5, seed=0)
+    assert fit_calls == [[doc_a, doc_b]]
+    assert 0.0 <= overlap <= 21.0
+    assert avg_topic_overlap(doc_a, doc_b, n_topics=3, iterations=5, seed=0) == overlap
+
+
+@pytest.mark.parametrize("n_words, expected", [(30, 30.0), (130, 100.0)])
+def test_compound_of_one_hashtag_twice_overlaps_min_of_top_n_and_vocabulary(n_words, expected):
+    """#byebye = #bye + #bye: both documents are the same, so every topic keeps the same words."""
+    words = [f"w{i:03d}" for i in range(n_words)]
+    tweets = [make_tweet("#bye hello", utc(2011, 1, 5), tid="seed")]
+    tweets += [
+        make_tweet("#bye " + " ".join(words[i : i + 10]), utc(2011, 3, 1) + i * 3600, tid=f"b{i}")
+        for i in range(0, n_words, 10)
+    ]
+    tweets.append(make_tweet("#byebye at last", utc(2011, 8, 1), tid="c1"))
+    index = CorpusIndex(tweets)
+    (cand,) = detect_candidates(index)
+    assert cand.part_a == cand.part_b
+    res = pipeline_resources()
+    combos = [zone_combo(cand, res.dictionary, res.pos_lexicon, res.gazetteer)]
+    schema = build_schema(combos, ObservationConfig(obs_months=6, horizon_months=2, lda_topics=3))
+    vec = featurize(cand, index, replace(res, lda_iterations=3), schema)
+    assert vec.values["topic_overlap"] == expected

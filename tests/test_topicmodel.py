@@ -224,13 +224,18 @@ def test_fit_candidate_topics_keys_and_windows():
     index = CorpusIndex(tweets)
     cands = detect_candidates(index)
     assert {c.compound.canonical for c in cands} == {"redball", "redgame"}
-    model, keys = fit_candidate_topics(index, cands, n_topics=2, iterations=5, seed=0)
+    model = fit_candidate_topics(index, cands, n_topics=2, iterations=5, seed=0)
     # one document per constituent and compounding time
     t_ball = index.first_seen("redball")
     t_game = index.first_seen("redgame")
-    assert set(keys) == {("red", t_ball), ("ball", t_ball), ("red", t_game), ("game", t_game)}
     # the same constituent at different times is two separate documents
-    assert keys[("red", t_ball)] != keys[("red", t_game)]
-    assert tuple(sorted(model.doc_ids)) == model.doc_ids
-    for key, doc_id in keys.items():
-        assert model.has_doc(doc_id)
+    assert model.doc_ids == (
+        f"ball@{t_ball}", f"game@{t_game}", f"red@{t_ball}", f"red@{t_game}"
+    )
+
+    def words(doc_id):
+        return {model.vocab[i] for i in model.doc_vocab[model.doc_index[doc_id]]}
+
+    # each window is the open six months before that candidate's t0
+    assert words(f"red@{t_ball}") == {"warm", "words", "more", "text"}
+    assert words(f"red@{t_game}") == {"more", "text"}
