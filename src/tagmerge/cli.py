@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import logging
 import sys
 
 from . import analysis, compound, features, learn, synth, topicmodel
 from .corpus import CorpusIndex, IngestConfig, ingest_jsonl
-from .errors import InsufficientHistoryError, TagmergeError
+from .errors import InsufficientHistoryError, TagmergeError, read_json
 from .lexicon import load_dictionary, load_gazetteer, load_ngram_table, load_pos_lexicon
 
 # Options without a default that a command cannot run without, in the order
@@ -44,19 +43,6 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
 
     def _get_help_string(self, action):
         return action.help if action.default is None else super()._get_help_string(action)
-
-
-def _load_config_file(path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except FileNotFoundError:
-        raise UsageError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {path} is not valid JSON: {exc}")
-    if not isinstance(payload, dict):
-        raise UsageError(f"config file {path} must hold a JSON object")
-    return payload
 
 
 def _apply_config(command: argparse.ArgumentParser, config: dict) -> None:
@@ -363,7 +349,7 @@ def main(argv=None) -> int:
             parser.print_help()
             return 1
         if args.config:
-            _apply_config(args.subparser, _load_config_file(args.config))
+            _apply_config(args.subparser, _read("config file", read_json, args.config, dict))
             args = parser.parse_args(argv)
         for key in _REQUIRED:
             if vars(args).get(key, "") is None:

@@ -345,6 +345,9 @@ def read_candidates(
                     f"{path}:{line_no}: expected {len(CANDIDATE_COLUMNS)} columns"
                 )
             compound, part_a, part_b, split_s, first_s = parts[:5]
+            for name in (compound, part_a, part_b):
+                if not index.has(name):
+                    raise CorpusFormatError(f"{path}:{line_no}: hashtag {name!r} not in the index")
             cand = CompoundCandidate(
                 compound=index.hashtag_id(compound),
                 split_index=int(split_s),
@@ -356,6 +359,10 @@ def read_candidates(
             )
             candidates.append(cand)
             for horizon, value in zip(SUPPORTED_HORIZONS, parts[5:]):
+                if value not in ("Popular", "Unpopular", "-"):
+                    raise CorpusFormatError(
+                        f"{path}:{line_no}: label {value!r} is not Popular, Unpopular or -"
+                    )
                 if value != "-":
                     labels[(compound, horizon)] = value
     return candidates, labels

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import CorpusFormatError
+from .errors import CorpusFormatError, read_json
 
 logger = logging.getLogger(__name__)
 
@@ -214,12 +214,11 @@ class Tweet:
 
 
 class _TagEntry:
-    __slots__ = ("display", "first_seen", "month_counts", "positions", "ts_list")
+    __slots__ = ("display", "first_seen", "positions", "ts_list")
 
     def __init__(self, display: str, first_seen: int):
         self.display = display
         self.first_seen = first_seen
-        self.month_counts: dict[str, int] = {}
         self.positions: list[int] = []
         self.ts_list: list[int] = []
 
@@ -266,7 +265,6 @@ class CorpusIndex:
 
         self._tags: dict[str, _TagEntry] = {}
         for pos, tweet in enumerate(self._tweets):
-            month = month_of(tweet.timestamp)
             seen_here: set[str] = set()
             for hid in tweet.hashtags:
                 canon = hid.canonical
@@ -277,7 +275,6 @@ class CorpusIndex:
                 if entry is None:
                     entry = _TagEntry(hid.display, tweet.timestamp)
                     self._tags[canon] = entry
-                entry.month_counts[month] = entry.month_counts.get(month, 0) + 1
                 entry.positions.append(pos)
                 entry.ts_list.append(tweet.timestamp)
 
@@ -364,9 +361,7 @@ class CorpusIndex:
 
     def monthly_frequency(self, canonical: str, month: str) -> int:
         """Distinct tweets containing the hashtag in a calendar month."""
-        _split_month(month)
-        entry = self._entry(canonical)
-        return entry.month_counts.get(month, 0)
+        return self.count_between(canonical, month_start(month) - 1, month_start(next_month(month)))
 
     def tweets_between(self, canonical: str, lo: int, hi: int) -> list[Tweet]:
         """Tweets containing the hashtag with lo < timestamp < hi, ordered by (time, id)."""
@@ -413,24 +408,23 @@ class CorpusIndex:
 
     @classmethod
     def load(cls, path) -> "CorpusIndex":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("format") != INDEX_FORMAT:
-            raise CorpusFormatError(f"{path}: not a serialized corpus index")
-        if payload.get("version") != INDEX_VERSION:
-            raise CorpusFormatError(f"{path}: unsupported index version {payload.get('version')}")
-        tweets = [
-            Tweet(
-                id=rec["id"],
-                timestamp=rec["timestamp"],
-                user_id=rec["user"],
-                text=rec["text"],
-                retweet_of=rec.get("retweet_of"),
-                mentions=tuple(rec.get("mentions") or ()),
-            )
-            for rec in payload["tweets"]
-        ]
-        return cls(tweets, skipped=payload.get("skipped", 0), filtered=payload.get("filtered", 0))
+        tweets, skipped, filtered = read_json(path, _decode_index, INDEX_FORMAT, INDEX_VERSION)
+        return cls(tweets, skipped=skipped, filtered=filtered)
+
+
+def _decode_index(payload: dict) -> tuple[list[Tweet], int, int]:
+    tweets = [
+        Tweet(
+            id=rec["id"],
+            timestamp=rec["timestamp"],
+            user_id=rec["user"],
+            text=rec["text"],
+            retweet_of=rec.get("retweet_of"),
+            mentions=tuple(rec.get("mentions") or ()),
+        )
+        for rec in payload["tweets"]
+    ]
+    return tweets, payload.get("skipped", 0), payload.get("filtered", 0)
 
 
 @dataclass(frozen=True)

@@ -22,14 +22,14 @@ import json
 import logging
 from collections import Counter
 from collections.abc import Iterator, Set
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .compound import CompoundCandidate, segment_hashtag
 from .corpus import CorpusIndex, Tweet, observation_window
-from .errors import CorpusFormatError, InsufficientHistoryError
+from .errors import CorpusFormatError, InsufficientHistoryError, dataclass_fields, read_json
 from .lexicon import Dictionary, EntityGazetteer, NgramTable, PosLexicon, ner_tag, pos_tag
 from . import topicmodel
 from .topicmodel import HashtagDocument
@@ -198,7 +198,7 @@ class FeatureSchema:
                 "names": list(self.names),
                 "groups": self.groups,
                 "combo": self.combo.to_payload(),
-                "config": [self.config.obs_months, self.config.horizon_months, self.config.lda_topics],
+                "config": list(astuple(self.config)),
             },
             sort_keys=True,
         )
@@ -604,11 +604,7 @@ def write_feature_csv(
             for n in schema.names
         ],
         "combo": schema.combo.to_payload(),
-        "config": {
-            "obs_months": schema.config.obs_months,
-            "horizon_months": schema.config.horizon_months,
-            "lda_topics": schema.config.lda_topics,
-        },
+        "config": asdict(schema.config),
     }
     if combos is not None:
         sidecar["row_combos"] = [
@@ -624,37 +620,33 @@ def read_feature_csv(
 ) -> tuple[np.ndarray, np.ndarray, FeatureSchema, list[ZoneCombo] | None]:
     """Load a feature matrix and its sidecar back into memory."""
     schema_path = schema_path or _sidecar_path(path)
-    with open(schema_path, encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    if sidecar.get("format") != SCHEMA_FORMAT or sidecar.get("version") != SCHEMA_VERSION:
-        raise CorpusFormatError(f"{schema_path}: not a supported feature schema file")
-    names = tuple(f["name"] for f in sidecar["features"])
-    groups = {f["name"]: f["group"] for f in sidecar["features"]}
-    binary = frozenset(f["name"] for f in sidecar["features"] if f["binary"])
-    cfg = sidecar["config"]
-    schema = FeatureSchema(
-        names=names,
-        groups=groups,
-        binary=binary,
-        combo=ComboSchema.from_payload(sidecar["combo"]),
-        config=ObservationConfig(
-            obs_months=cfg["obs_months"],
-            horizon_months=cfg["horizon_months"],
-            lda_topics=cfg["lda_topics"],
-        ),
-    )
+    schema, combos = read_json(schema_path, _decode_sidecar, SCHEMA_FORMAT, SCHEMA_VERSION)
     rows: list[list[float]] = []
     labels: list[int] = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        if header != list(names) + ["label"]:
+        if header != list(schema.names) + ["label"]:
             raise CorpusFormatError(f"{path}: header does not match schema")
         for row in reader:
             if not row:
                 continue
             rows.append([float(v) for v in row[:-1]])
             labels.append(int(row[-1]))
+    if combos is not None and len(combos) != len(rows):
+        raise CorpusFormatError(f"{schema_path}: row_combos does not match the matrix")
+    return np.array(rows, dtype=float), np.array(labels, dtype=int), schema, combos
+
+
+def _decode_sidecar(sidecar: dict) -> tuple[FeatureSchema, list[ZoneCombo] | None]:
+    features = sidecar["features"]
+    schema = FeatureSchema(
+        names=tuple(f["name"] for f in features),
+        groups={f["name"]: f["group"] for f in features},
+        binary=frozenset(f["name"] for f in features if f["binary"]),
+        combo=ComboSchema.from_payload(sidecar["combo"]),
+        config=ObservationConfig(**dataclass_fields(ObservationConfig, sidecar["config"])),
+    )
     combos = None
     if "row_combos" in sidecar:
         combos = [
@@ -665,6 +657,4 @@ def read_feature_csv(
             )
             for c in sidecar["row_combos"]
         ]
-        if len(combos) != len(rows):
-            raise CorpusFormatError(f"{schema_path}: row_combos does not match the matrix")
-    return np.array(rows, dtype=float), np.array(labels, dtype=int), schema, combos
+    return schema, combos

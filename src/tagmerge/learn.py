@@ -13,11 +13,11 @@ fits inside `cross_validate` and `holdout_evaluate` never compute it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import CorpusFormatError
+from .errors import dataclass_fields, read_json
 from .features import (
     FeatureSchema, FeatureVector, ZoneCombo, derive_combo_schema, feature_layout, read_feature_csv,
 )
@@ -211,13 +211,7 @@ class LinearModel:
             "kind": self.kind,
             "weights": self.weights.tolist(),
             "bias": self.bias,
-            "config": {
-                "learning_rate": self.config.learning_rate,
-                "epochs": self.config.epochs,
-                "l2": self.config.l2,
-                "seed": self.config.seed,
-                "init_scale": self.config.init_scale,
-            },
+            "config": asdict(self.config),
             "stats": {
                 "mean": self.stats.mean.tolist(),
                 "std": self.stats.std.tolist(),
@@ -234,31 +228,23 @@ class LinearModel:
 
     @classmethod
     def load(cls, path) -> "LinearModel":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("format") != MODEL_FORMAT or payload.get("version") != MODEL_VERSION:
-            raise CorpusFormatError(f"{path}: not a supported model file")
-        cfg = payload["config"]
-        stats = payload["stats"]
-        return cls(
-            kind=payload["kind"],
-            weights=np.array(payload["weights"], dtype=float),
-            bias=float(payload["bias"]),
-            config=TrainConfig(
-                learning_rate=cfg["learning_rate"],
-                epochs=cfg["epochs"],
-                l2=cfg["l2"],
-                seed=cfg["seed"],
-                init_scale=cfg["init_scale"],
-            ),
-            stats=StandardizationStats(
-                mean=np.array(stats["mean"], dtype=float),
-                std=np.array(stats["std"], dtype=float),
-                binary_mask=np.array(stats["binary_mask"], dtype=bool),
-            ),
-            schema_id=payload["schema_id"],
-            feature_names=tuple(payload["feature_names"]),
-        )
+        def decode(payload):
+            stats = payload["stats"]
+            return cls(
+                kind=payload["kind"],
+                weights=np.array(payload["weights"], dtype=float),
+                bias=float(payload["bias"]),
+                config=TrainConfig(**dataclass_fields(TrainConfig, payload["config"])),
+                stats=StandardizationStats(
+                    mean=np.array(stats["mean"], dtype=float),
+                    std=np.array(stats["std"], dtype=float),
+                    binary_mask=np.array(stats["binary_mask"], dtype=bool),
+                ),
+                schema_id=payload["schema_id"],
+                feature_names=tuple(payload["feature_names"]),
+            )
+
+        return read_json(path, decode, MODEL_FORMAT, MODEL_VERSION)
 
 
 def _logreg_gradient(matrix: np.ndarray, labels: np.ndarray, l2: float):
@@ -476,23 +462,8 @@ class EvalReport:
     per_fold: list = field(default_factory=list)
     protocol: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f_score": self.f_score,
-            "roc_area": self.roc_area,
-            "per_class": self.per_class,
-            "confusion": self.confusion,
-            "n_rows": self.n_rows,
-            "per_fold": self.per_fold,
-            "protocol": self.protocol,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=1) + "\n"
 
     def format_table(self) -> str:
         lines = [

@@ -19,13 +19,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .compound import CANDIDATE_COLUMNS, SUPPORTED_HORIZONS, TREND_MONTHS, TrendCategory
 from .corpus import Tweet, month_start, next_month
-from .errors import CorpusFormatError
+from .errors import CorpusFormatError, dataclass_fields, read_json
 
 MANIFEST_COLUMNS = CANDIDATE_COLUMNS + ("trend", "planted_class", "support_a", "support_b")
 
@@ -122,52 +122,9 @@ class PlantSpec:
     def ab_canonical(self) -> str:
         return self.ab_display.lower()
 
-    def to_payload(self) -> dict:
-        return {
-            "a_words": list(self.a_words),
-            "b_words": list(self.b_words),
-            "topic_a": self.topic_a,
-            "topic_b": self.topic_b,
-            "m0": self.m0,
-            "a_start": self.a_start,
-            "b_start": self.b_start,
-            "pre_a": list(self.pre_a),
-            "pre_b": list(self.pre_b),
-            "post_a": list(self.post_a),
-            "post_b": list(self.post_b),
-            "post_ab": list(self.post_ab),
-            "cross_frac": self.cross_frac,
-            "user_overlap": self.user_overlap,
-            "co_rate": self.co_rate,
-            "mention_rate": self.mention_rate,
-            "retweet_rate": self.retweet_rate,
-            "user_pool": self.user_pool,
-            "planted_class": self.planted_class,
-        }
-
     @classmethod
     def from_payload(cls, payload: dict) -> "PlantSpec":
-        return cls(
-            a_words=tuple(payload["a_words"]),
-            b_words=tuple(payload["b_words"]),
-            topic_a=payload["topic_a"],
-            topic_b=payload["topic_b"],
-            m0=payload["m0"],
-            a_start=payload["a_start"],
-            b_start=payload["b_start"],
-            pre_a=tuple(payload["pre_a"]),
-            pre_b=tuple(payload["pre_b"]),
-            post_a=tuple(payload["post_a"]),
-            post_b=tuple(payload["post_b"]),
-            post_ab=tuple(payload["post_ab"]),
-            cross_frac=payload["cross_frac"],
-            user_overlap=payload["user_overlap"],
-            co_rate=payload["co_rate"],
-            mention_rate=payload["mention_rate"],
-            retweet_rate=payload["retweet_rate"],
-            user_pool=payload["user_pool"],
-            planted_class=payload["planted_class"],
-        )
+        return cls(**dataclass_fields(cls, payload))
 
 
 @dataclass(frozen=True)
@@ -193,44 +150,19 @@ class ScenarioConfig:
         if not self.topic_vocabs or any(not v for v in self.topic_vocabs):
             raise ValueError("topic vocabularies must be non-empty")
 
-    def to_payload(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "start_month": self.start_month,
-            "n_months": self.n_months,
-            "obs_months": self.obs_months,
-            "words_per_tweet": self.words_per_tweet,
-            "background_per_month": self.background_per_month,
-            "background_words": list(self.background_words),
-            "topic_vocabs": [list(v) for v in self.topic_vocabs],
-            "plants": [p.to_payload() for p in self.plants],
-        }
-
     @classmethod
     def from_payload(cls, payload: dict) -> "ScenarioConfig":
-        return cls(
-            name=payload["name"],
-            seed=payload["seed"],
-            start_month=payload["start_month"],
-            n_months=payload["n_months"],
-            obs_months=payload["obs_months"],
-            words_per_tweet=payload["words_per_tweet"],
-            background_per_month=payload["background_per_month"],
-            background_words=tuple(payload["background_words"]),
-            topic_vocabs=tuple(tuple(v) for v in payload["topic_vocabs"]),
-            plants=tuple(PlantSpec.from_payload(p) for p in payload["plants"]),
-        )
+        plants = tuple(PlantSpec.from_payload(p) for p in payload["plants"])
+        return cls(**{**dataclass_fields(cls, payload), "plants": plants})
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(self.to_payload(), sort_keys=True, indent=1))
+            fh.write(json.dumps(asdict(self), sort_keys=True, indent=1))
             fh.write("\n")
 
     @classmethod
     def load(cls, path) -> "ScenarioConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_payload(json.load(fh))
+        return read_json(path, cls.from_payload)
 
 
 @dataclass(frozen=True)

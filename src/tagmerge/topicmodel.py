@@ -23,7 +23,7 @@ from itertools import accumulate
 import numpy as np
 
 from .corpus import CorpusIndex, observation_window
-from .errors import CorpusFormatError
+from .errors import read_json
 
 logger = logging.getLogger(__name__)
 
@@ -150,22 +150,21 @@ class TopicModel:
 
     @classmethod
     def load(cls, path) -> "TopicModel":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("format") != MODEL_FORMAT or payload.get("version") != MODEL_VERSION:
-            raise CorpusFormatError(f"{path}: not a supported topic model file")
-        return cls(
-            n_topics=payload["n_topics"],
-            alpha=payload["alpha"],
-            beta=payload["beta"],
-            vocab=tuple(payload["vocab"]),
-            doc_ids=tuple(payload["doc_ids"]),
-            word_topic=np.array(payload["word_topic"], dtype=np.int64),
-            doc_topic=np.array(payload["doc_topic"], dtype=np.int64),
-            doc_vocab=tuple(frozenset(s) for s in payload["doc_vocab"]),
-            seed=payload["seed"],
-            iterations=payload["iterations"],
-        )
+        def decode(payload):
+            return cls(
+                n_topics=payload["n_topics"],
+                alpha=payload["alpha"],
+                beta=payload["beta"],
+                vocab=tuple(payload["vocab"]),
+                doc_ids=tuple(payload["doc_ids"]),
+                word_topic=np.array(payload["word_topic"], dtype=np.int64),
+                doc_topic=np.array(payload["doc_topic"], dtype=np.int64),
+                doc_vocab=tuple(frozenset(s) for s in payload["doc_vocab"]),
+                seed=payload["seed"],
+                iterations=payload["iterations"],
+            )
+
+        return read_json(path, decode, MODEL_FORMAT, MODEL_VERSION)
 
 
 def fit_lda(

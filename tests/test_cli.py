@@ -106,6 +106,96 @@ def test_internal_errors_exit_two(monkeypatch, capsys):
     assert "internal error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("damage", ["unknown-hashtag", "lowercase-label"])
+def test_damaged_candidate_table_exits_one(staged, tmp_path, capsys, damage):
+    rows = staged["labeled"].read_text().splitlines()
+    bad = tmp_path / "bad.tsv"
+    if damage == "unknown-hashtag":
+        rows[1] = "nosuchtag" + rows[1][rows[1].index("\t"):]
+        argv = ["label", "--index", str(staged["index"]), "--candidates", str(bad)]
+        argv += ["--out", str(tmp_path / "out.tsv")]
+    else:
+        rows = [row.replace("\tPopular", "\tpopular") for row in rows]
+        argv = featurize_args({**staged, "labeled": bad}, tmp_path / "out.csv")
+    bad.write_text("\n".join(rows) + "\n")
+    assert cli.main(argv) == 1
+    assert f"{bad}:" in capsys.readouterr().err
+
+
+def _drop(*keys):
+    def mutate(payload):
+        *path, last = keys
+        for key in path:
+            payload = payload[key]
+        del payload[last]
+
+    return mutate
+
+
+def _null(key):
+    def mutate(payload):
+        payload[key] = None
+
+    return mutate
+
+
+# Each artifact's command line (the damaged file substituted for FILE) and the
+# damages that leave a JSON object: a required key dropped, or a value nulled.
+DAMAGED_ARTIFACTS = {
+    "index": (
+        ["detect", "--index", "FILE", "--out", "OUT"],
+        {"no-text": _drop("tweets", 0, "text"), "null-tweets": _null("tweets")},
+    ),
+    "sidecar": (
+        ["evaluate", "cv", "--features", "FILE", "--out", "OUT"],
+        {
+            "no-config": _drop("config"),
+            "no-feature-name": _drop("features", 0, "name"),
+            "null-features": _null("features"),
+        },
+    ),
+    "scenario-config": (
+        ["synth", "--scenario-config", "FILE", "--out-dir", "OUT"],
+        {"no-seed": _drop("seed"), "null-plants": _null("plants")},
+    ),
+}
+
+
+def _damage_cases():
+    for artifact, (_, damages) in DAMAGED_ARTIFACTS.items():
+        yield pytest.param(artifact, "not-json", id=f"{artifact}-not-json")
+        yield pytest.param(artifact, "list", id=f"{artifact}-list")
+        for name in damages:
+            yield pytest.param(artifact, name, id=f"{artifact}-{name}")
+
+
+@pytest.mark.parametrize("artifact, damage", _damage_cases())
+def test_damaged_json_artifact_exits_one_naming_the_file(
+    artifact, damage, staged, feature_csv, tmp_path, capsys
+):
+    argv, damages = DAMAGED_ARTIFACTS[artifact]
+    if artifact == "sidecar":
+        # `evaluate` reads the sidecar next to the feature CSV it is given
+        good = feature_csv.with_name("feats.schema.json")
+        target = tmp_path / "feats.csv"
+        target.write_bytes(feature_csv.read_bytes())
+        path = tmp_path / good.name
+    else:
+        good = staged["index"] if artifact == "index" else Path(staged["scen"]["config"])
+        path = target = tmp_path / good.name
+    if damage == "not-json":
+        path.write_text("{not json")
+    elif damage == "list":
+        path.write_text(json.dumps([json.loads(good.read_text())]))
+    else:
+        payload = json.loads(good.read_text())
+        damages[damage](payload)
+        path.write_text(json.dumps(payload))
+    substitute = {"FILE": str(target), "OUT": str(tmp_path / "out")}
+    assert cli.main([substitute.get(arg, arg) for arg in argv]) == 1
+    assert str(path) in capsys.readouterr().err
+
+
 def test_config_file_fills_options_and_flags_win(scen_dir, tmp_path, capsys):
     out_a = tmp_path / "from_config.json"
     out_b = tmp_path / "from_flag.json"

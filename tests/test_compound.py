@@ -410,3 +410,22 @@ def test_candidate_table_rejects_foreign_header(tmp_path):
     index = labeled_corpus(1, 0, 0)
     with pytest.raises(CorpusFormatError):
         read_candidates(path, index)
+
+
+def test_candidate_table_rejects_hashtag_missing_from_index(tmp_path):
+    index = labeled_corpus(3, 1, 2)
+    path = tmp_path / "cands.tsv"
+    write_candidates(path, [only_candidate(index)])
+    path.write_text(path.read_text().replace("\tday\t", "\tdays\t"))
+    with pytest.raises(CorpusFormatError, match=r"cands\.tsv:2: .*'days'"):
+        read_candidates(path, index)
+
+
+def test_candidate_table_rejects_unknown_label(tmp_path):
+    index = labeled_corpus(3, 1, 2)
+    cand = only_candidate(index)
+    path = tmp_path / "cands.tsv"
+    write_candidates(path, [cand], {("snowday", 2): label_candidate(index, cand, 2)})
+    path.write_text(path.read_text().replace("\tPopular", "\tpopular"))
+    with pytest.raises(CorpusFormatError, match=r"cands\.tsv:2: .*'popular'"):
+        read_candidates(path, index)

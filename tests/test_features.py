@@ -615,6 +615,24 @@ def test_featurize_command_output_matches_golden_digests(tmp_path, capsys):
     }
 
 
+def test_train_command_output_matches_golden_digests(tmp_path, capsys):
+    """Pinned bytes of the `train` model files on the featurize golden's feature file."""
+    from tagmerge import cli
+
+    test_featurize_command_output_matches_golden_digests(tmp_path, capsys)
+    digests = {}
+    for kind in ("logreg", "linsvm"):
+        out = tmp_path / f"{kind}.json"
+        argv = ["train", "--model", kind, "--features", str(tmp_path / "features.csv"), "--out", str(out)]
+        assert cli.main(argv) == 0, kind
+        digests[kind] = hashlib.sha256(out.read_bytes()).hexdigest()
+    capsys.readouterr()
+    assert digests == {
+        "logreg": "43775fcb66e8f75092f55ad623558e69fb9777e05f7efb2ce40d7c05d1ddc793",
+        "linsvm": "03a4c5b53a59babcb3496b1ed100dfd973f42d7d8647709af3d0cb734b002e78",
+    }
+
+
 def test_read_feature_csv_rejects_mismatched_header(tmp_path):
     index, _ = pipeline_fixture()
     cands = detect_candidates(index)

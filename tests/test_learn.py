@@ -1,5 +1,8 @@
 """Linear models, gradients, folds, metrics, and evaluation protocol."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -521,6 +524,25 @@ def test_model_load_rejects_foreign_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format": "nope"}')
     with pytest.raises(CorpusFormatError):
+        LinearModel.load(path)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda payload: "{not json",
+        lambda payload: [payload],
+        lambda payload: {**payload, "config": {k: v for k, v in payload["config"].items() if k != "l2"}},
+        lambda payload: {**payload, "stats": None},
+    ],
+    ids=["not-json", "list", "config-without-l2", "null-stats"],
+)
+def test_model_load_rejects_damaged_file(tmp_path, damage):
+    path = tmp_path / "model.json"
+    train_logreg(toy_dataset(), TrainConfig(epochs=5)).save(path)
+    damaged = damage(json.loads(path.read_text()))
+    path.write_text(damaged if isinstance(damaged, str) else json.dumps(damaged))
+    with pytest.raises(CorpusFormatError, match=re.escape(str(path))):
         LinearModel.load(path)
 
 

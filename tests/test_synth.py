@@ -1,5 +1,7 @@
 """Synthetic corpora: planted schedules, manifests, and reference scenarios."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,24 @@ def test_plant_display_forms():
     assert plant.b_display == "Black"
     assert plant.ab_display == "ComingBackBlack"
     assert plant.ab_canonical == "comingbackblack"
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--scenario", "reference", "--seed", "0"],
+         "c5b07aa28bdc6d3fa24c884bbc4d49c53f7d0addd13248ed8d0ddc2658e4078a"),
+        (["--scenario", "signal", "--candidates", "16", "--seed", "7"],
+         "bc5cd85dbe382a488e5819af6547b8d33f31bd0b2a5cfc5874073dc7c47e6eab"),
+    ],
+    ids=["reference-seed0", "signal16-seed7"],
+)
+def test_synth_config_file_matches_golden_digest(argv, digest, tmp_path, capsys):
+    from tagmerge import cli
+
+    assert cli.main(["synth", *argv, "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256((tmp_path / "config.json").read_bytes()).hexdigest() == digest
 
 
 def test_scenario_config_round_trip(tmp_path):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -209,6 +210,26 @@ def test_model_load_rejects_foreign_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format": "other"}')
     with pytest.raises(CorpusFormatError):
+        TopicModel.load(path)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda payload: "{not json",
+        lambda payload: [payload],
+        lambda payload: {k: v for k, v in payload.items() if k != "doc_vocab"},
+        lambda payload: {**payload, "vocab": None},
+    ],
+    ids=["not-json", "list", "no-doc-vocab", "null-vocab"],
+)
+def test_model_load_rejects_damaged_file(tmp_path, damage):
+    docs, _, _ = two_topic_docs(4, 6)
+    path = tmp_path / "topics.json"
+    fit_lda(docs, n_topics=2, iterations=2, seed=3).save(path)
+    damaged = damage(json.loads(path.read_text()))
+    path.write_text(damaged if isinstance(damaged, str) else json.dumps(damaged))
+    with pytest.raises(CorpusFormatError, match=re.escape(str(path))):
         TopicModel.load(path)
 
 
