@@ -43,7 +43,7 @@ with tempfile.TemporaryDirectory(prefix="tagmerge-demo-") as tmp:
     )
 
     observation = ObservationConfig(obs_months=6, horizon_months=10, lda_topics=4)
-    vectors, combos, schema = featurize_all(eligible, index, resources, observation)
+    vectors, combos, schema, _ = featurize_all(eligible, index, resources, observation)
 
     vec = vectors[0]
     print(f"\n#{eligible[0].compound.canonical}: {len(schema.names)} features, a few of them:")

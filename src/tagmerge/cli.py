@@ -155,10 +155,14 @@ def _cmd_featurize(args) -> int:
     config = features.ObservationConfig(
         obs_months=args.obs_months, horizon_months=horizon, lda_topics=args.topics
     )
-    vectors, combos, schema = features.featurize_all(eligible, index, resources, config)
+    vectors, combos, schema, fits = features.featurize_all(eligible, index, resources, config)
     y = [1 if labels[(name, horizon)] == "Popular" else 0 for name in names]
     features.write_feature_csv(args.out, vectors, y, schema, combos=combos)
-    print(f"featurized {len(eligible)} candidates ({len(schema.names)} features) -> {args.out}")
+    print(
+        f"featurized {len(eligible)} candidates ({len(schema.names)} features; "
+        f"{fits} topic fits, {len(eligible) - fits} pairs within the top-{features.TOPIC_TOP_N} "
+        f"cut) -> {args.out}"
+    )
     return 0
 
 

@@ -181,6 +181,9 @@ class Tweet:
     hashtags: tuple[HashtagId, ...] = field(init=False)
 
     def __post_init__(self):
+        if not (isinstance(self.id, str) and isinstance(self.user_id, str)
+                and isinstance(self.text, str)):
+            raise TypeError(f"tweet {self.id!r}: id, user and text must be strings")
         if not self.id:
             raise ValueError("tweet id must be non-empty")
         # window bounds are whole seconds; `end + 1` arithmetic assumes integers
@@ -192,7 +195,11 @@ class Tweet:
         if self.mentions is None:
             object.__setattr__(self, "mentions", tuple(extract_mentions(self.text)))
         else:
-            object.__setattr__(self, "mentions", tuple(m.lower() for m in self.mentions))
+            try:
+                mentions = tuple(map(str.lower, self.mentions))
+            except TypeError:
+                raise TypeError(f"tweet {self.id}: mentions must be strings") from None
+            object.__setattr__(self, "mentions", mentions)
 
     @property
     def hashtag_canonicals(self) -> tuple[str, ...]:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import json
+import reprlib
+import typing
 from dataclasses import fields
 
 
@@ -54,9 +57,40 @@ def dataclass_fields(cls, payload: dict) -> dict:
     """Every field of dataclass `cls` read from `payload`, JSON lists as tuples.
 
     A missing field raises KeyError, whether or not it has a default; keys
-    that name no field are ignored.
+    that name no field are ignored. A value that does not fit its field's
+    annotation raises TypeError; `_fits` says which annotations are checked.
     """
-    return {f.name: _tuples(payload[f.name]) for f in fields(cls)}
+    hints = _hints(cls)
+    out = {}
+    for f in fields(cls):
+        value = _tuples(payload[f.name])
+        if not _fits(value, hints[f.name]):
+            raise TypeError(f"field {f.name!r} has a wrong-typed value {reprlib.repr(value)}")
+        out[f.name] = value
+    return out
+
+
+@functools.cache
+def _hints(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
+def _fits(value, hint) -> bool:
+    """Whether `value` fits `hint`.
+
+    Checked are int (not bool), float (int accepted), str and homogeneous
+    tuples of these; any other annotation accepts every value.
+    """
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is str:
+        return isinstance(value, str)
+    if typing.get_origin(hint) is tuple and typing.get_args(hint)[1:] == (Ellipsis,):
+        item = typing.get_args(hint)[0]
+        return isinstance(value, tuple) and all(_fits(v, item) for v in value)
+    return True
 
 
 def _tuples(value):

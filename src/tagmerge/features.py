@@ -11,7 +11,9 @@ one document of plain words (hashtag and mention tokens dropped). The window
 extractors take that data and never read the index's tweets or tokenize
 text themselves. `topic_overlap` fits its topic model, when it needs one, on
 the candidate's own two documents, so it too depends on nothing but the
-candidate's window.
+candidate's window. `featurize_all` runs all those pair fits together in one
+`topicmodel.fit_lda_batch`; each pair gets the model its own
+`topicmodel.fit_lda` would, so the vectors are those of `featurize`.
 """
 
 from __future__ import annotations
@@ -50,6 +52,9 @@ SCHEMA_VERSION = 1
 
 # additive smoothing of the hashtag side of `hashtag_clarity`
 CLARITY_EPS = 1e-6
+
+# words of each document that `topic_overlap` keeps per topic
+TOPIC_TOP_N = 100
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +142,21 @@ class ComboSchema:
     @classmethod
     def from_payload(cls, payload: dict) -> "ComboSchema":
         def parse(items):
-            return tuple(tuple(s.split(" ", 1)) if s else None for s in items)
+            return tuple(None if s is None else _split_pair(s) for s in items)
 
         return cls(pos_pairs=parse(payload["pos_pairs"]), ne_pairs=parse(payload["ne_pairs"]))
+
+
+def _text(cell) -> str:
+    """A string cell of a decoded file; TypeError for any other value."""
+    if not isinstance(cell, str):
+        raise TypeError(f"expected a string, found {cell!r}")
+    return cell
+
+
+def _split_pair(cell) -> tuple[str, ...]:
+    """The two tags of a "TAG TAG" cell."""
+    return tuple(_text(cell).split(" ", 1))
 
 
 _POS_NAMES = tuple(f"pos_combo_{i:02d}" for i in range(POS_SLOTS))
@@ -391,7 +408,7 @@ def word_diversity(counts: Counter) -> float:
 
 def avg_topic_overlap(
     doc_a: HashtagDocument, doc_b: HashtagDocument, n_topics: int, iterations: int, seed: int,
-    top_n: int = 100,
+    top_n: int = TOPIC_TOP_N,
 ) -> float:
     """Mean per-topic overlap of the two documents' top-ranked words.
 
@@ -400,16 +417,33 @@ def avg_topic_overlap(
     count of shared top words is averaged over topics. When neither
     document has more than `top_n` distinct words, every topic keeps all of
     them, so the value is the size of the shared vocabulary whatever the
-    fit, and no fit runs.
+    fit, and no fit runs. The fit is `topicmodel.fit_lda`; `featurize_all`
+    gets the same value for many pairs from one `topicmodel.fit_lda_batch`.
     """
+    overlap = _overlap_without_fit(doc_a, doc_b, top_n)
+    if overlap is not None:
+        return overlap
+    model = topicmodel.fit_lda([doc_a, doc_b], n_topics=n_topics, iterations=iterations, seed=seed)
+    return _fitted_overlap(model, doc_a, doc_b, top_n)
+
+
+def _overlap_without_fit(
+    doc_a: HashtagDocument, doc_b: HashtagDocument, top_n: int
+) -> float | None:
+    """The shared vocabulary size when no document exceeds `top_n` words, else None."""
     vocab_a, vocab_b = set(doc_a.tokens), set(doc_b.tokens)
     if len(vocab_a) <= top_n and len(vocab_b) <= top_n:
         return float(len(vocab_a & vocab_b))
-    model = topicmodel.fit_lda([doc_a, doc_b], n_topics=n_topics, iterations=iterations, seed=seed)
+    return None
+
+
+def _fitted_overlap(
+    model: topicmodel.TopicModel, doc_a: HashtagDocument, doc_b: HashtagDocument, top_n: int
+) -> float:
     tops_a = model.doc_top_words(doc_a.doc_id, top_n)
     tops_b = model.doc_top_words(doc_b.doc_id, top_n)
     total = sum(len(set(a).intersection(b)) for a, b in zip(tops_a, tops_b))
-    return total / n_topics
+    return total / model.n_topics
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +481,9 @@ def user_features(tweets_a: Sequence[Tweet], tweets_b: Sequence[Tweet]) -> dict[
 class FeatureResources:
     """Everything featurization needs beyond the corpus index.
 
-    The topic fits behind `topic_overlap` run `lda_iterations` sweeps from `lda_seed`.
+    The topic fits behind `topic_overlap` run `lda_iterations` sweeps from
+    `lda_seed`: one `fit_lda` per pair in `featurize`, one `fit_lda_batch`
+    over every pair in `featurize_all`.
     """
 
     dictionary: Dictionary
@@ -495,6 +531,21 @@ def featurize(
     Raises InsufficientHistoryError when the corpus does not span the whole
     observation window.
     """
+    values, doc_a, doc_b = _window_features(candidate, index, resources, schema, combo)
+    values["topic_overlap"] = avg_topic_overlap(
+        doc_a, doc_b, schema.config.lda_topics, resources.lda_iterations, resources.lda_seed
+    )
+    return FeatureVector({name: values[name] for name in schema.names}, schema.schema_id)
+
+
+def _window_features(
+    candidate: CompoundCandidate,
+    index: CorpusIndex,
+    resources: FeatureResources,
+    schema: FeatureSchema,
+    combo: ZoneCombo | None,
+) -> tuple[dict[str, float], HashtagDocument, HashtagDocument]:
+    """Every feature of one candidate but `topic_overlap`, and its two window documents."""
     if schema is None:
         raise ValueError("featurize needs a derived schema")
     config = schema.config
@@ -532,14 +583,8 @@ def featurize(
     values["word_diversity_a"] = word_diversity(counts_a)
     values["word_diversity_b"] = word_diversity(counts_b)
 
-    values["topic_overlap"] = avg_topic_overlap(
-        doc_a, doc_b, config.lda_topics, resources.lda_iterations, resources.lda_seed
-    )
-
     values.update(user_features(tweets_a, tweets_b))
-
-    ordered = {name: values[name] for name in schema.names}
-    return FeatureVector(values=ordered, schema_id=schema.schema_id)
+    return values, doc_a, doc_b
 
 
 def featurize_all(
@@ -547,23 +592,45 @@ def featurize_all(
     index: CorpusIndex,
     resources: FeatureResources,
     config: ObservationConfig,
-) -> tuple[list[FeatureVector], list[ZoneCombo], FeatureSchema]:
-    """Vectors, zone combos and the schema bound from those combos.
+) -> tuple[list[FeatureVector], list[ZoneCombo], FeatureSchema, int]:
+    """Vectors, zone combos, the schema bound from those combos, and the topic fits run.
 
-    Vectors and combos are in input order. Nothing here changes the index or
-    the resources, and the combo binding does not depend on order, so a
-    candidate's vector is the same whatever the order of `candidates`.
+    Each vector equals `featurize(c, index, resources, schema, combo)`. The
+    pairs whose `topic_overlap` needs a fit are fitted together in one
+    `topicmodel.fit_lda_batch` call, which gives every pair the model that
+    its own `fit_lda` would; the last value counts them. Vectors and combos
+    are in input order. Nothing here changes the index or the resources, and
+    the combo binding does not depend on order, so a candidate's vector is
+    the same whatever the order of `candidates`.
     """
     combos = [
         zone_combo(c, resources.dictionary, resources.pos_lexicon, resources.gazetteer)
         for c in candidates
     ]
     schema = build_schema(combos, config)
-    vectors = [
-        featurize(c, index, resources, schema, combo=combo)
+    rows = [
+        _window_features(c, index, resources, schema, combo)
         for c, combo in zip(candidates, combos)
     ]
-    return vectors, combos, schema
+    fitted = []
+    for values, doc_a, doc_b in rows:
+        overlap = _overlap_without_fit(doc_a, doc_b, TOPIC_TOP_N)
+        if overlap is None:
+            fitted.append((values, doc_a, doc_b))
+        else:
+            values["topic_overlap"] = overlap
+    models = topicmodel.fit_lda_batch(
+        [[doc_a, doc_b] for _, doc_a, doc_b in fitted], n_topics=config.lda_topics,
+        iterations=resources.lda_iterations, seed=resources.lda_seed,
+    )
+    for (values, doc_a, doc_b), model in zip(fitted, models):
+        values["topic_overlap"] = _fitted_overlap(model, doc_a, doc_b, TOPIC_TOP_N)
+    schema_id = schema.schema_id
+    vectors = [
+        FeatureVector({name: values[name] for name in schema.names}, schema_id)
+        for values, _, _ in rows
+    ]
+    return vectors, combos, schema, len(fitted)
 
 
 # ---------------------------------------------------------------------------
@@ -650,11 +717,7 @@ def _decode_sidecar(sidecar: dict) -> tuple[FeatureSchema, list[ZoneCombo] | Non
     combos = None
     if "row_combos" in sidecar:
         combos = [
-            ZoneCombo(
-                pos=tuple(c["pos"].split(" ", 1)),
-                ne=tuple(c["ne"].split(" ", 1)),
-                oov=c["oov"],
-            )
+            ZoneCombo(pos=_split_pair(c["pos"]), ne=_split_pair(c["ne"]), oov=_text(c["oov"]))
             for c in sidecar["row_combos"]
         ]
     return schema, combos

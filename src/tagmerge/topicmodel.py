@@ -2,14 +2,22 @@
 
 Each hashtag-and-window pair becomes one bag-of-words document of plain
 words; topics are fit by collapsed Gibbs sampling with symmetric priors.
-`features.avg_topic_overlap` fits one candidate's two documents on their
-own; `fit_candidate_topics` fits a candidate set for `fit-lda`. Sampling is
-seeded and single-threaded. The sweep runs over plain Python lists and draws its
-uniforms in blocks, one block per document, from the same PCG64 stream that
-one scalar draw per token would read. Each weight, its running sum and the
-search over that sum are the same floating-point operations as numpy's
-elementwise product, cumsum and searchsorted, so a fixed seed reproduces the
-model bit for bit.
+Sampling is seeded and single-threaded.
+
+There are two samplers of one model. `fit_lda` runs a single fit: the sweep
+runs over plain Python lists and draws its uniforms in blocks, one block per
+document, from the same PCG64 stream that one scalar draw per token would
+read. Each weight, its running sum and the search over that sum are the
+same floating-point operations as numpy's elementwise product, cumsum and
+searchsorted, so a fixed seed reproduces the model bit for bit. It serves
+`fit_candidate_topics` (the `fit-lda` command), a one-candidate
+`features.featurize`, and is the reference for the batch.
+
+`fit_lda_batch` runs many independent fits in lockstep, one token position
+of every fit per numpy step, and gives each fit exactly the model fit_lda
+would. `features.featurize_all` fits all its candidate pairs with it. Each
+step costs tens of microseconds of numpy calls, so a batch of one is several
+times slower than fit_lda; the batch pays off across many fits.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from __future__ import annotations
 import json
 import logging
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -279,6 +288,149 @@ def _check_counts(word_topic, doc_topic, topic_total, doc_alpha, total_v_beta,
         raise AssertionError("document-topic mirrors disagree with their counts")
     if total_v_beta != [c + v_beta for c in topic_total]:
         raise AssertionError("topic-total mirrors disagree with their counts")
+
+
+def fit_lda_batch(
+    fits: Sequence[Sequence[HashtagDocument]],
+    n_topics: int,
+    alpha: float | None = None,
+    beta: float = 0.01,
+    iterations: int = 1000,
+    seed: int = 0,
+) -> list[TopicModel]:
+    """`fit_lda(documents, ...)` of every document list in `fits`, run in lockstep.
+
+    Each fit keeps its own vocabulary, counts and `default_rng(seed)`, and
+    draws one block of uniforms per sweep, the same PCG64 stream as
+    fit_lda's per-document blocks. One step resamples token position t of
+    every fit at once, as rows of numpy arrays: the weights are the same
+    elementwise operations, `cumsum` along a row adds in sequence like
+    `accumulate`, and the count of running sums <= u * total, clamped to
+    K - 1, is the index `bisect_right` returns. So each model equals, count
+    for count, the one fit_lda makes; its count matrices are int32 views
+    into the batch's state. Fits are sorted by length, longest first, so the
+    fits still sampling at step t are a prefix of the rows.
+
+    Raises what fit_lda raises for the same settings or for any one fit,
+    and audits every fit's counts after the last sweep. An empty batch fits
+    nothing and returns [].
+    """
+    if not fits:
+        return []
+    if n_topics < 2:
+        raise ValueError(f"need at least 2 topics, got {n_topics}")
+    if iterations < 1:
+        raise ValueError("iterations must be positive")
+    if alpha is None:
+        alpha = 50.0 / n_topics
+    vocabs = [tuple(sorted({tok for doc in docs for tok in doc.tokens})) for docs in fits]
+    if not all(vocabs):
+        raise ValueError("all documents are empty, nothing to fit")
+
+    sizes = [sum(len(doc.tokens) for doc in docs) for docs in fits]
+    order = sorted(range(len(fits)), key=lambda f: -sizes[f])  # longest first
+    lengths = [sizes[f] for f in order]
+    # One int32 matrix holds every fit's counts: for the b-th longest fit,
+    # from row start[b], its word-topic rows, its document-topic rows and its
+    # topic totals.
+    start = np.cumsum([0] + [len(vocabs[f]) + len(fits[f]) + 1 for f in order])
+    # rows[t, b]: the word, document and total rows of fit b's token t
+    rows = np.zeros((lengths[0], len(fits), 3), dtype=np.int32)
+    for b, f in enumerate(order):
+        n, v, docs = lengths[b], len(vocabs[f]), fits[f]
+        word_index = {w: i for i, w in enumerate(vocabs[f])}
+        rows[:n, b, 0] = [word_index[tok] for doc in docs for tok in doc.tokens]
+        rows[:n, b, 1] = np.repeat(np.arange(v, v + len(docs)), [len(doc.tokens) for doc in docs])
+        rows[:n, b, 2] = v + len(docs)
+        rows[:n, b] += start[b]
+    v_beta = [len(vocabs[f]) * beta for f in order]
+    counts = _lockstep_sweeps(rows, lengths, start, v_beta, n_topics, alpha, beta, iterations,
+                              seed)
+
+    models = {}
+    for b, f in enumerate(order):
+        n, v, docs = lengths[b], len(vocabs[f]), fits[f]
+        block = counts[start[b] : start[b + 1]]
+        words = rows[:n, b, 0] - start[b]
+        spans = np.cumsum([0] + [len(doc.tokens) for doc in docs])
+        models[f] = TopicModel(
+            n_topics=n_topics,
+            alpha=alpha,
+            beta=beta,
+            vocab=vocabs[f],
+            doc_ids=tuple(doc.doc_id for doc in docs),
+            word_topic=block[:v],
+            doc_topic=block[v : v + len(docs)],
+            doc_vocab=tuple(frozenset(words[lo:hi].tolist()) for lo, hi in zip(spans, spans[1:])),
+            seed=seed,
+            iterations=iterations,
+        )
+    return [models[f] for f in range(len(fits))]
+
+
+def _lockstep_sweeps(rows, lengths, start, v_beta, n_topics, alpha, beta, iterations, seed):
+    """Final int32 counts of `fit_lda_batch`'s fits.
+
+    Fit b (the b-th longest) owns count rows start[b] to start[b + 1], has
+    lengths[b] tokens, and `rows[t, b]` holds its token t's word, document
+    and total rows. The buffers made here are freed on return, before the
+    models are built.
+    """
+    n_fits, longest = len(lengths), lengths[0]
+    topic = np.zeros((longest, n_fits), dtype=np.intp)
+    rngs = [np.random.default_rng(seed) for _ in range(n_fits)]
+    for b, (rng, n) in enumerate(zip(rngs, lengths)):
+        topic[:n, b] = rng.integers(0, n_topics, size=n)
+    # running[t]: how many fits have a token at position t
+    running = np.searchsorted(-np.array(lengths), -np.arange(longest), side="left")
+    cells = rows * n_topics  # each row's offset in `counts.ravel()`
+    bounds = start * n_topics
+    flat = np.zeros(bounds[-1], dtype=np.int32)
+    for lo, hi, tally in _tallies(cells, topic, lengths, bounds):
+        flat[lo:hi] = tally
+    counts = flat.reshape(-1, n_topics)
+
+    # the term added to the word, document and total counts, per fit
+    priors = np.empty((n_fits, 3, 1))
+    priors[:, 0], priors[:, 1], priors[:, 2, 0] = beta, alpha, v_beta
+    uniforms = np.zeros((longest, n_fits))
+    terms = np.empty((n_fits, 3, n_topics))
+    weight = np.empty((n_fits, n_topics))
+    below = np.empty((n_fits, n_topics), dtype=bool)
+    last = n_topics - 1
+    for _ in range(iterations):
+        for b, (rng, n) in enumerate(zip(rngs, lengths)):
+            uniforms[:n, b] = rng.random(n)
+        for t in range(longest):
+            m = running[t]
+            at = cells[t, :m] + topic[t, :m, None]  # int64, the fast index type
+            flat[at] -= 1
+            # (n_wk + beta) * (n_dk + alpha) / (n_k + V*beta), row by row
+            np.add(np.take(counts, rows[t, :m], axis=0), priors[:m], out=terms[:m])
+            w = weight[:m]
+            np.multiply(terms[:m, 0], terms[:m, 1], out=w)
+            w /= terms[:m, 2]
+            np.cumsum(w, axis=1, out=w)
+            np.less_equal(w, (uniforms[t, :m] * w[:, last])[:, None], out=below[:m])
+            k = below[:m].sum(axis=1)
+            np.minimum(k, last, out=k)
+            topic[t, :m] = k
+            flat[cells[t, :m] + k[:, None]] += 1
+
+    if topic.min() < 0 or topic.max() >= n_topics:
+        raise AssertionError("topic assignment out of range")
+    for lo, hi, tally in _tallies(cells, topic, lengths, bounds):
+        if not np.array_equal(tally, flat[lo:hi]):
+            raise AssertionError("token counts drifted during sampling")
+    return counts
+
+
+def _tallies(cells, topic, lengths, bounds):
+    """Fit by fit, its flat cells [lo, hi) and how many of its assignments take each."""
+    for b, n in enumerate(lengths):
+        lo, hi = bounds[b], bounds[b + 1]
+        taken = (cells[:n, b] + topic[:n, b, None]).ravel() - lo
+        yield lo, hi, np.bincount(taken, minlength=hi - lo)
 
 
 def fit_candidate_topics(

@@ -49,7 +49,7 @@ from tagmerge.lexicon import (
     load_pos_lexicon,
 )
 from tagmerge.topicmodel import HashtagDocument, fit_lda
-from test_features import pipeline_fixture, pipeline_resources
+from test_features import pipeline_fixture, pipeline_resources, wide_vocab_scenario
 from test_learn import central_difference, rel_err
 
 
@@ -217,7 +217,7 @@ def signal_cv_accuracy(tmp_path, strength):
         lda_iterations=20,
         lda_seed=0,
     )
-    vectors, combos, schema = featurize_all(
+    vectors, combos, schema, _ = featurize_all(
         eligible, index, resources, ObservationConfig(obs_months=6, horizon_months=10, lda_topics=4)
     )
     y = [1 if label_candidate(index, c, 10).value == "Popular" else 0 for c in eligible]
@@ -318,26 +318,26 @@ def test_future_tweets_leave_feature_vectors_unchanged():
     assert after == before
 
 
-def test_later_candidates_leave_earlier_vectors_unchanged(tmp_path, monkeypatch):
+def late_candidate_corpus(tmp_path):
     """A corpus that grows by a later candidate, over documents the topic fit decides.
 
-    Topic vocabularies of 120 words and 8 words per tweet give every
-    constituent document more than 100 distinct plain words, so each
-    `topic_overlap` comes from a fit. The last candidate compounds two months
-    after the others, and its constituents' windows overlap theirs.
+    Every constituent document of `wide_vocab_scenario` has more than 100
+    distinct plain words, so each `topic_overlap` comes from a fit. The last
+    candidate compounds two months after the others, and its constituents'
+    windows overlap theirs.
+
+    Returns the full index and its eligible candidates, the index cut at the
+    late candidate's compounding instant and its eligible candidates, and
+    feature resources for a 3-sweep fit.
     """
-    config = synth.signal_scenario(n_candidates=4, seed=11, n_topics=2)
+    config = wide_vocab_scenario(4, seed=11)
     late = config.plants[-1]
     plants = config.plants[:-1] + (replace(
         late, m0=late.m0 + 2, pre_a=late.pre_a + late.pre_a[-1:] * 2,
         pre_b=late.pre_b + late.pre_b[-1:] * 2, post_a=late.post_a[:-2],
         post_b=late.post_b[:-2], post_ab=late.post_ab[:-2],
     ),)
-    config = replace(
-        config, plants=plants, words_per_tweet=8,
-        topic_vocabs=(synth.word_bank(6000, 120), synth.word_bank(6120, 120)),
-    )
-    result = synth.generate(config)
+    result = synth.generate(replace(config, plants=plants))
     full = CorpusIndex(result.tweets)
     cands = filter_eligible(detect_candidates(full), full)
     t_late = max(c.compound_first_seen for c in cands)
@@ -348,11 +348,25 @@ def test_later_candidates_leave_earlier_vectors_unchanged(tmp_path, monkeypatch)
 
     loaded = load_resources(tmp_path, result)
     resources = FeatureResources(**loaded, lda_iterations=3, lda_seed=0)
+    return full, cands, early, early_cands, resources
+
+
+LATE_OBSERVATION = ObservationConfig(obs_months=6, horizon_months=10, lda_topics=3)
+
+
+@pytest.fixture(scope="module")
+def late_corpus(tmp_path_factory):
+    return late_candidate_corpus(tmp_path_factory.mktemp("late"))
+
+
+def test_later_candidates_leave_earlier_vectors_unchanged(late_corpus, monkeypatch):
+    """One candidate at a time: each `featurize` call fits its own pair."""
+    full, cands, early, early_cands, resources = late_corpus
     combos = [
         zone_combo(c, resources.dictionary, resources.pos_lexicon, resources.gazetteer)
         for c in cands
     ]
-    schema = build_schema(combos, ObservationConfig(obs_months=6, horizon_months=10, lda_topics=3))
+    schema = build_schema(combos, LATE_OBSERVATION)
     fits = []
     real_fit = topicmodel.fit_lda
 
@@ -366,6 +380,38 @@ def test_later_candidates_leave_earlier_vectors_unchanged(tmp_path, monkeypatch)
     assert all(len(set(doc.tokens)) > 100 for docs in fits for doc in docs)
     after = {c.compound.canonical: featurize(c, full, resources, schema) for c in cands}
     assert [after[c.compound.canonical] for c in early_cands] == before
+
+
+def test_later_candidates_leave_earlier_rows_of_featurize_all_unchanged(late_corpus):
+    """The whole set at once: `featurize_all` fits every pair together.
+
+    The POS and NE slot columns are bound from the whole featurized set by
+    design, so they are not compared.
+    """
+    full, cands, early, early_cands, resources = late_corpus
+    before, _, _, early_fits = featurize_all(early_cands, early, resources, LATE_OBSERVATION)
+    after, _, _, fits = featurize_all(cands, full, resources, LATE_OBSERVATION)
+    assert (early_fits, fits) == (3, 4)
+    after_by_name = {c.compound.canonical: v for c, v in zip(cands, after)}
+
+    def causal_columns(vector):
+        return {
+            name: value for name, value in vector.values.items()
+            if not name.startswith(("pos_combo_", "ne_combo_"))
+        }
+
+    for cand, vector in zip(early_cands, before):
+        assert causal_columns(after_by_name[cand.compound.canonical]) == causal_columns(vector)
+
+
+def test_featurize_all_rows_equal_per_candidate_featurize(late_corpus):
+    full, cands, _, _, resources = late_corpus
+    vectors, combos, schema, fits = featurize_all(cands, full, resources, LATE_OBSERVATION)
+    assert fits == 4
+    alone = [
+        featurize(c, full, resources, schema, combo=combo) for c, combo in zip(cands, combos)
+    ]
+    assert vectors == alone
 
 
 # ---------------------------------------------------------------------------

@@ -132,19 +132,32 @@ def _drop(*keys):
     return mutate
 
 
-def _null(key):
+def _put(value, *keys):
     def mutate(payload):
-        payload[key] = None
+        *path, last = keys
+        for key in path:
+            payload = payload[key]
+        payload[last] = value
 
     return mutate
 
 
+def _null(key):
+    return _put(None, key)
+
+
 # Each artifact's command line (the damaged file substituted for FILE) and the
-# damages that leave a JSON object: a required key dropped, or a value nulled.
+# damages that leave a JSON object: a required key dropped, a value nulled, or
+# a cell of the wrong type.
 DAMAGED_ARTIFACTS = {
     "index": (
         ["detect", "--index", "FILE", "--out", "OUT"],
-        {"no-text": _drop("tweets", 0, "text"), "null-tweets": _null("tweets")},
+        {
+            "no-text": _drop("tweets", 0, "text"),
+            "null-tweets": _null("tweets"),
+            "number-mention": _put([5], "tweets", 0, "mentions"),
+            "number-user": _put(7, "tweets", 0, "user"),
+        },
     ),
     "sidecar": (
         ["evaluate", "cv", "--features", "FILE", "--out", "OUT"],
@@ -152,11 +165,22 @@ DAMAGED_ARTIFACTS = {
             "no-config": _drop("config"),
             "no-feature-name": _drop("features", 0, "name"),
             "null-features": _null("features"),
+            "null-row-combo-pos": _put(None, "row_combos", 0, "pos"),
+            "number-row-combo-oov": _put(3, "row_combos", 0, "oov"),
+            "number-combo-pair": _put(5, "combo", "pos_pairs", 0),
+            "null-obs-months": _put(None, "config", "obs_months"),
         },
     ),
     "scenario-config": (
         ["synth", "--scenario-config", "FILE", "--out-dir", "OUT"],
-        {"no-seed": _drop("seed"), "null-plants": _null("plants")},
+        {
+            "no-seed": _drop("seed"),
+            "null-plants": _null("plants"),
+            "null-seed": _null("seed"),
+            "number-topic-word": _put(9, "topic_vocabs", 0, 0),
+            "null-plant-m0": _put(None, "plants", 0, "m0"),
+            "float-plant-count": _put(2.5, "plants", 0, "pre_a", 1),
+        },
     ),
 }
 

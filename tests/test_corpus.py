@@ -354,6 +354,15 @@ def test_ingest_skips_malformed_lines(tmp_path):
     assert index.skipped == 3
 
 
+def test_ingest_counts_a_record_with_a_number_mention_as_malformed(tmp_path):
+    path = tmp_path / "c.jsonl"
+    bad = {**good_record(2, utc(2011, 6, 2)), "mentions": ["ann", 5]}
+    write_jsonl(path, [good_record(1, utc(2011, 6, 1)), bad, good_record(3, utc(2011, 6, 3))])
+    index = ingest_jsonl(path)
+    assert len(index) == 2
+    assert index.skipped == 1
+
+
 def test_ingest_counts_duplicate_ids_as_malformed(tmp_path):
     path = tmp_path / "c.jsonl"
     rec = good_record(1, utc(2011, 6, 1))

@@ -494,7 +494,7 @@ def test_featurize_all_orders_and_round_trips(tmp_path):
     res = pipeline_resources()
     combos = [zone_combo(c, res.dictionary, res.pos_lexicon, res.gazetteer) for c in cands]
     schema = build_schema(combos, ObservationConfig(obs_months=6, horizon_months=2, lda_topics=2))
-    vectors, combos_out, schema_out = featurize_all(cands, index, res, schema.config)
+    vectors, combos_out, schema_out, _ = featurize_all(cands, index, res, schema.config)
     assert len(vectors) == len(cands)
     assert combos_out == combos
     assert schema_out == schema
@@ -528,7 +528,7 @@ def test_featurize_all_reads_each_window_once_and_never_tokenizes(monkeypatch):
     for module in (corpus, features):
         monkeypatch.setattr(module, "tokenize", no_tokenize, raising=False)
     observation = ObservationConfig(obs_months=6, horizon_months=2, lda_topics=2)
-    vectors, _, _ = featurize_all(cands * 3, index, res, observation)
+    vectors, _, _, _ = featurize_all(cands * 3, index, res, observation)
     assert len(vectors) == 3
     assert reads == ["snow", "day"] * 3
 
@@ -560,11 +560,11 @@ def test_featurize_all_is_independent_of_input_order(tmp_path):
     # pickling captures every attribute by value, arrays included
     state = {k: pickle.dumps(v) for k, v in vars(index).items()}
 
-    forward, _, _ = featurize_all(cands, index, res, observation)
+    forward, _, _, _ = featurize_all(cands, index, res, observation)
     # latest compounding first, so every background read goes back in time
     order = sorted(range(len(cands)), key=lambda i: -cands[i].compound_first_seen)
     assert len({c.compound_first_seen for c in cands}) == 3
-    backward, _, _ = featurize_all([cands[i] for i in order], index, res, observation)
+    backward, _, _, _ = featurize_all([cands[i] for i in order], index, res, observation)
 
     assert backward == [forward[i] for i in order]
     assert {k: pickle.dumps(v) for k, v in vars(index).items()} == state
@@ -633,11 +633,63 @@ def test_train_command_output_matches_golden_digests(tmp_path, capsys):
     }
 
 
+def wide_vocab_scenario(n_candidates, seed):
+    """Signal candidates over two 120-word topic banks, 8 words per tweet.
+
+    Every constituent's six-month document then has more than 100 distinct
+    plain words, so each candidate's `topic_overlap` comes from a fit.
+    """
+    config = synth.signal_scenario(n_candidates=n_candidates, seed=seed, n_topics=2)
+    return replace(
+        config, words_per_tweet=8,
+        topic_vocabs=(synth.word_bank(6000, 120), synth.word_bank(6120, 120)),
+    )
+
+
+def run_featurize_command(scen, work, *options):
+    """The feature file that `ingest → detect → label → featurize` writes for a scenario."""
+    from tagmerge import cli
+
+    index, cands, labeled = work / "index.json", work / "c.tsv", work / "l.tsv"
+    feats = work / "features.csv"
+    for argv in (
+        ["ingest", "--corpus", scen["corpus"], "--out", str(index)],
+        ["detect", "--index", str(index), "--out", str(cands)],
+        ["label", "--index", str(index), "--candidates", str(cands), "--out", str(labeled)],
+        ["featurize", "--index", str(index), "--candidates", str(labeled), "--out", str(feats),
+         "--dictionary", scen["dictionary.txt"], "--ngrams", scen["ngrams.tsv"],
+         "--pos-lexicon", scen["pos_lexicon.tsv"], "--gazetteer", scen["gazetteer.tsv"],
+         *options],
+    ):
+        assert cli.main(argv) == 0, argv[0]
+    return feats
+
+
+def test_featurize_command_output_with_fitted_topic_overlap_matches_golden_digests(
+    tmp_path, capsys
+):
+    """Pinned bytes of features.csv and its sidecar where every pair's topics are fitted."""
+    scen = synth.write_scenario(wide_vocab_scenario(8, seed=5), tmp_path / "scen")
+    feats = run_featurize_command(scen, tmp_path, "--topics", "5", "--lda-iterations", "3")
+    capsys.readouterr()
+
+    matrix, _, schema, _ = read_feature_csv(feats)
+    assert matrix.shape == (8, len(schema.names))
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (feats, tmp_path / "features.schema.json")
+    }
+    assert digests == {
+        "features.csv": "14cd18bfb5ca28f27839a8a30c0816d6e9e2c6eea51136c04e09504207277f68",
+        "features.schema.json": "0c3c13733ae35f5338fe418619a68b6249a750273e06c9909a19d02bcae6a719",
+    }
+
+
 def test_read_feature_csv_rejects_mismatched_header(tmp_path):
     index, _ = pipeline_fixture()
     cands = detect_candidates(index)
     res = pipeline_resources()
-    vectors, combos_out, schema = featurize_all(
+    vectors, combos_out, schema, _ = featurize_all(
         cands, index, res, ObservationConfig(obs_months=6, horizon_months=2, lda_topics=2)
     )
     path = tmp_path / "feats.csv"
@@ -647,6 +699,19 @@ def test_read_feature_csv_rejects_mismatched_header(tmp_path):
     path.write_text("\n".join(body) + "\n")
     with pytest.raises(CorpusFormatError):
         read_feature_csv(path)
+
+
+@pytest.mark.parametrize("wide, expected", [
+    (True, "(66 features; 4 topic fits, 0 pairs within the top-100 cut)"),
+    (False, "(66 features; 0 topic fits, 4 pairs within the top-100 cut)"),
+], ids=["wide-vocab", "signal"])
+def test_featurize_command_reports_topic_fits(tmp_path, capsys, wide, expected):
+    config = wide_vocab_scenario(4, seed=5) if wide else synth.signal_scenario(4, seed=5)
+    scen = synth.write_scenario(config, tmp_path / "scen")
+    run_featurize_command(scen, tmp_path, "--topics", "3", "--lda-iterations", "1")
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert summary.startswith("featurized 4 candidates ")
+    assert expected in summary
 
 
 # ---------------------------------------------------------------------------

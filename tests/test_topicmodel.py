@@ -16,7 +16,9 @@ from tagmerge.topicmodel import (
     build_documents,
     fit_candidate_topics,
     fit_lda,
+    fit_lda_batch,
 )
+from tagmerge import topicmodel
 
 from conftest import make_tweet, utc
 
@@ -126,6 +128,89 @@ def test_fit_lda_reproduces_golden_models(make_docs, settings, digest):
     model = fit_lda(make_docs(), **settings)
     payload = json.dumps(model.to_payload(), sort_keys=True)
     assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
+
+def random_fits(rng, n_fits):
+    """Document lists of unequal lengths over a 40-word vocabulary.
+
+    The first fit has one document and the second has an empty document
+    between non-empty ones; the rest have one to four documents, any of them
+    possibly empty, but never all.
+    """
+    fits = []
+    for f in range(n_fits):
+        n_docs = 1 if f == 0 else int(rng.integers(1, 5))
+        lengths = rng.integers(0, 30, size=n_docs)
+        if f == 1:
+            lengths = np.concatenate([[1 + lengths[0]], [0], 1 + lengths[1:]])
+        if not lengths.any():
+            lengths[-1] = 1
+        fits.append([
+            doc(f"f{f}d{d}@0", [f"w{x:02d}" for x in rng.integers(0, 40, size=n)])
+            for d, n in enumerate(lengths)
+        ])
+    return fits
+
+
+# K cycles through 2, 3, 30 and sweeps through 1..4, so the 12 seeds cover each pair
+@pytest.mark.parametrize("case", range(12))
+def test_fit_lda_batch_equals_each_solo_fit(case):
+    rng = np.random.default_rng(case)
+    settings = dict(
+        n_topics=(2, 3, 30)[case % 3],
+        iterations=1 + case % 4,
+        seed=int(rng.integers(0, 1000)),
+        alpha=None if case % 2 else float(0.1 + rng.random()),
+    )
+    fits = random_fits(rng, n_fits=2 + case % 5)
+    models = fit_lda_batch(fits, **settings)
+    assert len(models) == len(fits)
+    for docs, model in zip(fits, models):
+        solo = fit_lda(docs, **settings)
+        assert model.vocab == solo.vocab
+        assert model.doc_ids == solo.doc_ids
+        assert model.doc_vocab == solo.doc_vocab
+        assert np.array_equal(model.word_topic, solo.word_topic)
+        assert np.array_equal(model.doc_topic, solo.doc_topic)
+        assert (model.n_topics, model.alpha, model.beta, model.seed, model.iterations) == (
+            solo.n_topics, solo.alpha, solo.beta, solo.seed, solo.iterations
+        )
+
+
+def test_fit_lda_batch_of_one_equals_golden_fit():
+    make_docs, settings, digest = GOLDEN_FITS[1]
+    (model,) = fit_lda_batch([make_docs()], **settings)
+    payload = json.dumps(model.to_payload(), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
+
+def test_fit_lda_batch_validates_arguments():
+    good, empty = [doc("a@0", ["x", "y"])], [doc("e@0", []), doc("f@0", [])]
+    with pytest.raises(ValueError):
+        fit_lda_batch([good], n_topics=1)
+    with pytest.raises(ValueError):
+        fit_lda_batch([good], n_topics=2, iterations=0)
+    with pytest.raises(ValueError):
+        fit_lda_batch([good, empty], n_topics=2)
+    assert fit_lda_batch([], n_topics=2) == []
+
+
+def test_fit_lda_batch_audits_every_fit(monkeypatch):
+    """A count that drifts in the last, shortest fit fails the audit."""
+    real = topicmodel._tallies
+    calls = []
+
+    def drift_on_audit(cells, topic, lengths, bounds):
+        calls.append(len(calls))
+        for lo, hi, tally in real(cells, topic, lengths, bounds):
+            if len(calls) == 2 and hi == bounds[-1]:
+                tally[0] += 1
+            yield lo, hi, tally
+
+    monkeypatch.setattr(topicmodel, "_tallies", drift_on_audit)
+    fits = [[doc("a@0", ["x", "y", "z"])], [doc("b@0", ["x"])]]
+    with pytest.raises(AssertionError, match="drifted"):
+        fit_lda_batch(fits, n_topics=2, iterations=1)
 
 
 def test_alpha_defaults_to_fifty_over_k():
