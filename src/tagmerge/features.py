@@ -11,9 +11,10 @@ one document of plain words (hashtag and mention tokens dropped). The window
 extractors take that data and never read the index's tweets or tokenize
 text themselves. `topic_overlap` fits its topic model, when it needs one, on
 the candidate's own two documents, so it too depends on nothing but the
-candidate's window. `featurize_all` runs all those pair fits together in one
-`topicmodel.fit_lda_batch`; each pair gets the model its own
-`topicmodel.fit_lda` would, so the vectors are those of `featurize`.
+candidate's window. `featurize_all` runs all those pair fits through one
+`topicmodel.fit_lda_each`, which batches the fits of similar length; each
+pair gets the model its own `topicmodel.fit_lda` would, so the vectors are
+those of `featurize`.
 """
 
 from __future__ import annotations
@@ -418,7 +419,7 @@ def avg_topic_overlap(
     document has more than `top_n` distinct words, every topic keeps all of
     them, so the value is the size of the shared vocabulary whatever the
     fit, and no fit runs. The fit is `topicmodel.fit_lda`; `featurize_all`
-    gets the same value for many pairs from one `topicmodel.fit_lda_batch`.
+    gets the same value for many pairs from one `topicmodel.fit_lda_each`.
     """
     overlap = _overlap_without_fit(doc_a, doc_b, top_n)
     if overlap is not None:
@@ -482,7 +483,7 @@ class FeatureResources:
     """Everything featurization needs beyond the corpus index.
 
     The topic fits behind `topic_overlap` run `lda_iterations` sweeps from
-    `lda_seed`: one `fit_lda` per pair in `featurize`, one `fit_lda_batch`
+    `lda_seed`: one `fit_lda` per pair in `featurize`, one `fit_lda_each`
     over every pair in `featurize_all`.
     """
 
@@ -596,8 +597,8 @@ def featurize_all(
     """Vectors, zone combos, the schema bound from those combos, and the topic fits run.
 
     Each vector equals `featurize(c, index, resources, schema, combo)`. The
-    pairs whose `topic_overlap` needs a fit are fitted together in one
-    `topicmodel.fit_lda_batch` call, which gives every pair the model that
+    pairs whose `topic_overlap` needs a fit are fitted in one
+    `topicmodel.fit_lda_each` call, which gives every pair the model that
     its own `fit_lda` would; the last value counts them. Vectors and combos
     are in input order. Nothing here changes the index or the resources, and
     the combo binding does not depend on order, so a candidate's vector is
@@ -619,7 +620,7 @@ def featurize_all(
             fitted.append((values, doc_a, doc_b))
         else:
             values["topic_overlap"] = overlap
-    models = topicmodel.fit_lda_batch(
+    models = topicmodel.fit_lda_each(
         [[doc_a, doc_b] for _, doc_a, doc_b in fitted], n_topics=config.lda_topics,
         iterations=resources.lda_iterations, seed=resources.lda_seed,
     )

@@ -15,9 +15,13 @@ searchsorted, so a fixed seed reproduces the model bit for bit. It serves
 
 `fit_lda_batch` runs many independent fits in lockstep, one token position
 of every fit per numpy step, and gives each fit exactly the model fit_lda
-would. `features.featurize_all` fits all its candidate pairs with it. Each
-step costs tens of microseconds of numpy calls, so a batch of one is several
-times slower than fit_lda; the batch pays off across many fits.
+would. Each step costs tens of microseconds of numpy calls whatever the
+number of fits, and the batch runs as many steps as its longest fit has
+tokens, so it pays off only across many fits of similar length: a batch of
+one is several times slower than fit_lda. `fit_lda_each` chooses between the
+two from the fits' lengths: the longest fits run alone in fit_lda when that
+is cheaper, the rest in one batch. `features.featurize_all` fits all its
+candidate pairs with it.
 """
 
 from __future__ import annotations
@@ -366,6 +370,71 @@ def fit_lda_batch(
             iterations=iterations,
         )
     return [models[f] for f in range(len(fits))]
+
+
+# Per-sweep costs of the two samplers in microseconds, linear in the number
+# of topics K, fitted to timings of 800-token pair fits for K = 2 to 60 on a
+# 2-vCPU x86-64 machine (Python 3.11, numpy 2.4): fit_lda spends about
+# 2 + 0.18 K per token; one lockstep step of fit_lda_batch about 30, plus
+# 0.3 + 0.017 K for each fit still sampling. Where an error in these figures
+# changes the chosen split, the two splits cost about the same, so a rough
+# fit is enough.
+SOLO_TOKEN_US = (2.0, 0.18)
+BATCH_STEP_US = 30.0
+BATCH_TOKEN_US = (0.3, 0.017)
+
+
+def solo_fit_count(sizes: Sequence[int], n_topics: int) -> int:
+    """How many of the longest fits `fit_lda_each` runs alone in fit_lda.
+
+    `sizes` are the fits' token counts, longest first. Running the i longest
+    alone and the rest in one batch costs, per sweep, the solo cost of
+    sizes[:i] plus the batch's: one step per token of its longest fit,
+    sizes[i], and a smaller cost per token of every fit in it. A fit shorter
+    than the batch's longest adds less to the batch than it would cost alone,
+    so the cheapest split is always of this form. Returns the cheapest i,
+    the smallest on ties.
+    """
+    solo = SOLO_TOKEN_US[0] + SOLO_TOKEN_US[1] * n_topics
+    batched = BATCH_TOKEN_US[0] + BATCH_TOKEN_US[1] * n_topics
+    rest = sum(sizes)
+    best, best_cost, done = len(sizes), solo * rest, 0.0
+    for i, size in enumerate(sizes):
+        cost = done + BATCH_STEP_US * size + batched * rest
+        if cost <= best_cost:
+            best, best_cost = i, cost
+        done += solo * size
+        rest -= size
+    return best
+
+
+def fit_lda_each(
+    fits: Sequence[Sequence[HashtagDocument]],
+    n_topics: int,
+    alpha: float | None = None,
+    beta: float = 0.01,
+    iterations: int = 1000,
+    seed: int = 0,
+) -> list[TopicModel]:
+    """`fit_lda(documents, ...)` of every document list in `fits`, each by the cheaper sampler.
+
+    The `solo_fit_count` longest fits run alone in fit_lda and the rest
+    together in one fit_lda_batch. A lone fit, a few short ones, or one that
+    holds most of the tokens runs alone; many fits of similar length share
+    the batch. Either way each model is the one fit_lda makes, so the choice
+    changes only the time.
+    """
+    sizes = [sum(len(doc.tokens) for doc in docs) for docs in fits]
+    order = sorted(range(len(fits)), key=lambda f: -sizes[f])  # longest first
+    n_solo = solo_fit_count([sizes[f] for f in order], n_topics)
+    settings = dict(n_topics=n_topics, alpha=alpha, beta=beta, iterations=iterations, seed=seed)
+    models: list[TopicModel | None] = [None] * len(fits)
+    for f in order[:n_solo]:
+        models[f] = fit_lda(fits[f], **settings)
+    batched = order[n_solo:]
+    for f, model in zip(batched, fit_lda_batch([fits[f] for f in batched], **settings)):
+        models[f] = model
+    return models
 
 
 def _lockstep_sweeps(rows, lengths, start, v_beta, n_topics, alpha, beta, iterations, seed):

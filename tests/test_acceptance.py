@@ -382,8 +382,25 @@ def test_later_candidates_leave_earlier_vectors_unchanged(late_corpus, monkeypat
     assert [after[c.compound.canonical] for c in early_cands] == before
 
 
-def test_later_candidates_leave_earlier_rows_of_featurize_all_unchanged(late_corpus):
-    """The whole set at once: `featurize_all` fits every pair together.
+# How many of the longest fits `topicmodel.fit_lda_each` runs alone in fit_lda.
+# Its cost model runs these few short three-topic fits alone, so the batch and
+# the split between the samplers are forced here.
+SAMPLER_SPLITS = {
+    "batched": lambda sizes, n_topics: 0,
+    "longest-alone": lambda sizes, n_topics: min(1, len(sizes)),
+    "alone": lambda sizes, n_topics: len(sizes),
+}
+
+
+@pytest.fixture(params=list(SAMPLER_SPLITS))
+def sampler_split(request, monkeypatch):
+    monkeypatch.setattr(topicmodel, "solo_fit_count", SAMPLER_SPLITS[request.param])
+
+
+def test_later_candidates_leave_earlier_rows_of_featurize_all_unchanged(
+    late_corpus, sampler_split
+):
+    """The whole set at once, through each split of the fits between samplers.
 
     The POS and NE slot columns are bound from the whole featurized set by
     design, so they are not compared.
@@ -404,7 +421,7 @@ def test_later_candidates_leave_earlier_rows_of_featurize_all_unchanged(late_cor
         assert causal_columns(after_by_name[cand.compound.canonical]) == causal_columns(vector)
 
 
-def test_featurize_all_rows_equal_per_candidate_featurize(late_corpus):
+def test_featurize_all_rows_equal_per_candidate_featurize(late_corpus, sampler_split):
     full, cands, _, _, resources = late_corpus
     vectors, combos, schema, fits = featurize_all(cands, full, resources, LATE_OBSERVATION)
     assert fits == 4

@@ -17,6 +17,8 @@ from tagmerge.topicmodel import (
     fit_candidate_topics,
     fit_lda,
     fit_lda_batch,
+    fit_lda_each,
+    solo_fit_count,
 )
 from tagmerge import topicmodel
 
@@ -152,18 +154,8 @@ def random_fits(rng, n_fits):
     return fits
 
 
-# K cycles through 2, 3, 30 and sweeps through 1..4, so the 12 seeds cover each pair
-@pytest.mark.parametrize("case", range(12))
-def test_fit_lda_batch_equals_each_solo_fit(case):
-    rng = np.random.default_rng(case)
-    settings = dict(
-        n_topics=(2, 3, 30)[case % 3],
-        iterations=1 + case % 4,
-        seed=int(rng.integers(0, 1000)),
-        alpha=None if case % 2 else float(0.1 + rng.random()),
-    )
-    fits = random_fits(rng, n_fits=2 + case % 5)
-    models = fit_lda_batch(fits, **settings)
+def assert_solo_models(fits, models, settings):
+    """Each model is, count for count, the one `fit_lda` makes of its fit."""
     assert len(models) == len(fits)
     for docs, model in zip(fits, models):
         solo = fit_lda(docs, **settings)
@@ -175,6 +167,59 @@ def test_fit_lda_batch_equals_each_solo_fit(case):
         assert (model.n_topics, model.alpha, model.beta, model.seed, model.iterations) == (
             solo.n_topics, solo.alpha, solo.beta, solo.seed, solo.iterations
         )
+
+
+# K cycles through 2, 3, 30 and sweeps through 1..4, so the 12 seeds cover each
+# pair; alpha is explicit on even cases and beta on cases 2, 3, 6, 7, 10 and 11
+@pytest.mark.parametrize("case", range(12))
+def test_fit_lda_batch_equals_each_solo_fit(case):
+    rng = np.random.default_rng(case)
+    settings = dict(
+        n_topics=(2, 3, 30)[case % 3],
+        iterations=1 + case % 4,
+        seed=int(rng.integers(0, 1000)),
+        alpha=None if case % 2 else float(0.1 + rng.random()),
+        beta=0.01 if case % 4 < 2 else float(0.001 + rng.random()),
+    )
+    fits = random_fits(rng, n_fits=2 + case % 5)
+    assert_solo_models(fits, fit_lda_batch(fits, **settings), settings)
+
+
+@pytest.mark.parametrize("sizes, n_topics, n_solo", [
+    ([], 30, 0),
+    ([1000], 30, 1),  # a batch of one only adds the per-step cost
+    ([976] * 100, 30, 0),  # many fits of similar length share the batch
+    ([5000] + [1000] * 19, 30, 1),  # a dominating fit would set the batch's steps
+    ([5000, 4900] + [1000] * 18, 30, 2),
+    ([500] * 4, 3, 4),  # a few short fits of few topics cost less alone
+    ([500] * 40, 3, 0),
+], ids=["none", "lone", "even", "dominating", "two-long", "few", "many"])
+def test_solo_fit_count_runs_alone_what_the_batch_would_slow(sizes, n_topics, n_solo):
+    assert solo_fit_count(sizes, n_topics) == n_solo
+
+
+def test_fit_lda_each_splits_fits_between_samplers_and_equals_solo_fits(monkeypatch):
+    """One long fit runs alone, the short ones in one batch, and order is kept."""
+    rng = np.random.default_rng(7)
+    short = [
+        [doc(f"s{f}@0", [f"w{x:02d}" for x in rng.integers(0, 40, size=20)])]
+        for f in range(20)
+    ]
+    long = [doc("long@0", [f"w{x:02d}" for x in rng.integers(0, 40, size=400)])]
+    fits = short[:5] + [long] + short[5:]
+    batched = []
+    real = topicmodel.fit_lda_batch
+
+    def record(fits, **settings):
+        batched.append(len(fits))
+        return real(fits, **settings)
+
+    monkeypatch.setattr(topicmodel, "fit_lda_batch", record)
+    settings = dict(n_topics=30, alpha=None, beta=0.01, iterations=2, seed=11)
+    models = fit_lda_each(fits, **settings)
+    assert batched == [20]
+    assert_solo_models(fits, models, settings)
+    assert fit_lda_each([], n_topics=2) == []
 
 
 def test_fit_lda_batch_of_one_equals_golden_fit():
