@@ -21,13 +21,16 @@ for i in range(60):
 # validate_every re-checks token bookkeeping after every sweep
 model = fit_lda(documents, n_topics=2, alpha=0.5, iterations=200, seed=0, validate_every=1)
 
+# word_topic holds each word's final-sweep count per topic; rank a column by
+# count, ties alphabetically (vocab is sorted, so a stable sort keeps that)
 for k in range(2):
-    top = ", ".join(model.top_words(k, 6))
-    print(f"topic {k}: {top}")
+    order = np.argsort(-model.word_topic[:, k], kind="stable")[:6]
+    top = ", ".join(model.vocab[i] for i in order)
+    print(f"topic {k} ({model.word_topic[:, k].sum()} tokens): {top}")
 
-phi = model.phi()
-print(f"\ntopic-word rows sum to one: {np.allclose(phi.sum(axis=1), 1.0)}")
-
-doc = documents[0].doc_id
-print(f"{doc} words ranked within its own vocabulary: "
-      f"{', '.join(model.top_words_in_doc(doc, 0, 4))}")
+# topic_overlap reads only doc_top_words: per topic, a document's own words by count
+first, second = documents[0].doc_id, documents[2].doc_id
+tops_a, tops_b = model.doc_top_words(first, 4), model.doc_top_words(second, 4)
+print(f"\n{first} words ranked within its own vocabulary: {', '.join(tops_a[0])}")
+shared = [len(set(a) & set(b)) for a, b in zip(tops_a, tops_b)]
+print(f"top-4 words {first} and {second} share per topic: {shared}")

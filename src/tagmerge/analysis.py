@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorpusFormatError
 from .features import GROUP_HASHTAG, GROUP_TWEET, GROUP_USER
 from .learn import Dataset, EvalReport, TrainConfig, cross_validate, select_groups
 
@@ -102,23 +101,6 @@ class FeatureRanking:
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_tsv())
-
-    @classmethod
-    def load(cls, path, method: str = "unknown") -> "FeatureRanking":
-        entries = []
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            if header != "rank\tstatistic\tfeature":
-                raise CorpusFormatError(f"{path}: not a ranking file")
-            for lineno, line in enumerate(fh, start=2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise CorpusFormatError(f"{path}:{lineno}: expected 3 columns")
-                entries.append((int(parts[0]), float(parts[1]), parts[2]))
-        return cls(method=method, entries=tuple(entries))
 
 
 def _rank(dataset: Dataset, stat_fn, method: str) -> FeatureRanking:

@@ -16,7 +16,7 @@ import functools
 import logging
 import sys
 
-from . import analysis, compound, features, learn, synth, topicmodel
+from . import analysis, compound, features, learn, synth
 from .corpus import CorpusIndex, IngestConfig, ingest_jsonl
 from .errors import InsufficientHistoryError, TagmergeError, read_json
 from .lexicon import load_dictionary, load_gazetteer, load_ngram_table, load_pos_lexicon
@@ -46,26 +46,40 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
 
 
 def _apply_config(command: argparse.ArgumentParser, config: dict) -> None:
-    """Make config values the command's defaults, converted by each option's type.
+    """Make config values the command's defaults, typed as each option's flag would be.
 
     Keys that name no option of the command are ignored, and so are nulls. A
-    value outside the option's choices is a usage error, as it is on the
-    command line.
+    value no flag could give, or one outside the option's choices, is a
+    usage error, as it is on the command line.
     """
     options = {a.dest: a for a in command._actions if a.option_strings and a.dest != "help"}
-    defaults = {
-        key: options[key].type(value) if options[key].type else value
-        for key, value in config.items()
-        if key in options and value is not None
-    }
-    for key, value in defaults.items():
-        choices = options[key].choices
-        if choices is not None and value not in choices:
-            allowed = ", ".join(map(repr, choices))
-            raise UsageError(
-                f"config key {key!r}: invalid choice {value!r} (choose from {allowed})"
-            )
+    defaults = {}
+    for key, value in config.items():
+        if key in options and value is not None:
+            try:
+                defaults[key] = _config_value(options[key], value)
+            except ValueError as exc:
+                raise UsageError(f"config key {key!r}: {exc}") from exc
     command.set_defaults(**defaults)
+
+
+def _config_value(option: argparse.Action, value):
+    """`value` as the option's flag would give it; ValueError if no flag could.
+
+    A flag without an argument takes a JSON bool, an untyped option a string,
+    and a typed one a string or a number its type keeps unchanged: an int
+    option takes 60.0, but not 4.7 or true.
+    """
+    accepted = (bool,) if option.nargs == 0 else (str, int, float) if option.type else (str,)
+    if type(value) not in accepted:
+        raise ValueError(f"expected {' or '.join(t.__name__ for t in accepted)}, got {value!r}")
+    typed = option.type(value) if len(accepted) > 1 else value
+    if typed != value and not isinstance(value, str):
+        raise ValueError(f"expected {option.type.__name__}, got {value!r}")
+    if option.choices is not None and typed not in option.choices:
+        allowed = ", ".join(map(repr, option.choices))
+        raise ValueError(f"invalid choice {typed!r} (choose from {allowed})")
+    return typed
 
 
 def _read(what: str, load, path, *rest):
@@ -166,20 +180,6 @@ def _cmd_featurize(args) -> int:
     return 0
 
 
-def _cmd_fit_lda(args) -> int:
-    index = _open_index(args)
-    candidates, _ = _read_candidates(args, index)
-    if not candidates:
-        raise UsageError("candidate file holds no candidates")
-    model = topicmodel.fit_candidate_topics(
-        index, candidates, n_topics=args.topics, obs_months=args.obs_months,
-        iterations=args.lda_iterations, seed=args.seed,
-    )
-    model.save(args.out)
-    print(f"fitted {args.topics} topics over {len(model.doc_ids)} documents -> {args.out}")
-    return 0
-
-
 def _load_dataset(args) -> learn.Dataset:
     dataset = _read("feature file", learn.Dataset.from_csv, args.features)
     return learn.balance_dataset(dataset, seed=args.seed) if args.balance else dataset
@@ -277,10 +277,6 @@ def build_parser() -> _Parser:
     index.add_argument("--index", help="corpus index written by ingest")
     cands = group()
     cands.add_argument("--candidates", help="candidate table written by detect or label")
-    topics = group()
-    topics.add_argument("--topics", type=int, default=obs.lda_topics, help="LDA topics")
-    topics.add_argument("--obs-months", type=int, default=obs.obs_months, help="months observed")
-    topics.add_argument("--lda-iterations", type=int, default=1000, help="Gibbs sweeps")
     data = group()
     data.add_argument("--features", help="feature CSV written by featurize")
     data.add_argument(
@@ -315,15 +311,16 @@ def build_parser() -> _Parser:
     p.add_argument("--horizon", type=int, help="label one horizon in months, not 2, 6 and 10")
     p.add_argument("--any-horizon", action="store_true", help="allow horizons besides 2, 6, 10")
     summary = "extract the feature matrix"
-    p = command("featurize", _cmd_featurize, summary, index, cands, out, topics)
+    p = command("featurize", _cmd_featurize, summary, index, cands, out)
+    p.add_argument("--topics", type=int, default=obs.lda_topics, help="LDA topics")
+    p.add_argument("--obs-months", type=int, default=obs.obs_months, help="months observed")
+    p.add_argument("--lda-iterations", type=int, default=1000, help="Gibbs sweeps")
     p.add_argument("--dictionary", help="dictionary word list")
     p.add_argument("--ngrams", help="n-gram frequency table")
     p.add_argument("--pos-lexicon", help="part-of-speech lexicon")
     p.add_argument("--gazetteer", help="named-entity gazetteer")
     p.add_argument("--horizon", type=int, default=obs.horizon_months, help="label horizon, months")
     p.add_argument("--min-support", type=int, default=50, help="fewest window tweets per part")
-    summary = "fit a topic model over candidate documents"
-    command("fit-lda", _cmd_fit_lda, summary, index, cands, out, topics)
     command("train", _cmd_train, "train a classifier on a feature matrix", data, out, model)
     summary = "evaluate by cross validation or holdout"
     p = command("evaluate", _cmd_evaluate, summary, data, out, model, folds)

@@ -114,26 +114,7 @@ def _month_index(month: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# tokenization and extraction
-
-def tokenize(text: str, keep_tags: bool = True, keep_mentions: bool = True) -> list[str]:
-    """Whitespace tokenization with edge punctuation stripped and lowercasing.
-
-    Pure-punctuation tokens vanish. The '#' and '@' sigils are stripped, so
-    hashtag and mention words stay in the stream unless the corresponding
-    keep flag is False.
-    """
-    out = []
-    for raw in text.split():
-        if not keep_tags and raw.startswith("#"):
-            continue
-        if not keep_mentions and raw.startswith("@"):
-            continue
-        word = raw.strip(_PUNCT).lower()
-        if word:
-            out.append(word)
-    return out
-
+# hashtag and mention extraction
 
 @dataclass(frozen=True, slots=True)
 class HashtagId:
@@ -253,8 +234,9 @@ class CorpusIndex:
         self.skipped = skipped
         self.filtered = filtered
 
-        # each tweet's tokens as `tokenize` gives them, and the positions, in
-        # the flat token stream, of those that came from a '#' or '@' token
+        # each tweet's whitespace-split words, edge punctuation stripped and
+        # lowercased, dropping any left empty; and the positions, in the flat
+        # token stream, of those that came from a '#' or '@' word
         self._tokens: list[list[str]] = []
         tagged = array("i")
         n_tokens = 0
@@ -319,7 +301,7 @@ class CorpusIndex:
         return self._tokens[self._by_id[tweet.id]]
 
     def plain_tokens_of(self, tweet: Tweet) -> list[str]:
-        """`tokenize(tweet.text, keep_tags=False, keep_mentions=False)`, from the index."""
+        """`tokens_of(tweet)` without those that came from a '#' or '@' word."""
         k = self._by_id[tweet.id]
         start, end = self._token_offsets[k : k + 2].tolist()
         tagged = self._tagged[bisect_left(self._tagged, start) : bisect_left(self._tagged, end)]

@@ -686,7 +686,11 @@ def write_feature_csv(
 def read_feature_csv(
     path, schema_path=None
 ) -> tuple[np.ndarray, np.ndarray, FeatureSchema, list[ZoneCombo] | None]:
-    """Load a feature matrix and its sidecar back into memory."""
+    """Load a feature matrix and its sidecar back into memory.
+
+    A row of the wrong width, a feature that is no number or a label other
+    than 0 or 1 raises CorpusFormatError naming the file and line.
+    """
     schema_path = schema_path or _sidecar_path(path)
     schema, combos = read_json(schema_path, _decode_sidecar, SCHEMA_FORMAT, SCHEMA_VERSION)
     rows: list[list[float]] = []
@@ -699,7 +703,15 @@ def read_feature_csv(
         for row in reader:
             if not row:
                 continue
-            rows.append([float(v) for v in row[:-1]])
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(header):
+                raise CorpusFormatError(f"{where}: {len(row)} cells, expected {len(header)}")
+            try:
+                rows.append([float(v) for v in row[:-1]])
+            except ValueError as exc:
+                raise CorpusFormatError(f"{where}: {exc}") from exc
+            if row[-1] not in ("0", "1"):
+                raise CorpusFormatError(f"{where}: label {row[-1]!r} is not 0 or 1")
             labels.append(int(row[-1]))
     if combos is not None and len(combos) != len(rows):
         raise CorpusFormatError(f"{schema_path}: row_combos does not match the matrix")

@@ -10,8 +10,8 @@ document, from the same PCG64 stream that one scalar draw per token would
 read. Each weight, its running sum and the search over that sum are the
 same floating-point operations as numpy's elementwise product, cumsum and
 searchsorted, so a fixed seed reproduces the model bit for bit. It serves
-`fit_candidate_topics` (the `fit-lda` command), a one-candidate
-`features.featurize`, and is the reference for the batch.
+a one-candidate `features.featurize` and the fits `fit_lda_each` runs
+alone, and is the reference for the batch.
 
 `fit_lda_batch` runs many independent fits in lockstep, one token position
 of every fit per numpy step, and gives each fit exactly the model fit_lda
@@ -21,12 +21,12 @@ tokens, so it pays off only across many fits of similar length: a batch of
 one is several times slower than fit_lda. `fit_lda_each` chooses between the
 two from the fits' lengths: the longest fits run alone in fit_lda when that
 is cheaper, the rest in one batch. `features.featurize_all` fits all its
-candidate pairs with it.
+candidate pairs with it, and reads each model only through
+`TopicModel.doc_top_words`.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 from bisect import bisect_right
 from collections.abc import Sequence
@@ -36,12 +36,8 @@ from itertools import accumulate
 import numpy as np
 
 from .corpus import CorpusIndex, observation_window
-from .errors import read_json
 
 logger = logging.getLogger(__name__)
-
-MODEL_FORMAT = "tagmerge-topics"
-MODEL_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -74,58 +70,20 @@ def build_documents(
     return docs
 
 
+@dataclass(eq=False)
 class TopicModel:
     """Fitted LDA state: final-sweep count matrices plus priors."""
 
-    def __init__(
-        self,
-        n_topics: int,
-        alpha: float,
-        beta: float,
-        vocab: tuple[str, ...],
-        doc_ids: tuple[str, ...],
-        word_topic: np.ndarray,
-        doc_topic: np.ndarray,
-        doc_vocab: tuple[frozenset[int], ...],
-        seed: int,
-        iterations: int,
-    ):
-        self.n_topics = n_topics
-        self.alpha = alpha
-        self.beta = beta
-        self.vocab = vocab
-        self.word_index = {w: i for i, w in enumerate(vocab)}
-        self.doc_ids = doc_ids
-        self.doc_index = {d: i for i, d in enumerate(doc_ids)}
-        self.word_topic = word_topic  # V x K
-        self.doc_topic = doc_topic  # D x K
-        self.doc_vocab = doc_vocab
-        self.seed = seed
-        self.iterations = iterations
-
-    @property
-    def topic_totals(self) -> np.ndarray:
-        return self.word_topic.sum(axis=0)
-
-    def phi(self) -> np.ndarray:
-        """Topic-word probabilities, rows (topics) summing to one."""
-        v = len(self.vocab)
-        totals = self.topic_totals[:, None].astype(float)
-        return (self.word_topic.T + self.beta) / (totals + v * self.beta)
-
-    def top_words(self, topic: int, n: int = 100) -> list[str]:
-        """Highest-probability words of a topic; ties resolve alphabetically."""
-        if not 0 <= topic < self.n_topics:
-            raise ValueError(f"topic {topic} out of range")
-        column = self.word_topic[:, topic]
-        order = sorted(range(len(self.vocab)), key=lambda i: (-column[i], self.vocab[i]))
-        return [self.vocab[i] for i in order[:n]]
-
-    def top_words_in_doc(self, doc_id: str, topic: int, n: int = 100) -> list[str]:
-        """Topic ranking restricted to words the document actually contains."""
-        if not 0 <= topic < self.n_topics:
-            raise ValueError(f"topic {topic} out of range")
-        return self.doc_top_words(doc_id, n)[topic]
+    n_topics: int
+    alpha: float
+    beta: float
+    vocab: tuple[str, ...]
+    doc_ids: tuple[str, ...]
+    word_topic: np.ndarray  # V x K
+    doc_topic: np.ndarray  # D x K
+    doc_vocab: tuple[frozenset[int], ...]  # each document's word ids
+    seed: int
+    iterations: int
 
     def doc_top_words(self, doc_id: str, n: int = 100) -> list[list[str]]:
         """Per topic, the document's n highest-count words; ties resolve alphabetically.
@@ -133,51 +91,12 @@ class TopicModel:
         Members are sorted alphabetically first, so one stable sort of the
         negated counts, column by column, gives the (-count, word) order.
         """
-        if doc_id not in self.doc_index:
+        if doc_id not in self.doc_ids:
             raise ValueError(f"model was not fitted over document {doc_id!r}")
-        members = sorted(self.doc_vocab[self.doc_index[doc_id]], key=self.vocab.__getitem__)
+        members = sorted(self.doc_vocab[self.doc_ids.index(doc_id)], key=self.vocab.__getitem__)
         words = np.array([self.vocab[i] for i in members], dtype=object)
         order = np.argsort(-self.word_topic[members], axis=0, kind="stable")[:n]
         return words[order].T.tolist()
-
-    def to_payload(self) -> dict:
-        return {
-            "format": MODEL_FORMAT,
-            "version": MODEL_VERSION,
-            "n_topics": self.n_topics,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "seed": self.seed,
-            "iterations": self.iterations,
-            "vocab": list(self.vocab),
-            "doc_ids": list(self.doc_ids),
-            "word_topic": self.word_topic.tolist(),
-            "doc_topic": self.doc_topic.tolist(),
-            "doc_vocab": [sorted(s) for s in self.doc_vocab],
-        }
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(self.to_payload(), sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "TopicModel":
-        def decode(payload):
-            return cls(
-                n_topics=payload["n_topics"],
-                alpha=payload["alpha"],
-                beta=payload["beta"],
-                vocab=tuple(payload["vocab"]),
-                doc_ids=tuple(payload["doc_ids"]),
-                word_topic=np.array(payload["word_topic"], dtype=np.int64),
-                doc_topic=np.array(payload["doc_topic"], dtype=np.int64),
-                doc_vocab=tuple(frozenset(s) for s in payload["doc_vocab"]),
-                seed=payload["seed"],
-                iterations=payload["iterations"],
-            )
-
-        return read_json(path, decode, MODEL_FORMAT, MODEL_VERSION)
 
 
 def fit_lda(
@@ -513,10 +432,10 @@ def fit_candidate_topics(
     """Fit one model over every constituent document of the given candidates.
 
     Each constituent contributes one document over that candidate's own
-    observation window, and documents are fitted in doc_id order. This joint
-    fit is for inspecting the topics of a candidate set (the `fit-lda`
-    command); features never read it, since its topic-word counts mix in the
-    windows of candidates that compound later.
+    observation window, and documents are fitted in doc_id order. Features
+    never read this joint fit, since its topic-word counts mix in the
+    windows of candidates that compound later, and no command runs it: it
+    stays only because `bench/tracing.py` wraps it by name.
     """
     documents: dict[tuple[str, int], HashtagDocument] = {}
     for cand in candidates:

@@ -2,16 +2,49 @@
 
 These deliberately take different algorithmic routes than the library:
 detection joins hashtag pairs instead of scanning split positions,
-segmentation enumerates every one of the 2^(n-1) parses, and model fitting
-is a plain descent loop with no reused buffers and no in-place arithmetic.
+segmentation enumerates every one of the 2^(n-1) parses, tokenization
+re-reads the raw text, topic words are ranked by a full sort of the
+vocabulary, and model fitting is a plain descent loop with no reused
+buffers and no in-place arithmetic.
 """
 
+import string
 from collections import defaultdict
 
 import numpy as np
 
 from tagmerge.corpus import CorpusIndex, Tweet
 from tagmerge.learn import hinge_loss_grad, logreg_loss_grad
+
+
+def tokenize(text, keep_tags=True, keep_mentions=True):
+    """Whitespace tokenization with edge punctuation stripped and lowercasing.
+
+    Pure-punctuation tokens vanish. The '#' and '@' sigils are stripped, so
+    hashtag and mention words stay in the stream unless the corresponding
+    keep flag is False. `CorpusIndex.tokens_of` and `plain_tokens_of` must
+    agree with it.
+    """
+    out = []
+    for raw in text.split():
+        if not keep_tags and raw.startswith("#"):
+            continue
+        if not keep_mentions and raw.startswith("@"):
+            continue
+        word = raw.strip(string.punctuation).lower()
+        if word:
+            out.append(word)
+    return out
+
+
+def top_words(model, topic, n=100):
+    """A topic's n highest-count words over the model's whole vocabulary.
+
+    Ties resolve alphabetically: the order is (-count, word).
+    """
+    column = model.word_topic[:, topic]
+    order = sorted(range(len(model.vocab)), key=lambda i: (-column[i], model.vocab[i]))
+    return [model.vocab[i] for i in order[:n]]
 
 
 def oracle_detect(index, window=None):

@@ -15,7 +15,7 @@ import pytest
 import scipy.stats
 
 from conftest import make_tweet, utc
-from oracles import oracle_detect, random_corpus
+from oracles import oracle_detect, random_corpus, top_words
 from tagmerge import synth, topicmodel
 from tagmerge.analysis import (
     bin_column,
@@ -284,7 +284,7 @@ def test_lda_recovers_planted_disjoint_topics():
     # conservation is checked after every sweep while fitting
     model = fit_lda(documents, n_topics=2, alpha=0.5, iterations=60, seed=0, validate_every=1)
 
-    tops = [set(model.top_words(k, 10)) for k in range(2)]
+    tops = [set(top_words(model, k, 10)) for k in range(2)]
     planted = [set(vocab_a), set(vocab_b)]
 
     def jaccard(x, y):

@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 from tagmerge import cli, compound, learn, synth
-from tagmerge.analysis import FeatureRanking
 from tagmerge.corpus import CorpusIndex, Tweet
-from tagmerge.topicmodel import TopicModel
+
+from test_analysis import read_ranking_tsv
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +71,8 @@ def test_no_subcommand_prints_help(capsys):
 def test_unknown_subcommand_is_a_usage_error(capsys):
     assert cli.main(["frobnicate"]) == 1
     assert "error:" in capsys.readouterr().err
+    assert cli.main(["fit-lda", "--out", "topics.json"]) == 1
+    assert "invalid choice: 'fit-lda'" in capsys.readouterr().err
 
 
 def test_missing_file_names_the_path(tmp_path, capsys):
@@ -220,6 +222,29 @@ def test_damaged_json_artifact_exits_one_naming_the_file(
     assert str(path) in capsys.readouterr().err
 
 
+# Damages to the second data row (line 3) of a feature CSV, as cell lists.
+DAMAGED_FEATURE_ROWS = {
+    "short-row": lambda cells: cells[:-2],
+    "long-row": lambda cells: cells + ["0"],
+    "word-cell": lambda cells: ["high"] + cells[1:],
+    "empty-cell": lambda cells: [""] + cells[1:],
+    "label-7": lambda cells: cells[:-1] + ["7"],
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGED_FEATURE_ROWS)
+def test_damaged_feature_matrix_exits_one_naming_the_line(damage, feature_csv, tmp_path, capsys):
+    target = tmp_path / "feats.csv"
+    sidecar = feature_csv.with_name("feats.schema.json")
+    (tmp_path / sidecar.name).write_bytes(sidecar.read_bytes())
+    lines = feature_csv.read_text().splitlines()
+    lines[2] = ",".join(DAMAGED_FEATURE_ROWS[damage](lines[2].split(",")))
+    target.write_text("\n".join(lines) + "\n")
+    argv = ["evaluate", "cv", "--features", str(target), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    assert f"{target}:3:" in capsys.readouterr().err
+
+
 def test_config_file_fills_options_and_flags_win(scen_dir, tmp_path, capsys):
     out_a = tmp_path / "from_config.json"
     out_b = tmp_path / "from_flag.json"
@@ -269,6 +294,27 @@ def test_config_value_outside_the_choices_is_a_usage_error(feature_csv, tmp_path
     assert cli.main(argv) == 1
     assert f"config key {key!r}: invalid choice 'foo'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key, value, why", [
+    ("evaluate cv", "balance", "false", "expected bool, got 'false'"),
+    ("label", "any_horizon", "no", "expected bool, got 'no'"),
+    ("evaluate cv", "folds", 4.7, "expected int, got 4.7"),
+    ("evaluate cv", "seed", True, "expected str or int or float, got True"),
+    ("evaluate cv", "learning_rate", False, "expected str or int or float, got False"),
+    ("evaluate cv", "epochs", "sixty", "invalid literal for int()"),
+    ("evaluate cv", "folds", [4], "expected str or int or float, got [4]"),
+    ("evaluate cv", "out", 5, "expected str, got 5"),
+], ids=["bool-flag-string", "store-true-string", "int-fraction", "int-bool", "float-bool",
+        "int-word", "int-list", "path-number"])
+def test_config_value_the_flag_could_not_give_is_a_usage_error(tmp_path, capsys,
+                                                              command, key, value, why):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert cli.main([*command.split(), "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"config key {key!r}: {why}" in err
+    assert "Traceback" not in err
 
 
 def test_ingest_skips_non_finite_and_out_of_range_timestamps(tmp_path, capsys):
@@ -389,19 +435,6 @@ def test_train_saves_a_loadable_model(feature_csv, tmp_path, capsys):
     assert "final loss" in capsys.readouterr().out
 
 
-def test_fit_lda_saves_a_loadable_model(staged, tmp_path, capsys):
-    out = tmp_path / "lda.json"
-    rc = cli.main([
-        "fit-lda", "--index", str(staged["index"]),
-        "--candidates", str(staged["labeled"]),
-        "--topics", "4", "--lda-iterations", "5", "--out", str(out),
-    ])
-    assert rc == 0
-    model = TopicModel.load(out)
-    assert model.word_topic.shape[1] == 4
-    capsys.readouterr()
-
-
 def test_rank_features_writes_a_ranking(feature_csv, tmp_path, capsys):
     out = tmp_path / "rank.tsv"
     rc = cli.main([
@@ -409,8 +442,9 @@ def test_rank_features_writes_a_ranking(feature_csv, tmp_path, capsys):
         "--method", "infogain", "--out", str(out),
     ])
     assert rc == 0
-    ranking = FeatureRanking.load(out)
-    assert ranking.entries
+    entries = read_ranking_tsv(out)
+    assert entries
+    assert [rank for rank, _, _ in entries] == list(range(1, len(entries) + 1))
     assert "ranked" in capsys.readouterr().out
 
 

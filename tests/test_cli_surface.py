@@ -1,4 +1,4 @@
-"""The command line surface: every option string, and every default it passes.
+"""The public surface: the package's exported names, every option string, and every default.
 
 Each command runs with only its required options. The library function it
 reaches is replaced by a recorder that binds the call to the real
@@ -11,7 +11,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from tagmerge import analysis, cli, compound, features, learn, synth, topicmodel
+import tagmerge
+from tagmerge import analysis, cli, compound, features, learn, synth
 from tagmerge.corpus import CorpusIndex, IngestConfig, Tweet
 from tagmerge.errors import InsufficientHistoryError
 
@@ -24,7 +25,6 @@ SURFACE = {
         "--gazetteer", "--horizon", "--obs-months", "--topics", "--lda-iterations",
         "--min-support",
     },
-    "fit-lda": {"--index", "--candidates", "--out", "--topics", "--obs-months", "--lda-iterations"},
     "train": {
         "--features", "--out", "--model", "--learning-rate", "--epochs", "--l2",
         "--balance", "--no-balance",
@@ -51,6 +51,16 @@ class Stop(Exception):
 def subparsers():
     (action,) = cli.build_parser()._subparsers._group_actions
     return action.choices
+
+
+def test_every_exported_name_resolves():
+    names = tagmerge.__all__
+    assert len(set(names)) == len(names)
+    missing = [name for name in names if not hasattr(tagmerge, name)]
+    assert missing == []
+    namespace = {}
+    exec("from tagmerge import *", namespace)
+    assert set(names) <= set(namespace)
 
 
 def test_every_command_keeps_its_option_strings():
@@ -158,16 +168,6 @@ def test_featurize_defaults(calls, index_path, lexicon_dir, tmp_path):
            "iterations": resources.lda_iterations, "seed": resources.lda_seed}
     assert typed(fit) == typed(FIT_DEFAULTS)
     assert config.horizon_months == 10
-
-
-def test_fit_lda_defaults(calls, index_path, tmp_path):
-    record, seen = calls
-    record(compound, "read_candidates", stop=False, result=fake_candidates({}))
-    record(topicmodel, "fit_candidate_topics")
-    argv = ["fit-lda", "--index", index_path, "--candidates", "c.tsv", "--out", tmp_path / "t.json"]
-    assert run(argv) == 2
-    (fit,) = seen["fit_candidate_topics"]
-    assert typed({k: fit[k] for k in FIT_DEFAULTS}) == typed(FIT_DEFAULTS)
 
 
 @pytest.fixture

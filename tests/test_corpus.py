@@ -20,11 +20,11 @@ from tagmerge.corpus import (
     next_month,
     observation_window,
     shift_months,
-    tokenize,
 )
 from tagmerge.errors import CorpusFormatError
 
 from conftest import make_tweet, utc
+from oracles import tokenize
 
 
 # ---------------------------------------------------------------------------

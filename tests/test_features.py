@@ -11,7 +11,7 @@ import pytest
 
 from tagmerge import corpus, features, synth, topicmodel
 from tagmerge.compound import detect_candidates, filter_eligible
-from tagmerge.corpus import CorpusIndex, observation_window, shift_months, tokenize
+from tagmerge.corpus import CorpusIndex, observation_window, shift_months
 from tagmerge.errors import CorpusFormatError, InsufficientHistoryError
 from tagmerge.features import (
     FeatureResources,
@@ -52,6 +52,7 @@ from tagmerge.lexicon import (
 from tagmerge.topicmodel import HashtagDocument, TopicModel, build_documents
 
 from conftest import make_tweet, utc
+from oracles import tokenize
 
 
 # ---------------------------------------------------------------------------
@@ -731,8 +732,8 @@ def test_topic_overlap_restricted_to_document_words():
 
 
 def brute_force_top(model, doc_id, topic, n):
-    words = [model.vocab[i] for i in model.doc_vocab[model.doc_index[doc_id]]]
-    count = {w: int(model.word_topic[model.word_index[w], topic]) for w in words}
+    words = [model.vocab[i] for i in model.doc_vocab[model.doc_ids.index(doc_id)]]
+    count = {w: int(model.word_topic[model.vocab.index(w), topic]) for w in words}
     return sorted(words, key=lambda w: (-count[w], w))[:n]
 
 
@@ -758,9 +759,9 @@ def test_topic_overlap_top_n_cut_matches_brute_force_ranking(seed, monkeypatch):
     for k in range(n_topics):
         top_a = brute_force_top(model, "a@0", k, top_n)
         top_b = brute_force_top(model, "b@0", k, top_n)
-        assert model.top_words_in_doc("a@0", k, top_n) == top_a
-        assert model.top_words_in_doc("b@0", k, top_n) == top_b
-        assert model.top_words_in_doc("a@0", k) == brute_force_top(model, "a@0", k, 100)
+        assert model.doc_top_words("a@0", top_n)[k] == top_a
+        assert model.doc_top_words("b@0", top_n)[k] == top_b
+        assert model.doc_top_words("a@0")[k] == brute_force_top(model, "a@0", k, 100)
         expected += len(set(top_a) & set(top_b))
     docs = [
         HashtagDocument(doc_id, doc_id[0], tuple(vocab[i] for i in sorted(members)))
