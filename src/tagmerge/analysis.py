@@ -17,8 +17,6 @@ from .learn import Dataset, EvalReport, TrainConfig, cross_validate, select_grou
 
 MAX_BINS = 10
 
-RANK_METHODS = ("chi2", "infogain")
-
 ABLATION_COMBOS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("all", (GROUP_HASHTAG, GROUP_TWEET, GROUP_USER)),
     ("tweet+user", (GROUP_TWEET, GROUP_USER)),
@@ -103,7 +101,15 @@ class FeatureRanking:
             fh.write(self.to_tsv())
 
 
-def _rank(dataset: Dataset, stat_fn, method: str) -> FeatureRanking:
+_STATISTICS = {"chi2": chi_square_stat, "infogain": info_gain_stat}
+RANK_METHODS = tuple(_STATISTICS)
+
+
+def rank_features(dataset: Dataset, method: str) -> FeatureRanking:
+    """Every feature ranked by the statistic `method` names, one of RANK_METHODS."""
+    if method not in _STATISTICS:
+        raise ValueError(f"unknown ranking method {method!r}")
+    stat_fn = _STATISTICS[method]
     labels = np.asarray(dataset.labels, dtype=int)
     if len(np.unique(labels)) < 2:
         raise ValueError("ranking needs both classes present")
@@ -114,20 +120,6 @@ def _rank(dataset: Dataset, stat_fn, method: str) -> FeatureRanking:
     scored.sort(key=lambda item: (-item[0], item[1]))
     entries = tuple((rank, stat, name) for rank, (stat, name) in enumerate(scored, start=1))
     return FeatureRanking(method=method, entries=entries)
-
-
-def chi_square_rank(dataset: Dataset) -> FeatureRanking:
-    return _rank(dataset, chi_square_stat, "chi2")
-
-
-def info_gain_rank(dataset: Dataset) -> FeatureRanking:
-    return _rank(dataset, info_gain_stat, "infogain")
-
-
-def rank_features(dataset: Dataset, method: str) -> FeatureRanking:
-    if method not in RANK_METHODS:
-        raise ValueError(f"unknown ranking method {method!r}")
-    return chi_square_rank(dataset) if method == "chi2" else info_gain_rank(dataset)
 
 
 @dataclass

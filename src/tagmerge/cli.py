@@ -200,8 +200,7 @@ def _write_report(report, out) -> None:
 
 def _cmd_train(args) -> int:
     dataset = _load_dataset(args)
-    trainer = learn.train_logreg if args.model == "logreg" else learn.train_linsvm
-    model = trainer(dataset, _train_config(args))
+    model = learn.train(dataset, args.model, _train_config(args))
     model.save(args.out)
     print(
         f"trained {args.model} on {dataset.n_rows} rows, "

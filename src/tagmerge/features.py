@@ -23,6 +23,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 from collections import Counter
 from collections.abc import Iterator, Set
 from dataclasses import asdict, astuple, dataclass
@@ -160,15 +161,16 @@ def _split_pair(cell) -> tuple[str, ...]:
     return tuple(_text(cell).split(" ", 1))
 
 
-_POS_NAMES = tuple(f"pos_combo_{i:02d}" for i in range(POS_SLOTS))
-_NE_NAMES = tuple(f"ne_combo_{i:02d}" for i in range(NE_SLOTS))
+# the combination-slot columns, which `learn` rebinds inside each training fold
+POS_SLOT_NAMES = tuple(f"pos_combo_{i:02d}" for i in range(POS_SLOTS))
+NE_SLOT_NAMES = tuple(f"ne_combo_{i:02d}" for i in range(NE_SLOTS))
 _OOV_NAMES = tuple(f"zone_{p.lower().replace('-', '_')}" for p in OOV_PAIRS)
 
 
 def feature_layout() -> tuple[tuple[str, ...], dict[str, str], frozenset[str]]:
     """Canonical feature order, group tags, and the binary feature set."""
     names: list[str] = ["char_length", "word_count", "ngram_presence", "pos_diversity"]
-    names += _POS_NAMES + _NE_NAMES + _OOV_NAMES
+    names += POS_SLOT_NAMES + NE_SLOT_NAMES + _OOV_NAMES
     tweet_names = [
         "word_overlap",
         "ngram_overlap",
@@ -195,7 +197,7 @@ def feature_layout() -> tuple[tuple[str, ...], dict[str, str], frozenset[str]]:
     groups = {n: GROUP_HASHTAG for n in names[: 4 + POS_SLOTS + NE_SLOTS + len(OOV_PAIRS)]}
     groups.update({n: GROUP_TWEET for n in tweet_names})
     groups.update({n: GROUP_USER for n in user_names})
-    binary = frozenset(("ngram_presence",) + _POS_NAMES + _NE_NAMES + _OOV_NAMES)
+    binary = frozenset(("ngram_presence",) + POS_SLOT_NAMES + NE_SLOT_NAMES + _OOV_NAMES)
     return tuple(names), groups, binary
 
 
@@ -339,9 +341,9 @@ def zone_combo(
 def combo_bits(combo: ZoneCombo, schema: ComboSchema) -> dict[str, float]:
     """Expand one zone combo into the 44 binary slot values."""
     out: dict[str, float] = {}
-    for name, pair in zip(_POS_NAMES, schema.pos_pairs):
+    for name, pair in zip(POS_SLOT_NAMES, schema.pos_pairs):
         out[name] = 1.0 if pair is not None and pair == combo.pos else 0.0
-    for name, pair in zip(_NE_NAMES, schema.ne_pairs):
+    for name, pair in zip(NE_SLOT_NAMES, schema.ne_pairs):
         out[name] = 1.0 if pair is not None and pair == combo.ne else 0.0
     for name, pair in zip(_OOV_NAMES, OOV_PAIRS):
         out[name] = 1.0 if combo.oov == pair else 0.0
@@ -688,8 +690,9 @@ def read_feature_csv(
 ) -> tuple[np.ndarray, np.ndarray, FeatureSchema, list[ZoneCombo] | None]:
     """Load a feature matrix and its sidecar back into memory.
 
-    A row of the wrong width, a feature that is no number or a label other
-    than 0 or 1 raises CorpusFormatError naming the file and line.
+    A row of the wrong width, a feature that is not a finite number or a
+    label other than 0 or 1 raises CorpusFormatError naming the file and
+    line. No extractor writes a non-finite value.
     """
     schema_path = schema_path or _sidecar_path(path)
     schema, combos = read_json(schema_path, _decode_sidecar, SCHEMA_FORMAT, SCHEMA_VERSION)
@@ -707,9 +710,13 @@ def read_feature_csv(
             if len(row) != len(header):
                 raise CorpusFormatError(f"{where}: {len(row)} cells, expected {len(header)}")
             try:
-                rows.append([float(v) for v in row[:-1]])
+                values = [float(v) for v in row[:-1]]
             except ValueError as exc:
                 raise CorpusFormatError(f"{where}: {exc}") from exc
+            for cell, value in zip(row, values):
+                if not math.isfinite(value):
+                    raise CorpusFormatError(f"{where}: feature cell {cell!r} is not finite")
+            rows.append(values)
             if row[-1] not in ("0", "1"):
                 raise CorpusFormatError(f"{where}: label {row[-1]!r} is not 0 or 1")
             labels.append(int(row[-1]))

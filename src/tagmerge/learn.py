@@ -5,8 +5,9 @@ under L2 regularization. Standardization statistics and combination-slot
 bindings are always derived from training rows only, inside each fold, so
 no test information leaks into the learner.
 
-Descent steps with the gradient alone. Only `train_logreg` and
-`train_linsvm` compute the loss, to record `LinearModel.loss_history`; the
+`train` fits one model on a whole dataset; `cross_validate` and
+`holdout_evaluate` fit one per split. Descent steps with the gradient alone.
+Only `train` computes the loss, to record `LinearModel.loss_history`; the
 fits inside `cross_validate` and `holdout_evaluate` never compute it.
 """
 
@@ -19,7 +20,8 @@ import numpy as np
 
 from .errors import dataclass_fields, read_json
 from .features import (
-    FeatureSchema, FeatureVector, ZoneCombo, derive_combo_schema, feature_layout, read_feature_csv,
+    NE_SLOT_NAMES, POS_SLOT_NAMES, FeatureSchema, FeatureVector, ZoneCombo, derive_combo_schema,
+    read_feature_csv,
 )
 
 MODEL_FORMAT = "tagmerge-model"
@@ -83,19 +85,15 @@ class Dataset:
         combos: list[ZoneCombo] | None = None,
     ) -> "Dataset":
         matrix = np.array([v.as_array(schema.names) for v in vectors], dtype=float)
-        return cls(
-            matrix=matrix,
-            labels=np.asarray(labels, dtype=int),
-            feature_names=schema.names,
-            groups=dict(schema.groups),
-            binary_mask=schema.binary_mask(),
-            schema_id=schema.schema_id,
-            combos=list(combos) if combos is not None else None,
-        )
+        combos = list(combos) if combos is not None else None
+        return cls._from_schema(matrix, np.asarray(labels, dtype=int), schema, combos)
 
     @classmethod
     def from_csv(cls, path, schema_path=None) -> "Dataset":
-        matrix, labels, schema, combos = read_feature_csv(path, schema_path)
+        return cls._from_schema(*read_feature_csv(path, schema_path))
+
+    @classmethod
+    def _from_schema(cls, matrix, labels, schema: FeatureSchema, combos) -> "Dataset":
         return cls(
             matrix=matrix,
             labels=labels,
@@ -113,15 +111,14 @@ def select_groups(dataset: Dataset, groups: tuple[str, ...]) -> Dataset:
     if not keep:
         raise ValueError(f"no features left after selecting groups {groups}")
     names = tuple(dataset.feature_names[i] for i in keep)
-    has_slots = any(n.startswith(("pos_combo_", "ne_combo_")) for n in names)
-    return Dataset(
+    has_slots = not set(names).isdisjoint(POS_SLOT_NAMES + NE_SLOT_NAMES)
+    return replace(
+        dataset,
         matrix=dataset.matrix[:, keep].copy(),
-        labels=dataset.labels.copy(),
         feature_names=names,
         groups={n: dataset.groups[n] for n in names},
-        binary_mask=dataset.binary_mask[keep].copy(),
-        schema_id=dataset.schema_id,
-        combos=list(dataset.combos) if (dataset.combos is not None and has_slots) else None,
+        binary_mask=dataset.binary_mask[keep],
+        combos=dataset.combos if has_slots else None,
     )
 
 
@@ -140,13 +137,10 @@ def balance_dataset(dataset: Dataset, seed: int = 0) -> Dataset:
             idx = idx[np.sort(rng.permutation(len(idx))[:target])]
         keep.extend(idx.tolist())
     keep = sorted(keep)
-    return Dataset(
-        matrix=dataset.matrix[keep].copy(),
-        labels=labels[keep].copy(),
-        feature_names=dataset.feature_names,
-        groups=dict(dataset.groups),
-        binary_mask=dataset.binary_mask.copy(),
-        schema_id=dataset.schema_id,
+    return replace(
+        dataset,
+        matrix=dataset.matrix[keep],
+        labels=labels[keep],
         combos=[dataset.combos[i] for i in keep] if dataset.combos is not None else None,
     )
 
@@ -191,8 +185,8 @@ class LinearModel:
     """A trained linear classifier with the statistics that standardize its input.
 
     `loss_history` holds the training loss before each epoch and after the
-    last one. Only `train_logreg` and `train_linsvm` record it; evaluation
-    fits never compute the loss, and a loaded model's history is empty.
+    last one. Only `train` records it; evaluation fits never compute the
+    loss, and a loaded model's history is empty.
     """
 
     kind: str
@@ -372,19 +366,17 @@ def _fit_linear(
     return weights, bias, history
 
 
-def _train_on_matrix(
-    kind: str,
-    matrix: np.ndarray,
-    labels: np.ndarray,
-    binary_mask: np.ndarray,
-    config: TrainConfig,
-    schema_id: str,
-    feature_names: tuple[str, ...],
-) -> LinearModel:
-    stats = standardize_fit(matrix, binary_mask)
-    standardized = standardize_apply(stats, matrix)
+def train(dataset: Dataset, kind: str = "logreg", config: TrainConfig | None = None) -> LinearModel:
+    """L2-regularized logistic regression ("logreg") or linear SVM ("linsvm").
+
+    Full-batch (sub)gradient descent on every row of the dataset, standardized
+    by statistics of those same rows.
+    """
+    config = config or TrainConfig()
+    stats = standardize_fit(dataset.matrix, dataset.binary_mask)
+    standardized = standardize_apply(stats, dataset.matrix)
     weights, bias, history = _fit_linear(
-        kind, standardized, labels.astype(float), config, record_loss=True
+        kind, standardized, dataset.labels.astype(float), config, record_loss=True
     )
     return LinearModel(
         kind=kind,
@@ -392,46 +384,22 @@ def _train_on_matrix(
         bias=bias,
         config=config,
         stats=stats,
-        schema_id=schema_id,
-        feature_names=feature_names,
+        schema_id=dataset.schema_id,
+        feature_names=dataset.feature_names,
         loss_history=history,
     )
 
 
-def train_logreg(dataset: Dataset, config: TrainConfig | None = None) -> LinearModel:
-    """L2-regularized logistic regression by full-batch gradient descent."""
-    config = config or TrainConfig()
-    return _train_on_matrix(
-        "logreg",
-        dataset.matrix,
-        dataset.labels,
-        dataset.binary_mask,
-        config,
-        dataset.schema_id,
-        dataset.feature_names,
-    )
+def _classify(kind: str, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """0/1 predictions and scores from linear scores `z`.
 
-
-def train_linsvm(dataset: Dataset, config: TrainConfig | None = None) -> LinearModel:
-    """Linear SVM by full-batch subgradient descent on the hinge loss."""
-    config = config or TrainConfig()
-    return _train_on_matrix(
-        "linsvm",
-        dataset.matrix,
-        dataset.labels,
-        dataset.binary_mask,
-        config,
-        dataset.schema_id,
-        dataset.feature_names,
-    )
-
-
-def _raw_scores(model: LinearModel, matrix: np.ndarray) -> np.ndarray:
-    standardized = standardize_apply(model.stats, matrix)
-    z = standardized @ model.weights + model.bias
-    if model.kind == "logreg":
-        return 0.5 * (1.0 + np.tanh(0.5 * z))
-    return z
+    A logistic model scores the probability of class 1 and predicts 1 above
+    0.5; an SVM scores the margin itself and predicts 1 above 0.0.
+    """
+    if kind == "logreg":
+        scores = 0.5 * (1.0 + np.tanh(0.5 * z))
+        return (scores > 0.5).astype(int), scores
+    return (z > 0.0).astype(int), z
 
 
 def predict(model: LinearModel, vector: FeatureVector | np.ndarray) -> tuple[int, float]:
@@ -440,9 +408,9 @@ def predict(model: LinearModel, vector: FeatureVector | np.ndarray) -> tuple[int
         arr = vector.as_array(model.feature_names)
     else:
         arr = np.asarray(vector, dtype=float)
-    score = float(_raw_scores(model, arr[None, :])[0])
-    threshold = 0.5 if model.kind == "logreg" else 0.0
-    return (1 if score > threshold else 0), score
+    standardized = standardize_apply(model.stats, arr[None, :])
+    preds, scores = _classify(model.kind, standardized @ model.weights + model.bias)
+    return int(preds[0]), float(scores[0])
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +476,7 @@ def roc_auc(scores, labels) -> float:
 
 
 def _metrics(y_true: np.ndarray, y_pred: np.ndarray, scores: np.ndarray) -> dict:
+    """The EvalReport fields that the predictions decide, by field name."""
     per_class = {}
     weighted = {"precision": 0.0, "recall": 0.0, "f_score": 0.0}
     n = len(y_true)
@@ -533,28 +502,11 @@ def _metrics(y_true: np.ndarray, y_pred: np.ndarray, scores: np.ndarray) -> dict
     ]
     return {
         "accuracy": float(np.mean(y_true == y_pred)),
+        **weighted,
         "per_class": per_class,
-        "weighted": weighted,
         "confusion": confusion,
         "roc_area": roc_auc(scores, y_true),
     }
-
-
-def _report(kind: str, m: dict, n_rows: int, per_fold: list, protocol: dict) -> EvalReport:
-    """EvalReport from the metrics that `_metrics` returns."""
-    return EvalReport(
-        kind=kind,
-        accuracy=m["accuracy"],
-        precision=m["weighted"]["precision"],
-        recall=m["weighted"]["recall"],
-        f_score=m["weighted"]["f_score"],
-        roc_area=m["roc_area"],
-        per_class=m["per_class"],
-        confusion=m["confusion"],
-        n_rows=n_rows,
-        per_fold=per_fold,
-        protocol=protocol,
-    )
 
 
 def stratified_folds(labels, n_folds: int, seed: int = 0) -> list[np.ndarray]:
@@ -562,11 +514,12 @@ def stratified_folds(labels, n_folds: int, seed: int = 0) -> list[np.ndarray]:
     labels = np.asarray(labels, dtype=int)
     if n_folds < 2:
         raise ValueError("need at least 2 folds")
-    if n_folds > len(labels):
-        raise ValueError(f"cannot make {n_folds} folds from {len(labels)} rows")
-    classes = np.unique(labels)
+    classes, counts = np.unique(labels, return_counts=True)
     if len(classes) < 2:
         raise ValueError("dataset holds a single class")
+    for cls, count in zip(classes, counts):
+        if count < n_folds:
+            raise ValueError(f"cannot make {n_folds} folds: class {cls} has {count} rows")
     rng = np.random.default_rng(seed)
     folds: list[list[int]] = [[] for _ in range(n_folds)]
     for ci, cls in enumerate(classes):
@@ -582,12 +535,6 @@ def stratified_folds(labels, n_folds: int, seed: int = 0) -> list[np.ndarray]:
             folds[f].extend(shuffled[pos : pos + size].tolist())
             pos += size
     return [np.array(sorted(f), dtype=int) for f in folds]
-
-
-COMBO_SLOT_PREFIXES = ("pos_combo_", "ne_combo_")
-_POS_SLOT_NAMES, _NE_SLOT_NAMES = (
-    tuple(n for n in feature_layout()[0] if n.startswith(prefix)) for prefix in COMBO_SLOT_PREFIXES
-)
 
 
 def _rebind_combo_columns(
@@ -606,8 +553,8 @@ def _rebind_combo_columns(
     out = matrix.copy()
     columns = {name: col for col, name in enumerate(feature_names)}
     for names, bound, row_pairs in (
-        (_POS_SLOT_NAMES, schema.pos_pairs, [c.pos for c in combos]),
-        (_NE_SLOT_NAMES, schema.ne_pairs, [c.ne for c in combos]),
+        (POS_SLOT_NAMES, schema.pos_pairs, [c.pos for c in combos]),
+        (NE_SLOT_NAMES, schema.ne_pairs, [c.ne for c in combos]),
     ):
         slot_of = {pair: slot for slot, pair in enumerate(bound) if pair is not None}
         row_slots = np.array([slot_of.get(pair, -1) for pair in row_pairs])
@@ -625,22 +572,13 @@ def _fit_eval_split(
     config: TrainConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     matrix = dataset.matrix
-    if dataset.combos is not None and any(
-        n.startswith(COMBO_SLOT_PREFIXES) for n in dataset.feature_names
-    ):
+    if dataset.combos is not None:
         matrix = _rebind_combo_columns(matrix, dataset.feature_names, dataset.combos, train_idx)
     stats = standardize_fit(matrix[train_idx], dataset.binary_mask)
     train_m = standardize_apply(stats, matrix[train_idx])
     test_m = standardize_apply(stats, matrix[test_idx])
     weights, bias, _ = _fit_linear(kind, train_m, dataset.labels[train_idx].astype(float), config)
-    z = test_m @ weights + bias
-    if kind == "logreg":
-        scores = 0.5 * (1.0 + np.tanh(0.5 * z))
-        preds = (scores > 0.5).astype(int)
-    else:
-        scores = z
-        preds = (scores > 0.0).astype(int)
-    return preds, scores
+    return _classify(kind, test_m @ weights + bias)
 
 
 def cross_validate(
@@ -673,7 +611,7 @@ def cross_validate(
         )
     m = _metrics(dataset.labels, pooled_pred, pooled_score)
     protocol = {"mode": "cv", "folds": n_folds, "seed": seed}
-    return _report(kind, m, dataset.n_rows, per_fold, protocol)
+    return EvalReport(kind=kind, n_rows=dataset.n_rows, per_fold=per_fold, protocol=protocol, **m)
 
 
 def holdout_evaluate(
@@ -711,4 +649,4 @@ def holdout_evaluate(
         "n_train": int(len(train_idx)),
         "n_test": int(len(test_idx)),
     }
-    return _report(kind, m, int(len(test_idx)), [], protocol)
+    return EvalReport(kind=kind, n_rows=int(len(test_idx)), protocol=protocol, **m)

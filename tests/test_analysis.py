@@ -10,9 +10,7 @@ from tagmerge.analysis import (
     ABLATION_COMBOS,
     ablate,
     bin_column,
-    chi_square_rank,
     chi_square_stat,
-    info_gain_rank,
     info_gain_stat,
     rank_features,
 )
@@ -139,13 +137,13 @@ def planted_dataset(n=80, n_noise=30, seed=0):
 
 def test_perfect_feature_ranks_first_under_both_methods():
     ds = planted_dataset()
-    for ranking in (chi_square_rank(ds), info_gain_rank(ds)):
+    for ranking in (rank_features(ds, "chi2"), rank_features(ds, "infogain")):
         assert ranking.top(1) == ("planted",)
         assert len(ranking.entries) == 31
         ranks = [r for r, _, _ in ranking.entries]
         assert ranks == list(range(1, 32))
-    assert chi_square_rank(ds).statistic("planted") == pytest.approx(80.0, abs=1e-9)
-    assert info_gain_rank(ds).statistic("planted") == pytest.approx(math.log(2), abs=1e-9)
+    assert rank_features(ds, "chi2").statistic("planted") == pytest.approx(80.0, abs=1e-9)
+    assert rank_features(ds, "infogain").statistic("planted") == pytest.approx(math.log(2), abs=1e-9)
 
 
 def test_rank_features_dispatch():
@@ -160,7 +158,7 @@ def test_ranking_requires_both_classes():
     ds = planted_dataset()
     ds.labels[:] = 1
     with pytest.raises(ValueError):
-        chi_square_rank(ds)
+        rank_features(ds, "chi2")
 
 
 def read_ranking_tsv(path):
@@ -173,7 +171,7 @@ def read_ranking_tsv(path):
 
 def test_ranking_tsv_round_trip(tmp_path):
     ds = planted_dataset()
-    ranking = chi_square_rank(ds)
+    ranking = rank_features(ds, "chi2")
     path = tmp_path / "rank.tsv"
     ranking.save(path)
     assert read_ranking_tsv(path) == ranking.entries

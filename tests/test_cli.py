@@ -228,6 +228,9 @@ DAMAGED_FEATURE_ROWS = {
     "long-row": lambda cells: cells + ["0"],
     "word-cell": lambda cells: ["high"] + cells[1:],
     "empty-cell": lambda cells: [""] + cells[1:],
+    "nan-cell": lambda cells: ["nan"] + cells[1:],
+    "inf-cell": lambda cells: ["inf"] + cells[1:],
+    "minus-inf-cell": lambda cells: ["-inf"] + cells[1:],
     "label-7": lambda cells: cells[:-1] + ["7"],
 }
 

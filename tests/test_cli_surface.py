@@ -184,7 +184,7 @@ def dataset(monkeypatch):
 
 
 @pytest.mark.parametrize("owner, name, argv, expected", [
-    (learn, "train_logreg", ["train"], {"config": DEFAULT_TRAIN}),
+    (learn, "train", ["train"], {"kind": "logreg", "config": DEFAULT_TRAIN}),
     (learn, "cross_validate", ["evaluate", "cv"],
      {"kind": "logreg", "n_folds": 10, "seed": 0, "config": DEFAULT_TRAIN}),
     (learn, "holdout_evaluate", ["evaluate", "holdout"],

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tagmerge import corpus, features, synth, topicmodel
+from tagmerge import synth, topicmodel
 from tagmerge.compound import detect_candidates, filter_eligible
 from tagmerge.corpus import CorpusIndex, observation_window, shift_months
 from tagmerge.errors import CorpusFormatError, InsufficientHistoryError
@@ -522,12 +522,12 @@ def test_featurize_all_reads_each_window_once_and_never_tokenizes(monkeypatch):
         reads.append(canonical)
         return real(self, canonical, lo, hi)
 
-    def no_tokenize(*args, **kwargs):
-        raise AssertionError("featurize tokenized text the index had already tokenized")
+    def no_index(*args, **kwargs):
+        raise AssertionError("featurize built an index, tokenizing every tweet again")
 
     monkeypatch.setattr(CorpusIndex, "tweets_between", counted)
-    for module in (corpus, features):
-        monkeypatch.setattr(module, "tokenize", no_tokenize, raising=False)
+    # the index's own tokenizing pass, the only tokenizer in the package
+    monkeypatch.setattr(CorpusIndex, "__init__", no_index)
     observation = ObservationConfig(obs_months=6, horizon_months=2, lda_topics=2)
     vectors, _, _, _ = featurize_all(cands * 3, index, res, observation)
     assert len(vectors) == 3

@@ -2,10 +2,12 @@
 
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from tagmerge import learn
 from tagmerge.errors import CorpusFormatError
 from tagmerge.features import OOV_PAIRS, ZoneCombo, combo_bits, derive_combo_schema, feature_layout
 from tagmerge.learn import (
@@ -25,8 +27,7 @@ from tagmerge.learn import (
     standardize_apply,
     standardize_fit,
     stratified_folds,
-    train_linsvm,
-    train_logreg,
+    train,
 )
 
 from oracles import expression_gradient, reference_fit
@@ -166,11 +167,11 @@ def test_hinge_fit_holds_rows_exactly_on_the_margin():
     assert losses == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
 
-@pytest.mark.parametrize("trainer, kind", [(train_logreg, "logreg"), (train_linsvm, "linsvm")])
-def test_trained_model_records_the_reference_losses(trainer, kind):
+@pytest.mark.parametrize("kind", ["logreg", "linsvm"])
+def test_trained_model_records_the_reference_losses(kind):
     ds = toy_dataset(n=30, d=4, sep=1.0)
     config = TrainConfig(epochs=90)
-    model = trainer(ds, config)
+    model = train(ds, kind, config)
     standardized = standardize_apply(standardize_fit(ds.matrix, ds.binary_mask), ds.matrix)
     want_w, want_b, losses = reference_fit(kind, standardized, ds.labels.astype(float), config)
     assert model.loss_history.tolist() == losses
@@ -179,7 +180,7 @@ def test_trained_model_records_the_reference_losses(trainer, kind):
 
 def test_logreg_separates_toy_data():
     ds = toy_dataset()
-    model = train_logreg(ds)
+    model = train(ds, "logreg")
     assert model.kind == "logreg"
     assert len(model.loss_history) == model.config.epochs + 1
     assert model.loss_history[-1] < model.loss_history[0]
@@ -189,7 +190,7 @@ def test_logreg_separates_toy_data():
 
 def test_linsvm_separates_toy_data():
     ds = toy_dataset(seed=1)
-    model = train_linsvm(ds)
+    model = train(ds, "linsvm")
     assert model.kind == "linsvm"
     preds = [predict(model, ds.matrix[i])[0] for i in range(ds.n_rows)]
     assert preds == ds.labels.tolist()
@@ -197,11 +198,11 @@ def test_linsvm_separates_toy_data():
 
 def test_training_is_seed_deterministic():
     ds = toy_dataset()
-    m1 = train_logreg(ds, TrainConfig(epochs=50))
-    m2 = train_logreg(ds, TrainConfig(epochs=50))
+    m1 = train(ds, "logreg", TrainConfig(epochs=50))
+    m2 = train(ds, "logreg", TrainConfig(epochs=50))
     assert np.array_equal(m1.weights, m2.weights)
     assert m1.bias == m2.bias
-    m3 = train_logreg(ds, TrainConfig(epochs=50, seed=9))
+    m3 = train(ds, "logreg", TrainConfig(epochs=50, seed=9))
     assert not np.array_equal(m1.weights, m3.weights)
 
 
@@ -209,16 +210,16 @@ def test_training_rejects_single_class():
     ds = toy_dataset()
     ds.labels[:] = 1
     with pytest.raises(ValueError):
-        train_logreg(ds)
+        train(ds, "logreg")
 
 
 def test_predict_scores_match_model_kind():
     ds = toy_dataset()
-    logreg = train_logreg(ds)
+    logreg = train(ds, "logreg")
     label, score = predict(logreg, ds.matrix[1])
     assert 0.0 < score < 1.0  # probability
     assert label == int(score > 0.5)
-    svm = train_linsvm(ds)
+    svm = train(ds, "linsvm")
     label2, score2 = predict(svm, ds.matrix[1])
     assert label2 == int(score2 > 0.0)  # raw margin
 
@@ -312,6 +313,8 @@ def test_stratified_folds_determinism_and_errors():
         stratified_folds(labels, 21)
     with pytest.raises(ValueError):
         stratified_folds(np.ones(10, dtype=int), 2)
+    with pytest.raises(ValueError, match="class 1 has 3 rows"):
+        stratified_folds([0] * 10 + [1] * 3, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -503,13 +506,38 @@ def test_holdout_split_sizes_and_protocol():
         holdout_evaluate(ds, test_fraction=1.0)
 
 
+@pytest.mark.parametrize("kind", ["logreg", "linsvm"])
+def test_train_and_predict_reproduce_holdout_evaluate(kind, monkeypatch):
+    """Evaluation fits score test rows exactly as `predict` scores a trained model."""
+    ds = toy_dataset(n=60, seed=2, sep=1.5)
+    splits = []
+    real = learn._fit_eval_split
+
+    def spy(dataset, kind, train_idx, test_idx, config):
+        splits.append((train_idx, test_idx))
+        return real(dataset, kind, train_idx, test_idx, config)
+
+    monkeypatch.setattr(learn, "_fit_eval_split", spy)
+    config = TrainConfig(epochs=60)
+    report = holdout_evaluate(ds, kind, test_fraction=0.25, seed=4, config=config)
+    ((train_idx, test_idx),) = splits
+    train_rows = replace(ds, matrix=ds.matrix[train_idx], labels=ds.labels[train_idx])
+    model = train(train_rows, kind, config)
+    preds, scores = zip(*(predict(model, ds.matrix[i]) for i in test_idx))
+    y = ds.labels[test_idx]
+    confusion = [[int(np.sum((y == a) & (np.array(preds) == b))) for b in (0, 1)] for a in (0, 1)]
+    assert confusion == report.confusion
+    assert 0 < confusion[0][1] + confusion[1][0]  # some errors, so the scores decide something
+    assert roc_auc(scores, y) == report.roc_area
+
+
 # ---------------------------------------------------------------------------
 # persistence
 
 
 def test_model_save_load_round_trip(tmp_path):
     ds = toy_dataset()
-    model = train_logreg(ds, TrainConfig(epochs=60))
+    model = train(ds, "logreg", TrainConfig(epochs=60))
     path = tmp_path / "model.json"
     model.save(path)
     loaded = LinearModel.load(path)
@@ -539,7 +567,7 @@ def test_model_load_rejects_foreign_file(tmp_path):
 )
 def test_model_load_rejects_damaged_file(tmp_path, damage):
     path = tmp_path / "model.json"
-    train_logreg(toy_dataset(), TrainConfig(epochs=5)).save(path)
+    train(toy_dataset(), "logreg", TrainConfig(epochs=5)).save(path)
     damaged = damage(json.loads(path.read_text()))
     path.write_text(damaged if isinstance(damaged, str) else json.dumps(damaged))
     with pytest.raises(CorpusFormatError, match=re.escape(str(path))):
