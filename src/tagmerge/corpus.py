@@ -7,26 +7,36 @@ background counts of the token stream before an instant. It holds no state
 that a query changes, so queries may come in any order and one index may be
 shared. Every window query takes the open interval (lo, hi): a tweet at
 either bound is outside it.
+
+`CorpusIndex.save` writes the index as JSON, the interchange format, and
+then a binary `.npz` sidecar next to it (`index.json` -> `index.npz`) that
+holds what is costly to derive from the JSON: each tweet's hashtags and the
+tokenized text. `CorpusIndex.load` reads the sidecar only when it was
+written for the exact JSON bytes it finds; otherwise it rebuilds the index
+from the JSON alone, so a missing, stale or damaged sidecar never changes
+the index.
 """
 
 from __future__ import annotations
 
 import calendar
+import hashlib
 import json
 import logging
 import math
 import re
 import string
+import zipfile
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import chain
+from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import CorpusFormatError, read_json
+from .errors import CorpusFormatError, decode_json
 
 logger = logging.getLogger(__name__)
 
@@ -37,6 +47,22 @@ _PUNCT = string.punctuation
 
 INDEX_FORMAT = "tagmerge-index"
 INDEX_VERSION = 1
+
+SIDECAR_VERSION = 1
+# every member of the sidecar, each a one-dimensional array of this dtype;
+# "tags" and "vocabulary" are UTF-8 strings, each ended by a newline, which
+# neither a hashtag nor a whitespace-split token can contain
+_SIDECAR_DTYPES = {
+    "version": np.dtype(np.int64),
+    "sha256": np.dtype(np.uint8),
+    "tags": np.dtype(np.uint8),
+    "tag_ids": np.dtype(np.int32),
+    "tag_offsets": np.dtype(np.int64),
+    "vocabulary": np.dtype(np.uint8),
+    "token_ids": np.dtype(np.int32),
+    "token_offsets": np.dtype(np.int64),
+    "tagged": np.dtype(np.int32),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +185,7 @@ class Tweet:
     text: str
     retweet_of: str | None = None
     mentions: tuple[str, ...] | None = None
-    hashtags: tuple[HashtagId, ...] = field(init=False)
+    hashtags: tuple[HashtagId, ...] | None = None
 
     def __post_init__(self):
         if not (isinstance(self.id, str) and isinstance(self.user_id, str)
@@ -172,7 +198,8 @@ class Tweet:
             raise ValueError(f"tweet {self.id}: timestamp must be an integer")
         if self.timestamp <= 0:
             raise ValueError(f"tweet {self.id}: timestamp must be strictly positive")
-        object.__setattr__(self, "hashtags", tuple(extract_hashtags(self.text)))
+        if self.hashtags is None:
+            object.__setattr__(self, "hashtags", tuple(extract_hashtags(self.text)))
         if self.mentions is None:
             object.__setattr__(self, "mentions", tuple(extract_mentions(self.text)))
         else:
@@ -222,35 +249,21 @@ class CorpusIndex:
     bounds.
     """
 
-    def __init__(self, tweets: Sequence[Tweet], skipped: int = 0, filtered: int = 0):
+    def __init__(
+        self,
+        tweets: Sequence[Tweet],
+        skipped: int = 0,
+        filtered: int = 0,
+        tokens: tuple | None = None,
+    ):
+        """Index `tweets`; `tokens` is what `_tokenize` returns for them, derived when absent."""
         ordered = sorted(tweets, key=lambda t: (t.timestamp, t.id))
-        seen_ids: set[str] = set()
-        for t in ordered:
-            if t.id in seen_ids:
-                raise ValueError(f"duplicate tweet id {t.id!r}")
-            seen_ids.add(t.id)
         self._tweets: tuple[Tweet, ...] = tuple(ordered)
         self._by_id = {t.id: i for i, t in enumerate(self._tweets)}
+        if len(self._by_id) != len(self._tweets):
+            raise ValueError("duplicate tweet ids")
         self.skipped = skipped
         self.filtered = filtered
-
-        # each tweet's whitespace-split words, edge punctuation stripped and
-        # lowercased, dropping any left empty; and the positions, in the flat
-        # token stream, of those that came from a '#' or '@' word
-        self._tokens: list[list[str]] = []
-        tagged = array("i")
-        n_tokens = 0
-        for tweet in self._tweets:
-            tokens = []
-            for raw in tweet.text.split():
-                word = raw.strip(_PUNCT).lower()
-                if word:
-                    if raw[0] in "#@":
-                        tagged.append(n_tokens + len(tokens))
-                    tokens.append(word)
-            self._tokens.append(tokens)
-            n_tokens += len(tokens)
-        self._tagged = tagged
 
         self._tags: dict[str, _TagEntry] = {}
         for pos, tweet in enumerate(self._tweets):
@@ -274,16 +287,13 @@ class CorpusIndex:
         else:
             self.months = ()
 
-        words = set(chain.from_iterable(self._tokens))
-        self._vocab: tuple[str, ...] = tuple(sorted(words))
+        if tokens is None:
+            tokens = _tokenize(self._tweets)
+        # all token ids in tweet order, _token_offsets[k] counting the tokens
+        # before tweet k, and the positions of those from a '#' or '@' word
+        self._vocab, self._token_ids, self._token_offsets, self._tagged = tokens
         self._word_index = {w: i for i, w in enumerate(self._vocab)}
-        # all token ids in tweet order; _token_offsets[k] counts the tokens before tweet k
-        self._token_offsets = np.cumsum([0] + [len(toks) for toks in self._tokens])
-        self._token_ids = np.fromiter(
-            map(self._word_index.__getitem__, chain.from_iterable(self._tokens)),
-            dtype=np.int32,
-            count=int(self._token_offsets[-1]),
-        )
+        self._words = list(map(self._vocab.__getitem__, self._token_ids.tolist()))
 
     # -- basic access -------------------------------------------------------
 
@@ -298,14 +308,20 @@ class CorpusIndex:
         return self._tweets[self._by_id[tweet_id]]
 
     def tokens_of(self, tweet: Tweet) -> list[str]:
-        return self._tokens[self._by_id[tweet.id]]
+        """The tweet's whitespace-split words, edge punctuation stripped and
+        lowercased, dropping any left empty."""
+        start, end = self._token_span(tweet)
+        return self._words[start:end]
 
     def plain_tokens_of(self, tweet: Tweet) -> list[str]:
         """`tokens_of(tweet)` without those that came from a '#' or '@' word."""
-        k = self._by_id[tweet.id]
-        start, end = self._token_offsets[k : k + 2].tolist()
+        start, end = self._token_span(tweet)
         tagged = self._tagged[bisect_left(self._tagged, start) : bisect_left(self._tagged, end)]
-        return [tok for pos, tok in enumerate(self._tokens[k], start) if pos not in tagged]
+        return [tok for pos, tok in enumerate(self._words[start:end], start) if pos not in tagged]
+
+    def _token_span(self, tweet: Tweet) -> tuple[int, int]:
+        k = self._by_id[tweet.id]
+        return self._token_offsets[k : k + 2].tolist()
 
     def hashtags(self) -> list[str]:
         return sorted(self._tags)
@@ -390,18 +406,93 @@ class CorpusIndex:
         }
 
     def save(self, path) -> None:
+        """Write the index as JSON to `path`, then its sidecar (see `_sidecar_path`)."""
         payload = json.dumps(self.to_payload(), sort_keys=True, separators=(",", ":"))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-            fh.write("\n")
+        data = (payload + "\n").encode("utf-8")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        self._save_sidecar(_sidecar_path(path), hashlib.sha256(data).digest())
+
+    def _save_sidecar(self, path, digest: bytes) -> None:
+        """Write the sidecar for the JSON bytes whose SHA-256 is `digest`."""
+        tags: dict[str, int] = {}
+        tag_ids = [tags.setdefault(h.display, len(tags)) for t in self._tweets for h in t.hashtags]
+        members = {
+            "version": [SIDECAR_VERSION],
+            "sha256": np.frombuffer(digest, dtype=np.uint8),
+            "tags": _string_blob(tags),
+            "tag_ids": tag_ids,
+            "tag_offsets": np.cumsum([0] + [len(t.hashtags) for t in self._tweets]),
+            "vocabulary": _string_blob(self._vocab),
+            "token_ids": self._token_ids,
+            "token_offsets": self._token_offsets,
+            "tagged": self._tagged,
+        }
+        with zipfile.ZipFile(path, "w") as zf:
+            for name, dtype in _SIDECAR_DTYPES.items():
+                # a fixed member date keeps the bytes identical from run to run
+                info = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
+                with zf.open(info, "w") as fh:
+                    values = np.asarray(members[name], dtype=dtype)
+                    np.lib.format.write_array(fh, values, allow_pickle=False)
 
     @classmethod
     def load(cls, path) -> "CorpusIndex":
-        tweets, skipped, filtered = read_json(path, _decode_index, INDEX_FORMAT, INDEX_VERSION)
-        return cls(tweets, skipped=skipped, filtered=filtered)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        sidecar = _read_sidecar(_sidecar_path(path), hashlib.sha256(data).digest())
+        tweets, skipped, filtered, tokens = decode_json(
+            path, data, lambda payload: _decode_index(payload, sidecar), INDEX_FORMAT, INDEX_VERSION
+        )
+        return cls(tweets, skipped=skipped, filtered=filtered, tokens=tokens)
 
 
-def _decode_index(payload: dict) -> tuple[list[Tweet], int, int]:
+def _tokenize(tweets: Sequence[Tweet]) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, array]:
+    """The vocabulary and token stream of the tweets' texts.
+
+    A tweet's tokens are its whitespace-split words, edge punctuation
+    stripped and lowercased, dropping any left empty. Returns the sorted
+    vocabulary; every token's vocabulary id in tweet order (int32); the
+    offsets (int64, one more than there are tweets) at which each tweet's
+    tokens start; and the positions, in that stream, of the tokens that came
+    from a '#' or '@' word.
+    """
+    # raw word -> (first-seen id of its token or -1 when it has none, tagged)
+    seen: dict[str, tuple[int, bool]] = {}
+    first_ids: dict[str, int] = {}
+    ids = array("i")
+    offsets = array("q", [0])
+    tagged = array("i")
+    for tweet in tweets:
+        for raw in tweet.text.split():
+            hit = seen.get(raw)
+            if hit is None:
+                word = raw.strip(_PUNCT).lower()
+                wid = first_ids.setdefault(word, len(first_ids)) if word else -1
+                hit = seen[raw] = (wid, raw[0] in "#@")
+            wid, is_tag = hit
+            if wid >= 0:
+                if is_tag:
+                    tagged.append(len(ids))
+                ids.append(wid)
+        offsets.append(len(ids))
+    vocab = tuple(sorted(first_ids))
+    rank = np.empty(len(vocab), dtype=np.int32)
+    rank[[first_ids[w] for w in vocab]] = np.arange(len(vocab), dtype=np.int32)
+    return vocab, rank[np.asarray(ids, dtype=np.intp)], np.asarray(offsets), tagged
+
+
+def _decode_index(payload: dict, sidecar=None) -> tuple[list[Tweet], int, int, tuple | None]:
+    """Tweets, skipped and filtered counts, and tokens (None without a sidecar).
+
+    `sidecar` is `_read_sidecar`'s result for the payload's bytes, and gives
+    each tweet's hashtags and the `_tokenize` result.
+    """
+    records = payload["tweets"]
+    if sidecar is not None and len(sidecar[0]) != len(records):
+        logger.warning("ignoring an index sidecar for %d tweets, not %d", len(sidecar[0]), len(records))
+        sidecar = None
+    hashtags, tokens = sidecar if sidecar is not None else (repeat(None), None)
     tweets = [
         Tweet(
             id=rec["id"],
@@ -410,10 +501,91 @@ def _decode_index(payload: dict) -> tuple[list[Tweet], int, int]:
             text=rec["text"],
             retweet_of=rec.get("retweet_of"),
             mentions=tuple(rec.get("mentions") or ()),
+            hashtags=tags,
         )
-        for rec in payload["tweets"]
+        for rec, tags in zip(records, hashtags)
     ]
-    return tweets, payload.get("skipped", 0), payload.get("filtered", 0)
+    seen_ids: set[str] = set()
+    for t in tweets:
+        if t.id in seen_ids:
+            raise ValueError(f"duplicate tweet id {t.id!r}")
+        seen_ids.add(t.id)
+    return tweets, payload.get("skipped", 0), payload.get("filtered", 0), tokens
+
+
+def _sidecar_path(index_path) -> str:
+    """Path of the sidecar of the index JSON at `index_path`: `index.json` -> `index.npz`."""
+    return str(index_path).removesuffix(".json") + ".npz"
+
+
+def _string_blob(strings: Iterable[str]) -> np.ndarray:
+    return np.frombuffer("".join(s + "\n" for s in strings).encode("utf-8"), dtype=np.uint8)
+
+
+def _read_sidecar(path, digest: bytes):
+    """(per-tweet hashtags, `_tokenize` result) from the sidecar at `path`.
+
+    None when the file is missing, unreadable or damaged, of another layout
+    version, or written for other JSON bytes than those whose SHA-256 is
+    `digest`; the index is then built from its JSON alone.
+    """
+    arrays = {}
+    try:
+        with zipfile.ZipFile(path) as zf:
+            for name, dtype in _SIDECAR_DTYPES.items():
+                with zf.open(f"{name}.npy") as fh:
+                    arrays[name] = np.lib.format.read_array(fh, allow_pickle=False)
+                if arrays[name].dtype != dtype or arrays[name].ndim != 1:
+                    raise ValueError(f"member {name!r} is not a 1-d {dtype} array")
+        if arrays["version"].tolist() != [SIDECAR_VERSION]:
+            raise ValueError(f"layout version {arrays['version'].tolist()}, not {SIDECAR_VERSION}")
+        if arrays["sha256"].tobytes() != digest:
+            logger.info("ignoring stale index sidecar %s", path)
+            return None
+        return _sidecar_contents(arrays)
+    except FileNotFoundError:
+        return None
+    # a damaged zip or member raises any of these
+    except (OSError, EOFError, KeyError, RuntimeError, ValueError, zipfile.BadZipFile) as exc:
+        logger.warning("ignoring damaged index sidecar %s: %s", path, exc)
+        return None
+
+
+def _sidecar_contents(arrays: dict) -> tuple[list[tuple[HashtagId, ...]], tuple]:
+    """Decode and check the sidecar's arrays; ValueError if they do not fit together."""
+    table = [HashtagId.from_display(d) for d in _blob_strings(arrays["tags"])]
+    vocab = tuple(_blob_strings(arrays["vocabulary"]))
+    tag_ids, tag_offsets = arrays["tag_ids"], arrays["tag_offsets"]
+    token_ids, token_offsets, tagged = arrays["token_ids"], arrays["token_offsets"], arrays["tagged"]
+    _check_offsets("tag_offsets", tag_offsets, len(tag_ids))
+    _check_offsets("token_offsets", token_offsets, len(token_ids))
+    if len(tag_offsets) != len(token_offsets):
+        raise ValueError("tag and token offsets count different tweets")
+    _check_ids("tag_ids", tag_ids, len(table))
+    _check_ids("token_ids", token_ids, len(vocab))
+    _check_ids("tagged", tagged, len(token_ids))
+    if (np.diff(tagged) <= 0).any():
+        raise ValueError("tag positions are not increasing")
+    ids, offsets = tag_ids.tolist(), tag_offsets.tolist()
+    hashtags = [tuple(map(table.__getitem__, ids[a:b])) for a, b in zip(offsets, offsets[1:])]
+    return hashtags, (vocab, token_ids, token_offsets, array("i", tagged.tobytes()))
+
+
+def _blob_strings(blob: np.ndarray) -> list[str]:
+    text = blob.tobytes().decode("utf-8")
+    if text and not text.endswith("\n"):
+        raise ValueError("a string table does not end with a newline")
+    return text.split("\n")[:-1]
+
+
+def _check_offsets(name: str, offsets: np.ndarray, total: int) -> None:
+    if len(offsets) == 0 or offsets[0] != 0 or offsets[-1] != total or (np.diff(offsets) < 0).any():
+        raise ValueError(f"{name} do not split {total} entries")
+
+
+def _check_ids(name: str, ids: np.ndarray, bound: int) -> None:
+    if len(ids) and (ids.min() < 0 or ids.max() >= bound):
+        raise ValueError(f"{name} out of range [0, {bound})")
 
 
 @dataclass(frozen=True)

@@ -26,19 +26,25 @@ class InsufficientHistoryError(TagmergeError):
 
 
 def read_json(path, decode, fmt=None, version=None):
-    """`decode(payload)` of the JSON object stored in `path`.
+    """`decode(payload)` of the JSON object stored in `path`; see `decode_json`."""
+    with open(path, "rb") as fh:
+        return decode_json(path, fh.read(), decode, fmt, version)
 
-    Raises CorpusFormatError naming the file when it is not JSON, holds no
-    object, carries another `format` or `version` than the given ones, or
-    when `decode` meets a missing key or a value of the wrong type
-    (`KeyError`, `TypeError`). Only `decode` is guarded, so a fault in the
-    code that uses its result still surfaces as itself.
+
+def decode_json(path, data: bytes, decode, fmt=None, version=None):
+    """`decode(payload)` of the JSON object held in `data`, the bytes of `path`.
+
+    Raises CorpusFormatError naming the file when it is not UTF-8 JSON,
+    holds no object, carries another `format` or `version` than the given
+    ones, or when `decode` meets a missing key, a value of the wrong type or
+    a bad value (`KeyError`, `TypeError`, `ValueError`). Only `decode` is
+    guarded, so a fault in the code that uses its result still surfaces as
+    itself.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:
-            raise CorpusFormatError(f"{path}: not a JSON file: {exc}") from exc
+    try:
+        payload = json.loads(data.decode("utf-8"))
+    except ValueError as exc:
+        raise CorpusFormatError(f"{path}: not a JSON file: {exc}") from exc
     if not isinstance(payload, dict):
         raise CorpusFormatError(f"{path}: expected a JSON object, found {type(payload).__name__}")
     if fmt is not None and payload.get("format") != fmt:
@@ -51,6 +57,8 @@ def read_json(path, decode, fmt=None, version=None):
         raise CorpusFormatError(f"{path}: missing key {exc}") from exc
     except TypeError as exc:
         raise CorpusFormatError(f"{path}: malformed value: {exc}") from exc
+    except ValueError as exc:
+        raise CorpusFormatError(f"{path}: bad value: {exc}") from exc
 
 
 def dataclass_fields(cls, payload: dict) -> dict:

@@ -3,11 +3,12 @@
 import hashlib
 import json
 import shlex
+import time
 from pathlib import Path
 
 import pytest
 
-from tagmerge import cli, compound, learn, synth
+from tagmerge import cli, compound, corpus, learn, synth
 from tagmerge.corpus import CorpusIndex, Tweet
 
 from test_analysis import read_ranking_tsv
@@ -87,15 +88,67 @@ def test_missing_required_option_names_it(capsys):
     assert "--index" in capsys.readouterr().err
 
 
-def test_index_with_a_float_timestamp_is_rejected(tmp_path, capsys):
+# A value the index decoder rejects, set on the first of two tweets: the key,
+# the value, and what the error says.
+BAD_INDEX_VALUES = {
+    "float-timestamp": ("timestamp", 1300000000.5, "timestamp must be an integer"),
+    "string-timestamp": ("timestamp", "1300000000", "timestamp must be an integer"),
+    "zero-timestamp": ("timestamp", 0, "timestamp must be strictly positive"),
+    "empty-id": ("id", "", "tweet id must be non-empty"),
+    "duplicate-id": ("id", "t2", "duplicate tweet id 't2'"),
+}
+
+
+@pytest.mark.parametrize("sidecar", [False, True], ids=["json-only", "sidecar"])
+@pytest.mark.parametrize("damage", list(BAD_INDEX_VALUES))
+def test_index_with_a_bad_value_exits_one_naming_the_file(
+    damage, sidecar, tmp_path, monkeypatch, capsys
+):
     path = tmp_path / "index.json"
-    CorpusIndex([Tweet(id="t1", timestamp=1300000000, user_id="u", text="#a hi")]).save(path)
+    index = CorpusIndex([
+        Tweet(id="t1", timestamp=1300000000, user_id="u", text="#a hi"),
+        Tweet(id="t2", timestamp=1300000100, user_id="u", text="#b ho"),
+    ])
+    index.save(path)
+    key, value, message = BAD_INDEX_VALUES[damage]
     payload = json.loads(path.read_text())
-    payload["tweets"][0]["timestamp"] = 1300000000.5
+    payload["tweets"][0][key] = value
     path.write_text(json.dumps(payload))
+    if sidecar:
+        # a sidecar written for the damaged bytes, so the load takes its path
+        index._save_sidecar(tmp_path / "index.npz", hashlib.sha256(path.read_bytes()).digest())
+        monkeypatch.setattr(corpus, "extract_hashtags", _never)
+    else:
+        (tmp_path / "index.npz").unlink()
     assert cli.main(["detect", "--index", str(path), "--out", str(tmp_path / "c.tsv")]) == 1
-    assert "timestamp must be an integer" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{path}: " in err
+    assert message in err
     assert not (tmp_path / "c.tsv").exists()
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("the index sidecar was not used")
+
+
+def test_ingest_writes_the_same_index_and_sidecar_bytes_every_run(scen_dir, tmp_path, monkeypatch):
+    first, second = tmp_path / "a", tmp_path / "b"
+
+    def ingest(out):
+        out.mkdir()
+        assert cli.main(["ingest", "--corpus", str(scen_dir["corpus"]), "--out", str(out / "index.json")]) == 0
+
+    ingest(first)
+    # the second run a day later, by the clock
+    real_time = time.time
+    monkeypatch.setattr(time, "time", lambda: real_time() + 86400)
+    ingest(second)
+    assert sorted(p.name for p in second.iterdir()) == ["index.json", "index.npz"]
+    for name in ("index.json", "index.npz"):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    # the JSON written before the sidecar existed
+    digest = hashlib.sha256((first / "index.json").read_bytes()).hexdigest()
+    assert digest == "a2dc4972edb6c183f778bc2b0d0a7bd14b39641ed7ac07f3626b0c73459191d0"
 
 
 def test_internal_errors_exit_two(monkeypatch, capsys):

@@ -307,6 +307,138 @@ def test_index_load_rejects_foreign_payload(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the binary sidecar
+
+
+def sidecar_corpus():
+    """Mixed-case repeats, '#9pm', punctuation-only words, mentions, no tokens."""
+    return CorpusIndex([
+        make_tweet("#Ab and #aB again #ab", utc(2011, 6, 3), tid="s1"),
+        make_tweet("at #9pm tonight, #AB!", utc(2011, 6, 9), tid="s2"),
+        make_tweet("... !!! -- (#x#y) é#tag", utc(2011, 6, 9), tid="s3"),
+        make_tweet("@Alice says hi to @bob #Cd", utc(2011, 7, 2), tid="s4",
+                   mentions=("Alice", "bob")),
+        make_tweet("!!! ...", utc(2011, 7, 20), tid="s5"),
+        make_tweet("", utc(2011, 8, 1), tid="s6"),
+        make_tweet("#cd #ab closing words", utc(2011, 9, 30), tid="s7"),
+    ], skipped=2, filtered=1)
+
+
+def index_view(index):
+    """Everything a reader of the index can see, as comparable values."""
+    instants = [utc(2011, 6, 1), utc(2011, 6, 9), utc(2011, 6, 9) + 1, utc(2011, 8, 1), utc(2012, 1, 1)]
+    windows = [(0, utc(2012, 1, 1)), (utc(2011, 6, 3), utc(2011, 9, 30)), (utc(2011, 6, 9) - 1, utc(2011, 7, 2))]
+    return {
+        "tweets": index.tweets,
+        "hashtags": [t.hashtags for t in index.tweets],
+        "tokens": [index.tokens_of(t) for t in index.tweets],
+        "plain": [index.plain_tokens_of(t) for t in index.tweets],
+        "vocabulary": index.vocabulary,
+        "background": [(c.tolist(), n) for c, n in map(index.background_before, instants)],
+        "tags": {
+            tag: (
+                index.first_seen(tag),
+                index.hashtag_id(tag).display,
+                [[t.id for t in index.tweets_between(tag, lo, hi)] for lo, hi in windows],
+                [index.count_between(tag, lo, hi) for lo, hi in windows],
+            )
+            for tag in index.hashtags()
+        },
+        "months": index.months,
+        "counts": (index.skipped, index.filtered),
+    }
+
+
+def load_json_only(path, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(corpus, "_read_sidecar", lambda *args: None)
+        return CorpusIndex.load(path)
+
+
+def test_sidecar_load_equals_json_load_and_built_index(tmp_path, monkeypatch):
+    index = sidecar_corpus()
+    assert [h.display for h in index.tweet("s1").hashtags] == ["Ab", "aB", "ab"]
+    assert index.hashtag_id("ab").display == "Ab"
+    assert index.tokens_of(index.tweet("s5")) == [] and index.tokens_of(index.tweet("s6")) == []
+    path = tmp_path / "index.json"
+    index.save(path)
+    assert (tmp_path / "index.npz").is_file()
+    with_sidecar = CorpusIndex.load(path)
+    json_only = load_json_only(path, monkeypatch)
+    assert index_view(with_sidecar) == index_view(json_only) == index_view(index)
+
+
+def test_fresh_sidecar_is_used_without_tagging_or_tokenizing(tmp_path, monkeypatch):
+    index = sidecar_corpus()
+    path = tmp_path / "index.json"
+    index.save(path)
+
+    def never(*args, **kwargs):
+        raise AssertionError("the load derived what the sidecar holds")
+
+    monkeypatch.setattr(corpus, "extract_hashtags", never)
+    monkeypatch.setattr(corpus, "_tokenize", never)
+    assert index_view(CorpusIndex.load(path)) == index_view(index)
+
+
+def _rewrite_sidecar(path, **members):
+    """Rewrite the sidecar with some members replaced, or dropped when None."""
+    with np.load(path) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    for name, value in members.items():
+        if value is None:
+            del arrays[name]
+        else:
+            arrays[name] = value
+    np.savez(path, **arrays)
+
+
+def _flip_token_byte(path):
+    data = bytearray(path.read_bytes())
+    # past the member's name and its 128-byte array header, inside the ids
+    at = data.index(b"token_ids.npy") + len(b"token_ids.npy") + 128 + 1
+    data[at] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+def _stale(json_path, sidecar):
+    payload = json.loads(json_path.read_text())
+    payload["tweets"][0]["text"] = "#Zz replaces #ab here"
+    json_path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+SIDECAR_DAMAGES = {
+    "stale": _stale,
+    "empty": lambda _, sidecar: sidecar.write_bytes(b""),
+    "truncated": lambda _, sidecar: sidecar.write_bytes(sidecar.read_bytes()[:-40]),
+    "bad-crc": lambda _, sidecar: _flip_token_byte(sidecar),
+    "missing-member": lambda _, sidecar: _rewrite_sidecar(sidecar, tagged=None),
+    "other-version": lambda _, sidecar: _rewrite_sidecar(sidecar, version=np.array([2])),
+    "wrong-dtype": lambda _, sidecar: _rewrite_sidecar(
+        sidecar, token_ids=np.load(sidecar)["token_ids"].astype(np.int64)),
+    "short-tokens": lambda _, sidecar: _rewrite_sidecar(
+        sidecar, token_ids=np.load(sidecar)["token_ids"][:-1]),
+    "short-tags": lambda _, sidecar: _rewrite_sidecar(
+        sidecar, tag_offsets=np.load(sidecar)["tag_offsets"][:-1]),
+    "one-tweet-short": lambda _, sidecar: _rewrite_sidecar(
+        sidecar, **{k: np.delete(np.load(sidecar)[k], 1) for k in ("tag_offsets", "token_offsets")}),
+    "token-out-of-range": lambda _, sidecar: _rewrite_sidecar(
+        sidecar, token_ids=np.load(sidecar)["token_ids"] + 1),
+    "tag-out-of-range": lambda _, sidecar: _rewrite_sidecar(
+        sidecar, tag_ids=np.load(sidecar)["tag_ids"] - 1),
+    "directory": lambda _, sidecar: (sidecar.unlink(), sidecar.mkdir()),
+}
+
+
+@pytest.mark.parametrize("damage", list(SIDECAR_DAMAGES))
+def test_stale_or_damaged_sidecar_falls_back_to_the_json(damage, tmp_path, monkeypatch):
+    path, sidecar = tmp_path / "index.json", tmp_path / "index.npz"
+    sidecar_corpus().save(path)
+    SIDECAR_DAMAGES[damage](path, sidecar)
+    assert index_view(CorpusIndex.load(path)) == index_view(load_json_only(path, monkeypatch))
+
+
+# ---------------------------------------------------------------------------
 # ingestion
 
 
