@@ -249,13 +249,8 @@ class CorpusIndex:
     bounds.
     """
 
-    def __init__(
-        self,
-        tweets: Sequence[Tweet],
-        skipped: int = 0,
-        filtered: int = 0,
-        tokens: tuple | None = None,
-    ):
+    def __init__(self, tweets: Sequence[Tweet], skipped: int = 0, filtered: int = 0,
+                 tokens: tuple | None = None):
         """Index `tweets`; `tokens` is what `_tokenize` returns for them, derived when absent."""
         ordered = sorted(tweets, key=lambda t: (t.timestamp, t.id))
         self._tweets: tuple[Tweet, ...] = tuple(ordered)
@@ -321,7 +316,7 @@ class CorpusIndex:
 
     def _token_span(self, tweet: Tweet) -> tuple[int, int]:
         k = self._by_id[tweet.id]
-        return self._token_offsets[k : k + 2].tolist()
+        return self._token_offsets[k], self._token_offsets[k + 1]
 
     def hashtags(self) -> list[str]:
         return sorted(self._tags)
@@ -391,7 +386,7 @@ class CorpusIndex:
 
     def background_before(self, ts: int) -> tuple[np.ndarray, int]:
         """Token counts (aligned with `vocabulary`) over tweets strictly before `ts`."""
-        end = int(self._token_offsets[bisect_left(self._tweets, ts, key=lambda t: t.timestamp)])
+        end = self._token_offsets[bisect_left(self._tweets, ts, key=lambda t: t.timestamp)]
         return np.bincount(self._token_ids[:end], minlength=len(self._vocab)), end
 
     # -- serialization ------------------------------------------------------
@@ -447,15 +442,15 @@ class CorpusIndex:
         return cls(tweets, skipped=skipped, filtered=filtered, tokens=tokens)
 
 
-def _tokenize(tweets: Sequence[Tweet]) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, array]:
+def _tokenize(tweets: Sequence[Tweet]) -> tuple[tuple[str, ...], np.ndarray, array, array]:
     """The vocabulary and token stream of the tweets' texts.
 
     A tweet's tokens are its whitespace-split words, edge punctuation
     stripped and lowercased, dropping any left empty. Returns the sorted
-    vocabulary; every token's vocabulary id in tweet order (int32); the
-    offsets (int64, one more than there are tweets) at which each tweet's
-    tokens start; and the positions, in that stream, of the tokens that came
-    from a '#' or '@' word.
+    vocabulary; every token's vocabulary id in tweet order (an int32 numpy
+    array); the offsets, one more than there are tweets, at which each
+    tweet's tokens start; and the positions, in that stream, of the tokens
+    that came from a '#' or '@' word.
     """
     # raw word -> (first-seen id of its token or -1 when it has none, tagged)
     seen: dict[str, tuple[int, bool]] = {}
@@ -479,10 +474,10 @@ def _tokenize(tweets: Sequence[Tweet]) -> tuple[tuple[str, ...], np.ndarray, np.
     vocab = tuple(sorted(first_ids))
     rank = np.empty(len(vocab), dtype=np.int32)
     rank[[first_ids[w] for w in vocab]] = np.arange(len(vocab), dtype=np.int32)
-    return vocab, rank[np.asarray(ids, dtype=np.intp)], np.asarray(offsets), tagged
+    return vocab, rank[np.asarray(ids, dtype=np.intp)], offsets, tagged
 
 
-def _decode_index(payload: dict, sidecar=None) -> tuple[list[Tweet], int, int, tuple | None]:
+def _decode_index(payload: dict, sidecar) -> tuple[list[Tweet], int, int, tuple | None]:
     """Tweets, skipped and filtered counts, and tokens (None without a sidecar).
 
     `sidecar` is `_read_sidecar`'s result for the payload's bytes, and gives
@@ -568,7 +563,7 @@ def _sidecar_contents(arrays: dict) -> tuple[list[tuple[HashtagId, ...]], tuple]
         raise ValueError("tag positions are not increasing")
     ids, offsets = tag_ids.tolist(), tag_offsets.tolist()
     hashtags = [tuple(map(table.__getitem__, ids[a:b])) for a, b in zip(offsets, offsets[1:])]
-    return hashtags, (vocab, token_ids, token_offsets, array("i", tagged.tobytes()))
+    return hashtags, (vocab, token_ids, array("q", token_offsets.tobytes()), array("i", tagged.tobytes()))
 
 
 def _blob_strings(blob: np.ndarray) -> list[str]:

@@ -146,7 +146,7 @@ def test_ingest_writes_the_same_index_and_sidecar_bytes_every_run(scen_dir, tmp_
     assert sorted(p.name for p in second.iterdir()) == ["index.json", "index.npz"]
     for name in ("index.json", "index.npz"):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
-    # the JSON written before the sidecar existed
+    # the sidecar leaves every byte of the JSON as it was
     digest = hashlib.sha256((first / "index.json").read_bytes()).hexdigest()
     assert digest == "a2dc4972edb6c183f778bc2b0d0a7bd14b39641ed7ac07f3626b0c73459191d0"
 
@@ -202,8 +202,8 @@ def _null(key):
 
 
 # Each artifact's command line (the damaged file substituted for FILE) and the
-# damages that leave a JSON object: a required key dropped, a value nulled, or
-# a cell of the wrong type.
+# damages that leave a JSON object: a required key dropped, a value nulled, a
+# cell of the wrong type, or a value its type refuses.
 DAMAGED_ARTIFACTS = {
     "index": (
         ["detect", "--index", "FILE", "--out", "OUT"],
@@ -224,6 +224,7 @@ DAMAGED_ARTIFACTS = {
             "number-row-combo-oov": _put(3, "row_combos", 0, "oov"),
             "number-combo-pair": _put(5, "combo", "pos_pairs", 0),
             "null-obs-months": _put(None, "config", "obs_months"),
+            "empty-combo-pairs": _put([], "combo", "pos_pairs"),
         },
     ),
     "scenario-config": (
@@ -235,6 +236,7 @@ DAMAGED_ARTIFACTS = {
             "number-topic-word": _put(9, "topic_vocabs", 0, 0),
             "null-plant-m0": _put(None, "plants", 0, "m0"),
             "float-plant-count": _put(2.5, "plants", 0, "pre_a", 1),
+            "negative-plant-count": _put(-1, "plants", 0, "pre_a", 1),
         },
     ),
 }
