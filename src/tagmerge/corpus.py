@@ -561,9 +561,10 @@ def _sidecar_contents(arrays: dict) -> tuple[list[tuple[HashtagId, ...]], tuple]
     _check_ids("tagged", tagged, len(token_ids))
     if (np.diff(tagged) <= 0).any():
         raise ValueError("tag positions are not increasing")
-    ids, offsets = tag_ids.tolist(), tag_offsets.tolist()
-    hashtags = [tuple(map(table.__getitem__, ids[a:b])) for a, b in zip(offsets, offsets[1:])]
-    return hashtags, (vocab, token_ids, array("q", token_offsets.tobytes()), array("i", tagged.tobytes()))
+    ids, starts = tag_ids.tolist(), tag_offsets.tolist()
+    hashtags = [tuple(map(table.__getitem__, ids[a:b])) for a, b in zip(starts, starts[1:])]
+    tokens = (vocab, token_ids, array("q", token_offsets.tobytes()), array("i", tagged.tobytes()))
+    return hashtags, tokens
 
 
 def _blob_strings(blob: np.ndarray) -> list[str]:
