@@ -5,10 +5,14 @@ under L2 regularization. Standardization statistics and combination-slot
 bindings are always derived from training rows only, inside each fold, so
 no test information leaks into the learner.
 
-`train` fits one model on a whole dataset; `cross_validate` and
-`holdout_evaluate` fit one per split. Descent steps with the gradient alone.
-Only `train` computes the loss, to record `LinearModel.loss_history`; the
-fits inside `cross_validate` and `holdout_evaluate` never compute it.
+`train` fits one model on a whole dataset, and `holdout_evaluate` one on
+its training split. `cross_validate` fits one model per fold, but descends
+on the folds together: folds with equally many training rows share a stack
+of up to `STACK_BYTES` of rows, so a 10-fold run on up to about 200 rows
+of 66 features makes at most two descents. Each fold's weights are
+bit-identical to a fit on that fold alone. Descent steps with the gradient
+alone. Only `train` computes the loss, to record
+`LinearModel.loss_history`; evaluation fits never compute it.
 """
 
 from __future__ import annotations
@@ -28,6 +32,13 @@ MODEL_FORMAT = "tagmerge-model"
 MODEL_VERSION = 1
 
 MODEL_KINDS = ("logreg", "linsvm")
+
+# Most bytes of training rows that one stacked descent holds. A descent
+# reads its whole stack every epoch; past about half a core's L2 cache the
+# reads come from L3. On a 2 MB-L2 Xeon, a 10-fold linear SVM on 800 rows
+# of 66 features (380 kB a fold) took 1.7x as long as fold by fold in one
+# stack, and 1.07x in stacks of two.
+STACK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -241,63 +252,78 @@ class LinearModel:
         return read_json(path, decode, MODEL_FORMAT, MODEL_VERSION)
 
 
-def _logreg_gradient(matrix: np.ndarray, labels: np.ndarray, l2: float):
-    """Gradient function of the mean regularized logistic loss on one training set.
+def _logreg_gradient(stack: np.ndarray, labels: np.ndarray, l2: float):
+    """Gradient function of the mean regularized logistic loss on a stack of training sets.
 
-    The returned function maps (weights, bias) to (grad_w, grad_b). It
-    writes into buffers it reuses, so grad_w is overwritten by the next
-    call. Its floating-point operations and their order are those of the
-    expression `matrix.T @ (p - labels) / n + l2 * weights`, so its results
-    are bit-identical to it.
+    `stack` holds F training sets of n rows, shape (F, n, d), and `labels`
+    their labels, shape (F, n). The returned function maps weights (F, d)
+    and biases (F,) to (grad_w, grad_b), one row per member. It writes into
+    buffers it reuses, so grad_w is overwritten by the next call. For each
+    member its floating-point operations and their order are those of the
+    expression `matrix.T @ (p - labels) / n + l2 * weights`: the stacked
+    products run one gemv per member, the BLAS call of the 2-d product, and
+    the bias gradient reduces each row alone. So its results are
+    bit-identical to that expression on each member alone.
     """
-    n = len(labels)
-    matrix_t = matrix.T
-    err = np.empty(n)
-    grad_w = np.empty(matrix.shape[1])
+    n = labels.shape[1]
+    stack_t = stack.transpose(0, 2, 1)
+    err = np.empty(labels.shape)
+    grad_w = np.empty((len(stack), stack.shape[2]))
 
-    def gradient(weights: np.ndarray, bias: float) -> tuple[np.ndarray, float]:
-        np.matmul(matrix, weights, out=err)
-        np.add(err, bias, out=err)
+    def gradient(weights: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        np.matmul(stack, weights[:, :, None], out=err[:, :, None])
+        np.add(err, bias[:, None], out=err)
         # p = 0.5 * (1 + tanh(z / 2)), the logistic function without overflow
         np.multiply(err, 0.5, out=err)
         np.tanh(err, out=err)
         np.add(err, 1.0, out=err)
         np.multiply(err, 0.5, out=err)
         np.subtract(err, labels, out=err)
-        np.matmul(matrix_t, err, out=grad_w)
+        np.matmul(stack_t, err[:, :, None], out=grad_w[:, :, None])
         np.divide(grad_w, n, out=grad_w)
         np.add(grad_w, l2 * weights, out=grad_w)
-        return grad_w, float(np.add.reduce(err) / n)
+        return grad_w, np.add.reduce(err, axis=1) / n
 
     return gradient
 
 
-def _hinge_gradient(matrix: np.ndarray, labels: np.ndarray, l2: float):
+def _hinge_gradient(stack: np.ndarray, labels: np.ndarray, l2: float):
     """Subgradient function of the mean regularized hinge loss; labels are 0/1.
 
-    Same contract as `_logreg_gradient`, matching the expression
-    `-(matrix[active].T @ signed[active]) / n + l2 * weights`. A row is
-    active when its margin 1 - s, with s = signed * z, is positive. That
-    holds exactly when s < 1: for s >= 0.5 the subtraction is exact
+    Same contract as `_logreg_gradient`, matching for each member the
+    expression `-(matrix[active].T @ signed[active]) / n + l2 * weights`. A
+    row is active when its margin 1 - s, with s = signed * z, is positive.
+    That holds exactly when s < 1: for s >= 0.5 the subtraction is exact
     (Sterbenz), and for s < 0.5 it is at least 0.5. So the margin itself is
     never formed.
-    """
-    n = len(labels)
-    signed = 2.0 * labels - 1.0
-    scaled = np.empty(n)
-    grad_w = np.empty(matrix.shape[1])
 
-    def gradient(weights: np.ndarray, bias: float) -> tuple[np.ndarray, float]:
-        np.matmul(matrix, weights, out=scaled)
-        np.add(scaled, bias, out=scaled)
+    The active rows of all members are gathered at once, and each member's
+    product runs on its own slice of them. A product over every row with
+    the inactive ones zeroed would differ in the last bits, since the
+    zeros shift how BLAS splits the sum. The bias gradient sums the active
+    values of +-1, which is exact in any order.
+    """
+    n = labels.shape[1]
+    all_rows = stack.reshape(-1, stack.shape[2])
+    signed = 2.0 * labels - 1.0
+    scaled = np.empty(labels.shape)
+    grad_w = np.empty((len(stack), stack.shape[2]))
+
+    def gradient(weights: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        np.matmul(stack, weights[:, :, None], out=scaled[:, :, None])
+        np.add(scaled, bias[:, None], out=scaled)
         np.multiply(scaled, signed, out=scaled)
         active = scaled < 1.0
+        rows = all_rows[active.ravel()]
         signed_active = signed[active]
-        np.matmul(matrix[active].T, signed_active, out=grad_w)
+        start = 0
+        for member, end in enumerate(active.sum(axis=1).cumsum().tolist()):
+            np.matmul(rows[start:end].T, signed_active[start:end], out=grad_w[member])
+            start = end
         np.negative(grad_w, out=grad_w)
         np.divide(grad_w, n, out=grad_w)
         np.add(grad_w, l2 * weights, out=grad_w)
-        return grad_w, float(-np.add.reduce(signed_active) / n)
+        return grad_w, -np.add.reduce(signed, axis=1, where=active) / n
 
     return gradient
 
@@ -316,11 +342,20 @@ def _hinge_loss(
     return float(np.mean(np.maximum(margin, 0.0)) + 0.5 * l2 * np.dot(weights, weights))
 
 
+def _solo_gradient(
+    kind: str, weights: np.ndarray, bias: float, matrix: np.ndarray, labels: np.ndarray, l2: float
+) -> tuple[np.ndarray, float]:
+    """The gradient of one training set, as the one-member stack of it."""
+    gradient = _GRADIENT[kind](matrix[None], labels[None], l2)
+    grad_w, grad_b = gradient(weights[None], np.array([bias]))
+    return grad_w[0], float(grad_b[0])
+
+
 def logreg_loss_grad(
     weights: np.ndarray, bias: float, matrix: np.ndarray, labels: np.ndarray, l2: float
 ) -> tuple[float, np.ndarray, float]:
     """Mean regularized logistic loss and its exact gradient."""
-    grad_w, grad_b = _logreg_gradient(matrix, labels, l2)(weights, bias)
+    grad_w, grad_b = _solo_gradient("logreg", weights, bias, matrix, labels, l2)
     return _logreg_loss(weights, bias, matrix, labels, l2), grad_w, grad_b
 
 
@@ -328,7 +363,7 @@ def hinge_loss_grad(
     weights: np.ndarray, bias: float, matrix: np.ndarray, labels: np.ndarray, l2: float
 ) -> tuple[float, np.ndarray, float]:
     """Mean regularized hinge loss and a subgradient. Labels are 0/1."""
-    grad_w, grad_b = _hinge_gradient(matrix, labels, l2)(weights, bias)
+    grad_w, grad_b = _solo_gradient("linsvm", weights, bias, matrix, labels, l2)
     return _hinge_loss(weights, bias, matrix, labels, l2), grad_w, grad_b
 
 
@@ -338,31 +373,41 @@ _LOSS = {"logreg": _logreg_loss, "linsvm": _hinge_loss}
 
 def _fit_linear(
     kind: str,
-    matrix: np.ndarray,
+    stack: np.ndarray,
     labels: np.ndarray,
     config: TrainConfig,
     record_loss: bool = False,
-) -> tuple[np.ndarray, float, np.ndarray | None]:
-    """Weights, bias and, if `record_loss`, the loss before each epoch and after the last."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Fit one model on each of a stack of training sets, all in one descent.
+
+    `stack` is (F, n, d) and `labels` (F, n). Returns weights (F, d), biases
+    (F,) and, if `record_loss`, each member's loss before each epoch and
+    after the last, (F, epochs + 1). Every member starts from the same
+    seeded weights, and its fit is bit-identical to a fit on it alone.
+    """
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
-    if len(np.unique(labels)) < 2:
+    if np.any(labels.min(axis=1) == labels.max(axis=1)):
         raise ValueError("training data holds a single class")
-    gradient = _GRADIENT[kind](matrix, labels, config.l2)
+    gradient = _GRADIENT[kind](stack, labels, config.l2)
     loss = _LOSS[kind]
     rng = np.random.default_rng(config.seed)
-    weights = rng.normal(0.0, config.init_scale, size=matrix.shape[1])
-    bias = 0.0
-    history = np.zeros(config.epochs + 1) if record_loss else None
+    weights = np.tile(rng.normal(0.0, config.init_scale, size=stack.shape[2]), (len(stack), 1))
+    bias = np.zeros(len(stack))
+    history = np.zeros((len(stack), config.epochs + 1)) if record_loss else None
+
+    def member_losses() -> list[float]:
+        return [loss(*member, config.l2) for member in zip(weights, bias, stack, labels)]
+
     for epoch in range(config.epochs):
         if history is not None:
-            history[epoch] = loss(weights, bias, matrix, labels, config.l2)
+            history[:, epoch] = member_losses()
         grad_w, grad_b = gradient(weights, bias)
         grad_w *= config.learning_rate
         weights -= grad_w
-        bias = bias - config.learning_rate * grad_b
+        bias -= config.learning_rate * grad_b
     if history is not None:
-        history[config.epochs] = loss(weights, bias, matrix, labels, config.l2)
+        history[:, config.epochs] = member_losses()
     return weights, bias, history
 
 
@@ -376,17 +421,17 @@ def train(dataset: Dataset, kind: str = "logreg", config: TrainConfig | None = N
     stats = standardize_fit(dataset.matrix, dataset.binary_mask)
     standardized = standardize_apply(stats, dataset.matrix)
     weights, bias, history = _fit_linear(
-        kind, standardized, dataset.labels.astype(float), config, record_loss=True
+        kind, standardized[None], dataset.labels.astype(float)[None], config, record_loss=True
     )
     return LinearModel(
         kind=kind,
-        weights=weights,
-        bias=bias,
+        weights=weights[0],
+        bias=float(bias[0]),
         config=config,
         stats=stats,
         schema_id=dataset.schema_id,
         feature_names=dataset.feature_names,
-        loss_history=history,
+        loss_history=history[0],
     )
 
 
@@ -462,15 +507,15 @@ def roc_auc(scores, labels) -> float:
     if n_pos == 0 or n_neg == 0:
         raise ValueError("roc_auc needs both classes present")
     order = np.argsort(scores, kind="mergesort")
+    # a tie group spans sorted positions first..last and shares their mean
+    # rank; NaN scores, which equal nothing, each rank alone
+    _, group, counts = np.unique(
+        scores[order], return_inverse=True, return_counts=True, equal_nan=False
+    )
+    last = np.cumsum(counts) - 1
+    first = last - counts + 1
     ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = (0.5 * (first + last) + 1.0)[group]
     rank_sum = float(ranks[labels == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -564,21 +609,45 @@ def _rebind_combo_columns(
     return out
 
 
-def _fit_eval_split(
-    dataset: Dataset,
-    kind: str,
-    train_idx: np.ndarray,
-    test_idx: np.ndarray,
-    config: TrainConfig,
+def _standardized_split(
+    dataset: Dataset, train_idx: np.ndarray, test_idx: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Training and test rows, with combination slots and standardization from training rows."""
     matrix = dataset.matrix
     if dataset.combos is not None:
         matrix = _rebind_combo_columns(matrix, dataset.feature_names, dataset.combos, train_idx)
     stats = standardize_fit(matrix[train_idx], dataset.binary_mask)
-    train_m = standardize_apply(stats, matrix[train_idx])
-    test_m = standardize_apply(stats, matrix[test_idx])
-    weights, bias, _ = _fit_linear(kind, train_m, dataset.labels[train_idx].astype(float), config)
-    return _classify(kind, test_m @ weights + bias)
+    return standardize_apply(stats, matrix[train_idx]), standardize_apply(stats, matrix[test_idx])
+
+
+def _fit_eval_splits(
+    dataset: Dataset,
+    kind: str,
+    splits: list[tuple[np.ndarray, np.ndarray]],
+    config: TrainConfig,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Predictions and scores of each split's test rows by a model fit on its training rows.
+
+    Splits with equally many training rows are fit together in stacked
+    descents of up to `STACK_BYTES` of rows each; stratified folds have at
+    most two sizes. Stacks are never padded to one size, since zero rows
+    would change the sums' order.
+    """
+    prepared = [_standardized_split(dataset, train_idx, test_idx) for train_idx, test_idx in splits]
+    by_size: dict[int, list[int]] = {}
+    for i, (train_idx, _) in enumerate(splits):
+        by_size.setdefault(len(train_idx), []).append(i)
+    results: list = [None] * len(splits)
+    for same_size in by_size.values():
+        per_stack = max(1, STACK_BYTES // prepared[same_size[0]][0].nbytes)
+        for start in range(0, len(same_size), per_stack):
+            members = same_size[start : start + per_stack]
+            stack = np.stack([prepared[i][0] for i in members])
+            labels = np.stack([dataset.labels[splits[i][0]] for i in members]).astype(float)
+            weights, bias, _ = _fit_linear(kind, stack, labels, config)
+            for i, member_weights, member_bias in zip(members, weights, bias):
+                results[i] = _classify(kind, prepared[i][1] @ member_weights + member_bias)
+    return results
 
 
 def cross_validate(
@@ -595,9 +664,9 @@ def cross_validate(
     pooled_pred = np.zeros(dataset.n_rows, dtype=int)
     pooled_score = np.zeros(dataset.n_rows)
     per_fold = []
-    for f, test_idx in enumerate(folds):
-        train_idx = np.setdiff1d(all_idx, test_idx)
-        preds, scores = _fit_eval_split(dataset, kind, train_idx, test_idx, config)
+    splits = [(np.setdiff1d(all_idx, test_idx), test_idx) for test_idx in folds]
+    fitted = _fit_eval_splits(dataset, kind, splits, config)
+    for f, (test_idx, (preds, scores)) in enumerate(zip(folds, fitted)):
         pooled_pred[test_idx] = preds
         pooled_score[test_idx] = scores
         fold_metrics = _metrics(dataset.labels[test_idx], preds, scores)
@@ -640,7 +709,7 @@ def holdout_evaluate(
         test_parts.append(shuffled[:n_test])
     test_idx = np.array(sorted(np.concatenate(test_parts)), dtype=int)
     train_idx = np.setdiff1d(np.arange(dataset.n_rows), test_idx)
-    preds, scores = _fit_eval_split(dataset, kind, train_idx, test_idx, config)
+    ((preds, scores),) = _fit_eval_splits(dataset, kind, [(train_idx, test_idx)], config)
     m = _metrics(labels[test_idx], preds, scores)
     protocol = {
         "mode": "holdout",

@@ -4,8 +4,9 @@ These deliberately take different algorithmic routes than the library:
 detection joins hashtag pairs instead of scanning split positions,
 segmentation enumerates every one of the 2^(n-1) parses, tokenization
 re-reads the raw text, topic words are ranked by a full sort of the
-vocabulary, and model fitting is a plain descent loop with no reused
-buffers and no in-place arithmetic.
+vocabulary, model fitting is a plain descent loop on one training set with
+no reused buffers and no in-place arithmetic, and tied scores are ranked by
+walking each run of equal values.
 """
 
 import string
@@ -155,3 +156,26 @@ def reference_fit(kind, matrix, labels, config):
         bias = bias - config.learning_rate * grad_b
     losses.append(loss_grad(weights, bias, matrix, labels, config.l2)[0])
     return weights, bias, losses
+
+
+def reference_roc_auc(scores, labels):
+    """Area under the ROC curve, ranking each run of tied scores in a loop.
+
+    A run at sorted positions i..j shares the rank 0.5 * (i + j) + 1.0.
+    """
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    n_pos = int((labels == 1).sum())
+    n_neg = int((labels == 0).sum())
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(len(scores))
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    rank_sum = float(ranks[labels == 1].sum())
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)

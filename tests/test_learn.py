@@ -30,7 +30,7 @@ from tagmerge.learn import (
     train,
 )
 
-from oracles import expression_gradient, reference_fit
+from oracles import expression_gradient, reference_fit, reference_roc_auc
 
 
 def toy_dataset(n=40, seed=0, d=3, sep=8.0):
@@ -133,38 +133,51 @@ def test_gradients_equal_their_out_of_place_expressions():
 
 @pytest.mark.parametrize("kind", ["logreg", "linsvm"])
 def test_fit_equals_reference_loop_exactly(kind):
-    """Weights and bias equal the reference loop's, on 1-, 3-, 9- and 66-column data."""
-    for seed in range(20):
+    """Each member of a stacked fit gets the reference loop's weights and bias alone.
+
+    Stacks hold 1, 2, 5 or 10 training sets of 1, 3, 9 or 66 columns.
+    """
+    for seed in range(32):
         rng = np.random.default_rng([seed, 72])
-        n, d = int(rng.integers(6, 91)), (1, 3, 9, 66)[seed % 4]
-        matrix = rng.normal(0, 1, size=(n, d))
-        labels = (rng.random(n) < 0.5).astype(float)
-        labels[:2] = (0.0, 1.0)
-        matrix[:, 0] += 2.0 * labels
+        members, d = (1, 2, 5, 10)[seed % 4], (1, 3, 9, 66)[seed // 4 % 4]
+        n = int(rng.integers(6, 91))
+        stack = rng.normal(0, 1, size=(members, n, d))
+        labels = (rng.random((members, n)) < 0.5).astype(float)
+        labels[:, :2] = (0.0, 1.0)
+        stack[:, :, 0] += 2.0 * labels
         config = TrainConfig(
             learning_rate=float(rng.choice([0.05, 0.1, 0.5])),
             epochs=int(rng.integers(20, 120)),
             l2=float(rng.choice([0.0, 1e-3, 0.05])),
             seed=seed,
         )
-        weights, bias, history = _fit_linear(kind, matrix, labels, config)
-        want_w, want_b, _ = reference_fit(kind, matrix, labels, config)
+        weights, bias, history = _fit_linear(kind, stack, labels, config)
         assert history is None
-        assert np.array_equal(weights, want_w), seed
-        assert bias == want_b, seed
+        assert weights.shape == (members, d) and bias.shape == (members,)
+        for member in range(members):
+            want_w, want_b, _ = reference_fit(kind, stack[member], labels[member], config)
+            assert np.array_equal(weights[member], want_w), (seed, member)
+            assert bias[member] == want_b, (seed, member)
 
 
 def test_hinge_fit_holds_rows_exactly_on_the_margin():
-    """A row with margin 0.0 is inactive, so a fit that reaches it stays there."""
-    matrix = np.array([[1.0], [-1.0]])
-    labels = np.array([1.0, 0.0])
+    """A row with margin 0.0 is inactive, so a fit that reaches it stays there.
+
+    The first member reaches the margin; the second, fit in the same stack,
+    keeps moving after the first has stopped.
+    """
+    stack = np.array([[[1.0], [-1.0]], [[0.5], [-2.0]]])
+    labels = np.array([[1.0, 0.0], [1.0, 0.0]])
     config = TrainConfig(learning_rate=1.0, epochs=5, l2=0.0, init_scale=0.0)
-    weights, bias, _ = _fit_linear("linsvm", matrix, labels, config)
-    want_w, want_b, losses = reference_fit("linsvm", matrix, labels, config)
-    assert weights.tolist() == [1.0] and bias == 0.0
-    assert np.array_equal(weights, want_w) and bias == want_b
-    assert (1.0 - (2.0 * labels - 1.0) * (matrix @ weights + bias)).tolist() == [0.0, 0.0]
-    assert losses == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    weights, bias, _ = _fit_linear("linsvm", stack, labels, config)
+    wants = [reference_fit("linsvm", stack[member], labels[member], config) for member in (0, 1)]
+    for member, (want_w, want_b, _) in enumerate(wants):
+        assert np.array_equal(weights[member], want_w) and bias[member] == want_b
+    matrix, y = stack[0], labels[0]
+    assert weights[0].tolist() == [1.0] and bias[0] == 0.0
+    assert (1.0 - (2.0 * y - 1.0) * (matrix @ weights[0] + bias[0])).tolist() == [0.0, 0.0]
+    assert wants[0][2] == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    assert not np.array_equal(weights[1], weights[0])
 
 
 @pytest.mark.parametrize("kind", ["logreg", "linsvm"])
@@ -267,6 +280,19 @@ def test_roc_auc_hand_cases():
 def test_roc_auc_ties_count_half():
     assert roc_auc([0.5, 0.5, 0.5, 0.5], [0, 1, 0, 1]) == pytest.approx(0.5)
     assert roc_auc([0.5, 0.5, 0.7], [0, 1, 1]) == pytest.approx(0.75)
+
+
+def test_roc_auc_equals_the_tie_walking_loop():
+    """Tie-heavy scores, with signed zeros and NaNs, rank as the loop ranks them."""
+    values = np.array([-1.0, -0.0, 0.0, 0.25, 0.5, 2.0, np.nan])
+    for seed in range(60):
+        rng = np.random.default_rng([seed, 75])
+        n = int(rng.integers(2, 80))
+        pool = values if seed % 3 == 0 else values[:-1]
+        scores = rng.choice(pool[: int(rng.integers(1, len(pool) + 1))], size=n)
+        labels = rng.integers(0, 2, size=n)
+        labels[:2] = (0, 1)
+        assert roc_auc(scores, labels) == reference_roc_auc(scores, labels), seed
 
 
 def test_roc_auc_needs_both_classes():
@@ -492,6 +518,93 @@ def test_rebind_matches_per_row_combo_bits():
     assert all(seen.values()), seen
 
 
+def reference_cross_validate(dataset, kind, n_folds, seed, config):
+    """Cross validation one fold at a time: `combo_bits` slots, then the reference loop."""
+    folds = stratified_folds(dataset.labels, n_folds, seed)
+    pooled_pred = np.zeros(dataset.n_rows, dtype=int)
+    pooled_score = np.zeros(dataset.n_rows)
+    per_fold = []
+    for f, test_idx in enumerate(folds):
+        train_idx = np.setdiff1d(np.arange(dataset.n_rows), test_idx)
+        matrix = brute_force_rebind(
+            dataset.matrix, dataset.feature_names, dataset.combos, train_idx
+        )
+        stats = standardize_fit(matrix[train_idx], dataset.binary_mask)
+        train_m = standardize_apply(stats, matrix[train_idx])
+        train_y = dataset.labels[train_idx].astype(float)
+        weights, bias, _ = reference_fit(kind, train_m, train_y, config)
+        z = standardize_apply(stats, matrix[test_idx]) @ weights + bias
+        scores = 0.5 * (1.0 + np.tanh(0.5 * z)) if kind == "logreg" else z
+        preds = (scores > (0.5 if kind == "logreg" else 0.0)).astype(int)
+        pooled_pred[test_idx] = preds
+        pooled_score[test_idx] = scores
+        fold = learn._metrics(dataset.labels[test_idx], preds, scores)
+        per_fold.append(
+            {
+                "fold": f,
+                "n_test": len(test_idx),
+                "accuracy": fold["accuracy"],
+                "roc_area": fold["roc_area"],
+            }
+        )
+    return learn.EvalReport(
+        kind=kind,
+        n_rows=dataset.n_rows,
+        per_fold=per_fold,
+        protocol={"mode": "cv", "folds": n_folds, "seed": seed},
+        **learn._metrics(dataset.labels, pooled_pred, pooled_score),
+    )
+
+
+@pytest.mark.parametrize("stack_bytes", [learn.STACK_BYTES, 2500])
+@pytest.mark.parametrize("kind", ["logreg", "linsvm"])
+def test_cross_validate_with_unequal_folds_equals_fold_by_fold_reference(
+    kind, stack_bytes, monkeypatch
+):
+    """Folds of two training sizes report as fits one fold at a time do.
+
+    The folds of each size form one stack, or, with a budget of 2500 bytes,
+    stacks of at most two (18-24 rows of 7 features are 1008-1344 bytes).
+    """
+    monkeypatch.setattr(learn, "STACK_BYTES", stack_bytes)
+    names = ("x0", "x1", "x2", "pos_combo_00", "pos_combo_01", "ne_combo_00", "ne_combo_01")
+    groups = {name: "hashtag_content" if "combo" in name else "tweet_content" for name in names}
+    pos_pairs = [("A", "N"), ("N", "N"), ("V", "N")]
+    ne_pairs = [("none", "none"), ("PER", "none")]
+    for n in (23, 24, 26, 27, 28, 29):  # 25 rows would split into 5 equal folds
+        rng = np.random.default_rng([n, 76])
+        labels = rng.permutation(np.arange(n) % 2)
+        combos = [
+            ZoneCombo(
+                pos=pos_pairs[int(rng.integers(3))],
+                ne=ne_pairs[int(rng.integers(2))],
+                oov="INV-INV",
+            )
+            for _ in range(n)
+        ]
+        matrix = rng.normal(0, 1, size=(n, len(names)))
+        matrix[:, 0] += 1.5 * labels
+        dataset = Dataset(
+            matrix=matrix,
+            labels=labels,
+            feature_names=names,
+            groups=groups,
+            binary_mask=np.array(["combo" in name for name in names]),
+            schema_id="s",
+            combos=combos,
+        )
+        seed = int(rng.integers(100))
+        assert len({n - len(f) for f in stratified_folds(labels, 5, seed)}) == 2
+        config = TrainConfig(
+            learning_rate=float(rng.choice([0.05, 0.1, 0.5])),
+            epochs=int(rng.integers(20, 80)),
+            l2=float(rng.choice([0.0, 1e-3, 0.05])),
+        )
+        got = cross_validate(dataset, kind, n_folds=5, seed=seed, config=config)
+        want = reference_cross_validate(dataset, kind, 5, seed, config)
+        assert got.to_json() == want.to_json(), n
+
+
 def test_holdout_split_sizes_and_protocol():
     ds = toy_dataset(n=60)
     report = holdout_evaluate(ds, "logreg", test_fraction=0.1, seed=0, config=TrainConfig(epochs=120))
@@ -511,13 +624,13 @@ def test_train_and_predict_reproduce_holdout_evaluate(kind, monkeypatch):
     """Evaluation fits score test rows exactly as `predict` scores a trained model."""
     ds = toy_dataset(n=60, seed=2, sep=1.5)
     splits = []
-    real = learn._fit_eval_split
+    real = learn._fit_eval_splits
 
-    def spy(dataset, kind, train_idx, test_idx, config):
-        splits.append((train_idx, test_idx))
-        return real(dataset, kind, train_idx, test_idx, config)
+    def spy(dataset, kind, split_list, config):
+        splits.extend(split_list)
+        return real(dataset, kind, split_list, config)
 
-    monkeypatch.setattr(learn, "_fit_eval_split", spy)
+    monkeypatch.setattr(learn, "_fit_eval_splits", spy)
     config = TrainConfig(epochs=60)
     report = holdout_evaluate(ds, kind, test_fraction=0.25, seed=4, config=config)
     ((train_idx, test_idx),) = splits
