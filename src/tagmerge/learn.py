@@ -7,11 +7,10 @@ no test information leaks into the learner.
 
 `train` fits one model on a whole dataset, and `holdout_evaluate` one on
 its training split. `cross_validate` fits one model per fold, but descends
-on the folds together: folds with equally many training rows share a stack
-of up to `STACK_BYTES` of rows, so a 10-fold run on up to about 200 rows
-of 66 features makes at most two descents. Each fold's weights are
-bit-identical to a fit on that fold alone. Descent steps with the gradient
-alone. Only `train` computes the loss, to record
+on the folds together: the folds with equally many training rows form one
+stack, so a stratified cross validation makes at most two descents. Each
+fold's weights are bit-identical to a fit on that fold alone. Descent
+steps with the gradient alone. Only `train` computes the loss, to record
 `LinearModel.loss_history`; evaluation fits never compute it.
 """
 
@@ -32,13 +31,6 @@ MODEL_FORMAT = "tagmerge-model"
 MODEL_VERSION = 1
 
 MODEL_KINDS = ("logreg", "linsvm")
-
-# Most bytes of training rows that one stacked descent holds. A descent
-# reads its whole stack every epoch; past about half a core's L2 cache the
-# reads come from L3. On a 2 MB-L2 Xeon, a 10-fold linear SVM on 800 rows
-# of 66 features (380 kB a fold) took 1.7x as long as fold by fold in one
-# stack, and 1.07x in stacks of two.
-STACK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -256,33 +248,40 @@ def _logreg_gradient(stack: np.ndarray, labels: np.ndarray, l2: float):
     """Gradient function of the mean regularized logistic loss on a stack of training sets.
 
     `stack` holds F training sets of n rows, shape (F, n, d), and `labels`
-    their labels, shape (F, n). The returned function maps weights (F, d)
-    and biases (F,) to (grad_w, grad_b), one row per member. It writes into
-    buffers it reuses, so grad_w is overwritten by the next call. For each
-    member its floating-point operations and their order are those of the
-    expression `matrix.T @ (p - labels) / n + l2 * weights`: the stacked
-    products run one gemv per member, the BLAS call of the 2-d product, and
-    the bias gradient reduces each row alone. So its results are
-    bit-identical to that expression on each member alone.
+    their labels, shape (F, n). The returned function maps parameters
+    (F, d + 1), each row a member's weights followed by its bias, to their
+    gradient in the same layout. It writes into a buffer it reuses, so the
+    gradient is overwritten by the next call. For each member its
+    floating-point operations and their order are those of the expression
+    `matrix.T @ (p - labels) / n + l2 * weights`: the stacked products run
+    one gemv per member, the BLAS call of the 2-d product, and the bias
+    gradient reduces each row alone. So its results are bit-identical to
+    that expression on each member alone.
     """
     n = labels.shape[1]
+    d = stack.shape[2]
     stack_t = stack.transpose(0, 2, 1)
     err = np.empty(labels.shape)
-    grad_w = np.empty((len(stack), stack.shape[2]))
+    err_col = err[:, :, None]
+    grad = np.empty((len(stack), d + 1))
+    grad_w, grad_b = grad[:, :d], grad[:, d]
+    grad_w_col = grad_w[:, :, None]
 
-    def gradient(weights: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        np.matmul(stack, weights[:, :, None], out=err[:, :, None])
-        np.add(err, bias[:, None], out=err)
+    def gradient(params: np.ndarray) -> np.ndarray:
+        weights = params[:, :d]
+        np.matmul(stack, weights[:, :, None], out=err_col)
+        np.add(err, params[:, d:], out=err)
         # p = 0.5 * (1 + tanh(z / 2)), the logistic function without overflow
         np.multiply(err, 0.5, out=err)
         np.tanh(err, out=err)
         np.add(err, 1.0, out=err)
         np.multiply(err, 0.5, out=err)
         np.subtract(err, labels, out=err)
-        np.matmul(stack_t, err[:, :, None], out=grad_w[:, :, None])
-        np.divide(grad_w, n, out=grad_w)
+        np.matmul(stack_t, err_col, out=grad_w_col)
+        np.add.reduce(err, axis=1, out=grad_b)
+        np.divide(grad, n, out=grad)
         np.add(grad_w, l2 * weights, out=grad_w)
-        return grad_w, np.add.reduce(err, axis=1) / n
+        return grad
 
     return gradient
 
@@ -298,32 +297,40 @@ def _hinge_gradient(stack: np.ndarray, labels: np.ndarray, l2: float):
     never formed.
 
     The active rows of all members are gathered at once, and each member's
-    product runs on its own slice of them. A product over every row with
-    the inactive ones zeroed would differ in the last bits, since the
+    product runs on its own slice of them; the last member's slice is the
+    rest, so a one-member stack counts nothing. A product over every row
+    with the inactive ones zeroed would differ in the last bits, since the
     zeros shift how BLAS splits the sum. The bias gradient sums the active
     values of +-1, which is exact in any order.
     """
     n = labels.shape[1]
-    all_rows = stack.reshape(-1, stack.shape[2])
+    members, d = len(stack), stack.shape[2]
+    all_rows = stack.reshape(-1, d)
     signed = 2.0 * labels - 1.0
     scaled = np.empty(labels.shape)
-    grad_w = np.empty((len(stack), stack.shape[2]))
+    scaled_col = scaled[:, :, None]
+    grad = np.empty((members, d + 1))
+    grad_w, grad_b = grad[:, :d], grad[:, d]
 
-    def gradient(weights: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        np.matmul(stack, weights[:, :, None], out=scaled[:, :, None])
-        np.add(scaled, bias[:, None], out=scaled)
+    def gradient(params: np.ndarray) -> np.ndarray:
+        weights = params[:, :d]
+        np.matmul(stack, weights[:, :, None], out=scaled_col)
+        np.add(scaled, params[:, d:], out=scaled)
         np.multiply(scaled, signed, out=scaled)
         active = scaled < 1.0
         rows = all_rows[active.ravel()]
         signed_active = signed[active]
         start = 0
-        for member, end in enumerate(active.sum(axis=1).cumsum().tolist()):
+        for member in range(members - 1):
+            end = start + int(np.count_nonzero(active[member]))
             np.matmul(rows[start:end].T, signed_active[start:end], out=grad_w[member])
             start = end
-        np.negative(grad_w, out=grad_w)
-        np.divide(grad_w, n, out=grad_w)
+        np.matmul(rows[start:].T, signed_active[start:], out=grad_w[-1])
+        np.add.reduce(signed, axis=1, where=active, out=grad_b)
+        np.negative(grad, out=grad)
+        np.divide(grad, n, out=grad)
         np.add(grad_w, l2 * weights, out=grad_w)
-        return grad_w, -np.add.reduce(signed, axis=1, where=active) / n
+        return grad
 
     return gradient
 
@@ -346,9 +353,8 @@ def _solo_gradient(
     kind: str, weights: np.ndarray, bias: float, matrix: np.ndarray, labels: np.ndarray, l2: float
 ) -> tuple[np.ndarray, float]:
     """The gradient of one training set, as the one-member stack of it."""
-    gradient = _GRADIENT[kind](matrix[None], labels[None], l2)
-    grad_w, grad_b = gradient(weights[None], np.array([bias]))
-    return grad_w[0], float(grad_b[0])
+    grad = _GRADIENT[kind](matrix[None], labels[None], l2)(np.append(weights, bias)[None])
+    return grad[0, :-1], float(grad[0, -1])
 
 
 def logreg_loss_grad(
@@ -392,23 +398,29 @@ def _fit_linear(
     gradient = _GRADIENT[kind](stack, labels, config.l2)
     loss = _LOSS[kind]
     rng = np.random.default_rng(config.seed)
-    weights = np.tile(rng.normal(0.0, config.init_scale, size=stack.shape[2]), (len(stack), 1))
-    bias = np.zeros(len(stack))
-    history = np.zeros((len(stack), config.epochs + 1)) if record_loss else None
+    d = stack.shape[2]
+    # each row: a member's weights, then its bias, so one step moves both
+    params = np.zeros((len(stack), d + 1))
+    params[:, :d] = rng.normal(0.0, config.init_scale, size=d)
+    weights, bias = params[:, :d], params[:, d]
+    # before each epoch and after the last, one loss per member
+    losses: list[list[float]] = []
+    # row views of weights, which the descent updates in place
+    members = list(zip(weights, stack, labels))
 
-    def member_losses() -> list[float]:
-        return [loss(*member, config.l2) for member in zip(weights, bias, stack, labels)]
+    def record_losses() -> None:
+        losses.append([loss(w, b, m, y, config.l2) for (w, m, y), b in zip(members, bias.tolist())])
 
-    for epoch in range(config.epochs):
-        if history is not None:
-            history[:, epoch] = member_losses()
-        grad_w, grad_b = gradient(weights, bias)
-        grad_w *= config.learning_rate
-        weights -= grad_w
-        bias -= config.learning_rate * grad_b
-    if history is not None:
-        history[:, config.epochs] = member_losses()
-    return weights, bias, history
+    for _ in range(config.epochs):
+        if record_loss:
+            record_losses()
+        grad = gradient(params)
+        grad *= config.learning_rate
+        params -= grad
+    if not record_loss:
+        return weights, bias, None
+    record_losses()
+    return weights, bias, np.array(losses).T.copy()
 
 
 def train(dataset: Dataset, kind: str = "logreg", config: TrainConfig | None = None) -> LinearModel:
@@ -628,25 +640,26 @@ def _fit_eval_splits(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Predictions and scores of each split's test rows by a model fit on its training rows.
 
-    Splits with equally many training rows are fit together in stacked
-    descents of up to `STACK_BYTES` of rows each; stratified folds have at
-    most two sizes. Stacks are never padded to one size, since zero rows
-    would change the sums' order.
+    Splits with equally many training rows are fit together in one stacked
+    descent; stratified folds have at most two sizes. Stacks are never
+    padded to one size, since zero rows would change the sums' order. Each
+    stack's splits are prepared just before its descent, so one stack of
+    training rows is held at a time.
     """
-    prepared = [_standardized_split(dataset, train_idx, test_idx) for train_idx, test_idx in splits]
     by_size: dict[int, list[int]] = {}
     for i, (train_idx, _) in enumerate(splits):
         by_size.setdefault(len(train_idx), []).append(i)
     results: list = [None] * len(splits)
-    for same_size in by_size.values():
-        per_stack = max(1, STACK_BYTES // prepared[same_size[0]][0].nbytes)
-        for start in range(0, len(same_size), per_stack):
-            members = same_size[start : start + per_stack]
-            stack = np.stack([prepared[i][0] for i in members])
-            labels = np.stack([dataset.labels[splits[i][0]] for i in members]).astype(float)
-            weights, bias, _ = _fit_linear(kind, stack, labels, config)
-            for i, member_weights, member_bias in zip(members, weights, bias):
-                results[i] = _classify(kind, prepared[i][1] @ member_weights + member_bias)
+    for n_train, members in by_size.items():
+        stack = np.empty((len(members), n_train, dataset.matrix.shape[1]))
+        test_ms = []
+        for member, i in enumerate(members):
+            stack[member], test_m = _standardized_split(dataset, *splits[i])
+            test_ms.append(test_m)
+        labels = np.stack([dataset.labels[splits[i][0]] for i in members]).astype(float)
+        weights, bias, _ = _fit_linear(kind, stack, labels, config)
+        for i, test_m, member_weights, member_bias in zip(members, test_ms, weights, bias):
+            results[i] = _classify(kind, test_m @ member_weights + member_bias)
     return results
 
 

@@ -556,17 +556,9 @@ def reference_cross_validate(dataset, kind, n_folds, seed, config):
     )
 
 
-@pytest.mark.parametrize("stack_bytes", [learn.STACK_BYTES, 2500])
 @pytest.mark.parametrize("kind", ["logreg", "linsvm"])
-def test_cross_validate_with_unequal_folds_equals_fold_by_fold_reference(
-    kind, stack_bytes, monkeypatch
-):
-    """Folds of two training sizes report as fits one fold at a time do.
-
-    The folds of each size form one stack, or, with a budget of 2500 bytes,
-    stacks of at most two (18-24 rows of 7 features are 1008-1344 bytes).
-    """
-    monkeypatch.setattr(learn, "STACK_BYTES", stack_bytes)
+def test_cross_validate_with_unequal_folds_equals_fold_by_fold_reference(kind):
+    """Folds of two training sizes, each size one stack, report as fits one fold at a time do."""
     names = ("x0", "x1", "x2", "pos_combo_00", "pos_combo_01", "ne_combo_00", "ne_combo_01")
     groups = {name: "hashtag_content" if "combo" in name else "tweet_content" for name in names}
     pos_pairs = [("A", "N"), ("N", "N"), ("V", "N")]
