@@ -28,17 +28,17 @@ ABLATION_COMBOS: tuple[tuple[str, tuple[str, ...]], ...] = (
 )
 
 
-def bin_column(values: np.ndarray, binary: bool, max_bins: int = MAX_BINS) -> np.ndarray:
+def bin_column(values: np.ndarray, binary: bool) -> np.ndarray:
     """Discrete bin ids for one feature column.
 
     Binary columns map to {0, 1} directly. Continuous columns use
     equal-frequency quantile edges; duplicate edges collapse, so heavily
-    tied columns produce fewer than `max_bins` bins.
+    tied columns produce fewer than MAX_BINS bins.
     """
     values = np.asarray(values, dtype=float)
     if binary:
         return (values > 0.5).astype(int)
-    quantiles = np.linspace(0.0, 1.0, max_bins + 1)[1:-1]
+    quantiles = np.linspace(0.0, 1.0, MAX_BINS + 1)[1:-1]
     edges = np.unique(np.quantile(values, quantiles))
     return np.searchsorted(edges, values, side="right").astype(int)
 

@@ -17,7 +17,7 @@ import logging
 import sys
 
 from . import analysis, compound, features, learn, synth
-from .corpus import CorpusIndex, IngestConfig, ingest_jsonl
+from .corpus import CorpusIndex, ingest_jsonl
 from .errors import InsufficientHistoryError, TagmergeError, read_json
 from .lexicon import load_dictionary, load_gazetteer, load_ngram_table, load_pos_lexicon
 
@@ -113,8 +113,7 @@ def _load_resources(args) -> features.FeatureResources:
 # commands
 
 def _cmd_ingest(args) -> int:
-    config = IngestConfig(max_malformed_fraction=args.max_malformed_fraction)
-    index = _read("corpus file", ingest_jsonl, args.corpus, config)
+    index = _read("corpus file", ingest_jsonl, args.corpus, args.max_malformed_fraction)
     index.save(args.out)
     print(f"ingested {len(index)} tweets ({index.skipped} skipped) -> {args.out}")
     return 0
@@ -130,16 +129,13 @@ def _cmd_detect(args) -> int:
 
 def _cmd_label(args) -> int:
     index = _open_index(args)
-    horizons = compound.SUPPORTED_HORIZONS if args.horizon is None else (args.horizon,)
     candidates, _ = _read_candidates(args, index)
     labels = {}
     labeled = 0
     for cand in candidates:
-        for horizon in horizons:
+        for horizon in compound.SUPPORTED_HORIZONS:
             try:
-                label = compound.label_candidate(
-                    index, cand, horizon, strict_horizon=not args.any_horizon
-                )
+                label = compound.label_candidate(index, cand, horizon)
             except InsufficientHistoryError:
                 continue
             labels[(cand.compound.canonical, horizon)] = label
@@ -171,7 +167,7 @@ def _cmd_featurize(args) -> int:
     )
     vectors, combos, schema, fits = features.featurize_all(eligible, index, resources, config)
     y = [1 if labels[(name, horizon)] == "Popular" else 0 for name in names]
-    features.write_feature_csv(args.out, vectors, y, schema, combos=combos)
+    features.write_feature_csv(args.out, vectors, y, schema, combos)
     print(
         f"featurized {len(eligible)} candidates ({len(schema.names)} features; "
         f"{fits} topic fits, {len(eligible) - fits} pairs within the top-{features.TOPIC_TOP_N} "
@@ -303,12 +299,10 @@ def build_parser() -> _Parser:
 
     p = command("ingest", _cmd_ingest, "build an immutable index from a JSONL corpus", out)
     p.add_argument("--corpus", help="JSONL file, one tweet object per line")
-    bad = IngestConfig().max_malformed_fraction
-    p.add_argument("--max-malformed-fraction", type=float, default=bad, help="tolerated bad lines")
+    p.add_argument("--max-malformed-fraction", type=float, default=0.5, help="tolerated bad lines")
     command("detect", _cmd_detect, "detect compound candidates", index, out)
-    p = command("label", _cmd_label, "attach popularity labels per horizon", index, cands, out)
-    p.add_argument("--horizon", type=int, help="label one horizon in months, not 2, 6 and 10")
-    p.add_argument("--any-horizon", action="store_true", help="allow horizons besides 2, 6, 10")
+    summary = "attach popularity labels at 2, 6 and 10 months"
+    command("label", _cmd_label, summary, index, cands, out)
     summary = "extract the feature matrix"
     p = command("featurize", _cmd_featurize, summary, index, cands, out)
     p.add_argument("--topics", type=int, default=obs.lda_topics, help="LDA topics")
@@ -318,7 +312,10 @@ def build_parser() -> _Parser:
     p.add_argument("--ngrams", help="n-gram frequency table")
     p.add_argument("--pos-lexicon", help="part-of-speech lexicon")
     p.add_argument("--gazetteer", help="named-entity gazetteer")
-    p.add_argument("--horizon", type=int, default=obs.horizon_months, help="label horizon, months")
+    p.add_argument(
+        "--horizon", type=int, choices=compound.SUPPORTED_HORIZONS, default=obs.horizon_months,
+        help="label horizon, months",
+    )
     p.add_argument("--min-support", type=int, default=50, help="fewest window tweets per part")
     command("train", _cmd_train, "train a classifier on a feature matrix", data, out, model)
     summary = "evaluate by cross validation or holdout"

@@ -90,27 +90,18 @@ class PopularityLabel:
         return self.value == "Popular"
 
 
-def detect_candidates(
-    index: CorpusIndex, window: tuple[int, int] | None = None
-) -> list[CompoundCandidate]:
-    """All compounds first seen inside `window` (inclusive bounds).
+def detect_candidates(index: CorpusIndex) -> list[CompoundCandidate]:
+    """Every compound in the index.
 
     A hashtag of canonical length >= 6 qualifies when exactly one character
     position splits it into two hashtags whose first appearances strictly
     precede its own. Output is sorted by canonical form.
     """
-    if window is None:
-        if not len(index):
-            return []
-        window = (index.coverage_start, index.coverage_end)
-    frm, to = window
     out: list[CompoundCandidate] = []
     for canon in index.hashtags():
         if len(canon) < MIN_COMPOUND_LENGTH:
             continue
         first = index.first_seen(canon)
-        if not frm <= first <= to:
-            continue
         valid: list[int] = []
         for i in range(1, len(canon)):
             left, right = canon[:i], canon[i:]
@@ -164,23 +155,18 @@ def filter_eligible(
 
 
 def label_candidate(
-    index: CorpusIndex,
-    candidate: CompoundCandidate,
-    horizon_months: int,
-    strict_horizon: bool = True,
+    index: CorpusIndex, candidate: CompoundCandidate, horizon_months: int
 ) -> PopularityLabel:
     """Popular iff the compound strictly out-runs both constituents.
 
-    Frequencies are cumulative over (t0, t0 + horizon]; ties lose. A corpus
-    that ends before the horizon raises InsufficientHistoryError instead of
-    silently truncating.
+    Frequencies are cumulative over (t0, t0 + horizon]; ties lose. The
+    horizon is one of SUPPORTED_HORIZONS. A corpus that ends before the
+    horizon raises InsufficientHistoryError instead of silently truncating.
     """
-    if strict_horizon and horizon_months not in SUPPORTED_HORIZONS:
+    if horizon_months not in SUPPORTED_HORIZONS:
         raise ValueError(
             f"horizon {horizon_months} unsupported, expected one of {SUPPORTED_HORIZONS}"
         )
-    if horizon_months <= 0:
-        raise ValueError("horizon must be positive")
     t0 = candidate.compound_first_seen
     end = shift_months(t0, horizon_months)
     if end > index.coverage_end:
@@ -348,15 +334,18 @@ def read_candidates(
             for name in (compound, part_a, part_b):
                 if not index.has(name):
                     raise CorpusFormatError(f"{path}:{line_no}: hashtag {name!r} not in the index")
-            cand = CompoundCandidate(
-                compound=index.hashtag_id(compound),
-                split_index=int(split_s),
-                part_a=index.hashtag_id(part_a),
-                part_b=index.hashtag_id(part_b),
-                compound_first_seen=int(first_s),
-                a_first_seen=index.first_seen(part_a),
-                b_first_seen=index.first_seen(part_b),
-            )
+            try:
+                cand = CompoundCandidate(
+                    compound=index.hashtag_id(compound),
+                    split_index=int(split_s),
+                    part_a=index.hashtag_id(part_a),
+                    part_b=index.hashtag_id(part_b),
+                    compound_first_seen=int(first_s),
+                    a_first_seen=index.first_seen(part_a),
+                    b_first_seen=index.first_seen(part_b),
+                )
+            except ValueError as exc:
+                raise CorpusFormatError(f"{path}:{line_no}: {exc}") from exc
             candidates.append(cand)
             for horizon, value in zip(SUPPORTED_HORIZONS, parts[5:]):
                 if value not in ("Popular", "Unpopular", "-"):

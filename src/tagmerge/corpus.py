@@ -32,7 +32,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import repeat
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -249,8 +249,7 @@ class CorpusIndex:
     bounds.
     """
 
-    def __init__(self, tweets: Sequence[Tweet], skipped: int = 0, filtered: int = 0,
-                 tokens: tuple | None = None):
+    def __init__(self, tweets: Sequence[Tweet], skipped: int = 0, tokens: tuple | None = None):
         """Index `tweets`; `tokens` is what `_tokenize` returns for them, derived when absent."""
         ordered = sorted(tweets, key=lambda t: (t.timestamp, t.id))
         self._tweets: tuple[Tweet, ...] = tuple(ordered)
@@ -258,7 +257,6 @@ class CorpusIndex:
         if len(self._by_id) != len(self._tweets):
             raise ValueError("duplicate tweet ids")
         self.skipped = skipped
-        self.filtered = filtered
 
         self._tags: dict[str, _TagEntry] = {}
         for pos, tweet in enumerate(self._tweets):
@@ -396,7 +394,8 @@ class CorpusIndex:
             "format": INDEX_FORMAT,
             "version": INDEX_VERSION,
             "skipped": self.skipped,
-            "filtered": self.filtered,
+            # version 1 of the format carries a count of filtered tweets; ingestion filters none
+            "filtered": 0,
             "tweets": [t.to_record() for t in self._tweets],
         }
 
@@ -436,10 +435,10 @@ class CorpusIndex:
         with open(path, "rb") as fh:
             data = fh.read()
         sidecar = _read_sidecar(_sidecar_path(path), hashlib.sha256(data).digest())
-        tweets, skipped, filtered, tokens = decode_json(
+        tweets, skipped, tokens = decode_json(
             path, data, lambda payload: _decode_index(payload, sidecar), INDEX_FORMAT, INDEX_VERSION
         )
-        return cls(tweets, skipped=skipped, filtered=filtered, tokens=tokens)
+        return cls(tweets, skipped=skipped, tokens=tokens)
 
 
 def _tokenize(tweets: Sequence[Tweet]) -> tuple[tuple[str, ...], np.ndarray, array, array]:
@@ -477,8 +476,8 @@ def _tokenize(tweets: Sequence[Tweet]) -> tuple[tuple[str, ...], np.ndarray, arr
     return vocab, rank[np.asarray(ids, dtype=np.intp)], offsets, tagged
 
 
-def _decode_index(payload: dict, sidecar) -> tuple[list[Tweet], int, int, tuple | None]:
-    """Tweets, skipped and filtered counts, and tokens (None without a sidecar).
+def _decode_index(payload: dict, sidecar) -> tuple[list[Tweet], int, tuple | None]:
+    """Tweets, the skipped count, and tokens (None without a sidecar).
 
     `sidecar` is `_read_sidecar`'s result for the payload's bytes, and gives
     each tweet's hashtags and the `_tokenize` result.
@@ -505,7 +504,7 @@ def _decode_index(payload: dict, sidecar) -> tuple[list[Tweet], int, int, tuple 
         if t.id in seen_ids:
             raise ValueError(f"duplicate tweet id {t.id!r}")
         seen_ids.add(t.id)
-    return tweets, payload.get("skipped", 0), payload.get("filtered", 0), tokens
+    return tweets, payload.get("skipped", 0), tokens
 
 
 def _sidecar_path(index_path) -> str:
@@ -584,18 +583,6 @@ def _check_ids(name: str, ids: np.ndarray, bound: int) -> None:
         raise ValueError(f"{name} out of range [0, {bound})")
 
 
-@dataclass(frozen=True)
-class IngestConfig:
-    """Options for JSONL ingestion.
-
-    `tweet_filter` is a hook for predicates like language identification;
-    tweets it rejects are excluded without counting as malformed.
-    """
-
-    tweet_filter: Callable[[Tweet], bool] | None = None
-    max_malformed_fraction: float = 0.5
-
-
 # the last second of 9998 UTC: month arithmetic past a tweet (coverage end,
 # label horizons) must stay inside the years `datetime` can hold
 _MAX_TIMESTAMP = int(datetime(9999, 1, 1, tzinfo=timezone.utc).timestamp()) - 1
@@ -640,18 +627,16 @@ def _tweet_from_record(record: dict) -> Tweet:
     )
 
 
-def ingest_jsonl(path, config: IngestConfig | None = None) -> CorpusIndex:
+def ingest_jsonl(path, max_malformed_fraction: float = 0.5) -> CorpusIndex:
     """Build a CorpusIndex from a JSONL file of tweet records.
 
     Malformed lines (bad JSON, missing fields, bad timestamps, duplicate
-    ids) are skipped and counted; more than half malformed is fatal. An
-    unreadable file raises OSError.
+    ids) are skipped and counted; a larger share of malformed lines than
+    `max_malformed_fraction` is fatal. An unreadable file raises OSError.
     """
-    config = config or IngestConfig()
     tweets: list[Tweet] = []
     seen_ids: set[str] = set()
     malformed = 0
-    filtered = 0
     total = 0
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -671,14 +656,11 @@ def ingest_jsonl(path, config: IngestConfig | None = None) -> CorpusIndex:
                 logger.debug("skipping line %d of %s: %s", line_no, path, exc)
                 continue
             seen_ids.add(tweet.id)
-            if config.tweet_filter is not None and not config.tweet_filter(tweet):
-                filtered += 1
-                continue
             tweets.append(tweet)
-    if total and malformed > config.max_malformed_fraction * total:
+    if total and malformed > max_malformed_fraction * total:
         raise CorpusFormatError(
             f"{path}: {malformed} of {total} lines malformed, refusing to build an index"
         )
     if malformed:
         logger.info("ingested %s: %d tweets, %d malformed lines skipped", path, len(tweets), malformed)
-    return CorpusIndex(tweets, skipped=malformed, filtered=filtered)
+    return CorpusIndex(tweets, skipped=malformed)

@@ -651,7 +651,7 @@ def write_feature_csv(
     vectors: Sequence[FeatureVector],
     labels: Sequence[int],
     schema: FeatureSchema,
-    combos: Sequence[ZoneCombo] | None = None,
+    combos: Sequence[ZoneCombo],
 ) -> None:
     """Feature matrix as CSV plus a JSON sidecar describing the schema.
 
@@ -675,26 +675,23 @@ def write_feature_csv(
         ],
         "combo": schema.combo.to_payload(),
         "config": asdict(schema.config),
-    }
-    if combos is not None:
-        sidecar["row_combos"] = [
+        "row_combos": [
             {"pos": " ".join(c.pos), "ne": " ".join(c.ne), "oov": c.oov} for c in combos
-        ]
+        ],
+    }
     with open(_sidecar_path(path), "w", encoding="utf-8") as fh:
         fh.write(json.dumps(sidecar, sort_keys=True, indent=1))
         fh.write("\n")
 
 
-def read_feature_csv(
-    path, schema_path=None
-) -> tuple[np.ndarray, np.ndarray, FeatureSchema, list[ZoneCombo] | None]:
+def read_feature_csv(path) -> tuple[np.ndarray, np.ndarray, FeatureSchema, list[ZoneCombo] | None]:
     """Load a feature matrix and its sidecar back into memory.
 
     A row of the wrong width, a feature that is not a finite number or a
     label other than 0 or 1 raises CorpusFormatError naming the file and
     line. No extractor writes a non-finite value.
     """
-    schema_path = schema_path or _sidecar_path(path)
+    schema_path = _sidecar_path(path)
     schema, combos = read_json(schema_path, _decode_sidecar, SCHEMA_FORMAT, SCHEMA_VERSION)
     rows: list[list[float]] = []
     labels: list[int] = []

@@ -85,15 +85,14 @@ class Dataset:
         vectors: list[FeatureVector],
         labels,
         schema: FeatureSchema,
-        combos: list[ZoneCombo] | None = None,
+        combos: list[ZoneCombo],
     ) -> "Dataset":
         matrix = np.array([v.as_array(schema.names) for v in vectors], dtype=float)
-        combos = list(combos) if combos is not None else None
-        return cls._from_schema(matrix, np.asarray(labels, dtype=int), schema, combos)
+        return cls._from_schema(matrix, np.asarray(labels, dtype=int), schema, list(combos))
 
     @classmethod
-    def from_csv(cls, path, schema_path=None) -> "Dataset":
-        return cls._from_schema(*read_feature_csv(path, schema_path))
+    def from_csv(cls, path) -> "Dataset":
+        return cls._from_schema(*read_feature_csv(path))
 
     @classmethod
     def _from_schema(cls, matrix, labels, schema: FeatureSchema, combos) -> "Dataset":

@@ -535,8 +535,8 @@ def read_manifest(path) -> list[ManifestRow]:
                 horizon: (cells[5 + i] if cells[5 + i] != "-" else None)
                 for i, horizon in enumerate(SUPPORTED_HORIZONS)
             }
-            rows.append(
-                ManifestRow(
+            try:
+                row = ManifestRow(
                     compound=cells[0],
                     part_a=cells[1],
                     part_b=cells[2],
@@ -548,7 +548,9 @@ def read_manifest(path) -> list[ManifestRow]:
                     support_a=int(cells[10]),
                     support_b=int(cells[11]),
                 )
-            )
+            except ValueError as exc:
+                raise CorpusFormatError(f"{path}:{line_no}: {exc}") from exc
+            rows.append(row)
     return rows
 
 

@@ -48,13 +48,8 @@ def top_words(model, topic, n=100):
     return [model.vocab[i] for i in order[:n]]
 
 
-def oracle_detect(index, window=None):
+def oracle_detect(index):
     """Compound set {(canonical, split_index)} via a pairwise join of hashtags."""
-    if window is None:
-        if not len(index):
-            return set()
-        window = (index.coverage_start, index.coverage_end)
-    lo, hi = window
     tags = index.hashtags()
     splits = defaultdict(set)
     for x in tags:
@@ -67,7 +62,7 @@ def oracle_detect(index, window=None):
                 splits[c].add(len(x))
     out = set()
     for canon, positions in splits.items():
-        if len(positions) == 1 and lo <= index.first_seen(canon) <= hi:
+        if len(positions) == 1:
             out.add((canon, next(iter(positions))))
     return out
 

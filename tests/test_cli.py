@@ -161,20 +161,37 @@ def test_internal_errors_exit_two(monkeypatch, capsys):
     assert "internal error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["unknown-hashtag", "lowercase-label"])
+# Damages to the first data row (line 2) of a candidate table: the command
+# that reads it, the cell, its new value given the old one, and what the
+# error says.
+DAMAGED_CANDIDATE_CELLS = {
+    "unknown-hashtag": ("label", 0, lambda old: "nosuchtag", "'nosuchtag' not in the index"),
+    "word-split-index": ("label", 3, lambda old: "x", "invalid literal for int()"),
+    "wrong-split-index": ("label", 3, lambda old: str(int(old) + 1), "split index"),
+    "word-first-seen": ("label", 4, lambda old: "soon", "invalid literal for int()"),
+    "lowercase-label": ("featurize", 5, str.lower, "is not Popular, Unpopular or -"),
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGED_CANDIDATE_CELLS)
 def test_damaged_candidate_table_exits_one(staged, tmp_path, capsys, damage):
+    command, column, change, message = DAMAGED_CANDIDATE_CELLS[damage]
     rows = staged["labeled"].read_text().splitlines()
-    bad = tmp_path / "bad.tsv"
-    if damage == "unknown-hashtag":
-        rows[1] = "nosuchtag" + rows[1][rows[1].index("\t"):]
-        argv = ["label", "--index", str(staged["index"]), "--candidates", str(bad)]
-        argv += ["--out", str(tmp_path / "out.tsv")]
-    else:
-        rows = [row.replace("\tPopular", "\tpopular") for row in rows]
-        argv = featurize_args({**staged, "labeled": bad}, tmp_path / "out.csv")
+    cells = rows[1].split("\t")
+    cells[column] = change(cells[column])
+    rows[1] = "\t".join(cells)
+    bad = tmp_path / "c.tsv"
     bad.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    if command == "label":
+        argv = ["label", "--index", str(staged["index"]), "--candidates", str(bad), "--out", str(out)]
+    else:
+        argv = featurize_args({**staged, "labeled": bad}, out)
     assert cli.main(argv) == 1
-    assert f"{bad}:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{bad}:2: " in err
+    assert message in err
+    assert not out.exists()
 
 
 def _drop(*keys):
@@ -356,14 +373,14 @@ def test_config_value_outside_the_choices_is_a_usage_error(feature_csv, tmp_path
 
 @pytest.mark.parametrize("command, key, value, why", [
     ("evaluate cv", "balance", "false", "expected bool, got 'false'"),
-    ("label", "any_horizon", "no", "expected bool, got 'no'"),
+    ("evaluate cv", "balance", 1, "expected bool, got 1"),
     ("evaluate cv", "folds", 4.7, "expected int, got 4.7"),
     ("evaluate cv", "seed", True, "expected str or int or float, got True"),
     ("evaluate cv", "learning_rate", False, "expected str or int or float, got False"),
     ("evaluate cv", "epochs", "sixty", "invalid literal for int()"),
     ("evaluate cv", "folds", [4], "expected str or int or float, got [4]"),
     ("evaluate cv", "out", 5, "expected str, got 5"),
-], ids=["bool-flag-string", "store-true-string", "int-fraction", "int-bool", "float-bool",
+], ids=["bool-flag-string", "bool-flag-number", "int-fraction", "int-bool", "float-bool",
         "int-word", "int-list", "path-number"])
 def test_config_value_the_flag_could_not_give_is_a_usage_error(tmp_path, capsys,
                                                               command, key, value, why):
@@ -419,30 +436,29 @@ def test_labels_written_by_cli_match_the_manifest(staged):
             assert got == expect, (cand.compound.canonical, horizon)
 
 
-def test_label_single_horizon_flag(staged, tmp_path, capsys):
-    out = tmp_path / "h2.tsv"
-    rc = cli.main([
-        "label", "--index", str(staged["index"]),
-        "--candidates", str(staged["cands"]), "--out", str(out), "--horizon", "2",
-    ])
-    assert rc == 0
-    index = CorpusIndex.load(staged["index"])
-    _, labels = compound.read_candidates(out, index)
-    assert labels
-    assert {h for _, h in labels} == {2}
-    capsys.readouterr()
+def test_featurize_refuses_a_horizon_outside_2_6_10(staged, tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"horizon": 3}))
+    for option in (["--horizon", "3"], ["--config", str(cfg)]):
+        assert cli.main(featurize_args(staged, out) + option) == 1
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "(choose from 2, 6, 10)" in err
+    assert not out.exists()
 
 
-def test_unsupported_horizon_needs_opt_in(staged, tmp_path, capsys):
-    out = tmp_path / "h3.tsv"
-    base = [
-        "label", "--index", str(staged["index"]),
-        "--candidates", str(staged["cands"]), "--out", str(out), "--horizon", "3",
-    ]
-    assert cli.main(base) == 1
-    assert "horizon" in capsys.readouterr().err
-    assert cli.main(base + ["--any-horizon"]) == 0
-    capsys.readouterr()
+def test_featurize_refuses_eligible_candidates_without_a_label(staged, tmp_path, capsys):
+    rows = staged["labeled"].read_text().splitlines()
+    cells = rows[1].split("\t")
+    cells[compound.CANDIDATE_COLUMNS.index("label_T10")] = "-"
+    rows[1] = "\t".join(cells)
+    blanked = tmp_path / "c.tsv"
+    blanked.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "f.csv"
+    assert cli.main(featurize_args({**staged, "labeled": blanked}, out)) == 1
+    err = capsys.readouterr().err
+    assert f"1 eligible candidates lack a label at horizon 10, first: {cells[0]!r}" in err
+    assert not out.exists()
 
 
 def test_featurize_is_deterministic(staged, feature_csv, tmp_path, capsys):

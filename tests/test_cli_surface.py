@@ -13,13 +13,13 @@ import pytest
 
 import tagmerge
 from tagmerge import analysis, cli, compound, features, learn, synth
-from tagmerge.corpus import CorpusIndex, IngestConfig, Tweet
+from tagmerge.corpus import CorpusIndex, Tweet
 from tagmerge.errors import InsufficientHistoryError
 
 SURFACE = {
     "ingest": {"--corpus", "--out", "--max-malformed-fraction"},
     "detect": {"--index", "--out"},
-    "label": {"--index", "--candidates", "--out", "--horizon", "--any-horizon"},
+    "label": {"--index", "--candidates", "--out"},
     "featurize": {
         "--index", "--candidates", "--out", "--dictionary", "--ngrams", "--pos-lexicon",
         "--gazetteer", "--horizon", "--obs-months", "--topics", "--lda-iterations",
@@ -123,7 +123,7 @@ def test_ingest_defaults(calls, tmp_path):
     record(cli, "ingest_jsonl")
     assert run(["ingest", "--corpus", tmp_path / "c.jsonl", "--out", tmp_path / "i.json"]) == 2
     (call,) = seen["ingest_jsonl"]
-    assert repr(call["config"]) == repr(IngestConfig(tweet_filter=None, max_malformed_fraction=0.5))
+    assert repr(call["max_malformed_fraction"]) == repr(0.5)
 
 
 def test_label_defaults(calls, index_path, tmp_path):
@@ -137,8 +137,7 @@ def test_label_defaults(calls, index_path, tmp_path):
     record(compound, "label_candidate", stop=False, result=no_history)
     argv = ["label", "--index", index_path, "--candidates", "c.tsv", "--out", tmp_path / "l.tsv"]
     assert run(argv) == 0
-    got = [repr((c["horizon_months"], c["strict_horizon"])) for c in seen["label_candidate"]]
-    assert got == [repr((h, True)) for h in (2, 6, 10)]
+    assert [repr(c["horizon_months"]) for c in seen["label_candidate"]] == ["2", "6", "10"]
     (write,) = seen["write_candidates"]
     assert write["labels"] == {}
 

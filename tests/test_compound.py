@@ -84,17 +84,6 @@ def test_single_valid_split_despite_other_parses():
     assert [(c.compound.canonical, c.split_index) for c in cands] == [("abcdef", 2)]
 
 
-def test_detection_window_bounds_are_inclusive():
-    t0 = utc(2011, 7, 15)
-    index = index_of(
-        make_tweet("#snow #day", utc(2011, 6, 1)),
-        make_tweet("#snowday", t0),
-    )
-    assert len(detect_candidates(index, (t0, t0))) == 1
-    assert detect_candidates(index, (t0 + 1, utc(2011, 9, 1))) == []
-    assert detect_candidates(index, (utc(2011, 5, 1), t0 - 1)) == []
-
-
 def test_detection_output_sorted_by_canonical():
     index = index_of(
         make_tweet("#snow #day #red #ball", utc(2011, 6, 1)),
@@ -203,15 +192,12 @@ def test_window_includes_tweet_at_horizon_end():
     assert (label.freq_ab, label.freq_a, label.freq_b) == (1, 0, 0)
 
 
-def test_unsupported_horizon_needs_opt_in():
+def test_unsupported_horizon_is_refused():
     index = labeled_corpus(1, 0, 0)
     cand = only_candidate(index)
-    with pytest.raises(ValueError):
-        label_candidate(index, cand, 3)
-    relaxed = label_candidate(index, cand, 3, strict_horizon=False)
-    assert relaxed.horizon_months == 3
-    with pytest.raises(ValueError):
-        label_candidate(index, cand, 0, strict_horizon=False)
+    for horizon in (0, 3):
+        with pytest.raises(ValueError, match=r"expected one of \(2, 6, 10\)"):
+            label_candidate(index, cand, horizon)
 
 
 def test_truncated_coverage_raises_instead_of_mislabeling():

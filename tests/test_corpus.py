@@ -9,7 +9,6 @@ from tagmerge import corpus
 from tagmerge.corpus import (
     CorpusIndex,
     HashtagId,
-    IngestConfig,
     Tweet,
     extract_hashtags,
     extract_mentions,
@@ -321,7 +320,7 @@ def sidecar_corpus():
         make_tweet("!!! ...", utc(2011, 7, 20), tid="s5"),
         make_tweet("", utc(2011, 8, 1), tid="s6"),
         make_tweet("#cd #ab closing words", utc(2011, 9, 30), tid="s7"),
-    ], skipped=2, filtered=1)
+    ], skipped=2)
 
 
 def index_view(index):
@@ -345,7 +344,7 @@ def index_view(index):
             for tag in index.hashtags()
         },
         "months": index.months,
-        "counts": (index.skipped, index.filtered),
+        "skipped": index.skipped,
     }
 
 
@@ -520,20 +519,7 @@ def test_ingest_rejects_mostly_malformed_file(tmp_path):
         fh.write("junk\n")
     ingest_jsonl(path2)  # fine at the default
     with pytest.raises(CorpusFormatError):
-        ingest_jsonl(path2, IngestConfig(max_malformed_fraction=0.05))
-
-
-def test_ingest_filter_hook_excludes_without_penalty(tmp_path):
-    path = tmp_path / "c.jsonl"
-    write_jsonl(
-        path,
-        [good_record(i, utc(2011, 6, 1 + i), text=f"msg {i}") for i in range(4)],
-    )
-    cfg = IngestConfig(tweet_filter=lambda t: t.text != "msg 2")
-    index = ingest_jsonl(path, cfg)
-    assert len(index) == 3
-    assert index.filtered == 1
-    assert index.skipped == 0
+        ingest_jsonl(path2, max_malformed_fraction=0.05)
 
 
 def test_ingest_missing_file_raises_oserror(tmp_path):

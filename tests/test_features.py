@@ -1,6 +1,7 @@
 """Feature extractors: distribution helpers, zone combos, and assembly."""
 
 import hashlib
+import json
 import math
 import pickle
 from collections import Counter
@@ -509,6 +510,12 @@ def test_featurize_all_orders_and_round_trips(tmp_path):
     assert combos2 == combos_out
     expect = vectors[0].as_array(schema.names)
     assert np.array_equal(matrix[0], expect)  # repr round trip is exact
+    # a sidecar written elsewhere may lack the row combos
+    sidecar = tmp_path / "feats.schema.json"
+    payload = json.loads(sidecar.read_text())
+    del payload["row_combos"]
+    sidecar.write_text(json.dumps(payload))
+    assert read_feature_csv(path)[3] is None
 
 
 def test_featurize_all_reads_each_window_once_and_never_tokenizes(monkeypatch):

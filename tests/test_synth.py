@@ -7,6 +7,7 @@ import pytest
 
 from tagmerge.compound import classify_trend, detect_candidates, label_candidate
 from tagmerge.corpus import CorpusIndex, observation_window
+from tagmerge.errors import CorpusFormatError
 from tagmerge.features import collocation_frequency
 from tagmerge.synth import (
     PlantSpec,
@@ -257,6 +258,13 @@ def test_manifest_tsv_round_trip(tmp_path):
     bad = tmp_path / "bad.tsv"
     bad.write_text("x\ty\n")
     with pytest.raises(Exception):
+        read_manifest(bad)
+    lines = path.read_text().splitlines()
+    cells = lines[1].split("\t")
+    cells[3] = "x"  # split_index
+    lines[1] = "\t".join(cells)
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusFormatError, match=r"bad\.tsv:2: invalid literal for int\(\)"):
         read_manifest(bad)
 
 
