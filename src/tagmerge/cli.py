@@ -265,14 +265,15 @@ def build_parser() -> _Parser:
 
     common = group()
     common.add_argument("--config", help="JSON object of option values; flags win over it")
-    common.add_argument("--seed", type=int, default=0, help="random seed")
+    seed = group()
+    seed.add_argument("--seed", type=int, default=0, help="random seed")
     out = group()
     out.add_argument("--out", help="output file")
     index = group()
     index.add_argument("--index", help="corpus index written by ingest")
     cands = group()
     cands.add_argument("--candidates", help="candidate table written by detect or label")
-    data = group()
+    data = group(parents=[seed])
     data.add_argument("--features", help="feature CSV written by featurize")
     data.add_argument(
         "--balance", action=argparse.BooleanOptionalAction, default=False,
@@ -304,7 +305,7 @@ def build_parser() -> _Parser:
     summary = "attach popularity labels at 2, 6 and 10 months"
     command("label", _cmd_label, summary, index, cands, out)
     summary = "extract the feature matrix"
-    p = command("featurize", _cmd_featurize, summary, index, cands, out)
+    p = command("featurize", _cmd_featurize, summary, index, cands, out, seed)
     p.add_argument("--topics", type=int, default=obs.lda_topics, help="LDA topics")
     p.add_argument("--obs-months", type=int, default=obs.obs_months, help="months observed")
     p.add_argument("--lda-iterations", type=int, default=1000, help="Gibbs sweeps")
@@ -327,7 +328,7 @@ def build_parser() -> _Parser:
     p.add_argument("--method", choices=analysis.RANK_METHODS, default="chi2", help="statistic")
     summary = "cross-validate every feature-group subset"
     command("ablate", _cmd_ablate, summary, data, out, model, folds)
-    p = command("synth", _cmd_synth, "generate a synthetic scenario")
+    p = command("synth", _cmd_synth, "generate a synthetic scenario", seed)
     p.add_argument("--scenario", choices=("reference", "signal"), help="named scenario")
     p.add_argument("--scenario-config", help="scenario config JSON, instead of --scenario")
     p.add_argument("--out-dir", help="directory to write the scenario into")

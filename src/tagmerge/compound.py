@@ -11,7 +11,7 @@ import enum
 from dataclasses import dataclass
 
 from .corpus import CorpusIndex, HashtagId, observation_window, shift_months
-from .errors import CorpusFormatError, InsufficientHistoryError
+from .errors import CorpusFormatError, InsufficientHistoryError, read_tsv
 from .lexicon import Dictionary
 
 MIN_COMPOUND_LENGTH = 6
@@ -141,13 +141,16 @@ def filter_eligible(
     """Keep candidates whose constituents each have enough pre-compounding use.
 
     Support is counted over the open observation window before the
-    compounding instant; the boundary count itself is eligible (>=).
+    compounding instant; the boundary count itself is eligible (>=). A
+    window that starts before `index.coverage_start` is dropped, since
+    `features.featurize` refuses it; one that starts exactly there is kept.
     """
     kept = []
     for cand in candidates:
         lo, hi = observation_window(cand.compound_first_seen, obs_months)
         if (
-            index.count_between(cand.part_a.canonical, lo, hi) >= min_support
+            lo >= index.coverage_start
+            and index.count_between(cand.part_a.canonical, lo, hi) >= min_support
             and index.count_between(cand.part_b.canonical, lo, hi) >= min_support
         ):
             kept.append(cand)
@@ -314,44 +317,34 @@ def write_candidates(
 def read_candidates(
     path, index: CorpusIndex
 ) -> tuple[list[CompoundCandidate], dict[tuple[str, int], str]]:
-    """Load a candidate table back, resolving hashtags against the index."""
+    """Load a candidate table back, resolving hashtags against the index.
+
+    A damaged row or cell, or a hashtag missing from the index, raises
+    CorpusFormatError naming its file and line.
+    """
     candidates: list[CompoundCandidate] = []
     labels: dict[tuple[str, int], str] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if header != list(CANDIDATE_COLUMNS):
-            raise CorpusFormatError(f"{path}: unexpected candidate table header")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != len(CANDIDATE_COLUMNS):
-                raise CorpusFormatError(
-                    f"{path}:{line_no}: expected {len(CANDIDATE_COLUMNS)} columns"
-                )
-            compound, part_a, part_b, split_s, first_s = parts[:5]
-            for name in (compound, part_a, part_b):
-                if not index.has(name):
-                    raise CorpusFormatError(f"{path}:{line_no}: hashtag {name!r} not in the index")
-            try:
-                cand = CompoundCandidate(
-                    compound=index.hashtag_id(compound),
-                    split_index=int(split_s),
-                    part_a=index.hashtag_id(part_a),
-                    part_b=index.hashtag_id(part_b),
-                    compound_first_seen=int(first_s),
-                    a_first_seen=index.first_seen(part_a),
-                    b_first_seen=index.first_seen(part_b),
-                )
-            except ValueError as exc:
-                raise CorpusFormatError(f"{path}:{line_no}: {exc}") from exc
-            candidates.append(cand)
-            for horizon, value in zip(SUPPORTED_HORIZONS, parts[5:]):
-                if value not in ("Popular", "Unpopular", "-"):
-                    raise CorpusFormatError(
-                        f"{path}:{line_no}: label {value!r} is not Popular, Unpopular or -"
-                    )
-                if value != "-":
-                    labels[(compound, horizon)] = value
+    for where, cells in read_tsv(path, CANDIDATE_COLUMNS, header=True):
+        compound, part_a, part_b, split_s, first_s = cells[:5]
+        for name in (compound, part_a, part_b):
+            if not index.has(name):
+                raise CorpusFormatError(f"{where}: hashtag {name!r} not in the index")
+        try:
+            cand = CompoundCandidate(
+                compound=index.hashtag_id(compound),
+                split_index=int(split_s),
+                part_a=index.hashtag_id(part_a),
+                part_b=index.hashtag_id(part_b),
+                compound_first_seen=int(first_s),
+                a_first_seen=index.first_seen(part_a),
+                b_first_seen=index.first_seen(part_b),
+            )
+        except ValueError as exc:
+            raise CorpusFormatError(f"{where}: {exc}") from exc
+        candidates.append(cand)
+        for horizon, value in zip(SUPPORTED_HORIZONS, cells[5:]):
+            if value not in ("Popular", "Unpopular", "-"):
+                raise CorpusFormatError(f"{where}: label {value!r} is not Popular, Unpopular or -")
+            if value != "-":
+                labels[(compound, horizon)] = value
     return candidates, labels

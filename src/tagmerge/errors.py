@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the strict JSON artifact reader."""
+"""Exception types shared across the package, and the strict JSON and TSV readers."""
 
 from __future__ import annotations
 
@@ -23,6 +23,29 @@ class InsufficientHistoryError(TagmergeError):
     Truncating the horizon silently would corrupt labels, so callers must
     either extend the corpus or request a shorter horizon.
     """
+
+
+def read_tsv(path, columns, header=False):
+    """Yield `(where, cells)` for each non-blank line of the tab-separated file `path`.
+
+    `where` is "path:line", for the caller's own cell checks to name. Lines
+    of whitespace only are skipped. With `header`, the first line must be
+    exactly `columns`. A line of another cell count than `columns` raises
+    CorpusFormatError naming its `where`, the count found and the columns.
+    """
+    expected = "<TAB>".join(columns)
+    with open(path, encoding="utf-8") as fh:
+        if header and fh.readline().rstrip("\n").split("\t") != list(columns):
+            raise CorpusFormatError(f"{path}: header is not {expected}")
+        for line_no, line in enumerate(fh, start=2 if header else 1):
+            if not line.strip():
+                continue
+            cells = line.rstrip("\n").split("\t")
+            if len(cells) != len(columns):
+                raise CorpusFormatError(
+                    f"{path}:{line_no}: found {len(cells)} cells, expected {len(columns)} ({expected})"
+                )
+            yield f"{path}:{line_no}", cells
 
 
 def read_json(path, decode, fmt=None, version=None):

@@ -1,8 +1,9 @@
 """Lexical resources: dictionary, n-gram table, POS lexicon, entity gazetteer.
 
-All resources load from plain text files and are case-insensitive. The POS
-tagset is closed; words outside the lexicon fall back to suffix heuristics,
-then capitalization.
+All resources load from line-oriented text files through `errors.read_tsv`,
+so a damaged line names its file and line, and all are case-insensitive.
+The POS tagset is closed; words outside the lexicon fall back to suffix
+heuristics, then capitalization.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import CorpusFormatError
+from .errors import CorpusFormatError, read_tsv
 
 TAGSET = ("^", "N", "O", "V", "A", "R", "D", "P", "X")
 
@@ -59,13 +60,8 @@ class EntityGazetteer:
 
 
 def load_dictionary(path) -> Dictionary:
-    """One word per line, blank lines ignored."""
-    words = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            word = line.strip().lower()
-            if word:
-                words.add(word)
+    """One word per line, blank lines ignored; a line holding a tab is malformed."""
+    words = {cells[0].strip().lower() for _, cells in read_tsv(path, ("word",))}
     if not words:
         raise CorpusFormatError(f"{path}: dictionary is empty")
     return Dictionary(words=frozenset(words))
@@ -74,43 +70,29 @@ def load_dictionary(path) -> Dictionary:
 def load_ngram_table(path) -> NgramTable:
     """Tab-separated "phrase<TAB>frequency" lines."""
     entries: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise CorpusFormatError(f"{path}:{line_no}: expected 'phrase<TAB>frequency'")
-            phrase = " ".join(parts[0].lower().split())
-            n = len(phrase.split())
-            if not 2 <= n <= 5:
-                raise CorpusFormatError(f"{path}:{line_no}: phrase must have 2..5 words, got {n}")
-            try:
-                freq = int(parts[1])
-            except ValueError:
-                raise CorpusFormatError(f"{path}:{line_no}: bad frequency {parts[1]!r}") from None
-            if freq < 1:
-                raise CorpusFormatError(f"{path}:{line_no}: frequency must be >= 1")
-            entries[phrase] = freq
+    for where, (phrase, freq_s) in read_tsv(path, ("phrase", "frequency")):
+        phrase = " ".join(phrase.lower().split())
+        n = len(phrase.split())
+        if not 2 <= n <= 5:
+            raise CorpusFormatError(f"{where}: phrase must have 2..5 words, got {n}")
+        try:
+            freq = int(freq_s)
+        except ValueError:
+            raise CorpusFormatError(f"{where}: bad frequency {freq_s!r}") from None
+        if freq < 1:
+            raise CorpusFormatError(f"{where}: frequency must be >= 1")
+        entries[phrase] = freq
     return NgramTable(entries=entries)
 
 
 def load_pos_lexicon(path) -> PosLexicon:
     """Tab-separated "word<TAB>tag" lines, tags from the closed tagset."""
     tags: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise CorpusFormatError(f"{path}:{line_no}: expected 'word<TAB>tag'")
-            word, tag = parts[0].strip().lower(), parts[1].strip()
-            if tag not in TAGSET:
-                raise CorpusFormatError(f"{path}:{line_no}: unknown tag {tag!r}")
-            tags[word] = tag
+    for where, (word, tag) in read_tsv(path, ("word", "tag")):
+        tag = tag.strip()
+        if tag not in TAGSET:
+            raise CorpusFormatError(f"{where}: unknown tag {tag!r}")
+        tags[word.strip().lower()] = tag
     return PosLexicon(tags=tags)
 
 
@@ -118,20 +100,12 @@ def load_gazetteer(path) -> EntityGazetteer:
     """Tab-separated "phrase<TAB>entity_type" lines."""
     phrases: dict[tuple[str, ...], str] = {}
     types: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise CorpusFormatError(f"{path}:{line_no}: expected 'phrase<TAB>entity_type'")
-            words = tuple(parts[0].lower().split())
-            etype = parts[1].strip()
-            if not words or not etype:
-                raise CorpusFormatError(f"{path}:{line_no}: empty phrase or type")
-            phrases[words] = etype
-            types.add(etype)
+    for where, (phrase, etype) in read_tsv(path, ("phrase", "entity_type")):
+        words, etype = tuple(phrase.lower().split()), etype.strip()
+        if not words or not etype:
+            raise CorpusFormatError(f"{where}: empty phrase or type")
+        phrases[words] = etype
+        types.add(etype)
     labels = {"none"}
     for etype in types:
         labels.add(f"B-{etype}")

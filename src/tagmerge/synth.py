@@ -25,7 +25,7 @@ import numpy as np
 
 from .compound import CANDIDATE_COLUMNS, SUPPORTED_HORIZONS, TREND_MONTHS, TrendCategory
 from .corpus import Tweet, month_start, next_month
-from .errors import CorpusFormatError, dataclass_fields, read_json
+from .errors import CorpusFormatError, dataclass_fields, read_json, read_tsv
 
 MANIFEST_COLUMNS = CANDIDATE_COLUMNS + ("trend", "planted_class", "support_a", "support_b")
 
@@ -519,38 +519,29 @@ def manifest_to_tsv(rows: list[ManifestRow]) -> str:
 
 
 def read_manifest(path) -> list[ManifestRow]:
+    """The rows `manifest_to_tsv` wrote; a damaged row or cell names its file and line."""
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if header != list(MANIFEST_COLUMNS):
-            raise CorpusFormatError(f"{path}: not a manifest file")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split("\t")
-            if len(cells) != len(MANIFEST_COLUMNS):
-                raise CorpusFormatError(f"{path}:{line_no}: wrong column count")
-            labels = {
-                horizon: (cells[5 + i] if cells[5 + i] != "-" else None)
-                for i, horizon in enumerate(SUPPORTED_HORIZONS)
-            }
-            try:
-                row = ManifestRow(
-                    compound=cells[0],
-                    part_a=cells[1],
-                    part_b=cells[2],
-                    split_index=int(cells[3]),
-                    t0=int(cells[4]),
-                    labels=labels,
-                    trend=cells[8] if cells[8] != "-" else None,
-                    planted_class=int(cells[9]),
-                    support_a=int(cells[10]),
-                    support_b=int(cells[11]),
-                )
-            except ValueError as exc:
-                raise CorpusFormatError(f"{path}:{line_no}: {exc}") from exc
-            rows.append(row)
+    for where, cells in read_tsv(path, MANIFEST_COLUMNS, header=True):
+        labels = {
+            horizon: (cells[5 + i] if cells[5 + i] != "-" else None)
+            for i, horizon in enumerate(SUPPORTED_HORIZONS)
+        }
+        try:
+            row = ManifestRow(
+                compound=cells[0],
+                part_a=cells[1],
+                part_b=cells[2],
+                split_index=int(cells[3]),
+                t0=int(cells[4]),
+                labels=labels,
+                trend=cells[8] if cells[8] != "-" else None,
+                planted_class=int(cells[9]),
+                support_a=int(cells[10]),
+                support_b=int(cells[11]),
+            )
+        except ValueError as exc:
+            raise CorpusFormatError(f"{where}: {exc}") from exc
+        rows.append(row)
     return rows
 
 

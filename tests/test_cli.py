@@ -11,6 +11,8 @@ import pytest
 from tagmerge import cli, compound, corpus, learn, synth
 from tagmerge.corpus import CorpusIndex, Tweet
 
+from conftest import utc
+
 from test_analysis import read_ranking_tsv
 
 
@@ -170,6 +172,7 @@ DAMAGED_CANDIDATE_CELLS = {
     "wrong-split-index": ("label", 3, lambda old: str(int(old) + 1), "split index"),
     "word-first-seen": ("label", 4, lambda old: "soon", "invalid literal for int()"),
     "lowercase-label": ("featurize", 5, str.lower, "is not Popular, Unpopular or -"),
+    "extra-cell": ("label", 7, lambda old: old + "\tPopular", "found 9 cells, expected 8"),
 }
 
 
@@ -411,7 +414,7 @@ def test_config_keys_that_are_not_options_are_ignored(staged, tmp_path, capsys):
     out = tmp_path / "cands.tsv"
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(
-        {"index": str(staged["index"]), "out": str(out), "func": "nope", "topics": 5}
+        {"index": str(staged["index"]), "out": str(out), "func": "nope", "topics": 5, "seed": 3}
     ))
     assert cli.main(["detect", "--config", str(cfg)]) == 0
     assert out.read_bytes() == staged["cands"].read_bytes()
@@ -459,6 +462,39 @@ def test_featurize_refuses_eligible_candidates_without_a_label(staged, tmp_path,
     err = capsys.readouterr().err
     assert f"1 eligible candidates lack a label at horizon 10, first: {cells[0]!r}" in err
     assert not out.exists()
+
+
+def test_featurize_leaves_out_a_candidate_whose_window_precedes_the_corpus(
+    lexicon_dir, tmp_path, capsys
+):
+    # #snowday is born two months into the corpus, so its 6-month window
+    # starts before coverage; #sunset's window starts inside it
+    tweets = []
+    for tag, first_day in (("snow", utc(2011, 1, 1)), ("day", utc(2011, 1, 1)),
+                           ("sun", utc(2011, 3, 1)), ("set", utc(2011, 3, 1))):
+        tweets += [Tweet(id=f"{tag}{k}", timestamp=first_day + 86400 * k + 60, user_id=f"u{k % 7}",
+                         text=f"#{tag} fresh powder") for k in range(60)]
+    tweets += [
+        Tweet(id="snowday", timestamp=utc(2011, 4, 2), user_id="u1", text="#snowday at last"),
+        Tweet(id="sunset", timestamp=utc(2011, 7, 15), user_id="u2", text="#sunset at last"),
+        Tweet(id="quiet", timestamp=utc(2011, 10, 1), user_id="u3", text="#quiet sentinel"),
+    ]
+    synth.write_corpus(tmp_path / "c.jsonl", tweets)
+    files = {name: tmp_path / f"{name}.tsv" for name in ("cands", "labeled")}
+    index = str(tmp_path / "index.json")
+    assert cli.main(["ingest", "--corpus", str(tmp_path / "c.jsonl"), "--out", index]) == 0
+    assert cli.main(["detect", "--index", index, "--out", str(files["cands"])]) == 0
+    assert cli.main(["label", "--index", index, "--candidates", str(files["cands"]),
+                     "--out", str(files["labeled"])]) == 0
+    out = tmp_path / "f.csv"
+    staged = {"index": index, "labeled": files["labeled"],
+              "scen": {name: lexicon_dir / name for name in
+                       ("dictionary.txt", "ngrams.tsv", "pos_lexicon.tsv", "gazetteer.tsv")}}
+    assert cli.main(featurize_args(staged, out) + ["--horizon", "2"]) == 0
+    assert "detected 2 candidates" in capsys.readouterr().out
+    header, *rows = out.read_text().splitlines()
+    assert len(rows) == 1
+    assert rows[0].split(",")[header.split(",").index("char_length")] == "6.0"  # sunset
 
 
 def test_featurize_is_deterministic(staged, feature_csv, tmp_path, capsys):

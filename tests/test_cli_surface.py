@@ -23,24 +23,26 @@ SURFACE = {
     "featurize": {
         "--index", "--candidates", "--out", "--dictionary", "--ngrams", "--pos-lexicon",
         "--gazetteer", "--horizon", "--obs-months", "--topics", "--lda-iterations",
-        "--min-support",
+        "--min-support", "--seed",
     },
     "train": {
         "--features", "--out", "--model", "--learning-rate", "--epochs", "--l2",
-        "--balance", "--no-balance",
+        "--balance", "--no-balance", "--seed",
     },
     "evaluate": {
         "--features", "--out", "--model", "--folds", "--test-fraction", "--learning-rate",
-        "--epochs", "--l2", "--balance", "--no-balance",
+        "--epochs", "--l2", "--balance", "--no-balance", "--seed",
     },
-    "rank-features": {"--features", "--out", "--method", "--balance", "--no-balance"},
+    "rank-features": {"--features", "--out", "--method", "--balance", "--no-balance", "--seed"},
     "ablate": {
         "--features", "--out", "--model", "--folds", "--learning-rate", "--epochs", "--l2",
-        "--balance", "--no-balance",
+        "--balance", "--no-balance", "--seed",
     },
-    "synth": {"--scenario", "--scenario-config", "--out-dir", "--candidates", "--strength"},
+    "synth": {
+        "--scenario", "--scenario-config", "--out-dir", "--candidates", "--strength", "--seed",
+    },
 }
-COMMON = {"-h", "--help", "--config", "--seed"}
+COMMON = {"-h", "--help", "--config"}
 DEFAULT_TRAIN = learn.TrainConfig(0.1, 500, 1e-3, 0)
 
 

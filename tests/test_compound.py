@@ -16,7 +16,7 @@ from tagmerge.compound import (
     segment_hashtag,
     write_candidates,
 )
-from tagmerge.corpus import CorpusIndex, shift_months
+from tagmerge.corpus import CorpusIndex, observation_window, shift_months
 from tagmerge.errors import CorpusFormatError, InsufficientHistoryError
 from tagmerge.lexicon import Dictionary
 
@@ -314,6 +314,19 @@ def test_eligibility_counts_open_window():
     assert filter_eligible([cand], index, min_support=2) == [cand]
 
 
+@pytest.mark.parametrize("t0, kept", [(utc(2011, 7, 1), True), (utc(2011, 7, 1) - 1, False)],
+                         ids=["at-coverage-start", "before-coverage-start"])
+def test_eligibility_needs_a_window_inside_coverage(t0, kept):
+    start = utc(2011, 1, 1)
+    tweets = [make_tweet("#snow #day inside", start + 100 + k, tid=f"w{k}") for k in range(3)]
+    index = CorpusIndex(tweets + [make_tweet("#snowday born", t0, tid="born")])
+    lo = observation_window(t0, 6)[0]
+    assert index.coverage_start == start
+    assert lo == start if kept else lo < start
+    cand = only_candidate(index)
+    assert filter_eligible([cand], index, min_support=3) == ([cand] if kept else [])
+
+
 # ---------------------------------------------------------------------------
 # segmentation
 
@@ -385,6 +398,7 @@ def test_candidate_table_round_trip(tmp_path):
     body = path.read_text()
     assert body.splitlines()[0].startswith("compound\t")
     assert "\t-\n" in body  # unlabeled horizon holds a placeholder
+    path.write_text(body + " \t \n")  # a line of whitespace only is skipped
     back, back_labels = read_candidates(path, index)
     assert back == [cand]
     assert back_labels == {("snowday", 2): "Popular", ("snowday", 6): "Popular"}
@@ -394,7 +408,7 @@ def test_candidate_table_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("who\twhat\twhere\n")
     index = labeled_corpus(1, 0, 0)
-    with pytest.raises(CorpusFormatError):
+    with pytest.raises(CorpusFormatError, match=r"bad\.tsv: header is not compound<TAB>partA"):
         read_candidates(path, index)
 
 

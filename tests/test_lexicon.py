@@ -22,8 +22,16 @@ def test_dictionary_is_case_insensitive(lexicon_dir):
 
 def test_empty_dictionary_rejected(tmp_path):
     path = tmp_path / "empty.txt"
-    path.write_text("\n\n")
-    with pytest.raises(CorpusFormatError):
+    for blank in ("\n\n", " \n\t\n"):
+        path.write_text(blank)
+        with pytest.raises(CorpusFormatError, match="dictionary is empty"):
+            load_dictionary(path)
+
+
+def test_dictionary_line_holding_a_tab_is_malformed(tmp_path):
+    path = tmp_path / "d.txt"
+    path.write_text("love\nfresh\tman\n")
+    with pytest.raises(CorpusFormatError, match=r"d\.txt:2: found 2 cells, expected 1"):
         load_dictionary(path)
 
 
@@ -39,9 +47,14 @@ def test_ngram_table_lookup(lexicon_dir):
 
 def test_ngram_table_loader_strictness(tmp_path):
     bad = tmp_path / "bad.tsv"
-    bad.write_text("only one word\n")
-    with pytest.raises(CorpusFormatError):
+    bad.write_text("two words\t3\n \t \nonly one word\n")
+    with pytest.raises(CorpusFormatError, match=r"bad\.tsv:3: found 1 cells, expected 2"):
         load_ngram_table(bad)
+    bad.write_text("two words\t3\textra\n")
+    with pytest.raises(CorpusFormatError, match=r"bad\.tsv:1: found 3 cells"):
+        load_ngram_table(bad)
+    bad.write_text("two words\t3\n  \n\nthree more words\t4\n")
+    assert load_ngram_table(bad).entries == {"two words": 3, "three more words": 4}
     bad.write_text("too many words in this phrase here\t3\n")
     with pytest.raises(CorpusFormatError):
         load_ngram_table(bad)
@@ -58,6 +71,11 @@ def test_pos_lexicon_rejects_unknown_tag(tmp_path):
     bad.write_text("word\tZZ\n")
     with pytest.raises(CorpusFormatError):
         load_pos_lexicon(bad)
+    bad.write_text("word\tN\n   \nother\tN\tV\n")
+    with pytest.raises(CorpusFormatError, match=r"bad\.tsv:3: found 3 cells, expected 2"):
+        load_pos_lexicon(bad)
+    bad.write_text("word\tN\n   \n")
+    assert load_pos_lexicon(bad).tags == {"word": "N"}
 
 
 def test_pos_tag_lexicon_hit(lexicon_dir):
@@ -124,8 +142,10 @@ def test_empty_gazetteer_tags_everything_none(tmp_path):
 def test_gazetteer_loader_strictness(tmp_path):
     path = tmp_path / "g.tsv"
     path.write_text("phrase without type\n")
-    with pytest.raises(CorpusFormatError):
+    with pytest.raises(CorpusFormatError, match=r"g\.tsv:1: found 1 cells, expected 2"):
         load_gazetteer(path)
+    path.write_text("new york\tplace\n \t \n")
+    assert load_gazetteer(path).phrases == {("new", "york"): "place"}
     path.write_text("\ttype\n")
     with pytest.raises(CorpusFormatError):
         load_gazetteer(path)

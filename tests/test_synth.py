@@ -255,11 +255,16 @@ def test_manifest_tsv_round_trip(tmp_path):
     path.write_text(manifest_to_tsv(result.manifest))
     rows = read_manifest(path)
     assert rows == result.manifest
+    path.write_text(manifest_to_tsv(result.manifest) + "   \n")  # whitespace only: skipped
+    assert read_manifest(path) == result.manifest
     bad = tmp_path / "bad.tsv"
     bad.write_text("x\ty\n")
-    with pytest.raises(Exception):
+    with pytest.raises(CorpusFormatError, match=r"bad\.tsv: header is not compound<TAB>"):
         read_manifest(bad)
     lines = path.read_text().splitlines()
+    bad.write_text("\n".join([lines[0], lines[1].rsplit("\t", 1)[0]]) + "\n")
+    with pytest.raises(CorpusFormatError, match=r"bad\.tsv:2: found 11 cells, expected 12"):
+        read_manifest(bad)
     cells = lines[1].split("\t")
     cells[3] = "x"  # split_index
     lines[1] = "\t".join(cells)
