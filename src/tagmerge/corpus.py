@@ -6,7 +6,8 @@ and windowed usage counts, the tweets a hashtag occurs in, and unigram
 background counts of the token stream before an instant. It holds no state
 that a query changes, so queries may come in any order and one index may be
 shared. Every window query takes the open interval (lo, hi): a tweet at
-either bound is outside it.
+either bound is outside it. The index keeps its tweets as columns, and
+builds `Tweet` objects only for the tweets a query returns.
 
 `CorpusIndex.save` writes the index as JSON, the interchange format, and
 then a binary `.npz` sidecar next to it (`index.json` -> `index.npz`) that
@@ -31,8 +32,8 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import repeat
-from typing import Iterable, Sequence
+from itertools import accumulate, chain
+from typing import Iterable
 
 import numpy as np
 
@@ -188,26 +189,12 @@ class Tweet:
     hashtags: tuple[HashtagId, ...] | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.id, str) and isinstance(self.user_id, str)
-                and isinstance(self.text, str)):
-            raise TypeError(f"tweet {self.id!r}: id, user and text must be strings")
-        if not self.id:
-            raise ValueError("tweet id must be non-empty")
-        # window bounds are whole seconds; `end + 1` arithmetic assumes integers
-        if isinstance(self.timestamp, bool) or not isinstance(self.timestamp, int):
-            raise ValueError(f"tweet {self.id}: timestamp must be an integer")
-        if self.timestamp <= 0:
-            raise ValueError(f"tweet {self.id}: timestamp must be strictly positive")
+        mentions = _check_tweet(
+            self.id, self.timestamp, self.user_id, self.text, self.retweet_of, self.mentions
+        )
+        object.__setattr__(self, "mentions", mentions)
         if self.hashtags is None:
             object.__setattr__(self, "hashtags", tuple(extract_hashtags(self.text)))
-        if self.mentions is None:
-            object.__setattr__(self, "mentions", tuple(extract_mentions(self.text)))
-        else:
-            try:
-                mentions = tuple(map(str.lower, self.mentions))
-            except TypeError:
-                raise TypeError(f"tweet {self.id}: mentions must be strings") from None
-            object.__setattr__(self, "mentions", mentions)
 
     @property
     def hashtag_canonicals(self) -> tuple[str, ...]:
@@ -228,110 +215,172 @@ class Tweet:
         }
 
 
-class _TagEntry:
-    __slots__ = ("display", "first_seen", "positions", "ts_list")
+def _check_tweet(tweet_id, timestamp, user_id, text, retweet_of, mentions) -> tuple[str, ...]:
+    """Check the fields of one tweet and return its lowercased mentions.
 
-    def __init__(self, display: str, first_seen: int):
-        self.display = display
-        self.first_seen = first_seen
-        self.positions: list[int] = []
-        self.ts_list: list[int] = []
+    `mentions` None derives them from the text. A field of the wrong type or
+    value raises TypeError or ValueError naming the tweet.
+    """
+    if not (isinstance(tweet_id, str) and isinstance(user_id, str) and isinstance(text, str)):
+        raise TypeError(f"tweet {tweet_id!r}: id, user and text must be strings")
+    if not tweet_id:
+        raise ValueError("tweet id must be non-empty")
+    # window bounds are whole seconds; `end + 1` arithmetic assumes integers
+    if isinstance(timestamp, bool) or not isinstance(timestamp, int):
+        raise ValueError(f"tweet {tweet_id}: timestamp must be an integer")
+    if timestamp <= 0:
+        raise ValueError(f"tweet {tweet_id}: timestamp must be strictly positive")
+    if retweet_of is not None and not isinstance(retweet_of, str):
+        raise TypeError(f"tweet {tweet_id}: retweet_of must be a string or null")
+    if mentions is None:
+        return tuple(extract_mentions(text))
+    if isinstance(mentions, (list, tuple)):
+        try:
+            return tuple(map(str.lower, mentions))
+        except TypeError:
+            pass
+    raise TypeError(f"tweet {tweet_id}: mentions must be a list of strings")
 
 
 class CorpusIndex:
     """Immutable derived view of a tweet corpus.
 
-    Tweets are held sorted by (timestamp, id); every derived quantity is a
-    pure function of that ordering, so identical inputs serialize to
-    identical bytes. Nothing is assigned after construction: every query is
-    a pure read, answers the same in any call order, and is safe on a shared
-    index. Window queries (`tweets_between`, `count_between`) exclude both
-    bounds.
+    The index holds its tweets sorted by (timestamp, id), as columns: an
+    int64 timestamp array; lists of ids, users, texts, retweet targets and
+    lowercased mentions; the table of distinct hashtag spellings in order of
+    first use, with each tweet's tag ids (the sidecar's layout); one run of
+    tweet positions and timestamps per canonical hashtag; and the token
+    stream. `Tweet` objects are built only for the tweets a query returns
+    (`tweets`, `tweets_between`), so detection and labeling, which read
+    first appearances and counts, build none.
+
+    Every derived quantity is a pure function of the ordering, so identical
+    inputs serialize to identical bytes. Nothing is assigned after
+    construction: every query is a pure read, answers the same in any call
+    order, and is safe on a shared index. Window queries (`tweets_between`,
+    `count_between`) exclude both bounds.
     """
 
-    def __init__(self, tweets: Sequence[Tweet], skipped: int = 0, tokens: tuple | None = None):
-        """Index `tweets`; `tokens` is what `_tokenize` returns for them, derived when absent."""
+    def __init__(self, tweets: Iterable[Tweet], skipped: int = 0):
         ordered = sorted(tweets, key=lambda t: (t.timestamp, t.id))
-        self._tweets: tuple[Tweet, ...] = tuple(ordered)
-        self._by_id = {t.id: i for i, t in enumerate(self._tweets)}
-        if len(self._by_id) != len(self._tweets):
-            raise ValueError("duplicate tweet ids")
+        ids = [t.id for t in ordered]
+        texts = [t.text for t in ordered]
+        columns = (
+            ids,
+            array("q", [t.timestamp for t in ordered]),
+            [t.user_id for t in ordered],
+            texts,
+            [t.retweet_of for t in ordered],
+            [t.mentions for t in ordered],
+        )
+        tags = _tag_columns(
+            [h.display for t in ordered for h in t.hashtags], [len(t.hashtags) for t in ordered]
+        )
+        self._build(columns, _positions(ids), skipped, tags, _tokenize(texts))
+
+    def _build(self, columns, positions: dict[str, int], skipped: int, tags, tokens) -> None:
+        """Set every attribute from checked columns in (timestamp, id) order.
+
+        `positions` maps each id to its position, `tags` is `_tag_columns`'
+        result and `tokens` is `_tokenize`'s.
+        """
+        (self._ids, self._timestamps, self._users, self._texts, self._retweets,
+         self._mentions) = columns
+        self._positions = positions
         self.skipped = skipped
+        self._tag_table, self._tag_ids, self._tag_offsets = tags
 
-        self._tags: dict[str, _TagEntry] = {}
-        for pos, tweet in enumerate(self._tweets):
-            seen_here: set[str] = set()
-            for hid in tweet.hashtags:
-                canon = hid.canonical
-                if canon in seen_here:
-                    continue
-                seen_here.add(canon)
-                entry = self._tags.get(canon)
-                if entry is None:
-                    entry = _TagEntry(hid.display, tweet.timestamp)
-                    self._tags[canon] = entry
-                entry.positions.append(pos)
-                entry.ts_list.append(tweet.timestamp)
+        # runs in sorted name order; a run lists, once each, the positions of
+        # the tweets that use the hashtag, so it is in time order too
+        names = sorted({h.canonical for h in self._tag_table})
+        self._canonicals = {name: k for k, name in enumerate(names)}
+        displays: dict[str, str] = {}
+        for h in self._tag_table:  # in order of first use
+            displays.setdefault(h.canonical, h.display)
+        self._displays = [displays[name] for name in names]
+        n = max(len(self._ids), 1)
+        run_of_tag = np.array([self._canonicals[h.canonical] for h in self._tag_table],
+                              dtype=np.int64)
+        run_of_use = run_of_tag[np.frombuffer(self._tag_ids, dtype=np.int32)]
+        tag_counts = np.diff(np.frombuffer(self._tag_offsets, dtype=np.int64))
+        position_of_use = np.repeat(np.arange(len(self._ids), dtype=np.int64), tag_counts)
+        uses = np.sort(run_of_use * n + position_of_use)
+        # a tweet that spells one hashtag twice uses it once
+        runs, positions_in_runs = np.divmod(uses[np.diff(uses, prepend=-1) != 0], n)
+        self._run_starts = np.searchsorted(runs, np.arange(len(names) + 1)).tolist()
+        self._run_positions = array("q", positions_in_runs.tobytes())
+        timestamps = np.frombuffer(self._timestamps, dtype=np.int64)
+        self._run_times = timestamps[positions_in_runs].tolist()
 
-        if self._tweets:
-            first = month_of(self._tweets[0].timestamp)
-            last = month_of(self._tweets[-1].timestamp)
+        if self._ids:
+            first, last = month_of(self._timestamps[0]), month_of(self._timestamps[-1])
             self.months: tuple[str, ...] = tuple(month_range(first, last))
         else:
             self.months = ()
 
-        if tokens is None:
-            tokens = _tokenize(self._tweets)
         # all token ids in tweet order, _token_offsets[k] counting the tokens
         # before tweet k, and the positions of those from a '#' or '@' word
         self._vocab, self._token_ids, self._token_offsets, self._tagged = tokens
         self._word_index = {w: i for i, w in enumerate(self._vocab)}
-        self._words = list(map(self._vocab.__getitem__, self._token_ids.tolist()))
 
     # -- basic access -------------------------------------------------------
 
     @property
     def tweets(self) -> tuple[Tweet, ...]:
-        return self._tweets
+        """Every tweet in (timestamp, id) order, built anew on each read."""
+        return tuple(self._tweets_at(range(len(self._ids))))
 
     def __len__(self) -> int:
-        return len(self._tweets)
+        return len(self._ids)
 
-    def tweet(self, tweet_id: str) -> Tweet:
-        return self._tweets[self._by_id[tweet_id]]
+    def _tweets_at(self, positions: Iterable[int]) -> list[Tweet]:
+        """`Tweet` objects for the tweets at these positions of the (timestamp, id) order."""
+        table, tag_ids, tag_offsets = self._tag_table, self._tag_ids, self._tag_offsets
+        return [
+            Tweet(
+                id=self._ids[p],
+                timestamp=self._timestamps[p],
+                user_id=self._users[p],
+                text=self._texts[p],
+                retweet_of=self._retweets[p],
+                mentions=self._mentions[p],
+                hashtags=tuple(map(table.__getitem__, tag_ids[tag_offsets[p]:tag_offsets[p + 1]])),
+            )
+            for p in positions
+        ]
 
     def tokens_of(self, tweet: Tweet) -> list[str]:
         """The tweet's whitespace-split words, edge punctuation stripped and
         lowercased, dropping any left empty."""
         start, end = self._token_span(tweet)
-        return self._words[start:end]
+        return list(map(self._vocab.__getitem__, self._token_ids[start:end]))
 
     def plain_tokens_of(self, tweet: Tweet) -> list[str]:
         """`tokens_of(tweet)` without those that came from a '#' or '@' word."""
         start, end = self._token_span(tweet)
         tagged = self._tagged[bisect_left(self._tagged, start) : bisect_left(self._tagged, end)]
-        return [tok for pos, tok in enumerate(self._words[start:end], start) if pos not in tagged]
+        ids = self._token_ids[start:end]
+        return [self._vocab[i] for pos, i in enumerate(ids, start) if pos not in tagged]
 
     def _token_span(self, tweet: Tweet) -> tuple[int, int]:
-        k = self._by_id[tweet.id]
+        k = self._positions[tweet.id]
         return self._token_offsets[k], self._token_offsets[k + 1]
 
     def hashtags(self) -> list[str]:
-        return sorted(self._tags)
+        return list(self._canonicals)
 
     def has(self, canonical: str) -> bool:
-        return canonical in self._tags
+        return canonical in self._canonicals
 
     def hashtag_id(self, canonical: str) -> HashtagId:
-        entry = self._entry(canonical)
-        return HashtagId(canonical=canonical, display=entry.display)
+        return HashtagId(canonical=canonical, display=self._displays[self._run(canonical)])
 
     def first_seen(self, canonical: str) -> int:
-        return self._entry(canonical).first_seen
+        return self._run_times[self._run_starts[self._run(canonical)]]
 
-    def _entry(self, canonical: str) -> _TagEntry:
+    def _run(self, canonical: str) -> int:
         try:
-            return self._tags[canonical]
+            return self._canonicals[canonical]
         except KeyError:
             raise KeyError(f"hashtag {canonical!r} not in corpus") from None
 
@@ -363,15 +412,20 @@ class CorpusIndex:
 
     def tweets_between(self, canonical: str, lo: int, hi: int) -> list[Tweet]:
         """Tweets containing the hashtag with lo < timestamp < hi, ordered by (time, id)."""
-        entry = self._entry(canonical)
-        i = bisect_right(entry.ts_list, lo)
-        j = bisect_left(entry.ts_list, hi)
-        return [self._tweets[p] for p in entry.positions[i:j]]
+        i, j = self._window(canonical, lo, hi)
+        return self._tweets_at(self._run_positions[i:j])
 
     def count_between(self, canonical: str, lo: int, hi: int) -> int:
         """Distinct tweets containing the hashtag with lo < timestamp < hi."""
-        entry = self._entry(canonical)
-        return bisect_left(entry.ts_list, hi) - bisect_right(entry.ts_list, lo)
+        i, j = self._window(canonical, lo, hi)
+        return j - i
+
+    def _window(self, canonical: str, lo: int, hi: int) -> tuple[int, int]:
+        """The slice of the hashtag's run with lo < timestamp < hi, empty when hi <= lo."""
+        k = self._run(canonical)
+        start, end = self._run_starts[k], self._run_starts[k + 1]
+        i = bisect_right(self._run_times, lo, start, end)
+        return i, max(i, bisect_left(self._run_times, hi, start, end))
 
     # -- background statistics ---------------------------------------------
 
@@ -384,39 +438,47 @@ class CorpusIndex:
 
     def background_before(self, ts: int) -> tuple[np.ndarray, int]:
         """Token counts (aligned with `vocabulary`) over tweets strictly before `ts`."""
-        end = self._token_offsets[bisect_left(self._tweets, ts, key=lambda t: t.timestamp)]
-        return np.bincount(self._token_ids[:end], minlength=len(self._vocab)), end
+        end = self._token_offsets[bisect_left(self._timestamps, ts)]
+        token_ids = np.frombuffer(self._token_ids, dtype=np.int32, count=end)
+        return np.bincount(token_ids, minlength=len(self._vocab)), end
 
     # -- serialization ------------------------------------------------------
 
     def to_payload(self) -> dict:
+        fields = (self._ids, self._timestamps.tolist(), self._users, self._texts, self._retweets,
+                  self._mentions)
         return {
             "format": INDEX_FORMAT,
             "version": INDEX_VERSION,
             "skipped": self.skipped,
             # version 1 of the format carries a count of filtered tweets; ingestion filters none
             "filtered": 0,
-            "tweets": [t.to_record() for t in self._tweets],
+            "tweets": [
+                {"id": i, "timestamp": ts, "user": u, "text": x, "retweet_of": r,
+                 "mentions": list(m)}
+                for i, ts, u, x, r, m in zip(*fields)
+            ],
         }
 
     def save(self, path) -> None:
         """Write the index as JSON to `path`, then its sidecar (see `_sidecar_path`)."""
-        payload = json.dumps(self.to_payload(), sort_keys=True, separators=(",", ":"))
-        data = (payload + "\n").encode("utf-8")
+        # one expression: the records are freed before the encode, and the
+        # text, the largest object `ingest` makes, before the sidecar
+        data = json.dumps(
+            self.to_payload(), sort_keys=True, separators=(",", ":")
+        ).encode("utf-8") + b"\n"
         with open(path, "wb") as fh:
             fh.write(data)
         self._save_sidecar(_sidecar_path(path), hashlib.sha256(data).digest())
 
     def _save_sidecar(self, path, digest: bytes) -> None:
         """Write the sidecar for the JSON bytes whose SHA-256 is `digest`."""
-        tags: dict[str, int] = {}
-        tag_ids = [tags.setdefault(h.display, len(tags)) for t in self._tweets for h in t.hashtags]
         members = {
             "version": [SIDECAR_VERSION],
             "sha256": np.frombuffer(digest, dtype=np.uint8),
-            "tags": _string_blob(tags),
-            "tag_ids": tag_ids,
-            "tag_offsets": np.cumsum([0] + [len(t.hashtags) for t in self._tweets]),
+            "tags": _string_blob(h.display for h in self._tag_table),
+            "tag_ids": self._tag_ids,
+            "tag_offsets": self._tag_offsets,
             "vocabulary": _string_blob(self._vocab),
             "token_ids": self._token_ids,
             "token_offsets": self._token_offsets,
@@ -432,24 +494,110 @@ class CorpusIndex:
 
     @classmethod
     def load(cls, path) -> "CorpusIndex":
+        """Read the index saved at `path`, with its sidecar when one fits the JSON.
+
+        Every record is checked as `Tweet` checks its fields; a bad one
+        raises CorpusFormatError naming the file.
+        """
         with open(path, "rb") as fh:
             data = fh.read()
         sidecar = _read_sidecar(_sidecar_path(path), hashlib.sha256(data).digest())
-        tweets, skipped, tokens = decode_json(
-            path, data, lambda payload: _decode_index(payload, sidecar), INDEX_FORMAT, INDEX_VERSION
+        columns, positions, skipped, in_order = decode_json(
+            path, data, _decode_index, INDEX_FORMAT, INDEX_VERSION
         )
-        return cls(tweets, skipped=skipped, tokens=tokens)
+        # the sidecar follows the stored record order, and has one more tag offset than tweets
+        if sidecar is not None and not (in_order and len(sidecar[0][2]) == len(positions) + 1):
+            logger.warning("ignoring an index sidecar that does not fit the %d tweets of %s",
+                           len(positions), path)
+            sidecar = None
+        if sidecar is None:
+            texts = columns[3]
+            found = list(map(HASHTAG_RE.findall, texts))
+            tags = _tag_columns(list(chain.from_iterable(found)), map(len, found))
+            sidecar = tags, _tokenize(texts)
+        index = cls.__new__(cls)
+        index._build(columns, positions, skipped, *sidecar)
+        return index
 
 
-def _tokenize(tweets: Sequence[Tweet]) -> tuple[tuple[str, ...], np.ndarray, array, array]:
-    """The vocabulary and token stream of the tweets' texts.
+def _decode_index(payload: dict) -> tuple[tuple, dict[str, int], int, bool]:
+    """The columns of an index payload, their id positions and the skipped count.
 
-    A tweet's tokens are its whitespace-split words, edge punctuation
+    Every record is checked as `Tweet` checks its fields. The columns are in
+    (timestamp, id) order; the last item says whether the records were
+    stored in it.
+    """
+    ids: list[str] = []
+    stamps: list[int] = []
+    users: list[str] = []
+    texts: list[str] = []
+    retweets: list[str | None] = []
+    mentions: list[tuple[str, ...]] = []
+    for rec in payload["tweets"]:
+        tweet_id, timestamp, user_id, text = rec["id"], rec["timestamp"], rec["user"], rec["text"]
+        retweet_of, listed = rec.get("retweet_of"), rec.get("mentions")
+        mentions.append(_check_tweet(
+            tweet_id, timestamp, user_id, text, retweet_of, () if listed is None else listed
+        ))
+        ids.append(tweet_id)
+        stamps.append(timestamp)
+        users.append(user_id)
+        texts.append(text)
+        retweets.append(retweet_of)
+    columns = (ids, array("q", stamps), users, texts, retweets, mentions)
+    order = _sort_order(columns[1], ids)
+    if order is not None:
+        ids, stamps, users, texts, retweets, mentions = (
+            [column[k] for k in order] for column in columns
+        )
+        columns = (ids, array("q", stamps), users, texts, retweets, mentions)
+    return columns, _positions(columns[0]), payload.get("skipped", 0), order is None
+
+
+def _sort_order(stamps: array, ids: list[str]) -> list[int] | None:
+    """Positions of the tweets in (timestamp, id) order; None if they are in it."""
+    steps = np.diff(np.frombuffer(stamps, dtype=np.int64))
+    ties = np.flatnonzero(steps == 0).tolist()
+    if (steps >= 0).all() and all(ids[k] < ids[k + 1] for k in ties):
+        return None
+    keys = list(zip(stamps, ids))
+    return sorted(range(len(keys)), key=keys.__getitem__)
+
+
+def _positions(ids: list[str]) -> dict[str, int]:
+    """Each tweet id's position in `ids`; ValueError naming an id given twice."""
+    positions = dict(zip(ids, range(len(ids))))
+    if len(positions) != len(ids):
+        seen: set[str] = set()
+        for tweet_id in ids:
+            if tweet_id in seen:
+                raise ValueError(f"duplicate tweet id {tweet_id!r}")
+            seen.add(tweet_id)
+    return positions
+
+
+def _tag_columns(spellings: list[str], counts: Iterable[int]) -> tuple[tuple, array, array]:
+    """The tag table and tag ids of every hashtag spelling of the tweets, in order.
+
+    `counts` gives each tweet's number of spellings. The table holds each
+    distinct spelling once, in order of first use; the ids of tweet k are
+    tag_ids[tag_offsets[k]:tag_offsets[k + 1]].
+    """
+    table = {s: k for k, s in enumerate(dict.fromkeys(spellings))}
+    tag_ids = array("i", map(table.__getitem__, spellings))
+    offsets = array("q", accumulate(counts, initial=0))
+    return tuple(map(HashtagId.from_display, table)), tag_ids, offsets
+
+
+def _tokenize(texts: Iterable[str]) -> tuple[tuple[str, ...], array, array, array]:
+    """The vocabulary and token stream of the texts.
+
+    A text's tokens are its whitespace-split words, edge punctuation
     stripped and lowercased, dropping any left empty. Returns the sorted
-    vocabulary; every token's vocabulary id in tweet order (an int32 numpy
-    array); the offsets, one more than there are tweets, at which each
-    tweet's tokens start; and the positions, in that stream, of the tokens
-    that came from a '#' or '@' word.
+    vocabulary; every token's vocabulary id in text order; the offsets, one
+    more than there are texts, at which each text's tokens start; and the
+    positions, in that stream, of the tokens that came from a '#' or '@'
+    word.
     """
     # raw word -> (first-seen id of its token or -1 when it has none, tagged)
     seen: dict[str, tuple[int, bool]] = {}
@@ -457,8 +605,8 @@ def _tokenize(tweets: Sequence[Tweet]) -> tuple[tuple[str, ...], np.ndarray, arr
     ids = array("i")
     offsets = array("q", [0])
     tagged = array("i")
-    for tweet in tweets:
-        for raw in tweet.text.split():
+    for text in texts:
+        for raw in text.split():
             hit = seen.get(raw)
             if hit is None:
                 word = raw.strip(_PUNCT).lower()
@@ -473,38 +621,7 @@ def _tokenize(tweets: Sequence[Tweet]) -> tuple[tuple[str, ...], np.ndarray, arr
     vocab = tuple(sorted(first_ids))
     rank = np.empty(len(vocab), dtype=np.int32)
     rank[[first_ids[w] for w in vocab]] = np.arange(len(vocab), dtype=np.int32)
-    return vocab, rank[np.asarray(ids, dtype=np.intp)], offsets, tagged
-
-
-def _decode_index(payload: dict, sidecar) -> tuple[list[Tweet], int, tuple | None]:
-    """Tweets, the skipped count, and tokens (None without a sidecar).
-
-    `sidecar` is `_read_sidecar`'s result for the payload's bytes, and gives
-    each tweet's hashtags and the `_tokenize` result.
-    """
-    records = payload["tweets"]
-    if sidecar is not None and len(sidecar[0]) != len(records):
-        logger.warning("ignoring an index sidecar for %d tweets, not %d", len(sidecar[0]), len(records))
-        sidecar = None
-    hashtags, tokens = sidecar if sidecar is not None else (repeat(None), None)
-    tweets = [
-        Tweet(
-            id=rec["id"],
-            timestamp=rec["timestamp"],
-            user_id=rec["user"],
-            text=rec["text"],
-            retweet_of=rec.get("retweet_of"),
-            mentions=tuple(rec.get("mentions") or ()),
-            hashtags=tags,
-        )
-        for rec, tags in zip(records, hashtags)
-    ]
-    seen_ids: set[str] = set()
-    for t in tweets:
-        if t.id in seen_ids:
-            raise ValueError(f"duplicate tweet id {t.id!r}")
-        seen_ids.add(t.id)
-    return tweets, payload.get("skipped", 0), tokens
+    return vocab, array("i", rank[np.asarray(ids, dtype=np.intp)].tobytes()), offsets, tagged
 
 
 def _sidecar_path(index_path) -> str:
@@ -517,7 +634,7 @@ def _string_blob(strings: Iterable[str]) -> np.ndarray:
 
 
 def _read_sidecar(path, digest: bytes):
-    """(per-tweet hashtags, `_tokenize` result) from the sidecar at `path`.
+    """(`_tag_columns` result, `_tokenize` result) from the sidecar at `path`.
 
     None when the file is missing, unreadable or damaged, of another layout
     version, or written for other JSON bytes than those whose SHA-256 is
@@ -545,9 +662,9 @@ def _read_sidecar(path, digest: bytes):
         return None
 
 
-def _sidecar_contents(arrays: dict) -> tuple[list[tuple[HashtagId, ...]], tuple]:
+def _sidecar_contents(arrays: dict) -> tuple[tuple, tuple]:
     """Decode and check the sidecar's arrays; ValueError if they do not fit together."""
-    table = [HashtagId.from_display(d) for d in _blob_strings(arrays["tags"])]
+    table = tuple(map(HashtagId.from_display, _blob_strings(arrays["tags"])))
     vocab = tuple(_blob_strings(arrays["vocabulary"]))
     tag_ids, tag_offsets = arrays["tag_ids"], arrays["tag_offsets"]
     token_ids, token_offsets, tagged = arrays["token_ids"], arrays["token_offsets"], arrays["tagged"]
@@ -560,10 +677,16 @@ def _sidecar_contents(arrays: dict) -> tuple[list[tuple[HashtagId, ...]], tuple]
     _check_ids("tagged", tagged, len(token_ids))
     if (np.diff(tagged) <= 0).any():
         raise ValueError("tag positions are not increasing")
-    ids, starts = tag_ids.tolist(), tag_offsets.tolist()
-    hashtags = [tuple(map(table.__getitem__, ids[a:b])) for a, b in zip(starts, starts[1:])]
-    tokens = (vocab, token_ids, array("q", token_offsets.tobytes()), array("i", tagged.tobytes()))
-    return hashtags, tokens
+    # the index takes a hashtag's display from the first table entry that spells it;
+    # in order of first use, each id is at most one above every id before it
+    highest = np.maximum.accumulate(np.concatenate(([-1], tag_ids)))
+    if (len(set(table)) != len(table) or (tag_ids > highest[:-1] + 1).any()
+            or highest[-1] + 1 != len(table)):
+        raise ValueError("the tag table does not list each spelling once, in order of first use")
+    tags = (table, array("i", tag_ids.tobytes()), array("q", tag_offsets.tobytes()))
+    tokens = (vocab, array("i", token_ids.tobytes()), array("q", token_offsets.tobytes()),
+              array("i", tagged.tobytes()))
+    return tags, tokens
 
 
 def _blob_strings(blob: np.ndarray) -> list[str]:
@@ -612,18 +735,13 @@ def _tweet_from_record(record: dict) -> Tweet:
     for key in ("id", "timestamp", "user", "text"):
         if key not in record:
             raise ValueError(f"missing field {key!r}")
-    mentions = record.get("mentions")
-    if mentions is not None and not isinstance(mentions, list):
-        raise ValueError("mentions must be a list")
-    if not isinstance(record["text"], str) or not isinstance(record["user"], str):
-        raise ValueError("user and text must be strings")
     return Tweet(
         id=str(record["id"]),
         timestamp=_parse_timestamp(record["timestamp"]),
         user_id=record["user"],
         text=record["text"],
         retweet_of=record.get("retweet_of"),
-        mentions=tuple(mentions) if mentions is not None else None,
+        mentions=record.get("mentions"),
     )
 
 

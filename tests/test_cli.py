@@ -98,6 +98,8 @@ BAD_INDEX_VALUES = {
     "zero-timestamp": ("timestamp", 0, "timestamp must be strictly positive"),
     "empty-id": ("id", "", "tweet id must be non-empty"),
     "duplicate-id": ("id", "t2", "duplicate tweet id 't2'"),
+    "mentions-string": ("mentions", "bob", "mentions must be a list of strings"),
+    "retweet-of-number": ("retweet_of", 5, "retweet_of must be a string or null"),
 }
 
 
@@ -419,6 +421,21 @@ def test_config_keys_that_are_not_options_are_ignored(staged, tmp_path, capsys):
     assert cli.main(["detect", "--config", str(cfg)]) == 0
     assert out.read_bytes() == staged["cands"].read_bytes()
     capsys.readouterr()
+
+
+def test_detect_and_label_build_no_tweet_objects(staged, tmp_path, monkeypatch):
+    """Both read first appearances and counts from the index's columns."""
+    def never(*args, **kwargs):
+        raise AssertionError("built a Tweet, or derived what the sidecar holds")
+
+    monkeypatch.setattr(corpus, "Tweet", never)
+    monkeypatch.setattr(corpus, "_tokenize", never)
+    cands, labeled = tmp_path / "cands.tsv", tmp_path / "labeled.tsv"
+    assert cli.main(["detect", "--index", str(staged["index"]), "--out", str(cands)]) == 0
+    assert cli.main(["label", "--index", str(staged["index"]), "--candidates", str(cands),
+                     "--out", str(labeled)]) == 0
+    assert cands.read_bytes() == staged["cands"].read_bytes()
+    assert labeled.read_bytes() == staged["labeled"].read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Calendar arithmetic, tokenization, and the timeline index."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -348,6 +349,108 @@ def index_view(index):
     }
 
 
+def random_corpus(seed):
+    """A few hundred tweets, given out of order, with many same-second ties
+    broken by id, mixed-case repeats of one tag within a tweet, tweets with
+    no tags or no tokens, and '#9pm'-style non-tags."""
+    rng = np.random.default_rng(seed)
+    pieces = ["#Ab #aB #ab", "#AB", "#cd", "#Cd", "#9pm", "(#x#y)", "\u00e9#tag", "#Ef_9",
+              "word", "Mixed!", "@Who", "rt:", "...", "!!!", "-"]
+    base = utc(2011, 5, 1)
+    tweets = []
+    for i in range(int(rng.integers(200, 400))):
+        kind = int(rng.integers(0, 5))
+        if kind == 0:
+            text = ""
+        elif kind == 1:
+            text = "!!! ... -"
+        else:
+            text = " ".join(rng.choice(pieces, size=int(rng.integers(1, 7))).tolist())
+        tweets.append(make_tweet(
+            text,
+            base + 86400 * int(rng.integers(0, 150)),
+            user=f"u{int(rng.integers(0, 9))}",
+            tid=f"{int(rng.integers(0, 1000)):03d}-{i}",
+            retweet_of=f"r{i}" if kind == 3 else None,
+            mentions=("Ann", "bob") if kind == 4 else None,
+        ))
+    return tweets
+
+
+def random_instants(tweets, seed):
+    """40 instants and 20 windows drawn from them; half the instants sit on a
+    tweet's timestamp, where open bounds matter."""
+    rng = np.random.default_rng(seed)
+    stamps = sorted({t.timestamp for t in tweets})
+    near = rng.integers(stamps[0] - 5, stamps[-1] + 5, size=20)
+    instants = np.concatenate([rng.choice(stamps, size=20), near]).tolist()
+    return instants, [tuple(sorted(pair)) for pair in rng.choice(instants, size=(20, 2)).tolist()]
+
+
+def query_view(index, seed):
+    """`count_between` and `tweets_between` over random windows for every
+    hashtag, and `background_before` at random instants."""
+    instants, windows = random_instants(index.tweets, seed)
+    return {
+        "windows": {
+            tag: [
+                (index.count_between(tag, lo, hi), [t.id for t in index.tweets_between(tag, lo, hi)])
+                for lo, hi in windows
+            ]
+            for tag in index.hashtags()
+        },
+        "background": {
+            ts: dict(zip(index.vocabulary, index.background_before(ts)[0].tolist()))
+            for ts in instants
+        },
+    }
+
+
+def query_oracle(tweets, tags, seed):
+    """`query_view` read straight off the tweets, by a scan of every one."""
+    instants, windows = random_instants(tweets, seed)
+    ordered = sorted(tweets, key=lambda t: (t.timestamp, t.id))
+    inside = {
+        tag: [[t.id for t in ordered if lo < t.timestamp < hi and tag in t.hashtag_canonicals]
+              for lo, hi in windows]
+        for tag in tags
+    }
+    background = {}
+    for ts in instants:
+        counts = {}
+        for t in ordered:
+            if t.timestamp < ts:
+                for token in tokenize(t.text):
+                    counts[token] = counts.get(token, 0) + 1
+        background[ts] = counts
+    windows = {tag: [(len(ids), ids) for ids in per_window] for tag, per_window in inside.items()}
+    return windows, background
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_loads_and_built_index_agree_on_random_corpora(seed, tmp_path, monkeypatch):
+    tweets = random_corpus(seed)
+    index = CorpusIndex(tweets)
+    path = tmp_path / "index.json"
+    index.save(path)
+    expect = index_view(index) | query_view(index, seed)
+    for loaded in (CorpusIndex.load(path), load_json_only(path, monkeypatch)):
+        assert index_view(loaded) | query_view(loaded, seed) == expect
+    # records stored out of (timestamp, id) order, with a sidecar for those bytes
+    payload = json.loads(path.read_text())
+    np.random.default_rng(seed).shuffle(payload["tweets"])
+    path.write_text(json.dumps(payload))
+    index._save_sidecar(tmp_path / "index.npz", hashlib.sha256(path.read_bytes()).digest())
+    shuffled = CorpusIndex.load(path)
+    assert index_view(shuffled) | query_view(shuffled, seed) == expect
+
+    windows, background = query_oracle(tweets, index.hashtags(), seed)
+    assert expect["windows"] == windows
+    counted = expect["background"]
+    assert {ts: {w: n for w, n in counted[ts].items() if n} for ts in counted} == background
+    assert sorted({h.canonical for t in tweets for h in t.hashtags}) == index.hashtags()
+
+
 def load_json_only(path, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(corpus, "_read_sidecar", lambda *args: None)
@@ -356,9 +459,10 @@ def load_json_only(path, monkeypatch):
 
 def test_sidecar_load_equals_json_load_and_built_index(tmp_path, monkeypatch):
     index = sidecar_corpus()
-    assert [h.display for h in index.tweet("s1").hashtags] == ["Ab", "aB", "ab"]
+    tweets = {t.id: t for t in index.tweets}
+    assert [h.display for h in tweets["s1"].hashtags] == ["Ab", "aB", "ab"]
     assert index.hashtag_id("ab").display == "Ab"
-    assert index.tokens_of(index.tweet("s5")) == [] and index.tokens_of(index.tweet("s6")) == []
+    assert index.tokens_of(tweets["s5"]) == [] and index.tokens_of(tweets["s6"]) == []
     path = tmp_path / "index.json"
     index.save(path)
     assert (tmp_path / "index.npz").is_file()
@@ -400,6 +504,16 @@ def _flip_token_byte(path):
     path.write_bytes(bytes(data))
 
 
+def _swap_first_two_tags(path):
+    """The same spellings for every tweet, but a table not in order of first use."""
+    with np.load(path) as npz:
+        tags, tag_ids = npz["tags"].tobytes().decode().split("\n"), npz["tag_ids"]
+    tags[0], tags[1] = tags[1], tags[0]
+    swapped = np.choose((tag_ids == 0) + 2 * (tag_ids == 1), [tag_ids, 1, 0]).astype(np.int32)
+    blob = np.frombuffer("\n".join(tags).encode(), dtype=np.uint8)
+    _rewrite_sidecar(path, tags=blob, tag_ids=swapped)
+
+
 def _stale(json_path, sidecar):
     payload = json.loads(json_path.read_text())
     payload["tweets"][0]["text"] = "#Zz replaces #ab here"
@@ -426,6 +540,7 @@ SIDECAR_DAMAGES = {
     "tag-out-of-range": lambda _, sidecar: _rewrite_sidecar(
         sidecar, tag_ids=np.load(sidecar)["tag_ids"] - 1),
     "directory": lambda _, sidecar: (sidecar.unlink(), sidecar.mkdir()),
+    "tags-out-of-order": lambda _, sidecar: _swap_first_two_tags(sidecar),
 }
 
 
@@ -467,7 +582,7 @@ def test_ingest_reads_numeric_and_iso_timestamps(tmp_path):
     )
     index = ingest_jsonl(path)
     assert len(index) == 2
-    assert index.tweet("g2").timestamp == utc(2011, 6, 2, 10)
+    assert [(t.id, t.timestamp) for t in index.tweets][1] == ("g2", utc(2011, 6, 2, 10))
 
 
 def test_ingest_skips_malformed_lines(tmp_path):
@@ -488,6 +603,15 @@ def test_ingest_skips_malformed_lines(tmp_path):
 def test_ingest_counts_a_record_with_a_number_mention_as_malformed(tmp_path):
     path = tmp_path / "c.jsonl"
     bad = {**good_record(2, utc(2011, 6, 2)), "mentions": ["ann", 5]}
+    write_jsonl(path, [good_record(1, utc(2011, 6, 1)), bad, good_record(3, utc(2011, 6, 3))])
+    index = ingest_jsonl(path)
+    assert len(index) == 2
+    assert index.skipped == 1
+
+
+def test_ingest_counts_a_record_with_a_number_retweet_of_as_malformed(tmp_path):
+    path = tmp_path / "c.jsonl"
+    bad = {**good_record(2, utc(2011, 6, 2)), "retweet_of": 5}
     write_jsonl(path, [good_record(1, utc(2011, 6, 1)), bad, good_record(3, utc(2011, 6, 3))])
     index = ingest_jsonl(path)
     assert len(index) == 2
