@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .features import GROUP_HASHTAG, GROUP_TWEET, GROUP_USER
-from .learn import Dataset, EvalReport, TrainConfig, cross_validate, select_groups
+from .learn import (
+    Dataset, EvalReport, TrainConfig, cross_validate, distinct, select_groups,
+)
 
 MAX_BINS = 10
 
@@ -39,8 +41,32 @@ def bin_column(values: np.ndarray, binary: bool) -> np.ndarray:
     if binary:
         return (values > 0.5).astype(int)
     quantiles = np.linspace(0.0, 1.0, MAX_BINS + 1)[1:-1]
-    edges = np.unique(np.quantile(values, quantiles))
+    edges, _ = distinct(_linear_quantiles(values, quantiles))
     return np.searchsorted(edges, values, side="right").astype(int)
+
+
+def _linear_quantiles(values: np.ndarray, quantiles: np.ndarray) -> np.ndarray:
+    """`np.quantile(values, quantiles)` of finite values, with the same floats.
+
+    The default "linear" method: each quantile q interpolates the sorted
+    values at the virtual index (n - 1) * q, by the same operations numpy's
+    uses. `np.quantile` itself calls `np.unique`, whose first call imports
+    `numpy.ma`.
+    """
+    ordered = np.sort(values)
+    n = len(ordered)
+    virtual = (n - 1) * quantiles
+    below = np.floor(virtual)
+    above = below + 1
+    # past the last value both neighbours are the last one, taken from the end
+    last = virtual >= n - 1
+    below[last] = above[last] = -1
+    gamma = virtual - below
+    a, b = ordered[below.astype(np.intp)], ordered[above.astype(np.intp)]
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out
 
 
 def _contingency(bins: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -111,7 +137,7 @@ def rank_features(dataset: Dataset, method: str) -> FeatureRanking:
         raise ValueError(f"unknown ranking method {method!r}")
     stat_fn = _STATISTICS[method]
     labels = np.asarray(dataset.labels, dtype=int)
-    if len(np.unique(labels)) < 2:
+    if len(distinct(labels)[0]) < 2:
         raise ValueError("ranking needs both classes present")
     scored = []
     for col, name in enumerate(dataset.feature_names):

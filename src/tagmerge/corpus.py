@@ -6,8 +6,12 @@ and windowed usage counts, the tweets a hashtag occurs in, and unigram
 background counts of the token stream before an instant. It holds no state
 that a query changes, so queries may come in any order and one index may be
 shared. Every window query takes the open interval (lo, hi): a tweet at
-either bound is outside it. The index keeps its tweets as columns, and
-builds `Tweet` objects only for the tweets a query returns.
+either bound is outside it. The index keeps its tweets as columns and names
+each by its position in (timestamp, id) order. A window is read as the
+positions of its tweets, and their token ids, users, mentions and plain
+words come from the columns; only `tweets`, which lists every tweet, builds
+`Tweet` objects. `ingest_jsonl` checks each JSONL record and appends it to
+the columns.
 
 `CorpusIndex.save` writes the index as JSON, the interchange format, and
 then a binary `.npz` sidecar next to it (`index.json` -> `index.npz`) that
@@ -33,7 +37,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import accumulate, chain
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -64,6 +68,11 @@ _SIDECAR_DTYPES = {
     "token_offsets": np.dtype(np.int64),
     "tagged": np.dtype(np.int32),
 }
+
+
+# the last second of 9998 UTC: month arithmetic past a tweet (coverage end,
+# label horizons) must stay inside the years `datetime` can hold
+_MAX_TIMESTAMP = int(datetime(9999, 1, 1, tzinfo=timezone.utc).timestamp()) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +205,6 @@ class Tweet:
         if self.hashtags is None:
             object.__setattr__(self, "hashtags", tuple(extract_hashtags(self.text)))
 
-    @property
-    def hashtag_canonicals(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for h in self.hashtags:
-            if h.canonical not in seen:
-                seen.append(h.canonical)
-        return tuple(seen)
-
     def to_record(self) -> dict:
         return {
             "id": self.id,
@@ -230,6 +231,8 @@ def _check_tweet(tweet_id, timestamp, user_id, text, retweet_of, mentions) -> tu
         raise ValueError(f"tweet {tweet_id}: timestamp must be an integer")
     if timestamp <= 0:
         raise ValueError(f"tweet {tweet_id}: timestamp must be strictly positive")
+    if timestamp > _MAX_TIMESTAMP:
+        raise ValueError(f"tweet {tweet_id}: timestamp {timestamp} is after {_MAX_TIMESTAMP}")
     if retweet_of is not None and not isinstance(retweet_of, str):
         raise TypeError(f"tweet {tweet_id}: retweet_of must be a string or null")
     if mentions is None:
@@ -250,20 +253,21 @@ class CorpusIndex:
     lowercased mentions; the table of distinct hashtag spellings in order of
     first use, with each tweet's tag ids (the sidecar's layout); one run of
     tweet positions and timestamps per canonical hashtag; and the token
-    stream. `Tweet` objects are built only for the tweets a query returns
-    (`tweets`, `tweets_between`), so detection and labeling, which read
-    first appearances and counts, build none.
+    stream. A tweet is named by its position in that order. Window reads
+    (`positions_between`, then `token_ids`, `plain_words` and `audience`)
+    come from the columns; only `tweets` builds `Tweet` objects.
 
     Every derived quantity is a pure function of the ordering, so identical
     inputs serialize to identical bytes. Nothing is assigned after
     construction: every query is a pure read, answers the same in any call
-    order, and is safe on a shared index. Window queries (`tweets_between`,
-    `count_between`) exclude both bounds.
+    order, and is safe on a shared index. Window queries
+    (`positions_between`, `count_between`) exclude both bounds.
     """
 
     def __init__(self, tweets: Iterable[Tweet], skipped: int = 0):
         ordered = sorted(tweets, key=lambda t: (t.timestamp, t.id))
         ids = [t.id for t in ordered]
+        _check_unique(ids)
         texts = [t.text for t in ordered]
         columns = (
             ids,
@@ -276,17 +280,26 @@ class CorpusIndex:
         tags = _tag_columns(
             [h.display for t in ordered for h in t.hashtags], [len(t.hashtags) for t in ordered]
         )
-        self._build(columns, _positions(ids), skipped, tags, _tokenize(texts))
+        self._build(columns, skipped, tags, _tokenize(texts))
 
-    def _build(self, columns, positions: dict[str, int], skipped: int, tags, tokens) -> None:
+    @classmethod
+    def _from_texts(cls, columns, skipped: int) -> "CorpusIndex":
+        """The index of checked, unique columns in (timestamp, id) order,
+        with hashtags and tokens derived from the texts."""
+        texts = columns[3]
+        found = list(map(HASHTAG_RE.findall, texts))
+        tags = _tag_columns(list(chain.from_iterable(found)), map(len, found))
+        index = cls.__new__(cls)
+        index._build(columns, skipped, tags, _tokenize(texts))
+        return index
+
+    def _build(self, columns, skipped: int, tags, tokens) -> None:
         """Set every attribute from checked columns in (timestamp, id) order.
 
-        `positions` maps each id to its position, `tags` is `_tag_columns`'
-        result and `tokens` is `_tokenize`'s.
+        `tags` is `_tag_columns`' result and `tokens` is `_tokenize`'s.
         """
         (self._ids, self._timestamps, self._users, self._texts, self._retweets,
          self._mentions) = columns
-        self._positions = positions
         self.skipped = skipped
         self._tag_table, self._tag_ids, self._tag_offsets = tags
 
@@ -328,15 +341,8 @@ class CorpusIndex:
     @property
     def tweets(self) -> tuple[Tweet, ...]:
         """Every tweet in (timestamp, id) order, built anew on each read."""
-        return tuple(self._tweets_at(range(len(self._ids))))
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def _tweets_at(self, positions: Iterable[int]) -> list[Tweet]:
-        """`Tweet` objects for the tweets at these positions of the (timestamp, id) order."""
         table, tag_ids, tag_offsets = self._tag_table, self._tag_ids, self._tag_offsets
-        return [
+        return tuple(
             Tweet(
                 id=self._ids[p],
                 timestamp=self._timestamps[p],
@@ -346,25 +352,53 @@ class CorpusIndex:
                 mentions=self._mentions[p],
                 hashtags=tuple(map(table.__getitem__, tag_ids[tag_offsets[p]:tag_offsets[p + 1]])),
             )
-            for p in positions
-        ]
+            for p in range(len(self._ids))
+        )
 
-    def tokens_of(self, tweet: Tweet) -> list[str]:
-        """The tweet's whitespace-split words, edge punctuation stripped and
-        lowercased, dropping any left empty."""
-        start, end = self._token_span(tweet)
-        return list(map(self._vocab.__getitem__, self._token_ids[start:end]))
+    def __len__(self) -> int:
+        return len(self._ids)
 
-    def plain_tokens_of(self, tweet: Tweet) -> list[str]:
-        """`tokens_of(tweet)` without those that came from a '#' or '@' word."""
-        start, end = self._token_span(tweet)
-        tagged = self._tagged[bisect_left(self._tagged, start) : bisect_left(self._tagged, end)]
-        ids = self._token_ids[start:end]
-        return [self._vocab[i] for pos, i in enumerate(ids, start) if pos not in tagged]
+    def token_ids(self, positions: Sequence[int]) -> tuple[list[int], list[int]]:
+        """The vocabulary ids of the tokens of the tweets at these positions,
+        in order, and the bounds of each tweet's run of them: the tweet at
+        positions[k] has ids[bounds[k]:bounds[k + 1]].
 
-    def _token_span(self, tweet: Tweet) -> tuple[int, int]:
-        k = self._positions[tweet.id]
-        return self._token_offsets[k], self._token_offsets[k + 1]
+        A text's tokens are its whitespace-split words, edge punctuation
+        stripped and lowercased, dropping any left empty.
+        """
+        stream, bounds = self._token_stream(positions)
+        return np.frombuffer(self._token_ids, dtype=np.int32)[stream].tolist(), bounds.tolist()
+
+    def plain_words(self, positions: Sequence[int]) -> tuple[str, ...]:
+        """The tokens of the tweets at these positions, in order, as words,
+        without those that came from a '#' or '@' word."""
+        stream, _ = self._token_stream(positions)
+        tagged = np.frombuffer(self._tagged, dtype=np.int32)
+        if len(tagged):
+            nearest = tagged[np.minimum(np.searchsorted(tagged, stream), len(tagged) - 1)]
+            stream = stream[nearest != stream]
+        ids = np.frombuffer(self._token_ids, dtype=np.int32)[stream].tolist()
+        return tuple(map(self._vocab.__getitem__, ids))
+
+    def _token_stream(self, positions: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Where in the token stream the tokens of the tweets at these positions
+        lie, in order, and the bounds of each tweet's run in that list."""
+        offsets = np.frombuffer(self._token_offsets, dtype=np.int64)
+        positions = np.asarray(positions, dtype=np.int64)
+        starts = offsets[positions]
+        lengths = offsets[positions + 1] - starts
+        bounds = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=bounds[1:])
+        return np.arange(bounds[-1]) + np.repeat(starts - bounds[:-1], lengths), bounds
+
+    def audience(self, positions: Iterable[int]) -> tuple[set[str], set[str], set[str]]:
+        """The distinct users, mentioned ids and retweet tweet ids of the
+        tweets at these positions; a retweet is named by its own id."""
+        positions = list(positions)
+        users = set(map(self._users.__getitem__, positions))
+        mentions = set(chain.from_iterable(map(self._mentions.__getitem__, positions)))
+        retweets = {self._ids[p] for p in positions if self._retweets[p] is not None}
+        return users, mentions, retweets
 
     def hashtags(self) -> list[str]:
         return list(self._canonicals)
@@ -410,10 +444,10 @@ class CorpusIndex:
         """Distinct tweets containing the hashtag in a calendar month."""
         return self.count_between(canonical, month_start(month) - 1, month_start(next_month(month)))
 
-    def tweets_between(self, canonical: str, lo: int, hi: int) -> list[Tweet]:
-        """Tweets containing the hashtag with lo < timestamp < hi, ordered by (time, id)."""
+    def positions_between(self, canonical: str, lo: int, hi: int) -> array:
+        """Positions of the tweets containing the hashtag with lo < timestamp < hi, ascending."""
         i, j = self._window(canonical, lo, hi)
-        return self._tweets_at(self._run_positions[i:j])
+        return self._run_positions[i:j]
 
     def count_between(self, canonical: str, lo: int, hi: int) -> int:
         """Distinct tweets containing the hashtag with lo < timestamp < hi."""
@@ -502,37 +536,30 @@ class CorpusIndex:
         with open(path, "rb") as fh:
             data = fh.read()
         sidecar = _read_sidecar(_sidecar_path(path), hashlib.sha256(data).digest())
-        columns, positions, skipped, in_order = decode_json(
+        columns, skipped, in_order = decode_json(
             path, data, _decode_index, INDEX_FORMAT, INDEX_VERSION
         )
+        n = len(columns[0])
         # the sidecar follows the stored record order, and has one more tag offset than tweets
-        if sidecar is not None and not (in_order and len(sidecar[0][2]) == len(positions) + 1):
+        if sidecar is not None and not (in_order and len(sidecar[0][2]) == n + 1):
             logger.warning("ignoring an index sidecar that does not fit the %d tweets of %s",
-                           len(positions), path)
+                           n, path)
             sidecar = None
         if sidecar is None:
-            texts = columns[3]
-            found = list(map(HASHTAG_RE.findall, texts))
-            tags = _tag_columns(list(chain.from_iterable(found)), map(len, found))
-            sidecar = tags, _tokenize(texts)
+            return cls._from_texts(columns, skipped)
         index = cls.__new__(cls)
-        index._build(columns, positions, skipped, *sidecar)
+        index._build(columns, skipped, *sidecar)
         return index
 
 
-def _decode_index(payload: dict) -> tuple[tuple, dict[str, int], int, bool]:
-    """The columns of an index payload, their id positions and the skipped count.
+def _decode_index(payload: dict) -> tuple[tuple, int, bool]:
+    """The columns of an index payload and its skipped count.
 
     Every record is checked as `Tweet` checks its fields. The columns are in
     (timestamp, id) order; the last item says whether the records were
     stored in it.
     """
-    ids: list[str] = []
-    stamps: list[int] = []
-    users: list[str] = []
-    texts: list[str] = []
-    retweets: list[str | None] = []
-    mentions: list[tuple[str, ...]] = []
+    columns = ids, stamps, users, texts, retweets, mentions = [], [], [], [], [], []
     for rec in payload["tweets"]:
         tweet_id, timestamp, user_id, text = rec["id"], rec["timestamp"], rec["user"], rec["text"]
         retweet_of, listed = rec.get("retweet_of"), rec.get("mentions")
@@ -544,36 +571,34 @@ def _decode_index(payload: dict) -> tuple[tuple, dict[str, int], int, bool]:
         users.append(user_id)
         texts.append(text)
         retweets.append(retweet_of)
-    columns = (ids, array("q", stamps), users, texts, retweets, mentions)
-    order = _sort_order(columns[1], ids)
-    if order is not None:
-        ids, stamps, users, texts, retweets, mentions = (
-            [column[k] for k in order] for column in columns
-        )
-        columns = (ids, array("q", stamps), users, texts, retweets, mentions)
-    return columns, _positions(columns[0]), payload.get("skipped", 0), order is None
+    columns, in_order = _sorted(columns)
+    _check_unique(columns[0])
+    return columns, payload.get("skipped", 0), in_order
 
 
-def _sort_order(stamps: array, ids: list[str]) -> list[int] | None:
-    """Positions of the tweets in (timestamp, id) order; None if they are in it."""
-    steps = np.diff(np.frombuffer(stamps, dtype=np.int64))
+def _sorted(columns: tuple) -> tuple[tuple, bool]:
+    """Checked column lists (ids, timestamps, users, texts, retweet targets,
+    mentions) in (timestamp, id) order, the timestamps as an int64 array,
+    and whether they were in that order."""
+    ids, stamps, *rest = columns
+    steps = np.diff(np.array(stamps, dtype=np.int64))
     ties = np.flatnonzero(steps == 0).tolist()
-    if (steps >= 0).all() and all(ids[k] < ids[k + 1] for k in ties):
-        return None
-    keys = list(zip(stamps, ids))
-    return sorted(range(len(keys)), key=keys.__getitem__)
+    in_order = bool((steps >= 0).all()) and all(ids[k] < ids[k + 1] for k in ties)
+    if not in_order:
+        keys = list(zip(stamps, ids))
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        ids, stamps, *rest = ([column[k] for k in order] for column in columns)
+    return (ids, array("q", stamps), *rest), in_order
 
 
-def _positions(ids: list[str]) -> dict[str, int]:
-    """Each tweet id's position in `ids`; ValueError naming an id given twice."""
-    positions = dict(zip(ids, range(len(ids))))
-    if len(positions) != len(ids):
+def _check_unique(ids: list[str]) -> None:
+    """ValueError naming the first id given twice, if any is."""
+    if len(set(ids)) != len(ids):
         seen: set[str] = set()
         for tweet_id in ids:
             if tweet_id in seen:
                 raise ValueError(f"duplicate tweet id {tweet_id!r}")
             seen.add(tweet_id)
-    return positions
 
 
 def _tag_columns(spellings: list[str], counts: Iterable[int]) -> tuple[tuple, array, array]:
@@ -706,10 +731,6 @@ def _check_ids(name: str, ids: np.ndarray, bound: int) -> None:
         raise ValueError(f"{name} out of range [0, {bound})")
 
 
-# the last second of 9998 UTC: month arithmetic past a tweet (coverage end,
-# label horizons) must stay inside the years `datetime` can hold
-_MAX_TIMESTAMP = int(datetime(9999, 1, 1, tzinfo=timezone.utc).timestamp()) - 1
-
 
 def _parse_timestamp(value) -> int:
     if isinstance(value, bool):
@@ -731,31 +752,21 @@ def _parse_timestamp(value) -> int:
     return ts
 
 
-def _tweet_from_record(record: dict) -> Tweet:
-    for key in ("id", "timestamp", "user", "text"):
-        if key not in record:
-            raise ValueError(f"missing field {key!r}")
-    return Tweet(
-        id=str(record["id"]),
-        timestamp=_parse_timestamp(record["timestamp"]),
-        user_id=record["user"],
-        text=record["text"],
-        retweet_of=record.get("retweet_of"),
-        mentions=record.get("mentions"),
-    )
-
-
 def ingest_jsonl(path, max_malformed_fraction: float = 0.5) -> CorpusIndex:
     """Build a CorpusIndex from a JSONL file of tweet records.
 
-    Malformed lines (bad JSON, missing fields, bad timestamps, duplicate
-    ids) are skipped and counted; a larger share of malformed lines than
-    `max_malformed_fraction` is fatal. An unreadable file raises OSError.
+    Each record is checked as `Tweet` checks its fields and appended to the
+    index's columns. Malformed lines (bad JSON, missing fields, bad
+    timestamps, duplicate ids) are skipped and counted; a larger share of
+    malformed lines than `max_malformed_fraction` is fatal. An unreadable
+    file raises OSError.
     """
-    tweets: list[Tweet] = []
+    columns = ids, stamps, users, texts, retweets, mentions = [], [], [], [], [], []
     seen_ids: set[str] = set()
     malformed = 0
     total = 0
+    # a stripped line holds one JSON value and nothing after it
+    decode = json.JSONDecoder().raw_decode
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -763,22 +774,37 @@ def ingest_jsonl(path, max_malformed_fraction: float = 0.5) -> CorpusIndex:
                 continue
             total += 1
             try:
-                record = json.loads(line)
+                record, end = decode(line)
+                if end != len(line):
+                    raise ValueError(f"data after the record at column {end + 1}")
                 if not isinstance(record, dict):
                     raise ValueError("record is not an object")
-                tweet = _tweet_from_record(record)
-                if tweet.id in seen_ids:
-                    raise ValueError(f"duplicate tweet id {tweet.id!r}")
+                for key in ("id", "timestamp", "user", "text"):
+                    if key not in record:
+                        raise ValueError(f"missing field {key!r}")
+                tweet_id = str(record["id"])
+                timestamp = _parse_timestamp(record["timestamp"])
+                user_id, text, retweet_of = record["user"], record["text"], record.get("retweet_of")
+                tweet_mentions = _check_tweet(
+                    tweet_id, timestamp, user_id, text, retweet_of, record.get("mentions")
+                )
+                if tweet_id in seen_ids:
+                    raise ValueError(f"duplicate tweet id {tweet_id!r}")
             except (ValueError, TypeError) as exc:
                 malformed += 1
                 logger.debug("skipping line %d of %s: %s", line_no, path, exc)
                 continue
-            seen_ids.add(tweet.id)
-            tweets.append(tweet)
+            seen_ids.add(tweet_id)
+            ids.append(tweet_id)
+            stamps.append(timestamp)
+            users.append(user_id)
+            texts.append(text)
+            retweets.append(retweet_of)
+            mentions.append(tweet_mentions)
     if total and malformed > max_malformed_fraction * total:
         raise CorpusFormatError(
             f"{path}: {malformed} of {total} lines malformed, refusing to build an index"
         )
     if malformed:
-        logger.info("ingested %s: %d tweets, %d malformed lines skipped", path, len(tweets), malformed)
-    return CorpusIndex(tweets, skipped=malformed)
+        logger.info("ingested %s: %d tweets, %d malformed lines skipped", path, len(ids), malformed)
+    return CorpusIndex._from_texts(_sorted(columns)[0], malformed)

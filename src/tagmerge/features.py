@@ -5,16 +5,19 @@ the open interval of `obs_months` months ending at the compounding instant.
 Nothing at or after t0 may influence a vector; appending later tweets to the
 corpus must leave previously computed vectors bit-identical.
 
-`featurize` reads each constituent's window once: its tweets, their tokens
-as the index stored them, one token `Counter`, one set of known n-grams and
-one document of plain words (hashtag and mention tokens dropped). The window
-extractors take that data and never read the index's tweets or tokenize
-text themselves. `topic_overlap` fits its topic model, when it needs one, on
-the candidate's own two documents, so it too depends on nothing but the
-candidate's window. `featurize_all` runs all those pair fits through one
+`featurize` reads each constituent's window once, as the positions of its
+tweets in the index: one `Counter` of their token ids, the table n-grams
+among their token ids, and one document of plain words (hashtag and mention
+tokens dropped). The window extractors take those, or read the users,
+mentions and retweets of the positions from the index's columns; none of
+them builds a `Tweet` or turns a token id back into a word. Only the topic
+documents are words. `topic_overlap` fits its topic model, when it needs
+one, on the candidate's own two documents, so it too depends on nothing but
+the candidate's window. `featurize_all` runs all those pair fits through one
 `topicmodel.fit_lda_each`, which batches the fits of similar length; each
 pair gets the model its own `topicmodel.fit_lda` would, so the vectors are
-those of `featurize`.
+those of `featurize`. It also reads the background counts of each distinct
+window end once.
 """
 
 from __future__ import annotations
@@ -25,14 +28,14 @@ import json
 import logging
 import math
 from collections import Counter
-from collections.abc import Iterator, Set
+from collections.abc import Iterator, Sequence, Set
 from dataclasses import asdict, astuple, dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .compound import CompoundCandidate, segment_hashtag
-from .corpus import CorpusIndex, Tweet, observation_window
+from .corpus import CorpusIndex, observation_window
 from .errors import CorpusFormatError, InsufficientHistoryError, dataclass_fields, read_json
 from .lexicon import Dictionary, EntityGazetteer, NgramTable, PosLexicon, ner_tag, pos_tag
 from . import topicmodel
@@ -353,44 +356,85 @@ def combo_bits(combo: ZoneCombo, schema: ComboSchema) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 # tweet content features
 
+class PhraseIds:
+    """An n-gram table's phrases as runs of one index's token ids.
+
+    A phrase matches a run of tokens exactly when its words, split at single
+    spaces, are those tokens, since no token holds whitespace. So a phrase
+    with a word the index's vocabulary lacks, or of other than 2..5 words,
+    matches nothing and is left out. `entries` maps each kept run to its
+    phrase and table frequency.
+    """
+
+    def __init__(self, table: NgramTable, index: CorpusIndex):
+        self.entries: dict[tuple[int, ...], tuple[str, int]] = {}
+        for phrase, freq in table.entries.items():
+            ids = tuple(map(index.word_index, phrase.split(" ")))
+            if 2 <= len(ids) <= 5 and None not in ids:
+                self.entries[ids] = (phrase, freq)
+        self._firsts = {ids[0] for ids in self.entries}
+
+    def find(self, token_ids: Sequence[int], bounds: Sequence[int]) -> Iterator[tuple[int, ...]]:
+        """Kept runs among the 2..5-token windows of each tweet's token ids.
+
+        The ids of tweet k are token_ids[bounds[k]:bounds[k + 1]]
+        (`CorpusIndex.token_ids`); no run spans two tweets.
+        """
+        if self._firsts.isdisjoint(token_ids):
+            return
+        for start, end in zip(bounds, bounds[1:]):
+            for i in range(start, end):
+                if token_ids[i] in self._firsts:
+                    for n in range(2, min(5, end - i) + 1):
+                        run = tuple(token_ids[i : i + n])
+                        if run in self.entries:
+                            yield run
+
+
 def word_overlap(counts_a: Counter, counts_b: Counter) -> float:
     """Overlap coefficient of the two constituents' token sets."""
     return overlap_coefficient(counts_a.keys(), counts_b.keys())
 
 
-def ngram_overlap(ngrams_a: Set[str], ngrams_b: Set[str]) -> float:
+def ngram_overlap(ngrams_a: Set[tuple[int, ...]], ngrams_b: Set[tuple[int, ...]]) -> float:
     """Overlap coefficient of the two constituents' valid n-gram sets."""
     return overlap_coefficient(ngrams_a, ngrams_b)
 
 
-def avg_common_ngram_freq(ngrams_a: Set[str], ngrams_b: Set[str], table: NgramTable) -> float:
-    """Mean table frequency of the n-grams both constituents share."""
+def avg_common_ngram_freq(
+    ngrams_a: Set[tuple[int, ...]], ngrams_b: Set[tuple[int, ...]], phrases: PhraseIds
+) -> float:
+    """Mean table frequency of the n-grams both constituents share, summed in phrase order."""
     common = ngrams_a & ngrams_b
     if not common:
         return 0.0
-    return float(np.mean([table.entries[g] for g in sorted(common)]))
+    return float(np.mean([freq for _, freq in sorted(map(phrases.entries.__getitem__, common))]))
 
 
-def collocation_frequency(tweets_a: Sequence[Tweet], part_b: str) -> int:
-    """Tweets of the first constituent's window that also carry `part_b`."""
-    return sum(1 for tweet in tweets_a if part_b in tweet.hashtag_canonicals)
+def collocation_frequency(positions_a: Sequence[int], positions_b: Sequence[int]) -> int:
+    """Tweets of the first constituent's window that also carry the second.
+
+    Both windows span the same interval, so those are the positions the two
+    share.
+    """
+    return len(set(positions_a).intersection(positions_b))
 
 
-def hashtag_clarity(index: CorpusIndex, counts: Counter, before: int) -> float:
+def hashtag_clarity(counts: Counter, background: tuple[np.ndarray, int]) -> float:
     """KL divergence of a hashtag's language model from the background.
 
-    `counts` holds the hashtag's window tokens. High divergence means focused
-    use. The background is the corpus token distribution strictly before
-    `before`, the window's end; the hashtag side is additively smoothed over
-    the background's vocabulary. No tokens score zero.
+    `counts` holds the hashtag's window token ids and `background` is
+    `CorpusIndex.background_before` of the window's end: the corpus token
+    counts strictly before it and their total. High divergence means focused
+    use. The hashtag side is additively smoothed over the background's
+    vocabulary. No tokens score zero.
     """
     n_tokens = sum(counts.values())
     if n_tokens == 0:
         return 0.0
-    bg_counts, bg_total = index.background_before(before)
-    tag_counts = np.zeros(len(index.vocabulary), dtype=np.int64)
-    for tok, count in counts.items():
-        tag_counts[index.word_index(tok)] = count
+    bg_counts, bg_total = background
+    tag_counts = np.zeros(len(bg_counts), dtype=np.int64)
+    tag_counts[list(counts)] = list(counts.values())
     support = bg_counts > 0
     v = int(support.sum())
     p = (tag_counts[support] + CLARITY_EPS) / (n_tokens + CLARITY_EPS * v)
@@ -452,18 +496,16 @@ def _fitted_overlap(
 # ---------------------------------------------------------------------------
 # user features
 
-def user_features(tweets_a: Sequence[Tweet], tweets_b: Sequence[Tweet]) -> dict[str, float]:
+def user_features(
+    index: CorpusIndex, positions_a: Sequence[int], positions_b: Sequence[int]
+) -> dict[str, float]:
     """Audience statistics of the two constituents' window tweets.
 
     Counts are of distinct user ids, distinct mentioned ids, and distinct
     retweet tweet ids; "common" counts the intersection.
     """
-    users_a = {t.user_id for t in tweets_a}
-    users_b = {t.user_id for t in tweets_b}
-    mentions_a = {m for t in tweets_a for m in t.mentions}
-    mentions_b = {m for t in tweets_b for m in t.mentions}
-    retweets_a = {t.id for t in tweets_a if t.retweet_of is not None}
-    retweets_b = {t.id for t in tweets_b if t.retweet_of is not None}
+    users_a, mentions_a, retweets_a = index.audience(positions_a)
+    users_b, mentions_b, retweets_b = index.audience(positions_b)
     return {
         "unique_users_a": float(len(users_a)),
         "unique_users_b": float(len(users_b)),
@@ -498,28 +540,24 @@ class FeatureResources:
 
 
 def _read_window(
-    index: CorpusIndex, canonical: str, window: tuple[int, int], table: NgramTable
-) -> tuple[list[Tweet], Counter, set[str], HashtagDocument]:
-    """One constituent's window tweets, token counts, table n-grams and plain-word document.
+    index: CorpusIndex, canonical: str, window: tuple[int, int], phrases: PhraseIds
+) -> tuple[Sequence[int], Counter, set[tuple[int, ...]], HashtagDocument]:
+    """One constituent's window: its tweet positions, token id counts, table
+    n-grams and plain-word document.
 
-    Tokens come from the index, and the counts are filled tweet by tweet in
-    the index's (time, id) order. The document is the one
+    The counts are filled tweet by tweet in the index's (time, id) order,
+    and n-grams never span two tweets. The document is the one
     `topicmodel.build_documents` makes for the same window.
     """
-    tweets = index.tweets_between(canonical, *window)
-    counts: Counter = Counter()
-    ngrams: set[str] = set()
-    plain: list[str] = []
-    for tweet in tweets:
-        tokens = index.tokens_of(tweet)
-        counts.update(tokens)
-        ngrams.update(_known_phrases(tokens, table))
-        plain.extend(index.plain_tokens_of(tweet))
-    if not tweets:
+    positions = index.positions_between(canonical, *window)
+    token_ids, bounds = index.token_ids(positions)
+    counts = Counter(token_ids)
+    ngrams = set(phrases.find(token_ids, bounds))
+    if not positions:
         logger.warning("hashtag %r has no tweets in window, clarity and diversity set to 0",
                        canonical)
-    document = HashtagDocument(f"{canonical}@{window[1]}", canonical, tuple(plain))
-    return tweets, counts, ngrams, document
+    document = HashtagDocument(f"{canonical}@{window[1]}", canonical, index.plain_words(positions))
+    return positions, counts, ngrams, document
 
 
 def featurize(
@@ -534,7 +572,9 @@ def featurize(
     Raises InsufficientHistoryError when the corpus does not span the whole
     observation window.
     """
-    values, doc_a, doc_b = _window_features(candidate, index, resources, schema, combo)
+    values, doc_a, doc_b = _window_features(
+        candidate, index, resources, schema, combo, PhraseIds(resources.ngrams, index), {}
+    )
     values["topic_overlap"] = avg_topic_overlap(
         doc_a, doc_b, schema.config.lda_topics, resources.lda_iterations, resources.lda_seed
     )
@@ -547,8 +587,13 @@ def _window_features(
     resources: FeatureResources,
     schema: FeatureSchema,
     combo: ZoneCombo | None,
+    phrases: PhraseIds,
+    backgrounds: dict[int, tuple[np.ndarray, int]],
 ) -> tuple[dict[str, float], HashtagDocument, HashtagDocument]:
-    """Every feature of one candidate but `topic_overlap`, and its two window documents."""
+    """Every feature of one candidate but `topic_overlap`, and its two window documents.
+
+    `backgrounds` caches `index.background_before` by window end.
+    """
     if schema is None:
         raise ValueError("featurize needs a derived schema")
     config = schema.config
@@ -560,8 +605,11 @@ def _window_features(
 
     part_a = candidate.part_a.canonical
     part_b = candidate.part_b.canonical
-    tweets_a, counts_a, ngrams_a, doc_a = _read_window(index, part_a, window, resources.ngrams)
-    tweets_b, counts_b, ngrams_b, doc_b = _read_window(index, part_b, window, resources.ngrams)
+    positions_a, counts_a, ngrams_a, doc_a = _read_window(index, part_a, window, phrases)
+    positions_b, counts_b, ngrams_b, doc_b = _read_window(index, part_b, window, phrases)
+    background = backgrounds.get(window[1])
+    if background is None:
+        background = backgrounds[window[1]] = index.background_before(window[1])
 
     values: dict[str, float] = {}
     values["char_length"] = float(char_length(candidate))
@@ -579,14 +627,14 @@ def _window_features(
 
     values["word_overlap"] = word_overlap(counts_a, counts_b)
     values["ngram_overlap"] = ngram_overlap(ngrams_a, ngrams_b)
-    values["avg_common_ngram_freq"] = avg_common_ngram_freq(ngrams_a, ngrams_b, resources.ngrams)
-    values["collocation_frequency"] = float(collocation_frequency(tweets_a, part_b))
-    values["clarity_a"] = hashtag_clarity(index, counts_a, window[1])
-    values["clarity_b"] = hashtag_clarity(index, counts_b, window[1])
+    values["avg_common_ngram_freq"] = avg_common_ngram_freq(ngrams_a, ngrams_b, phrases)
+    values["collocation_frequency"] = float(collocation_frequency(positions_a, positions_b))
+    values["clarity_a"] = hashtag_clarity(counts_a, background)
+    values["clarity_b"] = hashtag_clarity(counts_b, background)
     values["word_diversity_a"] = word_diversity(counts_a)
     values["word_diversity_b"] = word_diversity(counts_b)
 
-    values.update(user_features(tweets_a, tweets_b))
+    values.update(user_features(index, positions_a, positions_b))
     return values, doc_a, doc_b
 
 
@@ -601,7 +649,8 @@ def featurize_all(
     Each vector equals `featurize(c, index, resources, schema, combo)`. The
     pairs whose `topic_overlap` needs a fit are fitted in one
     `topicmodel.fit_lda_each` call, which gives every pair the model that
-    its own `fit_lda` would; the last value counts them. Vectors and combos
+    its own `fit_lda` would; the last value counts them. The background
+    counts of each distinct window end are read once. Vectors and combos
     are in input order. Nothing here changes the index or the resources, and
     the combo binding does not depend on order, so a candidate's vector is
     the same whatever the order of `candidates`.
@@ -611,8 +660,10 @@ def featurize_all(
         for c in candidates
     ]
     schema = build_schema(combos, config)
+    phrases = PhraseIds(resources.ngrams, index)
+    backgrounds: dict[int, tuple[np.ndarray, int]] = {}
     rows = [
-        _window_features(c, index, resources, schema, combo)
+        _window_features(c, index, resources, schema, combo, phrases, backgrounds)
         for c, combo in zip(candidates, combos)
     ]
     fitted = []

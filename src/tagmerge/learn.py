@@ -124,10 +124,37 @@ def select_groups(dataset: Dataset, groups: tuple[str, ...]) -> Dataset:
     )
 
 
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Positions in a sorted 1-d array at which each run of equal values
+    starts; a NaN, equal to nothing, is a run of its own.
+
+    Sort and mask code stands in for `np.unique` here and in `analysis`:
+    the first `np.unique` call of a process imports `numpy.ma`.
+    """
+    change = np.empty(len(ordered), dtype=bool)
+    change[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=change[1:])
+    return np.flatnonzero(change)
+
+
+def distinct(values) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of a 1-d array and how often each occurs."""
+    ordered = np.sort(values)
+    starts = _run_starts(ordered)
+    return ordered[starts], np.diff(starts, append=len(ordered))
+
+
+def _complement(n: int, idx: np.ndarray) -> np.ndarray:
+    """The ascending row indices of range(n) that are not in `idx`."""
+    keep = np.ones(n, dtype=bool)
+    keep[idx] = False
+    return np.flatnonzero(keep)
+
+
 def balance_dataset(dataset: Dataset, seed: int = 0) -> Dataset:
     """Downsample the majority class to a 50/50 split, seeded."""
     labels = dataset.labels
-    classes, counts = np.unique(labels, return_counts=True)
+    classes, counts = distinct(labels)
     if len(classes) != 2:
         raise ValueError("balancing needs exactly two classes")
     target = counts.min()
@@ -520,13 +547,11 @@ def roc_auc(scores, labels) -> float:
     order = np.argsort(scores, kind="mergesort")
     # a tie group spans sorted positions first..last and shares their mean
     # rank; NaN scores, which equal nothing, each rank alone
-    _, group, counts = np.unique(
-        scores[order], return_inverse=True, return_counts=True, equal_nan=False
-    )
-    last = np.cumsum(counts) - 1
-    first = last - counts + 1
+    first = _run_starts(scores[order])
+    counts = np.diff(first, append=len(scores))
+    last = first + counts - 1
     ranks = np.empty(len(scores))
-    ranks[order] = (0.5 * (first + last) + 1.0)[group]
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, counts)
     rank_sum = float(ranks[labels == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -570,7 +595,7 @@ def stratified_folds(labels, n_folds: int, seed: int = 0) -> list[np.ndarray]:
     labels = np.asarray(labels, dtype=int)
     if n_folds < 2:
         raise ValueError("need at least 2 folds")
-    classes, counts = np.unique(labels, return_counts=True)
+    classes, counts = distinct(labels)
     if len(classes) < 2:
         raise ValueError("dataset holds a single class")
     for cls, count in zip(classes, counts):
@@ -672,11 +697,10 @@ def cross_validate(
     """Stratified k-fold cross validation with leak-free per-fold fitting."""
     config = config or TrainConfig()
     folds = stratified_folds(dataset.labels, n_folds, seed)
-    all_idx = np.arange(dataset.n_rows)
     pooled_pred = np.zeros(dataset.n_rows, dtype=int)
     pooled_score = np.zeros(dataset.n_rows)
     per_fold = []
-    splits = [(np.setdiff1d(all_idx, test_idx), test_idx) for test_idx in folds]
+    splits = [(_complement(dataset.n_rows, test_idx), test_idx) for test_idx in folds]
     fitted = _fit_eval_splits(dataset, kind, splits, config)
     for f, (test_idx, (preds, scores)) in enumerate(zip(folds, fitted)):
         pooled_pred[test_idx] = preds
@@ -707,7 +731,7 @@ def holdout_evaluate(
         raise ValueError("test_fraction must be in (0, 1)")
     config = config or TrainConfig()
     labels = dataset.labels
-    classes = np.unique(labels)
+    classes, _ = distinct(labels)
     if len(classes) < 2:
         raise ValueError("dataset holds a single class")
     rng = np.random.default_rng(seed)
@@ -720,7 +744,7 @@ def holdout_evaluate(
         shuffled = idx[rng.permutation(len(idx))]
         test_parts.append(shuffled[:n_test])
     test_idx = np.array(sorted(np.concatenate(test_parts)), dtype=int)
-    train_idx = np.setdiff1d(np.arange(dataset.n_rows), test_idx)
+    train_idx = _complement(dataset.n_rows, test_idx)
     ((preds, scores),) = _fit_eval_splits(dataset, kind, [(train_idx, test_idx)], config)
     m = _metrics(labels[test_idx], preds, scores)
     protocol = {

@@ -20,11 +20,12 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, replace
+from itertools import chain
 
 import numpy as np
 
 from .compound import CANDIDATE_COLUMNS, SUPPORTED_HORIZONS, TREND_MONTHS, TrendCategory
-from .corpus import Tweet, month_start, next_month
+from .corpus import HASHTAG_RE, HashtagId, Tweet, month_start, next_month
 from .errors import CorpusFormatError, dataclass_fields, read_json, read_tsv
 
 MANIFEST_COLUMNS = CANDIDATE_COLUMNS + ("trend", "planted_class", "support_a", "support_b")
@@ -97,6 +98,11 @@ class PlantSpec:
             raise ValueError("scheduled counts precede the constituent's start month")
         if self.planted_class not in (0, 1):
             raise ValueError("planted_class must be 0 or 1")
+        # `generate` hands each tweet the hashtags it writes, so each must
+        # read back from the text as written
+        for display in (self.a_display, self.b_display):
+            if not HASHTAG_RE.fullmatch("#" + display):
+                raise ValueError(f"#{display} does not read back as one hashtag")
 
     @property
     def a_display(self) -> str:
@@ -149,6 +155,10 @@ class ScenarioConfig:
             raise ValueError("background tweets need a word pool")
         if not self.topic_vocabs or any(not v for v in self.topic_vocabs):
             raise ValueError("topic vocabularies must be non-empty")
+        # a tweet's words add no hashtag or mention to those `generate` writes
+        for word in chain(self.background_words, *self.topic_vocabs):
+            if "#" in word or "@" in word:
+                raise ValueError(f"word {word!r} holds a '#' or '@'")
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ScenarioConfig":
@@ -192,6 +202,7 @@ class _TagPlan:
     __slots__ = (
         "canonical",
         "display",
+        "hashtag",
         "start",
         "counts",
         "is_compound",
@@ -203,6 +214,7 @@ class _TagPlan:
     def __init__(self, canonical, display, start, n_months, is_compound, owner, side):
         self.canonical = canonical
         self.display = display
+        self.hashtag = HashtagId(canonical=canonical, display=display)
         self.start = start
         self.counts = [0] * n_months
         self.is_compound = is_compound
@@ -329,12 +341,13 @@ def generate(config: ScenarioConfig) -> SynthResult:
             return f"uc_{plan.owner}_{int(rng.integers(plant.user_pool))}"
         return f"u_{plan.canonical}_{int(rng.integers(plant.user_pool))}"
 
-    def maybe_mention(plant: PlantSpec, plan: _TagPlan) -> str:
+    def maybe_mention(plant: PlantSpec, plan: _TagPlan) -> tuple[str, ...]:
+        """No mentioned id, or one, which the tweet's text ends with."""
         if rng.random() >= plant.mention_rate:
-            return ""
+            return ()
         if rng.random() < plant.user_overlap:
-            return f" @mc_{plan.owner}_{int(rng.integers(plant.user_pool))}"
-        return f" @m_{plan.canonical}_{int(rng.integers(plant.user_pool))}"
+            return (f"mc_{plan.owner}_{int(rng.integers(plant.user_pool))}",)
+        return (f"m_{plan.canonical}_{int(rng.integers(plant.user_pool))}",)
 
     def tag_tweet(plan: _TagPlan, ts: int) -> Tweet:
         plant = config.plants[plan.owner]
@@ -343,11 +356,12 @@ def generate(config: ScenarioConfig) -> SynthResult:
         else:
             side = plan.side
         words = topic_words(plant, side)
-        text = f"#{plan.display} " + " ".join(words) + maybe_mention(plant, plan)
+        mentions = maybe_mention(plant, plan)
+        text = f"#{plan.display} " + " ".join(words) + "".join(f" @{m}" for m in mentions)
         retweet_of = plan.first_id if plan.first_id and rng.random() < plant.retweet_rate else None
         return Tweet(
             id=next_id(), timestamp=ts, user_id=tag_user(plant, plan), text=text,
-            retweet_of=retweet_of,
+            retweet_of=retweet_of, mentions=mentions, hashtags=(plan.hashtag,),
         )
 
     def joint_tweet(plant: PlantSpec, p_i: int, ts: int) -> Tweet:
@@ -356,14 +370,16 @@ def generate(config: ScenarioConfig) -> SynthResult:
             side = "a" if rng.random() < 0.5 else "b"
             source = config.topic_vocabs[plant.topic_a if side == "a" else plant.topic_b]
             words.append(pick(source))
-        plan_a = tags[plant.a_canonical]
+        plan_a, plan_b = tags[plant.a_canonical], tags[plant.b_canonical]
         user = f"uc_{p_i}_{int(rng.integers(plant.user_pool))}"
+        mentions = maybe_mention(plant, plan_a)
         text = f"#{plant.a_display} #{plant.b_display} " + " ".join(words)
-        text += maybe_mention(plant, plan_a)
+        text += "".join(f" @{m}" for m in mentions)
         retweet_of = (
             plan_a.first_id if plan_a.first_id and rng.random() < plant.retweet_rate else None
         )
-        return Tweet(id=next_id(), timestamp=ts, user_id=user, text=text, retweet_of=retweet_of)
+        return Tweet(id=next_id(), timestamp=ts, user_id=user, text=text, retweet_of=retweet_of,
+                     mentions=mentions, hashtags=(plan_a.hashtag, plan_b.hashtag))
 
     # first appearance of every tag, compounds one hour in, constituents before
     for plan in sorted(tags.values(), key=lambda t: (t.start, t.is_compound, t.canonical)):
@@ -382,7 +398,8 @@ def generate(config: ScenarioConfig) -> SynthResult:
                 config.background_words[(k + w) % len(config.background_words)]
                 for w in range(config.words_per_tweet)
             ]
-            tweets.append(Tweet(id=next_id(), timestamp=ts, user_id="bg", text=" ".join(words)))
+            tweets.append(Tweet(id=next_id(), timestamp=ts, user_id="bg", text=" ".join(words),
+                                mentions=(), hashtags=()))
         for p_i, plant in enumerate(config.plants):
             if m < plant.m0:
                 for _ in range(co_by_plant[p_i][m]):
@@ -498,9 +515,10 @@ def _build_resources(config: ScenarioConfig) -> dict[str, str]:
 
 def write_corpus(path, tweets: list[Tweet]) -> None:
     """One JSON object per line, in generation order."""
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     with open(path, "w", encoding="utf-8") as fh:
         for tweet in tweets:
-            fh.write(json.dumps(tweet.to_record(), sort_keys=True, separators=(",", ":")))
+            fh.write(encode(tweet.to_record()))
             fh.write("\n")
 
 

@@ -54,19 +54,17 @@ def build_documents(
 ) -> list[HashtagDocument]:
     """One document per hashtag from tweets inside the open window.
 
-    Hashtag and mention tokens are dropped (`CorpusIndex.plain_tokens_of`);
+    Hashtag and mention tokens are dropped (`CorpusIndex.plain_words`);
     what remains is the plain text vocabulary. Empty documents are kept but
     flagged in the log.
     """
     lo, hi = window
     docs = []
     for canon in hashtags:
-        tokens: list[str] = []
-        for tweet in index.tweets_between(canon, lo, hi):
-            tokens.extend(index.plain_tokens_of(tweet))
+        tokens = index.plain_words(index.positions_between(canon, lo, hi))
         if not tokens:
             logger.warning("document for %r over (%d, %d) is empty", canon, lo, hi)
-        docs.append(HashtagDocument(doc_id=f"{canon}@{hi}", hashtag=canon, tokens=tuple(tokens)))
+        docs.append(HashtagDocument(doc_id=f"{canon}@{hi}", hashtag=canon, tokens=tokens))
     return docs
 
 

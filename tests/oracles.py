@@ -3,19 +3,21 @@
 These deliberately take different algorithmic routes than the library:
 detection joins hashtag pairs instead of scanning split positions,
 segmentation enumerates every one of the 2^(n-1) parses, tokenization
-re-reads the raw text, topic words are ranked by a full sort of the
-vocabulary, model fitting is a plain descent loop on one training set with
+re-reads the raw text, window features scan every tweet and join n-grams as
+strings, topic words are ranked by a full sort of the vocabulary, model fitting is a plain descent loop on one training set with
 no reused buffers and no in-place arithmetic, and tied scores are ranked by
 walking each run of equal values.
 """
 
 import string
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
 
-from tagmerge.corpus import CorpusIndex, Tweet
+from tagmerge.corpus import CorpusIndex, Tweet, observation_window
+from tagmerge.features import CLARITY_EPS, avg_topic_overlap, entropy
 from tagmerge.learn import hinge_loss_grad, logreg_loss_grad
+from tagmerge.topicmodel import HashtagDocument
 
 
 def tokenize(text, keep_tags=True, keep_mentions=True):
@@ -23,7 +25,7 @@ def tokenize(text, keep_tags=True, keep_mentions=True):
 
     Pure-punctuation tokens vanish. The '#' and '@' sigils are stripped, so
     hashtag and mention words stay in the stream unless the corresponding
-    keep flag is False. `CorpusIndex.tokens_of` and `plain_tokens_of` must
+    keep flag is False. `CorpusIndex.token_ids` and `plain_words` must
     agree with it.
     """
     out = []
@@ -36,6 +38,92 @@ def tokenize(text, keep_tags=True, keep_mentions=True):
         if word:
             out.append(word)
     return out
+
+
+def oracle_window_features(index, candidate, table, obs_months, n_topics, iterations, seed):
+    """The tweet-content and user features of one candidate, read off the
+    text of every tweet of the index.
+
+    A window is found by a scan of all tweets, tokens by `tokenize`, and
+    n-grams by joining each tweet's 2..5-token runs into strings looked up
+    in `table`. The float arithmetic of clarity, diversity and the mean
+    n-gram frequency is that of `features`, term for term, so the values
+    are equal, not close.
+    """
+    lo, hi = observation_window(candidate.compound_first_seen, obs_months)
+    tweets = index.tweets
+    part_a, part_b = candidate.part_a.canonical, candidate.part_b.canonical
+
+    def window(tag):
+        return [t for t in tweets if lo < t.timestamp < hi and tag in {h.canonical for h in t.hashtags}]
+
+    def phrases(ws):
+        found = set()
+        for t in ws:
+            toks = tokenize(t.text)
+            for n in range(2, 6):
+                for i in range(len(toks) - n + 1):
+                    phrase = " ".join(toks[i : i + n])
+                    if phrase in table.entries:
+                        found.add(phrase)
+        return found
+
+    vocab = sorted({tok for t in tweets for tok in tokenize(t.text)})
+    background = Counter(tok for t in tweets if t.timestamp < hi for tok in tokenize(t.text))
+    bg_counts = np.array([background[w] for w in vocab], dtype=np.int64)
+
+    def clarity(counts):
+        n_tokens = sum(counts.values())
+        if n_tokens == 0:
+            return 0.0
+        tag_counts = np.array([counts[w] for w in vocab], dtype=np.int64)
+        support = bg_counts > 0
+        p = (tag_counts[support] + CLARITY_EPS) / (n_tokens + CLARITY_EPS * int(support.sum()))
+        q = bg_counts[support] / sum(background.values())
+        return float(np.sum(p * np.log(p / q)))
+
+    def audience(ws):
+        return ({t.user_id for t in ws}, {m for t in ws for m in t.mentions},
+                {t.id for t in ws if t.retweet_of is not None})
+
+    def document(tag, ws):
+        words = [w for t in ws for w in tokenize(t.text, keep_tags=False, keep_mentions=False)]
+        return HashtagDocument(f"{tag}@{hi}", tag, tuple(words))
+
+    win_a, win_b = window(part_a), window(part_b)
+    counts_a = Counter(tok for t in win_a for tok in tokenize(t.text))
+    counts_b = Counter(tok for t in win_b for tok in tokenize(t.text))
+    ngrams_a, ngrams_b = phrases(win_a), phrases(win_b)
+    common = sorted(ngrams_a & ngrams_b)
+    (users_a, mentions_a, retweets_a), (users_b, mentions_b, retweets_b) = (
+        audience(win_a), audience(win_b))
+
+    def overlap(a, b):
+        return len(a & b) / min(len(a), len(b)) if a and b else 0.0
+
+    return {
+        "word_overlap": overlap(set(counts_a), set(counts_b)),
+        "ngram_overlap": overlap(ngrams_a, ngrams_b),
+        "avg_common_ngram_freq": float(np.mean([table.entries[g] for g in common]))
+        if common else 0.0,
+        "collocation_frequency": float(sum(
+            1 for t in win_a if part_b in {h.canonical for h in t.hashtags})),
+        "clarity_a": clarity(counts_a),
+        "clarity_b": clarity(counts_b),
+        "word_diversity_a": entropy(list(counts_a.values())) if counts_a else 0.0,
+        "word_diversity_b": entropy(list(counts_b.values())) if counts_b else 0.0,
+        "topic_overlap": avg_topic_overlap(
+            document(part_a, win_a), document(part_b, win_b), n_topics, iterations, seed),
+        "unique_users_a": float(len(users_a)),
+        "unique_users_b": float(len(users_b)),
+        "common_users": float(len(users_a & users_b)),
+        "unique_mentions_a": float(len(mentions_a)),
+        "unique_mentions_b": float(len(mentions_b)),
+        "common_mentions": float(len(mentions_a & mentions_b)),
+        "unique_retweets_a": float(len(retweets_a)),
+        "unique_retweets_b": float(len(retweets_b)),
+        "common_retweets": float(len(retweets_a & retweets_b)),
+    }
 
 
 def top_words(model, topic, n=100):

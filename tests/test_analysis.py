@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from tagmerge import analysis
 from tagmerge.analysis import (
     ABLATION_COMBOS,
     ablate,
@@ -42,6 +43,26 @@ def test_tied_values_collapse_bins():
     assert len(np.unique(bins)) == 2
     constant = bin_column(np.ones(20), binary=False)
     assert len(np.unique(constant)) == 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_continuous_binning_equals_numpy_quantile_edges(seed):
+    """The edges are `np.unique(np.quantile(values, ...))` as floats, on
+    tie-heavy, signed-zero and wide-range columns of every small length."""
+    rng = np.random.default_rng(seed)
+    quantiles = np.linspace(0.0, 1.0, 11)[1:-1]
+    for n in range(1, 60):
+        for values in (
+            rng.normal(size=n) * 10.0 ** int(rng.integers(-5, 5)),
+            rng.integers(0, 4, size=n).astype(float),
+            rng.choice([-1.0, -0.0, 0.0, 1.0], size=n),
+            rng.exponential(size=n) * 1e300,
+        ):
+            edges = np.unique(np.quantile(values, quantiles))
+            assert np.array_equal(analysis._linear_quantiles(values, quantiles),
+                                  np.quantile(values, quantiles))
+            assert bin_column(values, binary=False).tolist() == np.searchsorted(
+                edges, values, side="right").tolist()
 
 
 # ---------------------------------------------------------------------------

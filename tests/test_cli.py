@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -96,6 +99,9 @@ BAD_INDEX_VALUES = {
     "float-timestamp": ("timestamp", 1300000000.5, "timestamp must be an integer"),
     "string-timestamp": ("timestamp", "1300000000", "timestamp must be an integer"),
     "zero-timestamp": ("timestamp", 0, "timestamp must be strictly positive"),
+    # past the years `datetime` holds, and past int64
+    "year-3170843-timestamp": ("timestamp", 100000000000000, "is after 253370764799"),
+    "int64-overflow-timestamp": ("timestamp", 100000000000000000000, "is after 253370764799"),
     "empty-id": ("id", "", "tweet id must be non-empty"),
     "duplicate-id": ("id", "t2", "duplicate tweet id 't2'"),
     "mentions-string": ("mentions", "bob", "mentions must be a list of strings"),
@@ -436,6 +442,66 @@ def test_detect_and_label_build_no_tweet_objects(staged, tmp_path, monkeypatch):
                      "--out", str(labeled)]) == 0
     assert cands.read_bytes() == staged["cands"].read_bytes()
     assert labeled.read_bytes() == staged["labeled"].read_bytes()
+
+
+def test_ingest_and_featurize_build_no_tweet_objects(staged, feature_csv, tmp_path, monkeypatch):
+    """Ingest appends each record to the index's columns, and featurize reads
+    each window as tweet positions and token ids."""
+    def never(*args, **kwargs):
+        raise AssertionError("built a Tweet, or derived what the sidecar holds")
+
+    monkeypatch.setattr(corpus, "Tweet", never)
+    index = tmp_path / "index.json"
+    assert cli.main(["ingest", "--corpus", str(staged["scen"]["corpus"]), "--out", str(index)]) == 0
+    assert index.read_bytes() == staged["index"].read_bytes()
+    assert (tmp_path / "index.npz").read_bytes() == staged["index"].with_suffix(".npz").read_bytes()
+    monkeypatch.setattr(corpus, "_tokenize", never)
+    out = tmp_path / "feats.csv"
+    assert cli.main(featurize_args(staged, out)) == 0
+    assert out.read_bytes() == feature_csv.read_bytes()
+    assert Path(str(out).replace(".csv", ".schema.json")).read_bytes() == Path(
+        str(feature_csv).replace(".csv", ".schema.json")).read_bytes()
+
+
+_PIPELINE_SCRIPT = """
+import sys
+from tagmerge import cli
+
+scen, out = sys.argv[1], sys.argv[2]
+feats = out + "/feats.csv"
+commands = [
+    ["ingest", "--corpus", scen + "/corpus.jsonl", "--out", out + "/index.json"],
+    ["detect", "--index", out + "/index.json", "--out", out + "/cands.tsv"],
+    ["label", "--index", out + "/index.json", "--candidates", out + "/cands.tsv",
+     "--out", out + "/labeled.tsv"],
+    ["featurize", "--index", out + "/index.json", "--candidates", out + "/labeled.tsv",
+     "--out", feats, "--dictionary", scen + "/dictionary.txt", "--ngrams", scen + "/ngrams.tsv",
+     "--pos-lexicon", scen + "/pos_lexicon.tsv", "--gazetteer", scen + "/gazetteer.tsv",
+     "--topics", "4", "--lda-iterations", "2"],
+    ["evaluate", "cv", "--features", feats, "--folds", "3", "--epochs", "20",
+     "--out", out + "/cv.json"],
+    ["evaluate", "holdout", "--features", feats, "--epochs", "20", "--out", out + "/ho.json"],
+    ["rank-features", "--features", feats, "--method", "chi2", "--out", out + "/chi2.tsv"],
+    ["rank-features", "--features", feats, "--method", "infogain", "--out", out + "/ig.tsv"],
+    ["ablate", "--features", feats, "--folds", "3", "--epochs", "20", "--out", out + "/ab.json"],
+]
+for argv in commands:
+    assert cli.main(argv) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_the_pipeline_never_imports_numpy_ma(scen_dir, tmp_path):
+    """`np.unique`, and `np.quantile` or `np.setdiff1d` through it, import
+    `numpy.ma` on their first call in a process; no command calls them."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PIPELINE_SCRIPT, str(Path(scen_dir["corpus"]).parent),
+         str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 # ---------------------------------------------------------------------------

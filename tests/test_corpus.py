@@ -136,10 +136,23 @@ def test_index_tokens_match_tokenize_on_random_texts(seed):
     ]
     index = CorpusIndex([make_tweet(text, utc(2011, 6, 1) + i, tid=f"r{i:02d}")
                          for i, text in enumerate(texts)])
-    for tweet in index.tweets:
-        assert index.tokens_of(tweet) == tokenize(tweet.text)
+    plains = []
+    for position, tweet in enumerate(index.tweets):
+        assert words_at(index, position) == tokenize(tweet.text)
         plain = tokenize(tweet.text, keep_tags=False, keep_mentions=False)
-        assert index.plain_tokens_of(tweet) == plain
+        assert index.plain_words([position]) == tuple(plain)
+        plains += plain
+    assert index.plain_words(range(len(index))) == tuple(plains)
+    ids, bounds = index.token_ids(range(len(index)))
+    assert [ids[i:j] for i, j in zip(bounds, bounds[1:])] == [
+        index.token_ids([p])[0] for p in range(len(index))]
+
+
+def words_at(index, position):
+    """The tokens of the tweet at `position`, as words."""
+    ids, bounds = index.token_ids([position])
+    assert bounds == [0, len(ids)]
+    return [index.vocabulary[i] for i in ids]
 
 
 def test_extract_hashtags_requires_leading_letter():
@@ -164,7 +177,7 @@ def test_hashtag_id_validation():
 def test_tweet_derives_tags_and_mentions_from_text():
     t = make_tweet("hi #One #one @Someone", utc(2011, 6, 2))
     assert [h.display for h in t.hashtags] == ["One", "one"]
-    assert t.hashtag_canonicals == ("one",)
+    assert [h.canonical for h in t.hashtags] == ["one", "one"]
     assert t.mentions == ("someone",)
 
 
@@ -226,10 +239,23 @@ def test_count_between_is_open_on_both_ends():
     assert index.count_between("alpha", ts - 1, utc(2011, 7, 1) + 1) == 3
 
 
-def test_tweets_between_orders_by_time():
+def test_positions_between_orders_by_time():
     index = build_small_index()
-    got = index.tweets_between("alpha", 0, utc(2012, 1, 1))
-    assert [t.id for t in got] == ["a1", "a2", "a3", "a6"]
+    ids = [t.id for t in index.tweets]
+    got = index.positions_between("alpha", 0, utc(2012, 1, 1))
+    assert [ids[p] for p in got] == ["a1", "a2", "a3", "a6"]
+
+
+def test_audience_reads_users_mentions_and_retweets_of_positions():
+    index = CorpusIndex([
+        make_tweet("#aa hi @Ann", utc(2011, 6, 1), user="u1", tid="t1"),
+        make_tweet("#aa yo @ann @bo", utc(2011, 6, 2), user="u2", tid="t2", retweet_of="t1"),
+        make_tweet("#aa again", utc(2011, 6, 3), user="u1", tid="t3", retweet_of="t1"),
+        make_tweet("#bb other @cy", utc(2011, 6, 4), user="u9", tid="t4", retweet_of="t2"),
+    ])
+    positions = index.positions_between("aa", 0, utc(2012, 1, 1))
+    assert index.audience(positions) == ({"u1", "u2"}, {"ann", "bo"}, {"t2", "t3"})
+    assert index.audience([]) == (set(), set(), set())
 
 
 def test_coverage_is_month_granular():
@@ -328,19 +354,21 @@ def index_view(index):
     """Everything a reader of the index can see, as comparable values."""
     instants = [utc(2011, 6, 1), utc(2011, 6, 9), utc(2011, 6, 9) + 1, utc(2011, 8, 1), utc(2012, 1, 1)]
     windows = [(0, utc(2012, 1, 1)), (utc(2011, 6, 3), utc(2011, 9, 30)), (utc(2011, 6, 9) - 1, utc(2011, 7, 2))]
+    ids = [t.id for t in index.tweets]
     return {
         "tweets": index.tweets,
         "hashtags": [t.hashtags for t in index.tweets],
-        "tokens": [index.tokens_of(t) for t in index.tweets],
-        "plain": [index.plain_tokens_of(t) for t in index.tweets],
+        "tokens": [words_at(index, p) for p in range(len(index))],
+        "plain": [index.plain_words([p]) for p in range(len(index))],
         "vocabulary": index.vocabulary,
         "background": [(c.tolist(), n) for c, n in map(index.background_before, instants)],
         "tags": {
             tag: (
                 index.first_seen(tag),
                 index.hashtag_id(tag).display,
-                [[t.id for t in index.tweets_between(tag, lo, hi)] for lo, hi in windows],
+                [[ids[p] for p in index.positions_between(tag, lo, hi)] for lo, hi in windows],
                 [index.count_between(tag, lo, hi) for lo, hi in windows],
+                [index.audience(index.positions_between(tag, lo, hi)) for lo, hi in windows],
             )
             for tag in index.hashtags()
         },
@@ -388,13 +416,15 @@ def random_instants(tweets, seed):
 
 
 def query_view(index, seed):
-    """`count_between` and `tweets_between` over random windows for every
+    """`count_between` and `positions_between` over random windows for every
     hashtag, and `background_before` at random instants."""
     instants, windows = random_instants(index.tweets, seed)
+    ids = [t.id for t in index.tweets]
     return {
         "windows": {
             tag: [
-                (index.count_between(tag, lo, hi), [t.id for t in index.tweets_between(tag, lo, hi)])
+                (index.count_between(tag, lo, hi),
+                 [ids[p] for p in index.positions_between(tag, lo, hi)])
                 for lo, hi in windows
             ]
             for tag in index.hashtags()
@@ -411,7 +441,8 @@ def query_oracle(tweets, tags, seed):
     instants, windows = random_instants(tweets, seed)
     ordered = sorted(tweets, key=lambda t: (t.timestamp, t.id))
     inside = {
-        tag: [[t.id for t in ordered if lo < t.timestamp < hi and tag in t.hashtag_canonicals]
+        tag: [[t.id for t in ordered
+               if lo < t.timestamp < hi and tag in {h.canonical for h in t.hashtags}]
               for lo, hi in windows]
         for tag in tags
     }
@@ -460,9 +491,10 @@ def load_json_only(path, monkeypatch):
 def test_sidecar_load_equals_json_load_and_built_index(tmp_path, monkeypatch):
     index = sidecar_corpus()
     tweets = {t.id: t for t in index.tweets}
+    positions = {t.id: p for p, t in enumerate(index.tweets)}
     assert [h.display for h in tweets["s1"].hashtags] == ["Ab", "aB", "ab"]
     assert index.hashtag_id("ab").display == "Ab"
-    assert index.tokens_of(tweets["s5"]) == [] and index.tokens_of(tweets["s6"]) == []
+    assert words_at(index, positions["s5"]) == [] == words_at(index, positions["s6"])
     path = tmp_path / "index.json"
     index.save(path)
     assert (tmp_path / "index.npz").is_file()
@@ -644,6 +676,37 @@ def test_ingest_rejects_mostly_malformed_file(tmp_path):
     ingest_jsonl(path2)  # fine at the default
     with pytest.raises(CorpusFormatError):
         ingest_jsonl(path2, max_malformed_fraction=0.05)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ingest_builds_the_index_of_the_tweets_its_records_hold(seed, tmp_path):
+    """Records appended straight to the columns give the index that `Tweet`
+    objects of the same records give, whatever the line order, and every
+    bad line is skipped."""
+    tweets = random_corpus(seed)
+    rng = np.random.default_rng(seed)
+    lines = []
+    for k in rng.permutation(len(tweets)).tolist():
+        record = tweets[k].to_record()
+        if tuple(extract_mentions(record["text"])) == tweets[k].mentions and k % 2:
+            del record["mentions"]  # derived from the text
+        lines.append(json.dumps(record))
+    bad = [
+        "junk",
+        json.dumps({**json.loads(lines[0]), "id": "fresh"}) + " {}",  # data after the record
+        "[1, 2]",
+        json.dumps({**json.loads(lines[1]), "text": 5}),
+        json.dumps({**json.loads(lines[2]), "timestamp": 100000000000000}),
+        lines[3],  # a duplicate id
+    ]
+    for k, line in enumerate(bad):
+        lines.insert(7 * k + 5, line)
+    path = tmp_path / "c.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    index = ingest_jsonl(path)
+    assert index.skipped == len(bad)
+    assert index_view(index) | query_view(index, seed) == index_view(
+        CorpusIndex(tweets, skipped=len(bad))) | query_view(CorpusIndex(tweets), seed)
 
 
 def test_ingest_missing_file_raises_oserror(tmp_path):

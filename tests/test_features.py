@@ -10,13 +10,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tagmerge import synth, topicmodel
+from tagmerge import corpus, synth, topicmodel
 from tagmerge.compound import detect_candidates, filter_eligible
 from tagmerge.corpus import CorpusIndex, observation_window, shift_months
 from tagmerge.errors import CorpusFormatError, InsufficientHistoryError
 from tagmerge.features import (
     FeatureResources,
     ObservationConfig,
+    PhraseIds,
     ZoneCombo,
     avg_common_ngram_freq,
     avg_topic_overlap,
@@ -45,6 +46,9 @@ from tagmerge.features import (
 )
 from tagmerge.lexicon import (
     Dictionary,
+    EntityGazetteer,
+    NgramTable,
+    PosLexicon,
     load_dictionary,
     load_gazetteer,
     load_ngram_table,
@@ -53,7 +57,7 @@ from tagmerge.lexicon import (
 from tagmerge.topicmodel import HashtagDocument, TopicModel, build_documents
 
 from conftest import make_tweet, utc
-from oracles import tokenize
+from oracles import oracle_window_features, tokenize
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +231,17 @@ def token_counts(tweets):
     return Counter(tok for t in tweets for tok in tokenize(t.text))
 
 
+def window_tweets(index, canonical, window):
+    """The tweets of the hashtag's window, as `Tweet` objects."""
+    tweets = index.tweets
+    return [tweets[p] for p in index.positions_between(canonical, *window)]
+
+
+def id_counts(index, tweets):
+    """`token_counts` keyed by the index's token ids."""
+    return Counter({index.word_index(w): n for w, n in token_counts(tweets).items()})
+
+
 def table_ngrams(tweets, table):
     """Table phrases among each tweet's 2..5-token windows, by brute force."""
     found = set()
@@ -251,19 +266,46 @@ def test_word_overlap_by_hand():
 
 
 def test_ngram_overlap_and_common_freq():
-    table = load = None
-    from tagmerge.lexicon import NgramTable
-
     table = NgramTable(entries={"new york": 500, "snow day": 8, "golden globes": 120})
     a = [make_tweet("new york snow day chaos", utc(2011, 6, 1))]
     b = [make_tweet("a snow day in new york", utc(2011, 6, 2))]
+    c = [make_tweet("nothing shared here", utc(2011, 6, 3))]
+    index = CorpusIndex(a + b + c)
+    phrases = PhraseIds(table, index)
+
+    def runs(tweets):
+        return {tuple(map(index.word_index, g.split(" "))) for g in table_ngrams(tweets, table)}
+
     # both collections contain {"new york", "snow day"}
-    a, b = table_ngrams(a, table), table_ngrams(b, table)
+    a, b, c = runs(a), runs(b), runs(c)
     assert ngram_overlap(a, b) == 1.0
-    assert avg_common_ngram_freq(a, b, table) == pytest.approx((500 + 8) / 2)
-    c = table_ngrams([make_tweet("nothing shared here", utc(2011, 6, 3))], table)
+    assert avg_common_ngram_freq(a, b, phrases) == pytest.approx((500 + 8) / 2)
     assert ngram_overlap(a, c) == 0.0
-    assert avg_common_ngram_freq(a, c, table) == 0.0
+    assert avg_common_ngram_freq(a, c, phrases) == 0.0
+
+
+def test_phrase_ids_find_runs_inside_one_tweet():
+    table = NgramTable(entries={
+        "new york": 500, "york new": 3, "new york city": 40, "york city": 7, "city new york city": 11,
+        "new zealand": 9, "new jersey": 8, "one": 1, "a  b": 2,
+    })
+    index = CorpusIndex([
+        make_tweet("New York, city! new york city new", utc(2011, 6, 1), tid="t1"),
+        make_tweet("(Zealand) city", utc(2011, 6, 2), tid="t2"),
+    ])
+    phrases = PhraseIds(table, index)
+    # "new jersey" holds an out-of-vocabulary word; "one" and "a  b" can match no run
+    assert sorted(phrase for phrase, _ in phrases.entries.values()) == [
+        "city new york city", "new york", "new york city", "new zealand", "york city", "york new"]
+
+    def found(positions):
+        return {phrases.entries[run][0] for run in phrases.find(*index.token_ids(positions))}
+
+    # overlapping and repeated runs count once each; "york new" never occurs
+    assert found([0]) == {"new york", "new york city", "york city", "city new york city"}
+    assert found([1]) == set()
+    # "new" ends the first tweet and "zealand" begins the second: no run spans them
+    assert found([0, 1]) == found([0])
 
 
 def clarity_fixture():
@@ -279,7 +321,8 @@ def clarity_fixture():
 
 
 def clarity(index, canonical, window):
-    return hashtag_clarity(index, token_counts(index.tweets_between(canonical, *window)), window[1])
+    counts = id_counts(index, window_tweets(index, canonical, window))
+    return hashtag_clarity(counts, index.background_before(window[1]))
 
 
 def test_hashtag_clarity_matches_inline_recompute():
@@ -297,7 +340,7 @@ def test_hashtag_clarity_matches_inline_recompute():
     bg_total = sum(bg.values())
     tag_counts = {}
     for t in index.tweets:
-        if window[0] < t.timestamp < window[1] and "focus" in t.hashtag_canonicals:
+        if window[0] < t.timestamp < window[1] and "focus" in {h.canonical for h in t.hashtags}:
             for tok in tokenize(t.text):
                 tag_counts[tok] = tag_counts.get(tok, 0) + 1
     n = sum(tag_counts.values())
@@ -337,9 +380,9 @@ def test_word_diversity_by_hand():
     window = (utc(2011, 2, 1), utc(2011, 3, 1))
     # focus tokens: focus x2, laser x4, beam x1
     expect = entropy([2, 4, 1])
-    focus = token_counts(index.tweets_between("focus", *window))
+    focus = token_counts(window_tweets(index, "focus", window))
     assert word_diversity(focus) == pytest.approx(expect, abs=1e-12)
-    late = token_counts(index.tweets_between("focus", utc(2011, 3, 2), utc(2011, 4, 1)))
+    late = token_counts(window_tweets(index, "focus", (utc(2011, 3, 2), utc(2011, 4, 1))))
     assert word_diversity(late) == 0.0
 
 
@@ -354,7 +397,8 @@ def test_collocation_frequency_counts_joint_tweets():
         ]
     )
     window = (utc(2011, 5, 31), utc(2011, 7, 1))
-    assert collocation_frequency(index.tweets_between("red", *window), "ball") == 2
+    red, ball = (index.positions_between(tag, *window) for tag in ("red", "ball"))
+    assert collocation_frequency(red, ball) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +416,8 @@ def test_user_features_by_hand():
             make_tweet("#bb more", utc(2011, 6, 5), user="u4", tid="t5", retweet_of="x3"),
         ]
     )
-    got = user_features(index.tweets_between("aa", *window), index.tweets_between("bb", *window))
+    aa, bb = (index.positions_between(tag, *window) for tag in ("aa", "bb"))
+    got = user_features(index, aa, bb)
     assert got == {
         "unique_users_a": 3.0,
         "unique_users_b": 3.0,
@@ -447,11 +492,11 @@ def test_featurize_end_to_end():
     assert vec.values["collocation_frequency"] == 1.0
 
     window = observation_window(t0, 6)
-    tweets_a = index.tweets_between("snow", *window)
-    tweets_b = index.tweets_between("day", *window)
+    tweets_a = window_tweets(index, "snow", window)
+    tweets_b = window_tweets(index, "day", window)
     counts_a, counts_b = token_counts(tweets_a), token_counts(tweets_b)
     assert vec.values["word_overlap"] == pytest.approx(word_overlap(counts_a, counts_b))
-    assert vec.values["clarity_a"] == pytest.approx(hashtag_clarity(index, counts_a, window[1]))
+    assert vec.values["clarity_a"] == pytest.approx(clarity(index, "snow", window))
     # six monthly posters plus the joint tweet's user; the seed tweet
     # predates the window
     assert vec.values["unique_users_a"] == 7.0
@@ -522,23 +567,92 @@ def test_featurize_all_reads_each_window_once_and_never_tokenizes(monkeypatch):
     index, _ = pipeline_fixture()
     cands = detect_candidates(index)
     res = pipeline_resources()
-    reads = []
-    real = CorpusIndex.tweets_between
+    reads, backgrounds = [], []
+    real_read, real_background = CorpusIndex.positions_between, CorpusIndex.background_before
 
     def counted(self, canonical, lo, hi):
         reads.append(canonical)
-        return real(self, canonical, lo, hi)
+        return real_read(self, canonical, lo, hi)
+
+    def counted_background(self, ts):
+        backgrounds.append(ts)
+        return real_background(self, ts)
 
     def no_index(*args, **kwargs):
         raise AssertionError("featurize built an index, tokenizing every tweet again")
 
-    monkeypatch.setattr(CorpusIndex, "tweets_between", counted)
+    def no_tweet(*args, **kwargs):
+        raise AssertionError("featurize built a Tweet")
+
+    monkeypatch.setattr(CorpusIndex, "positions_between", counted)
+    monkeypatch.setattr(CorpusIndex, "background_before", counted_background)
     # the index's own tokenizing pass, the only tokenizer in the package
     monkeypatch.setattr(CorpusIndex, "__init__", no_index)
+    monkeypatch.setattr(corpus, "Tweet", no_tweet)
     observation = ObservationConfig(obs_months=6, horizon_months=2, lda_topics=2)
     vectors, _, _, _ = featurize_all(cands * 3, index, res, observation)
     assert len(vectors) == 3
     assert reads == ["snow", "day"] * 3
+    # one window end, so one background count
+    assert backgrounds == [cands[0].compound_first_seen]
+
+
+# plain words of the random feature corpus: punctuation-edged spellings of a
+# few words, so table phrases recur and overlap, plus sigil-only noise
+_WORDS = ("red", "Red!", "(red)", "sun,", "sun", "blue", "Sky...", "sky", "green", "-", "#", "@Bob")
+# "omega alpha" spans two tweets and must never match; "red zzz" and "qqq
+# red" hold words no tweet uses; "day red" starts at a hashtag token
+_PHRASES = {
+    "red sun": 40, "sun red": 7, "red sun red": 5, "red sun red sun red": 2, "blue sky": 30,
+    "sky blue sky": 3, "omega alpha": 99, "red zzz": 11, "qqq red": 13, "day red": 17,
+    "green red": 4,
+}
+
+
+def random_feature_corpus(seed):
+    """Three compounds over random tweets that begin with "alpha" and end with "omega"."""
+    rng = np.random.default_rng([seed, 3131])
+    parts = (("Snow", "Day"), ("Rain", "Coat"), ("Sun", "Set"))
+    base = utc(2011, 1, 1)
+    tweets = []
+    for month in range(6):
+        for k in range(40):
+            a, b = parts[int(rng.integers(len(parts)))]
+            tags = {0: f"#{a}", 1: f"#{b}", 2: f"#{a} #{b}"}[int(rng.integers(3))]
+            words = " ".join(rng.choice(_WORDS, size=int(rng.integers(0, 9))).tolist())
+            mention = f" @u{int(rng.integers(6))}" if rng.random() < 0.3 else ""
+            tweets.append(make_tweet(
+                f"alpha {tags} {words}{mention} omega.",
+                shift_months(base, month) + 3600 + 997 * k,
+                user=f"user{int(rng.integers(8))}",
+                tid=f"m{month}k{k:02d}",
+                retweet_of=f"m0k{int(rng.integers(40)):02d}" if rng.random() < 0.25 else None,
+            ))
+    for i, (a, b) in enumerate(parts):
+        tweets.append(make_tweet(f"#{a}{b} arrives", utc(2011, 6, 10 + i), tid=f"born{i}"))
+    return CorpusIndex(tweets), NgramTable(entries=dict(_PHRASES))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_featurize_all_equals_the_string_path_oracle(seed):
+    index, table = random_feature_corpus(seed)
+    cands = filter_eligible(detect_candidates(index), index, min_support=3, obs_months=3)
+    assert [c.compound.canonical for c in cands] == ["raincoat", "snowday", "sunset"]
+    res = FeatureResources(
+        Dictionary(frozenset({"snow", "day", "rain", "coat", "sun", "set"})), table,
+        PosLexicon(tags={"snow": "N", "day": "N"}),
+        EntityGazetteer(phrases={}, labels=frozenset({"none"}), max_phrase_len=0),
+        lda_iterations=3, lda_seed=seed,
+    )
+    observation = ObservationConfig(obs_months=3, horizon_months=2, lda_topics=3)
+    vectors, _, _, _ = featurize_all(cands, index, res, observation)
+    rows = []
+    for cand, vec in zip(cands, vectors):
+        expect = oracle_window_features(index, cand, table, 3, 3, 3, seed)
+        assert {name: vec.values[name] for name in expect} == expect
+        rows.append(expect)
+    # the n-gram features see shared phrases
+    assert any(row["ngram_overlap"] > 0 and row["avg_common_ngram_freq"] > 0 for row in rows)
 
 
 def test_featurize_all_is_independent_of_input_order(tmp_path):

@@ -18,6 +18,7 @@ from tagmerge.learn import (
     TrainConfig,
     balance_dataset,
     cross_validate,
+    distinct,
     hinge_loss_grad,
     holdout_evaluate,
     logreg_loss_grad,
@@ -293,6 +294,16 @@ def test_roc_auc_equals_the_tie_walking_loop():
         labels = rng.integers(0, 2, size=n)
         labels[:2] = (0, 1)
         assert roc_auc(scores, labels) == reference_roc_auc(scores, labels), seed
+
+
+def test_distinct_equals_numpy_unique():
+    rng = np.random.default_rng(5)
+    for n in range(0, 40):
+        values = rng.integers(-3, 3, size=n)
+        got_values, got_counts = distinct(values)
+        expect_values, expect_counts = np.unique(values, return_counts=True)
+        assert got_values.tolist() == expect_values.tolist()
+        assert got_counts.tolist() == expect_counts.tolist()
 
 
 def test_roc_auc_needs_both_classes():

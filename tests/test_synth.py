@@ -1,12 +1,13 @@
 """Synthetic corpora: planted schedules, manifests, and reference scenarios."""
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tagmerge.compound import classify_trend, detect_candidates, label_candidate
-from tagmerge.corpus import CorpusIndex, observation_window
+from tagmerge.corpus import CorpusIndex, extract_hashtags, extract_mentions, observation_window
 from tagmerge.errors import CorpusFormatError
 from tagmerge.features import collocation_frequency
 from tagmerge.synth import (
@@ -79,6 +80,49 @@ def test_plant_spec_validation():
         hand_plant(pre_a=(-1, 0, 0))
     with pytest.raises(ValueError):
         hand_plant(planted_class=2)
+
+
+@pytest.mark.parametrize("words", [("9pm",), ("don't",), ("snow day",), ("caf\u00e9",)])
+def test_a_plant_name_that_does_not_read_back_as_one_hashtag_is_refused(words):
+    with pytest.raises(ValueError, match="does not read back as one hashtag"):
+        hand_plant(b_words=words)
+
+
+@pytest.mark.parametrize("word", ["#tag", "at@host"])
+def test_a_topic_or_background_word_with_a_sigil_is_refused(word):
+    for field in ("topic_vocabs", "background_words"):
+        words = (word, "plain")
+        with pytest.raises(ValueError, match="holds a '#' or '@'"):
+            hand_config(hand_plant(), **{field: (words,) if field == "topic_vocabs" else words})
+
+
+def wide_vocab_config(n_candidates, seed):
+    """The benchmark's wide-vocabulary scenario, from its workload definitions."""
+    import sys
+
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    return workloads.wide_vocab_config(n_candidates, seed)
+
+
+@pytest.mark.parametrize("make, planted_mentions", [
+    (lambda: reference_scenario(seed=3), False),
+    (lambda: signal_scenario(n_candidates=40, seed=5), True),
+    (lambda: wide_vocab_config(20, 7), True),
+], ids=["reference", "signal", "wide-vocab"])
+def test_generated_tweets_carry_the_hashtags_and_mentions_their_text_gives(make, planted_mentions):
+    """`generate` hands each tweet its hashtags and mentions; deriving them
+    from the text must give the same."""
+    tweets = generate(make()).tweets
+    if planted_mentions:  # mentions and joint tweets are written
+        assert any(t.mentions for t in tweets) and any(len(t.hashtags) == 2 for t in tweets)
+    for tweet in tweets:
+        assert tweet.hashtags == tuple(extract_hashtags(tweet.text)), tweet
+        assert tweet.mentions == tuple(extract_mentions(tweet.text)), tweet
 
 
 def test_plant_display_forms():
@@ -216,7 +260,8 @@ def test_co_occurrence_is_carved_out_not_added():
     # round(0.5 * min) joint tweets per pre month
     t0 = index.first_seen("snowday")
     window = observation_window(t0, 6)
-    assert collocation_frequency(index.tweets_between("snow", *window), "day") == 0 + 2 + 2
+    snow, day = (index.positions_between(tag, *window) for tag in ("snow", "day"))
+    assert collocation_frequency(snow, day) == 0 + 2 + 2
 
 
 def test_user_pools_and_retweets_respond_to_knobs():
@@ -232,7 +277,8 @@ def test_user_pools_and_retweets_respond_to_knobs():
     index = CorpusIndex(result.tweets)
     t0 = index.first_seen("snowday")
     window = observation_window(t0, 6)
-    snow_tweets = index.tweets_between("snow", *window)
+    tweets = index.tweets
+    snow_tweets = [tweets[p] for p in index.positions_between("snow", *window)]
     users = {t.user_id for t in snow_tweets}
     assert any(u.startswith("uc_") for u in users)  # common pool drawn
     assert any(u.startswith("u_snow_") for u in users)  # own pool drawn
