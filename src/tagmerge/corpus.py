@@ -13,19 +13,17 @@ words come from the columns; only `tweets`, which lists every tweet, builds
 `Tweet` objects. `ingest_jsonl` checks each JSONL record and appends it to
 the columns.
 
-`CorpusIndex.save` writes the index as JSON, the interchange format, and
-then a binary `.npz` sidecar next to it (`index.json` -> `index.npz`) that
-holds what is costly to derive from the JSON: each tweet's hashtags and the
-tokenized text. `CorpusIndex.load` reads the sidecar only when it was
-written for the exact JSON bytes it finds; otherwise it rebuilds the index
-from the JSON alone, so a missing, stale or damaged sidecar never changes
-the index.
+`CorpusIndex.save` writes the index as one binary file, whatever its name
+(`tagmerge-index` version 2): an uncompressed zip of one `.npy` array per
+column, laid out in `_MEMBERS`. `CorpusIndex.load` reads the columns back
+as whole arrays and checks them as such, with no per-record parse; a
+damaged file is refused, never repaired. The corpus JSONL stays the
+human-readable record.
 """
 
 from __future__ import annotations
 
 import calendar
-import hashlib
 import json
 import logging
 import math
@@ -41,7 +39,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CorpusFormatError, decode_json
+from .errors import CorpusFormatError
 
 logger = logging.getLogger(__name__)
 
@@ -51,24 +49,32 @@ MENTION_RE = re.compile(r"@([A-Za-z0-9_]+)")
 _PUNCT = string.punctuation
 
 INDEX_FORMAT = "tagmerge-index"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
-SIDECAR_VERSION = 1
-# every member of the sidecar, each a one-dimensional array of this dtype;
-# "tags" and "vocabulary" are UTF-8 strings, each ended by a newline, which
-# neither a hashtag nor a whitespace-split token can contain
-_SIDECAR_DTYPES = {
-    "version": np.dtype(np.int64),
-    "sha256": np.dtype(np.uint8),
-    "tags": np.dtype(np.uint8),
-    "tag_ids": np.dtype(np.int32),
-    "tag_offsets": np.dtype(np.int64),
-    "vocabulary": np.dtype(np.uint8),
-    "token_ids": np.dtype(np.int32),
-    "token_offsets": np.dtype(np.int64),
-    "tagged": np.dtype(np.int32),
+# the string columns of an index file: member NAME holds the strings as one
+# UTF-8 blob, and member NAME_offsets the int64 offsets, one more than there
+# are strings, at which each starts. "ids" and "texts" hold one string per
+# tweet; the others are tables that the id columns below point into
+_STRINGS = ("ids", "texts", "users", "retweets", "mentions", "tags", "vocabulary")
+_U8, _I32, _I64 = np.dtype(np.uint8), np.dtype(np.int32), np.dtype(np.int64)
+# every member of an index file, each a one-dimensional array of this dtype;
+# tweets are in (timestamp, id) order, and the ids of tweet k in a column X_ids
+# split by X_offsets are X_ids[X_offsets[k]:X_offsets[k + 1]]
+_MEMBERS = {
+    "format": _U8, "version": _I64,  # the UTF-8 bytes of INDEX_FORMAT, [INDEX_VERSION]
+    "skipped": _I64,  # [malformed lines that ingestion skipped]
+    "timestamps": _I64,
+    **{name: _U8 for name in _STRINGS}, **{f"{name}_offsets": _I64 for name in _STRINGS},
+    # one per tweet: into "users", and into "retweets" or -1 for no retweet
+    "user_ids": _I32, "retweet_ids": _I32,
+    # into "mentions", "tags" (one per hashtag spelling) and "vocabulary"
+    "mention_ids": _I32, "mention_offsets": _I64, "tag_ids": _I32, "tag_offsets": _I64,
+    "token_ids": _I32, "token_offsets": _I64,
+    "tagged": _I32,  # positions in "token_ids" of the tokens from a '#' or '@' word
 }
-
+# the members with one entry per tweet, or one more (offsets)
+_PER_TWEET = {"user_ids": 0, "retweet_ids": 0, "ids_offsets": 1, "texts_offsets": 1,
+              "mention_offsets": 1, "tag_offsets": 1, "token_offsets": 1}
 
 # the last second of 9998 UTC: month arithmetic past a tweet (coverage end,
 # label horizons) must stay inside the years `datetime` can hold
@@ -248,14 +254,12 @@ def _check_tweet(tweet_id, timestamp, user_id, text, retweet_of, mentions) -> tu
 class CorpusIndex:
     """Immutable derived view of a tweet corpus.
 
-    The index holds its tweets sorted by (timestamp, id), as columns: an
-    int64 timestamp array; lists of ids, users, texts, retweet targets and
-    lowercased mentions; the table of distinct hashtag spellings in order of
-    first use, with each tweet's tag ids (the sidecar's layout); one run of
-    tweet positions and timestamps per canonical hashtag; and the token
-    stream. A tweet is named by its position in that order. Window reads
-    (`positions_between`, then `token_ids`, `plain_words` and `audience`)
-    come from the columns; only `tweets` builds `Tweet` objects.
+    The index holds its tweets sorted by (timestamp, id) as the columns of
+    its file (`_MEMBERS`), and derives from them one run of tweet positions
+    and timestamps per canonical hashtag. A tweet is named by its position
+    in that order. Window reads (`positions_between`, then `token_ids`,
+    `plain_words` and `audience`) come from the columns; only `tweets`
+    builds `Tweet` objects and decodes the texts.
 
     Every derived quantity is a pure function of the ordering, so identical
     inputs serialize to identical bytes. Nothing is assigned after
@@ -266,42 +270,34 @@ class CorpusIndex:
 
     def __init__(self, tweets: Iterable[Tweet], skipped: int = 0):
         ordered = sorted(tweets, key=lambda t: (t.timestamp, t.id))
-        ids = [t.id for t in ordered]
-        _check_unique(ids)
-        texts = [t.text for t in ordered]
-        columns = (
-            ids,
-            array("q", [t.timestamp for t in ordered]),
-            [t.user_id for t in ordered],
-            texts,
-            [t.retweet_of for t in ordered],
-            [t.mentions for t in ordered],
-        )
-        tags = _tag_columns(
-            [h.display for t in ordered for h in t.hashtags], [len(t.hashtags) for t in ordered]
-        )
-        self._build(columns, skipped, tags, _tokenize(texts))
+        fields = ("id", "timestamp", "user_id", "text", "retweet_of", "mentions", "hashtags")
+        *columns, hashtags = ([getattr(t, name) for t in ordered] for name in fields)
+        _check_unique(columns[0])
+        spellings = [h.display for tags in hashtags for h in tags]
+        self._set(*_encode(columns, skipped, spellings, map(len, hashtags)))
 
     @classmethod
     def _from_texts(cls, columns, skipped: int) -> "CorpusIndex":
         """The index of checked, unique columns in (timestamp, id) order,
         with hashtags and tokens derived from the texts."""
-        texts = columns[3]
-        found = list(map(HASHTAG_RE.findall, texts))
-        tags = _tag_columns(list(chain.from_iterable(found)), map(len, found))
+        found = list(map(HASHTAG_RE.findall, columns[3]))
         index = cls.__new__(cls)
-        index._build(columns, skipped, tags, _tokenize(texts))
+        index._set(*_encode(columns, skipped, list(chain.from_iterable(found)), map(len, found)))
         return index
 
-    def _build(self, columns, skipped: int, tags, tokens) -> None:
-        """Set every attribute from checked columns in (timestamp, id) order.
-
-        `tags` is `_tag_columns`' result and `tokens` is `_tokenize`'s.
-        """
-        (self._ids, self._timestamps, self._users, self._texts, self._retweets,
-         self._mentions) = columns
-        self.skipped = skipped
-        self._tag_table, self._tag_ids, self._tag_offsets = tags
+    def _set(self, members: dict, strings: dict) -> None:
+        """Set every attribute from the members of the index file (less its
+        format and version) and its string columns but the texts, decoded."""
+        self._members = members
+        self.skipped = int(members["skipped"][0])
+        self._ids = strings["ids"]
+        self._users, self._retweets, self._mentions = (
+            strings["users"], strings["retweets"], strings["mentions"])
+        self._tag_table = tuple(map(HashtagId.from_display, strings["tags"]))
+        self._vocab = tuple(strings["vocabulary"])
+        self._word_index = {w: i for i, w in enumerate(self._vocab)}
+        self._timestamps, self._tagged = members["timestamps"], members["tagged"]
+        self._token_ids, self._token_offsets = members["token_ids"], members["token_offsets"]
 
         # runs in sorted name order; a run lists, once each, the positions of
         # the tweets that use the hashtag, so it is in time order too
@@ -314,45 +310,38 @@ class CorpusIndex:
         n = max(len(self._ids), 1)
         run_of_tag = np.array([self._canonicals[h.canonical] for h in self._tag_table],
                               dtype=np.int64)
-        run_of_use = run_of_tag[np.frombuffer(self._tag_ids, dtype=np.int32)]
-        tag_counts = np.diff(np.frombuffer(self._tag_offsets, dtype=np.int64))
-        position_of_use = np.repeat(np.arange(len(self._ids), dtype=np.int64), tag_counts)
+        run_of_use = run_of_tag[members["tag_ids"]]
+        position_of_use = np.repeat(np.arange(len(self._ids), dtype=np.int64),
+                                    np.diff(members["tag_offsets"]))
         uses = np.sort(run_of_use * n + position_of_use)
         # a tweet that spells one hashtag twice uses it once
         runs, positions_in_runs = np.divmod(uses[np.diff(uses, prepend=-1) != 0], n)
         self._run_starts = np.searchsorted(runs, np.arange(len(names) + 1)).tolist()
         self._run_positions = array("q", positions_in_runs.tobytes())
-        timestamps = np.frombuffer(self._timestamps, dtype=np.int64)
-        self._run_times = timestamps[positions_in_runs].tolist()
+        self._run_times = self._timestamps[positions_in_runs].tolist()
 
         if self._ids:
-            first, last = month_of(self._timestamps[0]), month_of(self._timestamps[-1])
+            first, last = month_of(int(self._timestamps[0])), month_of(int(self._timestamps[-1]))
             self.months: tuple[str, ...] = tuple(month_range(first, last))
         else:
             self.months = ()
-
-        # all token ids in tweet order, _token_offsets[k] counting the tokens
-        # before tweet k, and the positions of those from a '#' or '@' word
-        self._vocab, self._token_ids, self._token_offsets, self._tagged = tokens
-        self._word_index = {w: i for i, w in enumerate(self._vocab)}
 
     # -- basic access -------------------------------------------------------
 
     @property
     def tweets(self) -> tuple[Tweet, ...]:
         """Every tweet in (timestamp, id) order, built anew on each read."""
-        table, tag_ids, tag_offsets = self._tag_table, self._tag_ids, self._tag_offsets
+        m = self._members
         return tuple(
-            Tweet(
-                id=self._ids[p],
-                timestamp=self._timestamps[p],
-                user_id=self._users[p],
-                text=self._texts[p],
-                retweet_of=self._retweets[p],
-                mentions=self._mentions[p],
-                hashtags=tuple(map(table.__getitem__, tag_ids[tag_offsets[p]:tag_offsets[p + 1]])),
+            Tweet(id=i, timestamp=ts, user_id=u, text=x, retweet_of=r, mentions=ms, hashtags=hs)
+            for i, ts, u, x, r, ms, hs in zip(
+                self._ids, self._timestamps.tolist(),
+                map(self._users.__getitem__, m["user_ids"].tolist()),
+                _strings(m["texts"], m["texts_offsets"]),
+                (None if k < 0 else self._retweets[k] for k in m["retweet_ids"].tolist()),
+                _runs(self._mentions, m["mention_ids"], m["mention_offsets"]),
+                _runs(self._tag_table, m["tag_ids"], m["tag_offsets"]),
             )
-            for p in range(len(self._ids))
         )
 
     def __len__(self) -> int:
@@ -366,39 +355,29 @@ class CorpusIndex:
         A text's tokens are its whitespace-split words, edge punctuation
         stripped and lowercased, dropping any left empty.
         """
-        stream, bounds = self._token_stream(positions)
-        return np.frombuffer(self._token_ids, dtype=np.int32)[stream].tolist(), bounds.tolist()
+        stream, bounds = _stream(self._token_offsets, positions)
+        return self._token_ids[stream].tolist(), bounds.tolist()
 
     def plain_words(self, positions: Sequence[int]) -> tuple[str, ...]:
         """The tokens of the tweets at these positions, in order, as words,
         without those that came from a '#' or '@' word."""
-        stream, _ = self._token_stream(positions)
-        tagged = np.frombuffer(self._tagged, dtype=np.int32)
+        stream, _ = _stream(self._token_offsets, positions)
+        tagged = self._tagged
         if len(tagged):
             nearest = tagged[np.minimum(np.searchsorted(tagged, stream), len(tagged) - 1)]
             stream = stream[nearest != stream]
-        ids = np.frombuffer(self._token_ids, dtype=np.int32)[stream].tolist()
-        return tuple(map(self._vocab.__getitem__, ids))
+        return tuple(map(self._vocab.__getitem__, self._token_ids[stream].tolist()))
 
-    def _token_stream(self, positions: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Where in the token stream the tokens of the tweets at these positions
-        lie, in order, and the bounds of each tweet's run in that list."""
-        offsets = np.frombuffer(self._token_offsets, dtype=np.int64)
-        positions = np.asarray(positions, dtype=np.int64)
-        starts = offsets[positions]
-        lengths = offsets[positions + 1] - starts
-        bounds = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=bounds[1:])
-        return np.arange(bounds[-1]) + np.repeat(starts - bounds[:-1], lengths), bounds
-
-    def audience(self, positions: Iterable[int]) -> tuple[set[str], set[str], set[str]]:
+    def audience(self, positions: Sequence[int]) -> tuple[set[str], set[str], set[str]]:
         """The distinct users, mentioned ids and retweet tweet ids of the
         tweets at these positions; a retweet is named by its own id."""
-        positions = list(positions)
-        users = set(map(self._users.__getitem__, positions))
-        mentions = set(chain.from_iterable(map(self._mentions.__getitem__, positions)))
-        retweets = {self._ids[p] for p in positions if self._retweets[p] is not None}
-        return users, mentions, retweets
+        m = self._members
+        positions = np.asarray(positions, dtype=np.int64)
+        users = set(map(self._users.__getitem__, m["user_ids"][positions].tolist()))
+        mentioned = m["mention_ids"][_stream(m["mention_offsets"], positions)[0]]
+        mentions = set(map(self._mentions.__getitem__, mentioned.tolist()))
+        retweeted = positions[m["retweet_ids"][positions] >= 0]
+        return users, mentions, set(map(self._ids.__getitem__, retweeted.tolist()))
 
     def hashtags(self) -> list[str]:
         return list(self._canonicals)
@@ -472,54 +451,18 @@ class CorpusIndex:
 
     def background_before(self, ts: int) -> tuple[np.ndarray, int]:
         """Token counts (aligned with `vocabulary`) over tweets strictly before `ts`."""
-        end = self._token_offsets[bisect_left(self._timestamps, ts)]
-        token_ids = np.frombuffer(self._token_ids, dtype=np.int32, count=end)
-        return np.bincount(token_ids, minlength=len(self._vocab)), end
+        end = int(self._token_offsets[np.searchsorted(self._timestamps, ts)])
+        return np.bincount(self._token_ids[:end], minlength=len(self._vocab)), end
 
     # -- serialization ------------------------------------------------------
 
-    def to_payload(self) -> dict:
-        fields = (self._ids, self._timestamps.tolist(), self._users, self._texts, self._retweets,
-                  self._mentions)
-        return {
-            "format": INDEX_FORMAT,
-            "version": INDEX_VERSION,
-            "skipped": self.skipped,
-            # version 1 of the format carries a count of filtered tweets; ingestion filters none
-            "filtered": 0,
-            "tweets": [
-                {"id": i, "timestamp": ts, "user": u, "text": x, "retweet_of": r,
-                 "mentions": list(m)}
-                for i, ts, u, x, r, m in zip(*fields)
-            ],
-        }
-
     def save(self, path) -> None:
-        """Write the index as JSON to `path`, then its sidecar (see `_sidecar_path`)."""
-        # one expression: the records are freed before the encode, and the
-        # text, the largest object `ingest` makes, before the sidecar
-        data = json.dumps(
-            self.to_payload(), sort_keys=True, separators=(",", ":")
-        ).encode("utf-8") + b"\n"
-        with open(path, "wb") as fh:
-            fh.write(data)
-        self._save_sidecar(_sidecar_path(path), hashlib.sha256(data).digest())
-
-    def _save_sidecar(self, path, digest: bytes) -> None:
-        """Write the sidecar for the JSON bytes whose SHA-256 is `digest`."""
-        members = {
-            "version": [SIDECAR_VERSION],
-            "sha256": np.frombuffer(digest, dtype=np.uint8),
-            "tags": _string_blob(h.display for h in self._tag_table),
-            "tag_ids": self._tag_ids,
-            "tag_offsets": self._tag_offsets,
-            "vocabulary": _string_blob(self._vocab),
-            "token_ids": self._token_ids,
-            "token_offsets": self._token_offsets,
-            "tagged": self._tagged,
-        }
+        """Write the index to `path` as one binary `tagmerge-index` version 2
+        file: an uncompressed zip of one `.npy` member per entry of `_MEMBERS`."""
+        members = {"format": np.frombuffer(INDEX_FORMAT.encode("utf-8"), dtype=np.uint8),
+                   "version": [INDEX_VERSION], **self._members}
         with zipfile.ZipFile(path, "w") as zf:
-            for name, dtype in _SIDECAR_DTYPES.items():
+            for name, dtype in _MEMBERS.items():
                 # a fixed member date keeps the bytes identical from run to run
                 info = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
                 with zf.open(info, "w") as fh:
@@ -528,67 +471,144 @@ class CorpusIndex:
 
     @classmethod
     def load(cls, path) -> "CorpusIndex":
-        """Read the index saved at `path`, with its sidecar when one fits the JSON.
-
-        Every record is checked as `Tweet` checks its fields; a bad one
-        raises CorpusFormatError naming the file.
-        """
-        with open(path, "rb") as fh:
-            data = fh.read()
-        sidecar = _read_sidecar(_sidecar_path(path), hashlib.sha256(data).digest())
-        columns, skipped, in_order = decode_json(
-            path, data, _decode_index, INDEX_FORMAT, INDEX_VERSION
-        )
-        n = len(columns[0])
-        # the sidecar follows the stored record order, and has one more tag offset than tweets
-        if sidecar is not None and not (in_order and len(sidecar[0][2]) == n + 1):
-            logger.warning("ignoring an index sidecar that does not fit the %d tweets of %s",
-                           n, path)
-            sidecar = None
-        if sidecar is None:
-            return cls._from_texts(columns, skipped)
+        """Read the index file that `save` wrote at `path`, checked as whole
+        arrays (`_check_members`); a damaged file, or one of another format or
+        version, raises CorpusFormatError naming it. Texts stay bytes until
+        `tweets` reads them."""
         index = cls.__new__(cls)
-        index._build(columns, skipped, *sidecar)
+        try:
+            members = _read_members(path)
+            index._set(members, _check_members(members))
+        # a damaged zip or member raises any of these
+        except (ValueError, EOFError, RuntimeError, zipfile.BadZipFile) as exc:
+            raise CorpusFormatError(f"{path}: {exc}") from exc
         return index
 
 
-def _decode_index(payload: dict) -> tuple[tuple, int, bool]:
-    """The columns of an index payload and its skipped count.
+def _encode(columns, skipped: int, spellings: list[str], counts: Iterable[int]):
+    """`CorpusIndex._set`'s arguments for checked, unique record columns
+    (ids, timestamps, users, texts, retweet targets, mentions) in (timestamp,
+    id) order, every hashtag spelling of the tweets in order, and the number
+    of spellings of each tweet; the token stream is derived from the texts."""
+    ids, stamps, users, texts, retweets, mentions = columns
+    tag_table, tag_ids = _table_ids(spellings)
+    user_table, user_ids = _table_ids(users)
+    retweet_table, retweet_ids = _table_ids(retweets)
+    mention_table, mention_ids = _table_ids(list(chain.from_iterable(mentions)))
+    vocab, token_ids, token_offsets, tagged = _tokenize(texts)
+    strings = {"ids": ids, "users": user_table, "retweets": retweet_table,
+               "mentions": mention_table, "tags": tag_table, "vocabulary": vocab}
+    members = {"skipped": [skipped], "timestamps": stamps, "user_ids": user_ids,
+               "retweet_ids": retweet_ids, "mention_ids": mention_ids,
+               "mention_offsets": _offsets(map(len, mentions)), "tag_ids": tag_ids,
+               "tag_offsets": _offsets(counts), "token_ids": token_ids,
+               "token_offsets": token_offsets, "tagged": tagged}
+    for name, values in (*strings.items(), ("texts", texts)):
+        members[name], members[f"{name}_offsets"] = _string_column(values)
+    members = {name: np.asarray(values, dtype=_MEMBERS[name]) for name, values in members.items()}
+    return members, strings
 
-    Every record is checked as `Tweet` checks its fields. The columns are in
-    (timestamp, id) order; the last item says whether the records were
-    stored in it.
+
+def _read_members(path) -> dict[str, np.ndarray]:
+    """Every member of the index file at `path` but its format and version,
+    each of its `_MEMBERS` dtype and one-dimensional; ValueError if the file
+    is not a `tagmerge-index` file of this version."""
+    try:
+        zf = zipfile.ZipFile(path)
+    except zipfile.BadZipFile as exc:
+        with open(path, "rb") as fh:
+            if fh.read(1) == b"{":
+                raise ValueError(
+                    f"a JSON file, as {INDEX_FORMAT} version 1 was; re-run `tagmerge ingest` "
+                    f"to write version {INDEX_VERSION}") from exc
+        raise ValueError(f"not a {INDEX_FORMAT} file: {exc}") from exc
+
+    def read(name):
+        try:
+            with zf.open(f"{name}.npy") as fh:
+                values = np.lib.format.read_array(fh, allow_pickle=False)
+        except KeyError:
+            raise ValueError(f"no member {name!r}") from None
+        if values.dtype != _MEMBERS[name] or values.ndim != 1:
+            raise ValueError(f"member {name!r} is not a 1-d {_MEMBERS[name]} array")
+        return values
+
+    with zf:
+        if read("format").tobytes() != INDEX_FORMAT.encode("utf-8"):
+            raise ValueError(f"not a {INDEX_FORMAT} file")
+        version = read("version").tolist()
+        if version != [INDEX_VERSION]:
+            raise ValueError(f"unsupported {INDEX_FORMAT} version {version}")
+        return {name: read(name) for name in _MEMBERS if name not in ("format", "version")}
+
+
+def _check_members(m: dict) -> dict[str, list[str]]:
+    """Check the members of an index file as whole arrays, and return its
+    string columns but the texts, decoded; ValueError names the first fault.
+
+    Offsets split their streams (at character starts), per tweet where they
+    are per tweet. Ids are non-empty and unique, timestamps lie in (0,
+    _MAX_TIMESTAMP], and the tweets are in (timestamp, id) order. Ids point
+    into their tables, each of which lists each string once in order of
+    first use (the vocabulary: sorted); mentions are lowercase.
     """
-    columns = ids, stamps, users, texts, retweets, mentions = [], [], [], [], [], []
-    for rec in payload["tweets"]:
-        tweet_id, timestamp, user_id, text = rec["id"], rec["timestamp"], rec["user"], rec["text"]
-        retweet_of, listed = rec.get("retweet_of"), rec.get("mentions")
-        mentions.append(_check_tweet(
-            tweet_id, timestamp, user_id, text, retweet_of, () if listed is None else listed
-        ))
-        ids.append(tweet_id)
-        stamps.append(timestamp)
-        users.append(user_id)
-        texts.append(text)
-        retweets.append(retweet_of)
-    columns, in_order = _sorted(columns)
-    _check_unique(columns[0])
-    return columns, payload.get("skipped", 0), in_order
+    n = len(m["timestamps"])
+    if len(m["skipped"]) != 1 or m["skipped"][0] < 0:
+        raise ValueError("member 'skipped' does not hold one count")
+    for name, extra in _PER_TWEET.items():
+        if len(m[name]) != n + extra:
+            raise ValueError(f"{name} do not fit the {n} tweets")
+    for name in _STRINGS:
+        blob, offsets = m[name], m[f"{name}_offsets"]
+        _check_offsets(f"{name}_offsets", offsets, len(blob))
+        if ((blob[offsets[offsets < len(blob)]] & 0xC0) == 0x80).any():
+            raise ValueError(f"{name}_offsets split a character")
+    for name in ("mention", "tag", "token"):
+        _check_offsets(f"{name}_offsets", m[f"{name}_offsets"], len(m[f"{name}_ids"]))
+    strings = {name: _strings(m[name], m[f"{name}_offsets"])
+               for name in _STRINGS if name != "texts"}
+
+    ids, stamps = strings["ids"], m["timestamps"]
+    if (np.diff(m["ids_offsets"]) == 0).any():
+        raise ValueError("tweet id must be non-empty")
+    bad = np.flatnonzero((stamps <= 0) | (stamps > _MAX_TIMESTAMP)).tolist()
+    if bad:
+        k = bad[0]
+        raise ValueError(f"tweet {ids[k]}: timestamp {stamps[k]} is not in (0, {_MAX_TIMESTAMP}]")
+    _check_unique(ids)
+    steps = np.diff(stamps)
+    late = [k for k in np.flatnonzero(steps <= 0).tolist() if steps[k] < 0 or ids[k] > ids[k + 1]]
+    if late:
+        raise ValueError(f"tweet {ids[late[0] + 1]} is out of (timestamp, id) order")
+
+    retweet_ids = m["retweet_ids"]
+    _check_ids("retweet_ids", retweet_ids, len(strings["retweets"]), low=-1)  # -1: no retweet
+    for name, table_ids in (("users", m["user_ids"]), ("retweets", retweet_ids[retweet_ids >= 0]),
+                            ("mentions", m["mention_ids"]), ("tags", m["tag_ids"])):
+        _check_table(name, strings[name], table_ids)
+    if any(mention != mention.lower() for mention in strings["mentions"]):
+        raise ValueError("a mention is not lowercase")
+    vocab = strings["vocabulary"]
+    if not all(map(str.__lt__, vocab, vocab[1:])):
+        raise ValueError("the vocabulary is not sorted and distinct")
+    _check_ids("token_ids", m["token_ids"], len(vocab))
+    _check_ids("tagged", m["tagged"], len(m["token_ids"]))
+    if (np.diff(m["tagged"]) <= 0).any():
+        raise ValueError("tag positions are not increasing")
+    return strings
 
 
-def _sorted(columns: tuple) -> tuple[tuple, bool]:
+def _sorted(columns: tuple) -> tuple:
     """Checked column lists (ids, timestamps, users, texts, retweet targets,
-    mentions) in (timestamp, id) order, the timestamps as an int64 array,
-    and whether they were in that order."""
-    ids, stamps, *rest = columns
+    mentions) in (timestamp, id) order."""
+    ids, stamps, *_ = columns
     steps = np.diff(np.array(stamps, dtype=np.int64))
     ties = np.flatnonzero(steps == 0).tolist()
-    in_order = bool((steps >= 0).all()) and all(ids[k] < ids[k + 1] for k in ties)
-    if not in_order:
-        keys = list(zip(stamps, ids))
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        ids, stamps, *rest = ([column[k] for k in order] for column in columns)
-    return (ids, array("q", stamps), *rest), in_order
+    if (steps >= 0).all() and all(ids[k] < ids[k + 1] for k in ties):
+        return columns
+    keys = list(zip(stamps, ids))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return tuple([column[k] for k in order] for column in columns)
 
 
 def _check_unique(ids: list[str]) -> None:
@@ -601,20 +621,22 @@ def _check_unique(ids: list[str]) -> None:
             seen.add(tweet_id)
 
 
-def _tag_columns(spellings: list[str], counts: Iterable[int]) -> tuple[tuple, array, array]:
-    """The tag table and tag ids of every hashtag spelling of the tweets, in order.
-
-    `counts` gives each tweet's number of spellings. The table holds each
-    distinct spelling once, in order of first use; the ids of tweet k are
-    tag_ids[tag_offsets[k]:tag_offsets[k + 1]].
-    """
-    table = {s: k for k, s in enumerate(dict.fromkeys(spellings))}
-    tag_ids = array("i", map(table.__getitem__, spellings))
-    offsets = array("q", accumulate(counts, initial=0))
-    return tuple(map(HashtagId.from_display, table)), tag_ids, offsets
+def _table_ids(values: list) -> tuple[list, np.ndarray]:
+    """Each distinct value but None once, in order of first use, and the id
+    of every value in that table; None has -1."""
+    table = dict.fromkeys(values)
+    table.pop(None, None)
+    ids = {value: k for k, value in enumerate(table)}
+    ids[None] = -1
+    return list(table), np.fromiter(map(ids.__getitem__, values), dtype=np.int32, count=len(values))
 
 
-def _tokenize(texts: Iterable[str]) -> tuple[tuple[str, ...], array, array, array]:
+def _offsets(counts: Iterable[int]) -> np.ndarray:
+    """The running sum of `counts`, from 0: one more entry than there are counts."""
+    return np.fromiter(accumulate(counts, initial=0), dtype=np.int64)
+
+
+def _tokenize(texts: Iterable[str]) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
     """The vocabulary and token stream of the texts.
 
     A text's tokens are its whitespace-split words, edge punctuation
@@ -646,79 +668,44 @@ def _tokenize(texts: Iterable[str]) -> tuple[tuple[str, ...], array, array, arra
     vocab = tuple(sorted(first_ids))
     rank = np.empty(len(vocab), dtype=np.int32)
     rank[[first_ids[w] for w in vocab]] = np.arange(len(vocab), dtype=np.int32)
-    return vocab, array("i", rank[np.asarray(ids, dtype=np.intp)].tobytes()), offsets, tagged
+    return (vocab, rank[np.asarray(ids, dtype=np.intp)], np.asarray(offsets, dtype=np.int64),
+            np.asarray(tagged, dtype=np.int32))
 
 
-def _sidecar_path(index_path) -> str:
-    """Path of the sidecar of the index JSON at `index_path`: `index.json` -> `index.npz`."""
-    return str(index_path).removesuffix(".json") + ".npz"
+def _stream(offsets: np.ndarray, positions: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Where in a per-tweet stream split by `offsets` the entries of the
+    tweets at these positions lie, in order, and the bounds of each tweet's
+    run in that list."""
+    positions = np.asarray(positions, dtype=np.int64)
+    starts = offsets[positions]
+    lengths = offsets[positions + 1] - starts
+    bounds = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=bounds[1:])
+    return np.arange(bounds[-1]) + np.repeat(starts - bounds[:-1], lengths), bounds
 
 
-def _string_blob(strings: Iterable[str]) -> np.ndarray:
-    return np.frombuffer("".join(s + "\n" for s in strings).encode("utf-8"), dtype=np.uint8)
+def _runs(table: Sequence, ids: np.ndarray, offsets: np.ndarray) -> list[tuple]:
+    """Each tweet's run of `ids`, split by `offsets`, as a tuple of table entries."""
+    values, bounds = list(map(table.__getitem__, ids.tolist())), offsets.tolist()
+    return [tuple(values[i:j]) for i, j in zip(bounds, bounds[1:])]
 
 
-def _read_sidecar(path, digest: bytes):
-    """(`_tag_columns` result, `_tokenize` result) from the sidecar at `path`.
+def _string_column(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The strings as one UTF-8 blob and the offsets at which each starts.
 
-    None when the file is missing, unreadable or damaged, of another layout
-    version, or written for other JSON bytes than those whose SHA-256 is
-    `digest`; the index is then built from its JSON alone.
+    Lone surrogates, which a JSON string may hold, are kept as they are.
     """
-    arrays = {}
-    try:
-        with zipfile.ZipFile(path) as zf:
-            for name, dtype in _SIDECAR_DTYPES.items():
-                with zf.open(f"{name}.npy") as fh:
-                    arrays[name] = np.lib.format.read_array(fh, allow_pickle=False)
-                if arrays[name].dtype != dtype or arrays[name].ndim != 1:
-                    raise ValueError(f"member {name!r} is not a 1-d {dtype} array")
-        if arrays["version"].tolist() != [SIDECAR_VERSION]:
-            raise ValueError(f"layout version {arrays['version'].tolist()}, not {SIDECAR_VERSION}")
-        if arrays["sha256"].tobytes() != digest:
-            logger.info("ignoring stale index sidecar %s", path)
-            return None
-        return _sidecar_contents(arrays)
-    except FileNotFoundError:
-        return None
-    # a damaged zip or member raises any of these
-    except (OSError, EOFError, KeyError, RuntimeError, ValueError, zipfile.BadZipFile) as exc:
-        logger.warning("ignoring damaged index sidecar %s: %s", path, exc)
-        return None
+    blob = "".join(strings).encode("utf-8", "surrogatepass")
+    lengths = map(len, strings)
+    if len(blob) != sum(map(len, strings)):  # not all ASCII: count the bytes
+        lengths = (len(s.encode("utf-8", "surrogatepass")) for s in strings)
+    return np.frombuffer(blob, dtype=np.uint8), _offsets(lengths)
 
 
-def _sidecar_contents(arrays: dict) -> tuple[tuple, tuple]:
-    """Decode and check the sidecar's arrays; ValueError if they do not fit together."""
-    table = tuple(map(HashtagId.from_display, _blob_strings(arrays["tags"])))
-    vocab = tuple(_blob_strings(arrays["vocabulary"]))
-    tag_ids, tag_offsets = arrays["tag_ids"], arrays["tag_offsets"]
-    token_ids, token_offsets, tagged = arrays["token_ids"], arrays["token_offsets"], arrays["tagged"]
-    _check_offsets("tag_offsets", tag_offsets, len(tag_ids))
-    _check_offsets("token_offsets", token_offsets, len(token_ids))
-    if len(tag_offsets) != len(token_offsets):
-        raise ValueError("tag and token offsets count different tweets")
-    _check_ids("tag_ids", tag_ids, len(table))
-    _check_ids("token_ids", token_ids, len(vocab))
-    _check_ids("tagged", tagged, len(token_ids))
-    if (np.diff(tagged) <= 0).any():
-        raise ValueError("tag positions are not increasing")
-    # the index takes a hashtag's display from the first table entry that spells it;
-    # in order of first use, each id is at most one above every id before it
-    highest = np.maximum.accumulate(np.concatenate(([-1], tag_ids)))
-    if (len(set(table)) != len(table) or (tag_ids > highest[:-1] + 1).any()
-            or highest[-1] + 1 != len(table)):
-        raise ValueError("the tag table does not list each spelling once, in order of first use")
-    tags = (table, array("i", tag_ids.tobytes()), array("q", tag_offsets.tobytes()))
-    tokens = (vocab, array("i", token_ids.tobytes()), array("q", token_offsets.tobytes()),
-              array("i", tagged.tobytes()))
-    return tags, tokens
-
-
-def _blob_strings(blob: np.ndarray) -> list[str]:
-    text = blob.tobytes().decode("utf-8")
-    if text and not text.endswith("\n"):
-        raise ValueError("a string table does not end with a newline")
-    return text.split("\n")[:-1]
+def _strings(blob: np.ndarray, offsets: np.ndarray) -> list[str]:
+    """The strings of a column that `_string_column` wrote."""
+    data, bounds = blob.tobytes(), offsets.tolist()
+    return [data[i:j].decode("utf-8", "surrogatepass") for i, j in zip(bounds, bounds[1:])]
 
 
 def _check_offsets(name: str, offsets: np.ndarray, total: int) -> None:
@@ -726,10 +713,20 @@ def _check_offsets(name: str, offsets: np.ndarray, total: int) -> None:
         raise ValueError(f"{name} do not split {total} entries")
 
 
-def _check_ids(name: str, ids: np.ndarray, bound: int) -> None:
-    if len(ids) and (ids.min() < 0 or ids.max() >= bound):
-        raise ValueError(f"{name} out of range [0, {bound})")
+def _check_ids(name: str, ids: np.ndarray, bound: int, low: int = 0) -> None:
+    if len(ids) and (ids.min() < low or ids.max() >= bound):
+        raise ValueError(f"{name} out of range [{low}, {bound})")
 
+
+def _check_table(name: str, table: list[str], ids: np.ndarray) -> None:
+    """ValueError unless `ids` point into `table`, which lists each string
+    once, in order of first use in `ids`, and no string that `ids` leave unused."""
+    _check_ids(f"ids into {name}", ids, len(table))
+    # in order of first use, each id is at most one above every id before it
+    highest = np.maximum.accumulate(np.concatenate(([-1], ids)))
+    if (len(set(table)) != len(table) or (ids > highest[:-1] + 1).any()
+            or highest[-1] + 1 != len(table)):
+        raise ValueError(f"the {name} table does not list each string once, in order of first use")
 
 
 def _parse_timestamp(value) -> int:
@@ -807,4 +804,4 @@ def ingest_jsonl(path, max_malformed_fraction: float = 0.5) -> CorpusIndex:
         )
     if malformed:
         logger.info("ingested %s: %d tweets, %d malformed lines skipped", path, len(ids), malformed)
-    return CorpusIndex._from_texts(_sorted(columns)[0], malformed)
+    return CorpusIndex._from_texts(_sorted(columns), malformed)

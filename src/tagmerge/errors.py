@@ -25,6 +25,11 @@ class InsufficientHistoryError(TagmergeError):
     """
 
 
+class SplitError(TagmergeError):
+    """Raised when the rows cannot be split as asked: a test fraction outside
+    (0, 1), fewer than 2 folds, or a class with fewer rows than folds."""
+
+
 def read_tsv(path, columns, header=False):
     """Yield `(where, cells)` for each non-blank line of the tab-separated file `path`.
 
@@ -49,13 +54,7 @@ def read_tsv(path, columns, header=False):
 
 
 def read_json(path, decode, fmt=None, version=None):
-    """`decode(payload)` of the JSON object stored in `path`; see `decode_json`."""
-    with open(path, "rb") as fh:
-        return decode_json(path, fh.read(), decode, fmt, version)
-
-
-def decode_json(path, data: bytes, decode, fmt=None, version=None):
-    """`decode(payload)` of the JSON object held in `data`, the bytes of `path`.
+    """`decode(payload)` of the JSON object stored in `path`.
 
     Raises CorpusFormatError naming the file when it is not UTF-8 JSON,
     holds no object, carries another `format` or `version` than the given
@@ -64,6 +63,8 @@ def decode_json(path, data: bytes, decode, fmt=None, version=None):
     guarded, so a fault in the code that uses its result still surfaces as
     itself.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
         payload = json.loads(data.decode("utf-8"))
     except ValueError as exc:

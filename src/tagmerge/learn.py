@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import dataclass_fields, read_json
+from .errors import SplitError, dataclass_fields, read_json
 from .features import (
     NE_SLOT_NAMES, POS_SLOT_NAMES, FeatureSchema, FeatureVector, ZoneCombo, derive_combo_schema,
     read_feature_csv,
@@ -594,13 +594,13 @@ def stratified_folds(labels, n_folds: int, seed: int = 0) -> list[np.ndarray]:
     """Seeded stratified partition; fold sizes differ by at most one."""
     labels = np.asarray(labels, dtype=int)
     if n_folds < 2:
-        raise ValueError("need at least 2 folds")
+        raise SplitError(f"need at least 2 folds, got {n_folds}")
     classes, counts = distinct(labels)
     if len(classes) < 2:
         raise ValueError("dataset holds a single class")
     for cls, count in zip(classes, counts):
         if count < n_folds:
-            raise ValueError(f"cannot make {n_folds} folds: class {cls} has {count} rows")
+            raise SplitError(f"cannot make {n_folds} folds: class {cls} has {count} rows")
     rng = np.random.default_rng(seed)
     folds: list[list[int]] = [[] for _ in range(n_folds)]
     for ci, cls in enumerate(classes):
@@ -728,7 +728,7 @@ def holdout_evaluate(
 ) -> EvalReport:
     """Stratified train/test split evaluation (9:1 by default)."""
     if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be in (0, 1)")
+        raise SplitError(f"test_fraction must be in (0, 1), got {test_fraction}")
     config = config or TrainConfig()
     labels = dataset.labels
     classes, _ = distinct(labels)

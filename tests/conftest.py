@@ -2,6 +2,7 @@
 
 import calendar
 
+import numpy as np
 import pytest
 
 from tagmerge.corpus import Tweet
@@ -27,6 +28,26 @@ def make_tweet(text, ts, user="u1", tid=None, retweet_of=None, mentions=None):
         retweet_of=retweet_of,
         mentions=mentions,
     )
+
+
+def rewrite_index(path, **members):
+    """Rewrite the index file at `path` with some members replaced, or dropped when None."""
+    with np.load(path) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    for name, value in members.items():
+        if value is None:
+            del arrays[name]
+        else:
+            arrays[name] = value
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def string_members(name, strings):
+    """The members of an index file's string column `name` holding `strings`."""
+    encoded = [s.encode("utf-8") for s in strings]
+    return {name: np.frombuffer(b"".join(encoded), dtype=np.uint8),
+            f"{name}_offsets": np.cumsum([0] + [len(e) for e in encoded], dtype=np.int64)}
 
 
 @pytest.fixture

@@ -9,12 +9,13 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tagmerge import cli, compound, corpus, learn, synth
 from tagmerge.corpus import CorpusIndex, Tweet
 
-from conftest import utc
+from conftest import rewrite_index, string_members, utc
 
 from test_analysis import read_ranking_tsv
 
@@ -93,43 +94,52 @@ def test_missing_required_option_names_it(capsys):
     assert "--index" in capsys.readouterr().err
 
 
-# A value the index decoder rejects, set on the first of two tweets: the key,
-# the value, and what the error says.
+# A damage the index load refuses, planted in the saved index of two tweets,
+# t1 and then t2, none a retweet and none with mentions: the members it
+# replaces, and what the error says. A value of the wrong type is a member
+# of the wrong dtype.
 BAD_INDEX_VALUES = {
-    "float-timestamp": ("timestamp", 1300000000.5, "timestamp must be an integer"),
-    "string-timestamp": ("timestamp", "1300000000", "timestamp must be an integer"),
-    "zero-timestamp": ("timestamp", 0, "timestamp must be strictly positive"),
-    # past the years `datetime` holds, and past int64
-    "year-3170843-timestamp": ("timestamp", 100000000000000, "is after 253370764799"),
-    "int64-overflow-timestamp": ("timestamp", 100000000000000000000, "is after 253370764799"),
-    "empty-id": ("id", "", "tweet id must be non-empty"),
-    "duplicate-id": ("id", "t2", "duplicate tweet id 't2'"),
-    "mentions-string": ("mentions", "bob", "mentions must be a list of strings"),
-    "retweet-of-number": ("retweet_of", 5, "retweet_of must be a string or null"),
+    "float-timestamp": ({"timestamps": np.array([1300000000.5, 1300000100.0])},
+                        "member 'timestamps' is not a 1-d int64 array"),
+    "string-timestamp": ({"timestamps": np.array(["1300000000", "1300000100"])},
+                         "member 'timestamps' is not a 1-d int64 array"),
+    "zero-timestamp": ({"timestamps": np.array([0, 1300000100])},
+                       "tweet t1: timestamp 0 is not in (0, 253370764799]"),
+    # past the years `datetime` holds, and past int64, which no int64 member holds
+    "year-3170843-timestamp": ({"timestamps": np.array([100000000000000, 1300000100])},
+                               "tweet t1: timestamp 100000000000000 is not in (0, 253370764799]"),
+    "int64-overflow-timestamp": ({"timestamps": np.array([2**63, 1300000100], dtype=np.uint64)},
+                                 "member 'timestamps' is not a 1-d int64 array"),
+    "empty-id": (string_members("ids", ["", "t2"]), "tweet id must be non-empty"),
+    "duplicate-id": (string_members("ids", ["t2", "t2"]), "duplicate tweet id 't2'"),
+    "mentions-string": ({"mention_ids": np.array(["bob"])},
+                        "member 'mention_ids' is not a 1-d int32 array"),
+    "retweet-of-number": ({"retweet_ids": np.array([5, -1], dtype=np.int32)},
+                          "retweet_ids out of range [-1, 0)"),
+    "uppercase-mention": ({**string_members("mentions", ["Bob"]),
+                           "mention_ids": np.array([0], dtype=np.int32),
+                           "mention_offsets": np.array([0, 1, 1])}, "a mention is not lowercase"),
+    "out-of-order": ({"timestamps": np.array([1300000100, 1300000000])},
+                     "tweet t2 is out of (timestamp, id) order"),
 }
 
 
 @pytest.mark.parametrize("sidecar", [False, True], ids=["json-only", "sidecar"])
 @pytest.mark.parametrize("damage", list(BAD_INDEX_VALUES))
-def test_index_with_a_bad_value_exits_one_naming_the_file(
-    damage, sidecar, tmp_path, monkeypatch, capsys
-):
+def test_index_with_a_bad_value_exits_one_naming_the_file(damage, sidecar, tmp_path, capsys):
+    """The ids "json-only" and "sidecar" are those of the two-file format.
+    With "sidecar", an undamaged index lies beside the damaged one under the
+    sidecar's old name, `index.npz`, and the load must not take it."""
     path = tmp_path / "index.json"
     index = CorpusIndex([
         Tweet(id="t1", timestamp=1300000000, user_id="u", text="#a hi"),
         Tweet(id="t2", timestamp=1300000100, user_id="u", text="#b ho"),
     ])
     index.save(path)
-    key, value, message = BAD_INDEX_VALUES[damage]
-    payload = json.loads(path.read_text())
-    payload["tweets"][0][key] = value
-    path.write_text(json.dumps(payload))
     if sidecar:
-        # a sidecar written for the damaged bytes, so the load takes its path
-        index._save_sidecar(tmp_path / "index.npz", hashlib.sha256(path.read_bytes()).digest())
-        monkeypatch.setattr(corpus, "extract_hashtags", _never)
-    else:
-        (tmp_path / "index.npz").unlink()
+        index.save(tmp_path / "index.npz")
+    members, message = BAD_INDEX_VALUES[damage]
+    rewrite_index(path, **members)
     assert cli.main(["detect", "--index", str(path), "--out", str(tmp_path / "c.tsv")]) == 1
     err = capsys.readouterr().err
     assert f"{path}: " in err
@@ -137,11 +147,8 @@ def test_index_with_a_bad_value_exits_one_naming_the_file(
     assert not (tmp_path / "c.tsv").exists()
 
 
-def _never(*args, **kwargs):
-    raise AssertionError("the index sidecar was not used")
-
-
 def test_ingest_writes_the_same_index_and_sidecar_bytes_every_run(scen_dir, tmp_path, monkeypatch):
+    """Named for the two-file format; ingest now writes one file."""
     first, second = tmp_path / "a", tmp_path / "b"
 
     def ingest(out):
@@ -153,12 +160,10 @@ def test_ingest_writes_the_same_index_and_sidecar_bytes_every_run(scen_dir, tmp_
     real_time = time.time
     monkeypatch.setattr(time, "time", lambda: real_time() + 86400)
     ingest(second)
-    assert sorted(p.name for p in second.iterdir()) == ["index.json", "index.npz"]
-    for name in ("index.json", "index.npz"):
-        assert (first / name).read_bytes() == (second / name).read_bytes(), name
-    # the sidecar leaves every byte of the JSON as it was
+    assert [p.name for p in second.iterdir()] == ["index.json"]
+    assert (first / "index.json").read_bytes() == (second / "index.json").read_bytes()
     digest = hashlib.sha256((first / "index.json").read_bytes()).hexdigest()
-    assert digest == "a2dc4972edb6c183f778bc2b0d0a7bd14b39641ed7ac07f3626b0c73459191d0"
+    assert digest == "4c34aa7e8608c86ec0f75b0ec7433c2f3a62782d8d22e5b7bbded8780e125565"
 
 
 def test_internal_errors_exit_two(monkeypatch, capsys):
@@ -235,11 +240,12 @@ def _null(key):
 DAMAGED_ARTIFACTS = {
     "index": (
         ["detect", "--index", "FILE", "--out", "OUT"],
+        # the index is binary: its damages are members replaced, or dropped when None
         {
-            "no-text": _drop("tweets", 0, "text"),
-            "null-tweets": _null("tweets"),
-            "number-mention": _put([5], "tweets", 0, "mentions"),
-            "number-user": _put(7, "tweets", 0, "user"),
+            "no-text": {"texts": None},
+            "null-tweets": {"timestamps": np.array([], dtype=np.int64)},
+            "number-mention": {"mention_ids": np.array([5.0])},
+            "number-user": {"user_ids": np.array([7.0])},
         },
     ),
     "sidecar": (
@@ -295,7 +301,10 @@ def test_damaged_json_artifact_exits_one_naming_the_file(
     if damage == "not-json":
         path.write_text("{not json")
     elif damage == "list":
-        path.write_text(json.dumps([json.loads(good.read_text())]))
+        path.write_text(json.dumps([] if artifact == "index" else [json.loads(good.read_text())]))
+    elif artifact == "index":
+        path.write_bytes(good.read_bytes())
+        rewrite_index(path, **damages[damage])
     else:
         payload = json.loads(good.read_text())
         damages[damage](payload)
@@ -454,7 +463,6 @@ def test_ingest_and_featurize_build_no_tweet_objects(staged, feature_csv, tmp_pa
     index = tmp_path / "index.json"
     assert cli.main(["ingest", "--corpus", str(staged["scen"]["corpus"]), "--out", str(index)]) == 0
     assert index.read_bytes() == staged["index"].read_bytes()
-    assert (tmp_path / "index.npz").read_bytes() == staged["index"].with_suffix(".npz").read_bytes()
     monkeypatch.setattr(corpus, "_tokenize", never)
     out = tmp_path / "feats.csv"
     assert cli.main(featurize_args(staged, out)) == 0
@@ -600,6 +608,28 @@ def test_evaluate_cv_writes_identical_reports(feature_csv, tmp_path, capsys):
     assert payload["protocol"]["folds"] == 3
     out = capsys.readouterr().out
     assert "accuracy" in out
+
+
+# Splits that the rows of a feature file cannot take: the command line and
+# what the error says.
+BAD_SPLITS = {
+    "one-fold": (["evaluate", "cv", "--folds", "1"], "need at least 2 folds, got 1"),
+    "more-folds-than-rows": (["evaluate", "cv", "--folds", "1000"], "cannot make 1000 folds: class"),
+    "ablate-one-fold": (["ablate", "--folds", "1"], "need at least 2 folds, got 1"),
+    "test-fraction-one": (["evaluate", "holdout", "--test-fraction", "1"],
+                          "test_fraction must be in (0, 1), got 1.0"),
+    "negative-test-fraction": (["evaluate", "holdout", "--test-fraction", "-0.5"],
+                               "test_fraction must be in (0, 1), got -0.5"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SPLITS)
+def test_a_split_the_rows_cannot_take_exits_one(case, feature_csv, tmp_path, capsys):
+    argv, message = BAD_SPLITS[case]
+    out = tmp_path / "report.json"
+    assert cli.main([*argv, "--features", str(feature_csv), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evaluate_holdout_and_model_choice(feature_csv, tmp_path, capsys):

@@ -1,12 +1,11 @@
 """Calendar arithmetic, tokenization, and the timeline index."""
 
-import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from tagmerge import corpus
+from tagmerge import cli, corpus
 from tagmerge.corpus import (
     CorpusIndex,
     HashtagId,
@@ -23,7 +22,7 @@ from tagmerge.corpus import (
 )
 from tagmerge.errors import CorpusFormatError
 
-from conftest import make_tweet, utc
+from conftest import make_tweet, rewrite_index, string_members, utc
 from oracles import tokenize
 
 
@@ -325,15 +324,35 @@ def test_index_save_load_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_empty_corpus_round_trip(tmp_path):
+    path = tmp_path / "index.json"
+    CorpusIndex([], skipped=3).save(path)
+    with np.load(path) as npz:
+        assert [name for name in npz.files if len(npz[name]) == 0] == [
+            "timestamps", "ids", "texts", "users", "retweets", "mentions", "tags", "vocabulary",
+            "user_ids", "retweet_ids", "mention_ids", "tag_ids", "token_ids", "tagged"]
+    loaded = CorpusIndex.load(path)
+    assert (len(loaded), loaded.skipped, loaded.months, loaded.tweets) == (0, 3, (), ())
+    assert (loaded.hashtags(), loaded.vocabulary, loaded.background_before(utc(2011, 6, 1))[1]) == (
+        [], (), 0)
+    loaded.save(tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
 def test_index_load_rejects_foreign_payload(tmp_path):
     path = tmp_path / "bogus.json"
     path.write_text(json.dumps({"format": "something-else", "tweets": []}))
     with pytest.raises(CorpusFormatError):
         CorpusIndex.load(path)
+    # a zip of arrays, but not an index
+    with open(path, "wb") as fh:
+        np.savez(fh, format=np.frombuffer(b"something-else", dtype=np.uint8))
+    with pytest.raises(CorpusFormatError, match="not a tagmerge-index file"):
+        CorpusIndex.load(path)
 
 
 # ---------------------------------------------------------------------------
-# the binary sidecar
+# the index file
 
 
 def sidecar_corpus():
@@ -459,21 +478,23 @@ def query_oracle(tweets, tags, seed):
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_loads_and_built_index_agree_on_random_corpora(seed, tmp_path, monkeypatch):
+def test_loads_and_built_index_agree_on_random_corpora(seed, tmp_path):
     tweets = random_corpus(seed)
     index = CorpusIndex(tweets)
     path = tmp_path / "index.json"
     index.save(path)
     expect = index_view(index) | query_view(index, seed)
-    for loaded in (CorpusIndex.load(path), load_json_only(path, monkeypatch)):
-        assert index_view(loaded) | query_view(loaded, seed) == expect
-    # records stored out of (timestamp, id) order, with a sidecar for those bytes
-    payload = json.loads(path.read_text())
-    np.random.default_rng(seed).shuffle(payload["tweets"])
-    path.write_text(json.dumps(payload))
-    index._save_sidecar(tmp_path / "index.npz", hashlib.sha256(path.read_bytes()).digest())
-    shuffled = CorpusIndex.load(path)
-    assert index_view(shuffled) | query_view(shuffled, seed) == expect
+    loaded = CorpusIndex.load(path)
+    assert index_view(loaded) | query_view(loaded, seed) == expect
+    # the index of the loaded tweets writes the same bytes
+    CorpusIndex(loaded.tweets).save(tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+    # tweets stored out of (timestamp, id) order make a damaged file, not one to sort
+    with np.load(path) as npz:
+        stamps = npz["timestamps"]
+    rewrite_index(path, timestamps=stamps[::-1])
+    with pytest.raises(CorpusFormatError, match=r"out of \(timestamp, id\) order"):
+        CorpusIndex.load(path)
 
     windows, background = query_oracle(tweets, index.hashtags(), seed)
     assert expect["windows"] == windows
@@ -482,13 +503,9 @@ def test_loads_and_built_index_agree_on_random_corpora(seed, tmp_path, monkeypat
     assert sorted({h.canonical for t in tweets for h in t.hashtags}) == index.hashtags()
 
 
-def load_json_only(path, monkeypatch):
-    with monkeypatch.context() as m:
-        m.setattr(corpus, "_read_sidecar", lambda *args: None)
-        return CorpusIndex.load(path)
-
-
-def test_sidecar_load_equals_json_load_and_built_index(tmp_path, monkeypatch):
+def test_sidecar_load_equals_json_load_and_built_index(tmp_path):
+    """Named for the two-file format; the one file holds what its JSON and
+    its sidecar held, and nothing is written beside it."""
     index = sidecar_corpus()
     tweets = {t.id: t for t in index.tweets}
     positions = {t.id: p for p, t in enumerate(index.tweets)}
@@ -497,10 +514,8 @@ def test_sidecar_load_equals_json_load_and_built_index(tmp_path, monkeypatch):
     assert words_at(index, positions["s5"]) == [] == words_at(index, positions["s6"])
     path = tmp_path / "index.json"
     index.save(path)
-    assert (tmp_path / "index.npz").is_file()
-    with_sidecar = CorpusIndex.load(path)
-    json_only = load_json_only(path, monkeypatch)
-    assert index_view(with_sidecar) == index_view(json_only) == index_view(index)
+    assert [p.name for p in tmp_path.iterdir()] == ["index.json"]
+    assert index_view(CorpusIndex.load(path)) == index_view(index)
 
 
 def test_fresh_sidecar_is_used_without_tagging_or_tokenizing(tmp_path, monkeypatch):
@@ -509,23 +524,25 @@ def test_fresh_sidecar_is_used_without_tagging_or_tokenizing(tmp_path, monkeypat
     index.save(path)
 
     def never(*args, **kwargs):
-        raise AssertionError("the load derived what the sidecar holds")
+        raise AssertionError("the load derived what the file holds")
 
-    monkeypatch.setattr(corpus, "extract_hashtags", never)
-    monkeypatch.setattr(corpus, "_tokenize", never)
+    for name in ("extract_hashtags", "_table_ids", "_tokenize", "_encode"):
+        monkeypatch.setattr(corpus, name, never)
     assert index_view(CorpusIndex.load(path)) == index_view(index)
 
 
-def _rewrite_sidecar(path, **members):
-    """Rewrite the sidecar with some members replaced, or dropped when None."""
-    with np.load(path) as npz:
-        arrays = {name: npz[name] for name in npz.files}
-    for name, value in members.items():
-        if value is None:
-            del arrays[name]
-        else:
-            arrays[name] = value
-    np.savez(path, **arrays)
+def test_load_never_calls_json(tmp_path, monkeypatch):
+    index = sidecar_corpus()
+    path = tmp_path / "index.json"
+    index.save(path)
+
+    def never(*args, **kwargs):
+        raise AssertionError("the load parsed JSON")
+
+    for owner, name in ((json, "loads"), (json, "load"), (json.JSONDecoder, "decode"),
+                        (json.JSONDecoder, "raw_decode")):
+        monkeypatch.setattr(owner, name, never)
+    assert index_view(CorpusIndex.load(path)) == index_view(index)
 
 
 def _flip_token_byte(path):
@@ -536,52 +553,113 @@ def _flip_token_byte(path):
     path.write_bytes(bytes(data))
 
 
+def _read_strings(path, name):
+    with np.load(path) as npz:
+        blob, offsets = npz[name].tobytes(), npz[f"{name}_offsets"].tolist()
+    return [blob[i:j].decode() for i, j in zip(offsets, offsets[1:])]
+
+
 def _swap_first_two_tags(path):
     """The same spellings for every tweet, but a table not in order of first use."""
-    with np.load(path) as npz:
-        tags, tag_ids = npz["tags"].tobytes().decode().split("\n"), npz["tag_ids"]
+    tags = _read_strings(path, "tags")
     tags[0], tags[1] = tags[1], tags[0]
+    tag_ids = np.load(path)["tag_ids"]
     swapped = np.choose((tag_ids == 0) + 2 * (tag_ids == 1), [tag_ids, 1, 0]).astype(np.int32)
-    blob = np.frombuffer("\n".join(tags).encode(), dtype=np.uint8)
-    _rewrite_sidecar(path, tags=blob, tag_ids=swapped)
+    rewrite_index(path, **string_members("tags", tags), tag_ids=swapped)
 
 
-def _stale(json_path, sidecar):
-    payload = json.loads(json_path.read_text())
-    payload["tweets"][0]["text"] = "#Zz replaces #ab here"
-    json_path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+def _member(path, name):
+    with np.load(path) as npz:
+        return npz[name]
 
 
+def _stale(path):
+    """A texts column written for other tweets: one more than the index holds."""
+    texts = [t.text for t in sidecar_corpus().tweets] + ["#Zz replaces #ab here"]
+    rewrite_index(path, **string_members("texts", texts))
+
+
+# Each damage that made the two-file format ignore its sidecar and rebuild
+# from the JSON, planted in the one file, and what the refusal says.
 SIDECAR_DAMAGES = {
-    "stale": _stale,
-    "empty": lambda _, sidecar: sidecar.write_bytes(b""),
-    "truncated": lambda _, sidecar: sidecar.write_bytes(sidecar.read_bytes()[:-40]),
-    "bad-crc": lambda _, sidecar: _flip_token_byte(sidecar),
-    "missing-member": lambda _, sidecar: _rewrite_sidecar(sidecar, tagged=None),
-    "other-version": lambda _, sidecar: _rewrite_sidecar(sidecar, version=np.array([2])),
-    "wrong-dtype": lambda _, sidecar: _rewrite_sidecar(
-        sidecar, token_ids=np.load(sidecar)["token_ids"].astype(np.int64)),
-    "short-tokens": lambda _, sidecar: _rewrite_sidecar(
-        sidecar, token_ids=np.load(sidecar)["token_ids"][:-1]),
-    "short-tags": lambda _, sidecar: _rewrite_sidecar(
-        sidecar, tag_offsets=np.load(sidecar)["tag_offsets"][:-1]),
-    "one-tweet-short": lambda _, sidecar: _rewrite_sidecar(
-        sidecar, **{k: np.delete(np.load(sidecar)[k], 1) for k in ("tag_offsets", "token_offsets")}),
-    "token-out-of-range": lambda _, sidecar: _rewrite_sidecar(
-        sidecar, token_ids=np.load(sidecar)["token_ids"] + 1),
-    "tag-out-of-range": lambda _, sidecar: _rewrite_sidecar(
-        sidecar, tag_ids=np.load(sidecar)["tag_ids"] - 1),
-    "directory": lambda _, sidecar: (sidecar.unlink(), sidecar.mkdir()),
-    "tags-out-of-order": lambda _, sidecar: _swap_first_two_tags(sidecar),
+    "stale": (_stale, "texts_offsets do not fit the 7 tweets"),
+    "empty": (lambda path: path.write_bytes(b""), "not a tagmerge-index file"),
+    "truncated": (lambda path: path.write_bytes(path.read_bytes()[:-40]),
+                  "not a tagmerge-index file"),
+    "bad-crc": (_flip_token_byte, "Bad CRC-32 for file 'token_ids.npy'"),
+    "missing-member": (lambda path: rewrite_index(path, tagged=None), "no member 'tagged'"),
+    "other-version": (lambda path: rewrite_index(path, version=np.array([3])),
+                      "unsupported tagmerge-index version [3]"),
+    "wrong-dtype": (lambda path: rewrite_index(
+        path, token_ids=_member(path, "token_ids").astype(np.int64)),
+        "member 'token_ids' is not a 1-d int32 array"),
+    "short-tokens": (lambda path: rewrite_index(path, token_ids=_member(path, "token_ids")[:-1]),
+                     "token_offsets do not split"),
+    "short-tags": (lambda path: rewrite_index(path, tag_offsets=_member(path, "tag_offsets")[:-1]),
+                   "tag_offsets do not fit the 7 tweets"),
+    "one-tweet-short": (lambda path: rewrite_index(path, **{
+        k: np.delete(_member(path, k), 1) for k in ("tag_offsets", "token_offsets")}),
+        "tag_offsets do not fit the 7 tweets"),
+    "token-out-of-range": (lambda path: rewrite_index(
+        path, token_ids=_member(path, "token_ids") + 1), "token_ids out of range"),
+    "tag-out-of-range": (lambda path: rewrite_index(path, tag_ids=_member(path, "tag_ids") - 1),
+                         "ids into tags out of range"),
+    "directory": (lambda path: (path.unlink(), path.mkdir()), "Is a directory"),
+    "tags-out-of-order": (_swap_first_two_tags,
+                          "the tags table does not list each string once, in order of first use"),
 }
 
 
-@pytest.mark.parametrize("damage", list(SIDECAR_DAMAGES))
-def test_stale_or_damaged_sidecar_falls_back_to_the_json(damage, tmp_path, monkeypatch):
-    path, sidecar = tmp_path / "index.json", tmp_path / "index.npz"
+def _split_a_character(path):
+    """Tweet s4's text starting inside the two bytes of s3's 'é'."""
+    blob, offsets = _member(path, "texts").tobytes(), _member(path, "texts_offsets")
+    offsets[3] = blob.index("é".encode()) + 1
+    rewrite_index(path, texts_offsets=offsets)
+
+
+# Damages with no counterpart in the two-file format, and what the refusal says.
+INDEX_DAMAGES = {
+    "version-1-json": (
+        lambda path: path.write_text(
+            '{"filtered":0,"format":"tagmerge-index","skipped":0,"tweets":[],"version":1}\n'),
+        "re-run `tagmerge ingest` to write version 2"),
+    "tie-out-of-order": (lambda path: rewrite_index(path, **string_members(
+        "ids", ["s1", "s3", "s2", "s4", "s5", "s6", "s7"])), "tweet s2 is out of (timestamp, id) order"),
+    "uppercase-mention": (lambda path: rewrite_index(path, **string_members(
+        "mentions", ["Alice", "bob"])), "a mention is not lowercase"),
+    "unused-user": (lambda path: rewrite_index(path, **string_members("users", ["u1", "u2"])),
+                    "the users table does not list each string once"),
+    "unsorted-vocabulary": (lambda path: rewrite_index(path, **string_members(
+        "vocabulary", _read_strings(path, "vocabulary")[::-1])),
+        "the vocabulary is not sorted and distinct"),
+    "text-splits-a-character": (_split_a_character, "texts_offsets split a character"),
+    "negative-skipped": (lambda path: rewrite_index(path, skipped=np.array([-1])),
+                         "member 'skipped' does not hold one count"),
+}
+
+
+def _refused(plant, message, tmp_path, capsys):
+    """Plant a damage in a saved index: `detect` exits 1 naming the file and saying `message`."""
+    path = tmp_path / "index.json"
     sidecar_corpus().save(path)
-    SIDECAR_DAMAGES[damage](path, sidecar)
-    assert index_view(CorpusIndex.load(path)) == index_view(load_json_only(path, monkeypatch))
+    plant(path)
+    assert cli.main(["detect", "--index", str(path), "--out", str(tmp_path / "c.tsv")]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert message in err
+    assert not (tmp_path / "c.tsv").exists()
+
+
+@pytest.mark.parametrize("damage", list(SIDECAR_DAMAGES))
+def test_stale_or_damaged_sidecar_falls_back_to_the_json(damage, tmp_path, capsys):
+    """Named for the two-file format, where each damage made the load fall
+    back to the JSON. Planted in the one file, each is refused."""
+    _refused(*SIDECAR_DAMAGES[damage], tmp_path, capsys)
+
+
+@pytest.mark.parametrize("damage", list(INDEX_DAMAGES))
+def test_damaged_index_exits_one_naming_the_file(damage, tmp_path, capsys):
+    _refused(*INDEX_DAMAGES[damage], tmp_path, capsys)
 
 
 # ---------------------------------------------------------------------------
@@ -707,6 +785,22 @@ def test_ingest_builds_the_index_of_the_tweets_its_records_hold(seed, tmp_path):
     assert index.skipped == len(bad)
     assert index_view(index) | query_view(index, seed) == index_view(
         CorpusIndex(tweets, skipped=len(bad))) | query_view(CorpusIndex(tweets), seed)
+
+
+def test_index_file_keeps_non_ascii_text_and_lone_surrogates(tmp_path):
+    """A JSON string may hold any code point, a lone surrogate included."""
+    path = tmp_path / "c.jsonl"
+    path.write_text(
+        '{"id": "\\u00e9t", "timestamp": 1300000000, "user": "\\ud800",'
+        ' "text": "caf\\u00e9 #Tag \\ud83d\\ude00 @B\\u00f6b \\udc80", "mentions": ["B\\u00f6b"]}\n',
+        encoding="ascii")
+    index = ingest_jsonl(path)
+    index.save(tmp_path / "index.json")
+    loaded = CorpusIndex.load(tmp_path / "index.json")
+    assert index_view(loaded) == index_view(index)
+    [tweet] = loaded.tweets
+    assert (tweet.id, tweet.user_id, tweet.mentions) == ("\u00e9t", "\ud800", ("b\u00f6b",))
+    assert tweet.text == "caf\u00e9 #Tag \U0001f600 @B\u00f6b \udc80"
 
 
 def test_ingest_missing_file_raises_oserror(tmp_path):

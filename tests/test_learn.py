@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tagmerge import learn
-from tagmerge.errors import CorpusFormatError
+from tagmerge.errors import CorpusFormatError, SplitError
 from tagmerge.features import OOV_PAIRS, ZoneCombo, combo_bits, derive_combo_schema, feature_layout
 from tagmerge.learn import (
     Dataset,
@@ -344,13 +344,13 @@ def test_stratified_folds_determinism_and_errors():
     assert all(np.array_equal(a, b) for a, b in zip(f1, f2))
     f3 = stratified_folds(labels, 4, seed=8)
     assert not all(np.array_equal(a, b) for a, b in zip(f1, f3))
-    with pytest.raises(ValueError):
+    with pytest.raises(SplitError):
         stratified_folds(labels, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(SplitError):
         stratified_folds(labels, 21)
     with pytest.raises(ValueError):
         stratified_folds(np.ones(10, dtype=int), 2)
-    with pytest.raises(ValueError, match="class 1 has 3 rows"):
+    with pytest.raises(SplitError, match="class 1 has 3 rows"):
         stratified_folds([0] * 10 + [1] * 3, 4)
 
 
@@ -616,9 +616,9 @@ def test_holdout_split_sizes_and_protocol():
     assert report.protocol["n_train"] == 54
     assert report.n_rows == 6
     assert report.accuracy == 1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(SplitError):
         holdout_evaluate(ds, test_fraction=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(SplitError):
         holdout_evaluate(ds, test_fraction=1.0)
 
 
