@@ -553,6 +553,11 @@ def _flip_token_byte(path):
     path.write_bytes(bytes(data))
 
 
+def _member(path, name):
+    with np.load(path) as npz:
+        return npz[name]
+
+
 def _read_strings(path, name):
     with np.load(path) as npz:
         blob, offsets = npz[name].tobytes(), npz[f"{name}_offsets"].tolist()
@@ -563,14 +568,9 @@ def _swap_first_two_tags(path):
     """The same spellings for every tweet, but a table not in order of first use."""
     tags = _read_strings(path, "tags")
     tags[0], tags[1] = tags[1], tags[0]
-    tag_ids = np.load(path)["tag_ids"]
+    tag_ids = _member(path, "tag_ids")
     swapped = np.choose((tag_ids == 0) + 2 * (tag_ids == 1), [tag_ids, 1, 0]).astype(np.int32)
     rewrite_index(path, **string_members("tags", tags), tag_ids=swapped)
-
-
-def _member(path, name):
-    with np.load(path) as npz:
-        return npz[name]
 
 
 def _stale(path):
