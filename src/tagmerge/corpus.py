@@ -546,8 +546,8 @@ def _check_members(m: dict) -> dict[str, list[str]]:
     """Check the members of an index file as whole arrays, and return its
     string columns but the texts, decoded; ValueError names the first fault.
 
-    Offsets split their streams (at character starts), per tweet where they
-    are per tweet. Ids are non-empty and unique, timestamps lie in (0,
+    String blobs are UTF-8 (lone surrogates allowed), and offsets split their
+    streams at character starts, per tweet where they are per tweet. Ids are non-empty and unique, timestamps lie in (0,
     _MAX_TIMESTAMP], and the tweets are in (timestamp, id) order. Ids point
     into their tables, each of which lists each string once in order of
     first use (the vocabulary: sorted); mentions are lowercase.
@@ -567,6 +567,7 @@ def _check_members(m: dict) -> dict[str, list[str]]:
         _check_offsets(f"{name}_offsets", m[f"{name}_offsets"], len(m[f"{name}_ids"]))
     strings = {name: _strings(m[name], m[f"{name}_offsets"])
                for name in _STRINGS if name != "texts"}
+    m["texts"].tobytes().decode("utf-8", "surrogatepass")  # UnicodeDecodeError unless UTF-8
 
     ids, stamps = strings["ids"], m["timestamps"]
     if (np.diff(m["ids_offsets"]) == 0).any():
@@ -695,11 +696,8 @@ def _string_column(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
 
     Lone surrogates, which a JSON string may hold, are kept as they are.
     """
-    blob = "".join(strings).encode("utf-8", "surrogatepass")
-    lengths = map(len, strings)
-    if len(blob) != sum(map(len, strings)):  # not all ASCII: count the bytes
-        lengths = (len(s.encode("utf-8", "surrogatepass")) for s in strings)
-    return np.frombuffer(blob, dtype=np.uint8), _offsets(lengths)
+    encoded = [s.encode("utf-8", "surrogatepass") for s in strings]
+    return np.frombuffer(b"".join(encoded), dtype=np.uint8), _offsets(map(len, encoded))
 
 
 def _strings(blob: np.ndarray, offsets: np.ndarray) -> list[str]:

@@ -617,6 +617,15 @@ def _split_a_character(path):
     rewrite_index(path, texts_offsets=offsets)
 
 
+def _text_byte(value):
+    """A damage setting the last byte of tweet s1's text, an ASCII letter, to `value`."""
+    def plant(path):
+        blob, offsets = _member(path, "texts"), _member(path, "texts_offsets")
+        blob[offsets[1] - 1] = value
+        rewrite_index(path, texts=blob)
+    return plant
+
+
 # Damages with no counterpart in the two-file format, and what the refusal says.
 INDEX_DAMAGES = {
     "version-1-json": (
@@ -633,6 +642,8 @@ INDEX_DAMAGES = {
         "vocabulary", _read_strings(path, "vocabulary")[::-1])),
         "the vocabulary is not sorted and distinct"),
     "text-splits-a-character": (_split_a_character, "texts_offsets split a character"),
+    "text-not-utf8": (_text_byte(0xFF), "can't decode byte 0xff"),
+    "text-stray-continuation-byte": (_text_byte(0x80), "can't decode byte 0x80"),
     "negative-skipped": (lambda path: rewrite_index(path, skipped=np.array([-1])),
                          "member 'skipped' does not hold one count"),
 }
