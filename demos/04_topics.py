@@ -18,8 +18,7 @@ for i in range(60):
     tokens = tuple(vocab[int(j)] for j in rng.integers(0, len(vocab), size=18))
     documents.append(HashtagDocument(doc_id=f"doc{i:02d}", hashtag="demo", tokens=tokens))
 
-# validate_every re-checks token bookkeeping after every sweep
-model = fit_lda(documents, n_topics=2, alpha=0.5, iterations=200, seed=0, validate_every=1)
+model = fit_lda(documents, n_topics=2, alpha=0.5, iterations=200, seed=0)
 
 # word_topic holds each word's final-sweep count per topic; rank a column by
 # count, ties alphabetically (vocab is sorted, so a stable sort keeps that)

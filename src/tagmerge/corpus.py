@@ -43,8 +43,8 @@ from .errors import CorpusFormatError
 
 logger = logging.getLogger(__name__)
 
-HASHTAG_RE = re.compile(r"#([A-Za-z_][A-Za-z0-9_]*)")
-MENTION_RE = re.compile(r"@([A-Za-z0-9_]+)")
+HASHTAG_RE = re.compile(r"#([^\W\d]\w*)")
+MENTION_RE = re.compile(r"@(\w+)")
 
 _PUNCT = string.punctuation
 
@@ -181,8 +181,9 @@ class HashtagId:
 def extract_hashtags(text: str) -> list[HashtagId]:
     """All hashtags in a text, in order, original casing preserved.
 
-    A hashtag is '#' followed by a maximal run of word characters starting
-    with a letter or underscore; '#9pm' therefore yields nothing.
+    A hashtag is '#' followed by a maximal run of Unicode word characters
+    starting with a letter or underscore; '#café' reads as 'café', and
+    '#9pm' yields nothing.
     """
     return [HashtagId.from_display(m) for m in HASHTAG_RE.findall(text)]
 

@@ -13,11 +13,10 @@ mentions and retweets of the positions from the index's columns; none of
 them builds a `Tweet` or turns a token id back into a word. Only the topic
 documents are words. `topic_overlap` fits its topic model, when it needs
 one, on the candidate's own two documents, so it too depends on nothing but
-the candidate's window. `featurize_all` runs all those pair fits through one
-`topicmodel.fit_lda_each`, which batches the fits of similar length; each
-pair gets the model its own `topicmodel.fit_lda` would, so the vectors are
-those of `featurize`. It also reads the background counts of each distinct
-window end once.
+the candidate's window. `featurize_all` runs all those pair fits in one
+`topicmodel.fit_lda_batch`; each pair gets the model its own
+`topicmodel.fit_lda` would, so the vectors are those of `featurize`. It
+also reads the background counts of each distinct window end once.
 """
 
 from __future__ import annotations
@@ -465,7 +464,7 @@ def avg_topic_overlap(
     document has more than `top_n` distinct words, every topic keeps all of
     them, so the value is the size of the shared vocabulary whatever the
     fit, and no fit runs. The fit is `topicmodel.fit_lda`; `featurize_all`
-    gets the same value for many pairs from one `topicmodel.fit_lda_each`.
+    gets the same value for many pairs from one `topicmodel.fit_lda_batch`.
     """
     overlap = _overlap_without_fit(doc_a, doc_b, top_n)
     if overlap is not None:
@@ -527,7 +526,7 @@ class FeatureResources:
     """Everything featurization needs beyond the corpus index.
 
     The topic fits behind `topic_overlap` run `lda_iterations` sweeps from
-    `lda_seed`: one `fit_lda` per pair in `featurize`, one `fit_lda_each`
+    `lda_seed`: one `fit_lda` per pair in `featurize`, one `fit_lda_batch`
     over every pair in `featurize_all`.
     """
 
@@ -648,7 +647,7 @@ def featurize_all(
 
     Each vector equals `featurize(c, index, resources, schema, combo)`. The
     pairs whose `topic_overlap` needs a fit are fitted in one
-    `topicmodel.fit_lda_each` call, which gives every pair the model that
+    `topicmodel.fit_lda_batch` call, which gives every pair the model that
     its own `fit_lda` would; the last value counts them. The background
     counts of each distinct window end are read once. Vectors and combos
     are in input order. Nothing here changes the index or the resources, and
@@ -673,7 +672,7 @@ def featurize_all(
             fitted.append((values, doc_a, doc_b))
         else:
             values["topic_overlap"] = overlap
-    models = topicmodel.fit_lda_each(
+    models = topicmodel.fit_lda_batch(
         [[doc_a, doc_b] for _, doc_a, doc_b in fitted], n_topics=config.lda_topics,
         iterations=resources.lda_iterations, seed=resources.lda_seed,
     )

@@ -4,25 +4,22 @@ Each hashtag-and-window pair becomes one bag-of-words document of plain
 words; topics are fit by collapsed Gibbs sampling with symmetric priors.
 Sampling is seeded and single-threaded.
 
-There are two samplers of one model. `fit_lda` runs a single fit: the sweep
-runs over plain Python lists and draws its uniforms in blocks, one block per
-document, from the same PCG64 stream that one scalar draw per token would
-read. Each weight, its running sum and the search over that sum are the
-same floating-point operations as numpy's elementwise product, cumsum and
-searchsorted, so a fixed seed reproduces the model bit for bit. It serves
-a one-candidate `features.featurize` and the fits `fit_lda_each` runs
-alone, and is the reference for the batch.
+There are two samplers of one model, one per job. `fit_lda` runs a single
+fit: the sweep runs over plain Python lists and draws its uniforms in
+blocks, one block per document, from the same PCG64 stream that one scalar
+draw per token would read. Each weight, its running sum and the search over
+that sum are the same floating-point operations as numpy's elementwise
+product, cumsum and searchsorted, so a fixed seed reproduces the model bit
+for bit. It serves a one-candidate `features.featurize` and
+`fit_candidate_topics`, and is the reference for the batch.
 
 `fit_lda_batch` runs many independent fits in lockstep, one token position
 of every fit per numpy step, and gives each fit exactly the model fit_lda
-would. Each step costs tens of microseconds of numpy calls whatever the
-number of fits, and the batch runs as many steps as its longest fit has
-tokens, so it pays off only across many fits of similar length: a batch of
-one is several times slower than fit_lda. `fit_lda_each` chooses between the
-two from the fits' lengths: the longest fits run alone in fit_lda when that
-is cheaper, the rest in one batch. `features.featurize_all` fits all its
-candidate pairs with it, and reads each model only through
-`TopicModel.doc_top_words`.
+would. `features.featurize_all` fits all its candidate pairs with it, and
+reads each model only through `TopicModel.doc_top_words`. Each step costs
+tens of microseconds of numpy calls whatever the number of fits, and the
+batch runs as many steps as its longest fit has tokens, so a batch of one
+is several times slower than fit_lda.
 """
 
 from __future__ import annotations
@@ -104,13 +101,11 @@ def fit_lda(
     beta: float = 0.01,
     iterations: int = 1000,
     seed: int = 0,
-    validate_every: int | None = None,
 ) -> TopicModel:
     """Collapsed Gibbs sampling over the document set.
 
-    alpha defaults to 50 / n_topics. With `validate_every` set, token count
-    bookkeeping is re-checked after every so many sweeps and any imbalance
-    raises immediately.
+    alpha defaults to 50 / n_topics. Token count bookkeeping is audited
+    after the last sweep, and any imbalance raises.
     """
     if n_topics < 2:
         raise ValueError(f"need at least 2 topics, got {n_topics}")
@@ -150,7 +145,7 @@ def fit_lda(
     doc_alpha = [[c + alpha for c in counts] for counts in doc_topic]
     total_v_beta = [c + v_beta for c in topic_total]
     last = n_topics - 1
-    for sweep in range(iterations):
+    for _ in range(iterations):
         for (lo, hi), counts, mirror in zip(spans, doc_topic, doc_alpha):
             # one uniform per token, in token order: the same stream as scalar draws
             for t, u in zip(range(lo, hi), rng.random(hi - lo).tolist()):
@@ -174,9 +169,6 @@ def fit_lda(
                 mirror[k] = counts[k] + alpha
                 topic_total[k] += 1
                 total_v_beta[k] = topic_total[k] + v_beta
-        if validate_every and (sweep + 1) % validate_every == 0:
-            _check_counts(word_topic, doc_topic, topic_total, doc_alpha, total_v_beta,
-                          assignments, n_topics, alpha, v_beta)
 
     _check_counts(word_topic, doc_topic, topic_total, doc_alpha, total_v_beta,
                   assignments, n_topics, alpha, v_beta)
@@ -287,71 +279,6 @@ def fit_lda_batch(
             iterations=iterations,
         )
     return [models[f] for f in range(len(fits))]
-
-
-# Per-sweep costs of the two samplers in microseconds, linear in the number
-# of topics K, fitted to timings of 800-token pair fits for K = 2 to 60 on a
-# 2-vCPU x86-64 machine (Python 3.11, numpy 2.4): fit_lda spends about
-# 2 + 0.18 K per token; one lockstep step of fit_lda_batch about 30, plus
-# 0.3 + 0.017 K for each fit still sampling. Where an error in these figures
-# changes the chosen split, the two splits cost about the same, so a rough
-# fit is enough.
-SOLO_TOKEN_US = (2.0, 0.18)
-BATCH_STEP_US = 30.0
-BATCH_TOKEN_US = (0.3, 0.017)
-
-
-def solo_fit_count(sizes: Sequence[int], n_topics: int) -> int:
-    """How many of the longest fits `fit_lda_each` runs alone in fit_lda.
-
-    `sizes` are the fits' token counts, longest first. Running the i longest
-    alone and the rest in one batch costs, per sweep, the solo cost of
-    sizes[:i] plus the batch's: one step per token of its longest fit,
-    sizes[i], and a smaller cost per token of every fit in it. A fit shorter
-    than the batch's longest adds less to the batch than it would cost alone,
-    so the cheapest split is always of this form. Returns the cheapest i,
-    the smallest on ties.
-    """
-    solo = SOLO_TOKEN_US[0] + SOLO_TOKEN_US[1] * n_topics
-    batched = BATCH_TOKEN_US[0] + BATCH_TOKEN_US[1] * n_topics
-    rest = sum(sizes)
-    best, best_cost, done = len(sizes), solo * rest, 0.0
-    for i, size in enumerate(sizes):
-        cost = done + BATCH_STEP_US * size + batched * rest
-        if cost <= best_cost:
-            best, best_cost = i, cost
-        done += solo * size
-        rest -= size
-    return best
-
-
-def fit_lda_each(
-    fits: Sequence[Sequence[HashtagDocument]],
-    n_topics: int,
-    alpha: float | None = None,
-    beta: float = 0.01,
-    iterations: int = 1000,
-    seed: int = 0,
-) -> list[TopicModel]:
-    """`fit_lda(documents, ...)` of every document list in `fits`, each by the cheaper sampler.
-
-    The `solo_fit_count` longest fits run alone in fit_lda and the rest
-    together in one fit_lda_batch. A lone fit, a few short ones, or one that
-    holds most of the tokens runs alone; many fits of similar length share
-    the batch. Either way each model is the one fit_lda makes, so the choice
-    changes only the time.
-    """
-    sizes = [sum(len(doc.tokens) for doc in docs) for docs in fits]
-    order = sorted(range(len(fits)), key=lambda f: -sizes[f])  # longest first
-    n_solo = solo_fit_count([sizes[f] for f in order], n_topics)
-    settings = dict(n_topics=n_topics, alpha=alpha, beta=beta, iterations=iterations, seed=seed)
-    models: list[TopicModel | None] = [None] * len(fits)
-    for f in order[:n_solo]:
-        models[f] = fit_lda(fits[f], **settings)
-    batched = order[n_solo:]
-    for f, model in zip(batched, fit_lda_batch([fits[f] for f in batched], **settings)):
-        models[f] = model
-    return models
 
 
 def _lockstep_sweeps(rows, lengths, start, v_beta, n_topics, alpha, beta, iterations, seed):

@@ -281,8 +281,7 @@ def test_lda_recovers_planted_disjoint_topics():
         tokens = tuple(vocab[int(j)] for j in rng.integers(0, 10, size=25))
         documents.append(HashtagDocument(doc_id=f"d{i:03d}", hashtag="t", tokens=tokens))
 
-    # conservation is checked after every sweep while fitting
-    model = fit_lda(documents, n_topics=2, alpha=0.5, iterations=60, seed=0, validate_every=1)
+    model = fit_lda(documents, n_topics=2, alpha=0.5, iterations=60, seed=0)
 
     tops = [set(top_words(model, k, 10)) for k in range(2)]
     planted = [set(vocab_a), set(vocab_b)]
@@ -382,25 +381,8 @@ def test_later_candidates_leave_earlier_vectors_unchanged(late_corpus, monkeypat
     assert [after[c.compound.canonical] for c in early_cands] == before
 
 
-# How many of the longest fits `topicmodel.fit_lda_each` runs alone in fit_lda.
-# Its cost model runs these few short three-topic fits alone, so the batch and
-# the split between the samplers are forced here.
-SAMPLER_SPLITS = {
-    "batched": lambda sizes, n_topics: 0,
-    "longest-alone": lambda sizes, n_topics: min(1, len(sizes)),
-    "alone": lambda sizes, n_topics: len(sizes),
-}
-
-
-@pytest.fixture(params=list(SAMPLER_SPLITS))
-def sampler_split(request, monkeypatch):
-    monkeypatch.setattr(topicmodel, "solo_fit_count", SAMPLER_SPLITS[request.param])
-
-
-def test_later_candidates_leave_earlier_rows_of_featurize_all_unchanged(
-    late_corpus, sampler_split
-):
-    """The whole set at once, through each split of the fits between samplers.
+def test_later_candidates_leave_earlier_rows_of_featurize_all_unchanged(late_corpus):
+    """The whole set at once, its pair fits in one batch.
 
     The POS and NE slot columns are bound from the whole featurized set by
     design, so they are not compared.
@@ -421,7 +403,7 @@ def test_later_candidates_leave_earlier_rows_of_featurize_all_unchanged(
         assert causal_columns(after_by_name[cand.compound.canonical]) == causal_columns(vector)
 
 
-def test_featurize_all_rows_equal_per_candidate_featurize(late_corpus, sampler_split):
+def test_featurize_all_rows_equal_per_candidate_featurize(late_corpus):
     full, cands, _, _, resources = late_corpus
     vectors, combos, schema, fits = featurize_all(cands, full, resources, LATE_OBSERVATION)
     assert fits == 4

@@ -155,13 +155,14 @@ def words_at(index, position):
 
 
 def test_extract_hashtags_requires_leading_letter():
-    tags = extract_hashtags("at #9pm #GoldenGlobes #_ok #x2")
-    assert [t.display for t in tags] == ["GoldenGlobes", "_ok", "x2"]
-    assert [t.canonical for t in tags] == ["goldenglobes", "_ok", "x2"]
+    tags = extract_hashtags("at #9pm #GoldenGlobes #_ok #x2 #Café. #Ünï9")
+    assert [t.display for t in tags] == ["GoldenGlobes", "_ok", "x2", "Café", "Ünï9"]
+    assert [t.canonical for t in tags] == ["goldenglobes", "_ok", "x2", "café", "ünï9"]
 
 
 def test_extract_mentions_lowercases():
-    assert extract_mentions("cc @Alice and @BOB") == ["alice", "bob"]
+    mentions = extract_mentions("cc @Alice and @BOB, @Böb @9Ärger")
+    assert mentions == ["alice", "bob", "böb", "9ärger"]
 
 
 def test_hashtag_id_validation():

@@ -82,10 +82,14 @@ def test_plant_spec_validation():
         hand_plant(planted_class=2)
 
 
-@pytest.mark.parametrize("words", [("9pm",), ("don't",), ("snow day",), ("caf\u00e9",)])
+@pytest.mark.parametrize("words", [("9pm",), ("don't",), ("snow day",)])
 def test_a_plant_name_that_does_not_read_back_as_one_hashtag_is_refused(words):
     with pytest.raises(ValueError, match="does not read back as one hashtag"):
         hand_plant(b_words=words)
+
+
+def test_a_non_ascii_plant_name_reads_back_as_one_hashtag():
+    assert hand_plant(b_words=("caf\u00e9",)).b_display == "Caf\u00e9"
 
 
 @pytest.mark.parametrize("word", ["#tag", "at@host"])

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,8 +16,6 @@ from tagmerge.topicmodel import (
     fit_candidate_topics,
     fit_lda,
     fit_lda_batch,
-    fit_lda_each,
-    solo_fit_count,
 )
 from tagmerge import topicmodel
 
@@ -74,7 +73,7 @@ def test_fit_lda_validates_arguments():
 def test_fit_lda_conserves_tokens():
     docs, _, _ = two_topic_docs(10, 12)
     n_tokens = sum(len(d.tokens) for d in docs)
-    model = fit_lda(docs, n_topics=3, iterations=5, seed=1, validate_every=1)
+    model = fit_lda(docs, n_topics=3, iterations=5, seed=1)
     assert int(model.word_topic.sum()) == n_tokens
     assert int(model.doc_topic.sum()) == n_tokens
     assert np.array_equal(model.word_topic.sum(axis=0), model.doc_topic.sum(axis=0))
@@ -141,11 +140,11 @@ def model_digest(model):
 # scaled uniform. Any change to the draws, the weights or their summation
 # order shows here.
 GOLDEN_FITS = [
-    (lambda: two_topic_docs(10, 12)[0], dict(n_topics=4, iterations=5, seed=1, validate_every=1),
+    (lambda: two_topic_docs(10, 12)[0], dict(n_topics=4, iterations=5, seed=1),
      "17be95ec5272750d2ae6da4c91763f708ab1038bffda8fe501b2932ed9a241fb"),
     (wide_docs, dict(n_topics=30, alpha=0.5, iterations=3, seed=7),
      "3a90d3c0ac46712ad8a5ccfa424238b57157a77494e297faeb9691ccc214eb56"),
-    (docs_with_empties, dict(n_topics=3, iterations=4, seed=5, validate_every=1),
+    (docs_with_empties, dict(n_topics=3, iterations=4, seed=5),
      "b321e72a551908329fcb0041dc1ec995f3abeb93c9568c0e49dff2f3c66b2ffc"),
 ]
 
@@ -192,10 +191,10 @@ def assert_solo_models(fits, models, settings):
         )
 
 
-# K cycles through 2, 3, 30 and sweeps through 1..4, so the 12 seeds cover each
-# pair; alpha is explicit on even cases and beta on cases 2, 3, 6, 7, 10 and 11
-@pytest.mark.parametrize("case", range(12))
-def test_fit_lda_batch_equals_each_solo_fit(case):
+def random_case(case):
+    """Random fits and settings; K cycles through 2, 3, 30 and sweeps through
+    1..4, so the 12 seeds cover each pair. alpha is explicit on even cases and
+    beta on cases 2, 3, 6, 7, 10 and 11."""
     rng = np.random.default_rng(case)
     settings = dict(
         n_topics=(2, 3, 30)[case % 3],
@@ -204,45 +203,35 @@ def test_fit_lda_batch_equals_each_solo_fit(case):
         alpha=None if case % 2 else float(0.1 + rng.random()),
         beta=0.01 if case % 4 < 2 else float(0.001 + rng.random()),
     )
-    fits = random_fits(rng, n_fits=2 + case % 5)
-    assert_solo_models(fits, fit_lda_batch(fits, **settings), settings)
+    return random_fits(rng, n_fits=2 + case % 5), settings
 
 
-@pytest.mark.parametrize("sizes, n_topics, n_solo", [
-    ([], 30, 0),
-    ([1000], 30, 1),  # a batch of one only adds the per-step cost
-    ([976] * 100, 30, 0),  # many fits of similar length share the batch
-    ([5000] + [1000] * 19, 30, 1),  # a dominating fit would set the batch's steps
-    ([5000, 4900] + [1000] * 18, 30, 2),
-    ([500] * 4, 3, 4),  # a few short fits of few topics cost less alone
-    ([500] * 40, 3, 0),
-], ids=["none", "lone", "even", "dominating", "two-long", "few", "many"])
-def test_solo_fit_count_runs_alone_what_the_batch_would_slow(sizes, n_topics, n_solo):
-    assert solo_fit_count(sizes, n_topics) == n_solo
-
-
-def test_fit_lda_each_splits_fits_between_samplers_and_equals_solo_fits(monkeypatch):
-    """One long fit runs alone, the short ones in one batch, and order is kept."""
+def shaped_case(sizes, n_topics):
+    """One document per fit, of each given token count, over a 40-word vocabulary."""
     rng = np.random.default_rng(7)
-    short = [
-        [doc(f"s{f}@0", [f"w{x:02d}" for x in rng.integers(0, 40, size=20)])]
-        for f in range(20)
+    fits = [
+        [doc(f"s{f}@0", [f"w{x:02d}" for x in rng.integers(0, 40, size=n)])]
+        for f, n in enumerate(sizes)
     ]
-    long = [doc("long@0", [f"w{x:02d}" for x in rng.integers(0, 40, size=400)])]
-    fits = short[:5] + [long] + short[5:]
-    batched = []
-    real = topicmodel.fit_lda_batch
+    return fits, dict(n_topics=n_topics, alpha=None, beta=0.01, iterations=2, seed=11)
 
-    def record(fits, **settings):
-        batched.append(len(fits))
-        return real(fits, **settings)
 
-    monkeypatch.setattr(topicmodel, "fit_lda_batch", record)
-    settings = dict(n_topics=30, alpha=None, beta=0.01, iterations=2, seed=11)
-    models = fit_lda_each(fits, **settings)
-    assert batched == [20]
-    assert_solo_models(fits, models, settings)
-    assert fit_lda_each([], n_topics=2) == []
+# The random cases, then the shapes where one step per token of the longest fit
+# costs the batch most against fit_lda: a lone fit, fits led by one or two about
+# 20 times longer than the rest (placed mid-list, so input order must be kept),
+# and a few short fits of few topics.
+BATCH_CASES = {str(case): partial(random_case, case) for case in range(12)} | {
+    "lone": partial(shaped_case, [200], 30),
+    "dominating": partial(shaped_case, [20] * 5 + [400] + [20] * 14, 30),
+    "two-long": partial(shaped_case, [20] * 5 + [400, 390] + [20] * 13, 30),
+    "few": partial(shaped_case, [50] * 4, 3),
+}
+
+
+@pytest.mark.parametrize("make_case", BATCH_CASES.values(), ids=BATCH_CASES.keys())
+def test_fit_lda_batch_equals_each_solo_fit(make_case):
+    fits, settings = make_case()
+    assert_solo_models(fits, fit_lda_batch(fits, **settings), settings)
 
 
 def test_fit_lda_batch_of_one_equals_golden_fit():
