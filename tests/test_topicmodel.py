@@ -192,9 +192,12 @@ def assert_solo_models(fits, models, settings):
 
 
 def random_case(case):
-    """Random fits and settings; K cycles through 2, 3, 30 and sweeps through
-    1..4, so the 12 seeds cover each pair. alpha is explicit on even cases and
-    beta on cases 2, 3, 6, 7, 10 and 11."""
+    """Random fits and settings.
+
+    K cycles through 2, 3, 30 and sweeps through 1..4, so the 12 seeds cover
+    each pair; alpha is explicit on even cases and beta on cases 2, 3, 6, 7,
+    10 and 11.
+    """
     rng = np.random.default_rng(case)
     settings = dict(
         n_topics=(2, 3, 30)[case % 3],
@@ -213,7 +216,7 @@ def shaped_case(sizes, n_topics):
         [doc(f"s{f}@0", [f"w{x:02d}" for x in rng.integers(0, 40, size=n)])]
         for f, n in enumerate(sizes)
     ]
-    return fits, dict(n_topics=n_topics, alpha=None, beta=0.01, iterations=2, seed=11)
+    return fits, dict(n_topics=n_topics, iterations=2, seed=11)
 
 
 # The random cases, then the shapes where one step per token of the longest fit
