@@ -220,12 +220,13 @@ def shaped_case(sizes, n_topics):
 
 
 # The random cases, then the shapes where one step per token of the longest fit
-# costs the batch most against fit_lda: a lone fit, fits led by one or two about
-# 20 times longer than the rest (placed mid-list, so input order must be kept),
-# and a few short fits of few topics.
+# costs the batch most against fit_lda: a lone fit, one or two fits about 20
+# times longer than the rest (first, or placed mid-list, so input order must be
+# kept), and a few short fits of few topics.
 BATCH_CASES = {str(case): partial(random_case, case) for case in range(12)} | {
     "lone": partial(shaped_case, [200], 30),
-    "dominating": partial(shaped_case, [20] * 5 + [400] + [20] * 14, 30),
+    "dominating": partial(shaped_case, [400] + [20] * 19, 30),
+    "long-mid-list": partial(shaped_case, [20] * 5 + [400] + [20] * 15, 30),
     "two-long": partial(shaped_case, [20] * 5 + [400, 390] + [20] * 13, 30),
     "few": partial(shaped_case, [50] * 4, 3),
 }
