@@ -6,176 +6,9 @@ corpus, labels whether the compound out-frequencies its constituents over
 months before compounding, and trains linear classifiers to predict the
 outcome. Includes a deterministic synthetic-corpus generator so the whole
 pipeline is testable at desk scale.
+
+Each name is imported from its module (`from tagmerge.corpus import
+ingest_jsonl`); the package re-exports none.
 """
 
-from .analysis import (
-    ABLATION_COMBOS,
-    AblationReport,
-    FeatureRanking,
-    ablate,
-    chi_square_stat,
-    info_gain_stat,
-    rank_features,
-)
-from .compound import (
-    CompoundCandidate,
-    PopularityLabel,
-    TrendCategory,
-    classify_trend,
-    detect_candidates,
-    filter_eligible,
-    label_candidate,
-    read_candidates,
-    segment_hashtag,
-    write_candidates,
-)
-from .corpus import (
-    CorpusIndex,
-    HashtagId,
-    Tweet,
-    ingest_jsonl,
-    month_of,
-    month_start,
-    next_month,
-    observation_window,
-    shift_months,
-)
-from .errors import CorpusFormatError, InsufficientHistoryError, SplitError, TagmergeError
-from .features import (
-    FeatureResources,
-    FeatureSchema,
-    FeatureVector,
-    ObservationConfig,
-    ZoneCombo,
-    build_schema,
-    entropy,
-    feature_layout,
-    featurize,
-    featurize_all,
-    hashtag_clarity,
-    kl_divergence,
-    overlap_coefficient,
-    read_feature_csv,
-    word_diversity,
-    write_feature_csv,
-)
-from .learn import (
-    Dataset,
-    EvalReport,
-    LinearModel,
-    TrainConfig,
-    balance_dataset,
-    cross_validate,
-    holdout_evaluate,
-    predict,
-    roc_auc,
-    stratified_folds,
-    train,
-)
-from .lexicon import (
-    Dictionary,
-    EntityGazetteer,
-    NgramTable,
-    PosLexicon,
-    load_dictionary,
-    load_gazetteer,
-    load_ngram_table,
-    load_pos_lexicon,
-    ner_tag,
-    pos_tag,
-)
-from .synth import (
-    ManifestRow,
-    PlantSpec,
-    ScenarioConfig,
-    generate,
-    plant_signal,
-    signal_scenario,
-    reference_scenario,
-    write_scenario,
-)
-from .topicmodel import TopicModel, build_documents, fit_candidate_topics, fit_lda
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ABLATION_COMBOS",
-    "AblationReport",
-    "CompoundCandidate",
-    "CorpusFormatError",
-    "CorpusIndex",
-    "Dataset",
-    "Dictionary",
-    "EntityGazetteer",
-    "EvalReport",
-    "FeatureRanking",
-    "FeatureResources",
-    "FeatureSchema",
-    "FeatureVector",
-    "HashtagId",
-    "InsufficientHistoryError",
-    "LinearModel",
-    "ManifestRow",
-    "NgramTable",
-    "ObservationConfig",
-    "PlantSpec",
-    "PopularityLabel",
-    "PosLexicon",
-    "ScenarioConfig",
-    "SplitError",
-    "TagmergeError",
-    "TopicModel",
-    "TrainConfig",
-    "TrendCategory",
-    "Tweet",
-    "ZoneCombo",
-    "ablate",
-    "balance_dataset",
-    "build_documents",
-    "build_schema",
-    "chi_square_stat",
-    "classify_trend",
-    "cross_validate",
-    "detect_candidates",
-    "entropy",
-    "feature_layout",
-    "featurize",
-    "featurize_all",
-    "filter_eligible",
-    "fit_candidate_topics",
-    "fit_lda",
-    "generate",
-    "hashtag_clarity",
-    "holdout_evaluate",
-    "info_gain_stat",
-    "ingest_jsonl",
-    "kl_divergence",
-    "label_candidate",
-    "load_dictionary",
-    "load_gazetteer",
-    "load_ngram_table",
-    "load_pos_lexicon",
-    "month_of",
-    "month_start",
-    "ner_tag",
-    "next_month",
-    "observation_window",
-    "overlap_coefficient",
-    "plant_signal",
-    "pos_tag",
-    "predict",
-    "rank_features",
-    "read_candidates",
-    "read_feature_csv",
-    "roc_auc",
-    "segment_hashtag",
-    "shift_months",
-    "signal_scenario",
-    "stratified_folds",
-    "reference_scenario",
-    "train",
-    "word_diversity",
-    "write_candidates",
-    "write_feature_csv",
-    "write_scenario",
-]

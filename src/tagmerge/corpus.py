@@ -11,7 +11,8 @@ each by its position in (timestamp, id) order. A window is read as the
 positions of its tweets, and their token ids, users, mentions and plain
 words come from the columns; only `tweets`, which lists every tweet, builds
 `Tweet` objects. `ingest_jsonl` checks each JSONL record and appends it to
-the columns.
+the columns, and `CorpusIndex(tweets)` collects the same columns from
+`Tweet` objects; either way the hashtags and tokens are read from the texts.
 
 `CorpusIndex.save` writes the index as one binary file, whatever its name
 (`tagmerge-index` version 2): an uncompressed zip of one `.npy` array per
@@ -178,14 +179,25 @@ class HashtagId:
         return cls(canonical=display.lower(), display=display)
 
 
-def extract_hashtags(text: str) -> list[HashtagId]:
-    """All hashtags in a text, in order, original casing preserved.
+def hashtag_spellings(text: str) -> list[str]:
+    """The hashtags of a text, in order, as spelled, without the '#'.
 
     A hashtag is '#' followed by a maximal run of Unicode word characters
     starting with a letter or underscore; '#café' reads as 'café', and
-    '#9pm' yields nothing.
+    '#9pm', '#²nd' and '#Ⅻ' yield nothing. This is the one hashtag rule:
+    the index, `extract_hashtags` and the synthetic plants all read it.
     """
-    return [HashtagId.from_display(m) for m in HASHTAG_RE.findall(text)]
+    found = HASHTAG_RE.findall(text)
+    # HASHTAG_RE also admits a leading number that is not a decimal digit
+    # ('²', 'Ⅻ'), which no ASCII text holds
+    if text.isascii():
+        return found
+    return [tag for tag in found if tag[0].isalpha() or tag[0] == "_"]
+
+
+def extract_hashtags(text: str) -> list[HashtagId]:
+    """All hashtags in a text (`hashtag_spellings`), original casing preserved."""
+    return list(map(HashtagId.from_display, hashtag_spellings(text)))
 
 
 def extract_mentions(text: str) -> list[str]:
@@ -194,7 +206,8 @@ def extract_mentions(text: str) -> list[str]:
 
 @dataclass(frozen=True, slots=True)
 class Tweet:
-    """One tweet. Hashtags and mentions derive from the text when absent."""
+    """One tweet: the fields of a JSONL record. Mentions derive from the text
+    when absent; hashtags are always read from it (`extract_hashtags`)."""
 
     id: str
     timestamp: int
@@ -202,15 +215,12 @@ class Tweet:
     text: str
     retweet_of: str | None = None
     mentions: tuple[str, ...] | None = None
-    hashtags: tuple[HashtagId, ...] | None = None
 
     def __post_init__(self):
         mentions = _check_tweet(
             self.id, self.timestamp, self.user_id, self.text, self.retweet_of, self.mentions
         )
         object.__setattr__(self, "mentions", mentions)
-        if self.hashtags is None:
-            object.__setattr__(self, "hashtags", tuple(extract_hashtags(self.text)))
 
     def to_record(self) -> dict:
         return {
@@ -270,21 +280,13 @@ class CorpusIndex:
     """
 
     def __init__(self, tweets: Iterable[Tweet], skipped: int = 0):
-        ordered = sorted(tweets, key=lambda t: (t.timestamp, t.id))
-        fields = ("id", "timestamp", "user_id", "text", "retweet_of", "mentions", "hashtags")
-        *columns, hashtags = ([getattr(t, name) for t in ordered] for name in fields)
+        """The index of these tweets, built from the columns that
+        `ingest_jsonl` collects from the same records."""
+        tweets = tuple(tweets)
+        fields = ("id", "timestamp", "user_id", "text", "retweet_of", "mentions")
+        columns = tuple([getattr(t, name) for t in tweets] for name in fields)
         _check_unique(columns[0])
-        spellings = [h.display for tags in hashtags for h in tags]
-        self._set(*_encode(columns, skipped, spellings, map(len, hashtags)))
-
-    @classmethod
-    def _from_texts(cls, columns, skipped: int) -> "CorpusIndex":
-        """The index of checked, unique columns in (timestamp, id) order,
-        with hashtags and tokens derived from the texts."""
-        found = list(map(HASHTAG_RE.findall, columns[3]))
-        index = cls.__new__(cls)
-        index._set(*_encode(columns, skipped, list(chain.from_iterable(found)), map(len, found)))
-        return index
+        self._set(*_encode(_sorted(columns), skipped))
 
     def _set(self, members: dict, strings: dict) -> None:
         """Set every attribute from the members of the index file (less its
@@ -334,14 +336,13 @@ class CorpusIndex:
         """Every tweet in (timestamp, id) order, built anew on each read."""
         m = self._members
         return tuple(
-            Tweet(id=i, timestamp=ts, user_id=u, text=x, retweet_of=r, mentions=ms, hashtags=hs)
-            for i, ts, u, x, r, ms, hs in zip(
+            Tweet(id=i, timestamp=ts, user_id=u, text=x, retweet_of=r, mentions=ms)
+            for i, ts, u, x, r, ms in zip(
                 self._ids, self._timestamps.tolist(),
                 map(self._users.__getitem__, m["user_ids"].tolist()),
                 _strings(m["texts"], m["texts_offsets"]),
                 (None if k < 0 else self._retweets[k] for k in m["retweet_ids"].tolist()),
                 _runs(self._mentions, m["mention_ids"], m["mention_offsets"]),
-                _runs(self._tag_table, m["tag_ids"], m["tag_offsets"]),
             )
         )
 
@@ -486,13 +487,13 @@ class CorpusIndex:
         return index
 
 
-def _encode(columns, skipped: int, spellings: list[str], counts: Iterable[int]):
+def _encode(columns, skipped: int):
     """`CorpusIndex._set`'s arguments for checked, unique record columns
     (ids, timestamps, users, texts, retweet targets, mentions) in (timestamp,
-    id) order, every hashtag spelling of the tweets in order, and the number
-    of spellings of each tweet; the token stream is derived from the texts."""
+    id) order; the hashtags and the token stream are read from the texts."""
     ids, stamps, users, texts, retweets, mentions = columns
-    tag_table, tag_ids = _table_ids(spellings)
+    spellings = list(map(hashtag_spellings, texts))
+    tag_table, tag_ids = _table_ids(list(chain.from_iterable(spellings)))
     user_table, user_ids = _table_ids(users)
     retweet_table, retweet_ids = _table_ids(retweets)
     mention_table, mention_ids = _table_ids(list(chain.from_iterable(mentions)))
@@ -502,7 +503,7 @@ def _encode(columns, skipped: int, spellings: list[str], counts: Iterable[int]):
     members = {"skipped": [skipped], "timestamps": stamps, "user_ids": user_ids,
                "retweet_ids": retweet_ids, "mention_ids": mention_ids,
                "mention_offsets": _offsets(map(len, mentions)), "tag_ids": tag_ids,
-               "tag_offsets": _offsets(counts), "token_ids": token_ids,
+               "tag_offsets": _offsets(map(len, spellings)), "token_ids": token_ids,
                "token_offsets": token_offsets, "tagged": tagged}
     for name, values in (*strings.items(), ("texts", texts)):
         members[name], members[f"{name}_offsets"] = _string_column(values)
@@ -752,10 +753,11 @@ def ingest_jsonl(path, max_malformed_fraction: float = 0.5) -> CorpusIndex:
     """Build a CorpusIndex from a JSONL file of tweet records.
 
     Each record is checked as `Tweet` checks its fields and appended to the
-    index's columns. Malformed lines (bad JSON, missing fields, bad
-    timestamps, duplicate ids) are skipped and counted; a larger share of
-    malformed lines than `max_malformed_fraction` is fatal. An unreadable
-    file raises OSError.
+    index's columns; an integer id (not a boolean) is read as its decimal
+    string. Malformed lines (bad JSON, missing fields, an id that is neither
+    a string nor an integer, bad timestamps, duplicate ids) are skipped and
+    counted; a larger share of malformed lines than `max_malformed_fraction`
+    is fatal. An unreadable file raises OSError.
     """
     columns = ids, stamps, users, texts, retweets, mentions = [], [], [], [], [], []
     seen_ids: set[str] = set()
@@ -778,7 +780,9 @@ def ingest_jsonl(path, max_malformed_fraction: float = 0.5) -> CorpusIndex:
                 for key in ("id", "timestamp", "user", "text"):
                     if key not in record:
                         raise ValueError(f"missing field {key!r}")
-                tweet_id = str(record["id"])
+                tweet_id = record["id"]
+                if isinstance(tweet_id, int) and not isinstance(tweet_id, bool):
+                    tweet_id = str(tweet_id)  # a numeric id; any other non-string is malformed
                 timestamp = _parse_timestamp(record["timestamp"])
                 user_id, text, retweet_of = record["user"], record["text"], record.get("retweet_of")
                 tweet_mentions = _check_tweet(
@@ -803,4 +807,6 @@ def ingest_jsonl(path, max_malformed_fraction: float = 0.5) -> CorpusIndex:
         )
     if malformed:
         logger.info("ingested %s: %d tweets, %d malformed lines skipped", path, len(ids), malformed)
-    return CorpusIndex._from_texts(_sorted(columns), malformed)
+    index = CorpusIndex.__new__(CorpusIndex)
+    index._set(*_encode(_sorted(columns), malformed))
+    return index

@@ -25,7 +25,7 @@ from itertools import chain
 import numpy as np
 
 from .compound import CANDIDATE_COLUMNS, SUPPORTED_HORIZONS, TREND_MONTHS, TrendCategory
-from .corpus import HASHTAG_RE, HashtagId, Tweet, month_start, next_month
+from .corpus import Tweet, hashtag_spellings, month_start, next_month
 from .errors import CorpusFormatError, dataclass_fields, read_json, read_tsv
 
 MANIFEST_COLUMNS = CANDIDATE_COLUMNS + ("trend", "planted_class", "support_a", "support_b")
@@ -98,10 +98,10 @@ class PlantSpec:
             raise ValueError("scheduled counts precede the constituent's start month")
         if self.planted_class not in (0, 1):
             raise ValueError("planted_class must be 0 or 1")
-        # `generate` hands each tweet the hashtags it writes, so each must
-        # read back from the text as written
+        # the index reads each tweet's hashtags from its text, so each name
+        # must read back from the text as written
         for display in (self.a_display, self.b_display):
-            if not HASHTAG_RE.fullmatch("#" + display):
+            if hashtag_spellings("#" + display) != [display]:
                 raise ValueError(f"#{display} does not read back as one hashtag")
 
     @property
@@ -202,7 +202,6 @@ class _TagPlan:
     __slots__ = (
         "canonical",
         "display",
-        "hashtag",
         "start",
         "counts",
         "is_compound",
@@ -214,7 +213,6 @@ class _TagPlan:
     def __init__(self, canonical, display, start, n_months, is_compound, owner, side):
         self.canonical = canonical
         self.display = display
-        self.hashtag = HashtagId(canonical=canonical, display=display)
         self.start = start
         self.counts = [0] * n_months
         self.is_compound = is_compound
@@ -361,7 +359,7 @@ def generate(config: ScenarioConfig) -> SynthResult:
         retweet_of = plan.first_id if plan.first_id and rng.random() < plant.retweet_rate else None
         return Tweet(
             id=next_id(), timestamp=ts, user_id=tag_user(plant, plan), text=text,
-            retweet_of=retweet_of, mentions=mentions, hashtags=(plan.hashtag,),
+            retweet_of=retweet_of, mentions=mentions,
         )
 
     def joint_tweet(plant: PlantSpec, p_i: int, ts: int) -> Tweet:
@@ -379,7 +377,7 @@ def generate(config: ScenarioConfig) -> SynthResult:
             plan_a.first_id if plan_a.first_id and rng.random() < plant.retweet_rate else None
         )
         return Tweet(id=next_id(), timestamp=ts, user_id=user, text=text, retweet_of=retweet_of,
-                     mentions=mentions, hashtags=(plan_a.hashtag, plan_b.hashtag))
+                     mentions=mentions)
 
     # first appearance of every tag, compounds one hour in, constituents before
     for plan in sorted(tags.values(), key=lambda t: (t.start, t.is_compound, t.canonical)):
@@ -399,7 +397,7 @@ def generate(config: ScenarioConfig) -> SynthResult:
                 for w in range(config.words_per_tweet)
             ]
             tweets.append(Tweet(id=next_id(), timestamp=ts, user_id="bg", text=" ".join(words),
-                                mentions=(), hashtags=()))
+                                mentions=()))
         for p_i, plant in enumerate(config.plants):
             if m < plant.m0:
                 for _ in range(co_by_plant[p_i][m]):

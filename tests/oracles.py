@@ -14,10 +14,15 @@ from collections import Counter, defaultdict
 
 import numpy as np
 
-from tagmerge.corpus import CorpusIndex, Tweet, observation_window
+from tagmerge.corpus import CorpusIndex, Tweet, extract_hashtags, observation_window
 from tagmerge.features import CLARITY_EPS, avg_topic_overlap, entropy
 from tagmerge.learn import hinge_loss_grad, logreg_loss_grad
 from tagmerge.topicmodel import HashtagDocument
+
+
+def tags_of(tweet):
+    """The canonical hashtags that a tweet's text holds."""
+    return {h.canonical for h in extract_hashtags(tweet.text)}
 
 
 def tokenize(text, keep_tags=True, keep_mentions=True):
@@ -55,7 +60,7 @@ def oracle_window_features(index, candidate, table, obs_months, n_topics, iterat
     part_a, part_b = candidate.part_a.canonical, candidate.part_b.canonical
 
     def window(tag):
-        return [t for t in tweets if lo < t.timestamp < hi and tag in {h.canonical for h in t.hashtags}]
+        return [t for t in tweets if lo < t.timestamp < hi and tag in tags_of(t)]
 
     def phrases(ws):
         found = set()
@@ -107,7 +112,7 @@ def oracle_window_features(index, candidate, table, obs_months, n_topics, iterat
         "avg_common_ngram_freq": float(np.mean([table.entries[g] for g in common]))
         if common else 0.0,
         "collocation_frequency": float(sum(
-            1 for t in win_a if part_b in {h.canonical for h in t.hashtags})),
+            1 for t in win_a if part_b in tags_of(t))),
         "clarity_a": clarity(counts_a),
         "clarity_b": clarity(counts_b),
         "word_diversity_a": entropy(list(counts_a.values())) if counts_a else 0.0,

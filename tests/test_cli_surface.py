@@ -1,4 +1,4 @@
-"""The public surface: the package's exported names, every option string, and every default.
+"""The public surface: the documented import paths, every option string, and every default.
 
 Each command runs with only its required options. The library function it
 reaches is replaced by a recorder that binds the call to the real
@@ -6,12 +6,14 @@ signature, keeps the arguments and stops the command, so the test sees the
 exact values the command would hand to the library.
 """
 
+import importlib
 import inspect
+import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-import tagmerge
 from tagmerge import analysis, cli, compound, features, learn, synth
 from tagmerge.corpus import CorpusIndex, Tweet
 from tagmerge.errors import InsufficientHistoryError
@@ -55,14 +57,19 @@ def subparsers():
     return action.choices
 
 
-def test_every_exported_name_resolves():
-    names = tagmerge.__all__
-    assert len(set(names)) == len(names)
-    missing = [name for name in names if not hasattr(tagmerge, name)]
-    assert missing == []
-    namespace = {}
-    exec("from tagmerge import *", namespace)
-    assert set(names) <= set(namespace)
+def test_every_documented_import_resolves():
+    """Each `from tagmerge.<module> import ...` line of README's Python blocks
+    names a module and names that exist: the package re-exports nothing, so
+    these are the documented import paths."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [part.split("```", 1)[0] for part in readme.split("```python\n")[1:]]
+    imports = [re.fullmatch(r"from (tagmerge\.\w+) import (.+)", line)
+               for block in blocks for line in block.splitlines() if line.startswith("from tagmerge")]
+    assert imports and all(imports)
+    for match in imports:
+        module = importlib.import_module(match[1])
+        names = [name.strip() for name in match[2].split(",")]
+        assert [name for name in names if not hasattr(module, name)] == [], match[0]
 
 
 def test_every_command_keeps_its_option_strings():

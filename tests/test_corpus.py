@@ -1,6 +1,7 @@
 """Calendar arithmetic, tokenization, and the timeline index."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from tagmerge.corpus import (
 from tagmerge.errors import CorpusFormatError
 
 from conftest import make_tweet, rewrite_index, string_members, utc
-from oracles import tokenize
+from oracles import tags_of, tokenize
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +156,8 @@ def words_at(index, position):
 
 
 def test_extract_hashtags_requires_leading_letter():
-    tags = extract_hashtags("at #9pm #GoldenGlobes #_ok #x2 #Café. #Ünï9")
+    # '²', '½' and 'Ⅻ' are numbers that are not decimal digits
+    tags = extract_hashtags("at #9pm #GoldenGlobes #²nd #_ok #½off #x2 #Café. #Ⅻ #Ünï9")
     assert [t.display for t in tags] == ["GoldenGlobes", "_ok", "x2", "Café", "Ünï9"]
     assert [t.canonical for t in tags] == ["goldenglobes", "_ok", "x2", "café", "ünï9"]
 
@@ -176,8 +178,9 @@ def test_hashtag_id_validation():
 
 def test_tweet_derives_tags_and_mentions_from_text():
     t = make_tweet("hi #One #one @Someone", utc(2011, 6, 2))
-    assert [h.display for h in t.hashtags] == ["One", "one"]
-    assert [h.canonical for h in t.hashtags] == ["one", "one"]
+    tags = extract_hashtags(t.text)
+    assert [h.display for h in tags] == ["One", "one"]
+    assert [h.canonical for h in tags] == ["one", "one"]
     assert t.mentions == ("someone",)
 
 
@@ -375,9 +378,10 @@ def index_view(index):
     instants = [utc(2011, 6, 1), utc(2011, 6, 9), utc(2011, 6, 9) + 1, utc(2011, 8, 1), utc(2012, 1, 1)]
     windows = [(0, utc(2012, 1, 1)), (utc(2011, 6, 3), utc(2011, 9, 30)), (utc(2011, 6, 9) - 1, utc(2011, 7, 2))]
     ids = [t.id for t in index.tweets]
+    runs = {tag: set(index.positions_between(tag, 0, math.inf)) for tag in index.hashtags()}
     return {
         "tweets": index.tweets,
-        "hashtags": [t.hashtags for t in index.tweets],
+        "hashtags": [[tag for tag, run in runs.items() if p in run] for p in range(len(index))],
         "tokens": [words_at(index, p) for p in range(len(index))],
         "plain": [index.plain_words([p]) for p in range(len(index))],
         "vocabulary": index.vocabulary,
@@ -462,7 +466,7 @@ def query_oracle(tweets, tags, seed):
     ordered = sorted(tweets, key=lambda t: (t.timestamp, t.id))
     inside = {
         tag: [[t.id for t in ordered
-               if lo < t.timestamp < hi and tag in {h.canonical for h in t.hashtags}]
+               if lo < t.timestamp < hi and tag in tags_of(t)]
               for lo, hi in windows]
         for tag in tags
     }
@@ -501,7 +505,7 @@ def test_loads_and_built_index_agree_on_random_corpora(seed, tmp_path):
     assert expect["windows"] == windows
     counted = expect["background"]
     assert {ts: {w: n for w, n in counted[ts].items() if n} for ts in counted} == background
-    assert sorted({h.canonical for t in tweets for h in t.hashtags}) == index.hashtags()
+    assert sorted(set().union(*map(tags_of, tweets))) == index.hashtags()
 
 
 def test_sidecar_load_equals_json_load_and_built_index(tmp_path):
@@ -510,7 +514,7 @@ def test_sidecar_load_equals_json_load_and_built_index(tmp_path):
     index = sidecar_corpus()
     tweets = {t.id: t for t in index.tweets}
     positions = {t.id: p for p, t in enumerate(index.tweets)}
-    assert [h.display for h in tweets["s1"].hashtags] == ["Ab", "aB", "ab"]
+    assert [h.display for h in extract_hashtags(tweets["s1"].text)] == ["Ab", "aB", "ab"]
     assert index.hashtag_id("ab").display == "Ab"
     assert words_at(index, positions["s5"]) == [] == words_at(index, positions["s6"])
     path = tmp_path / "index.json"
@@ -527,7 +531,7 @@ def test_fresh_sidecar_is_used_without_tagging_or_tokenizing(tmp_path, monkeypat
     def never(*args, **kwargs):
         raise AssertionError("the load derived what the file holds")
 
-    for name in ("extract_hashtags", "_table_ids", "_tokenize", "_encode"):
+    for name in ("hashtag_spellings", "extract_hashtags", "_table_ids", "_tokenize", "_encode"):
         monkeypatch.setattr(corpus, name, never)
     assert index_view(CorpusIndex.load(path)) == index_view(index)
 
@@ -700,11 +704,14 @@ def test_ingest_reads_numeric_and_iso_timestamps(tmp_path):
                 "user": "u2",
                 "text": "#World again",
             },
+            # an integer id reads as its decimal string
+            {"id": 3, "timestamp": utc(2011, 6, 3), "user": "u3", "text": "#World"},
         ],
     )
     index = ingest_jsonl(path)
-    assert len(index) == 2
-    assert [(t.id, t.timestamp) for t in index.tweets][1] == ("g2", utc(2011, 6, 2, 10))
+    assert len(index) == 3
+    assert [(t.id, t.timestamp) for t in index.tweets][1:] == [
+        ("g2", utc(2011, 6, 2, 10)), ("3", utc(2011, 6, 3))]
 
 
 def test_ingest_skips_malformed_lines(tmp_path):
@@ -788,6 +795,9 @@ def test_ingest_builds_the_index_of_the_tweets_its_records_hold(seed, tmp_path):
         json.dumps({**json.loads(lines[1]), "text": 5}),
         json.dumps({**json.loads(lines[2]), "timestamp": 100000000000000}),
         lines[3],  # a duplicate id
+        # ids that are neither strings nor integers; two nulls are not a duplicate
+        *(json.dumps({**json.loads(lines[k]), "id": i})
+          for k, i in ((4, None), (5, None), (6, True), (7, [1]))),
     ]
     for k, line in enumerate(bad):
         lines.insert(7 * k + 5, line)
@@ -795,8 +805,11 @@ def test_ingest_builds_the_index_of_the_tweets_its_records_hold(seed, tmp_path):
     path.write_text("\n".join(lines) + "\n")
     index = ingest_jsonl(path)
     assert index.skipped == len(bad)
-    assert index_view(index) | query_view(index, seed) == index_view(
-        CorpusIndex(tweets, skipped=len(bad))) | query_view(CorpusIndex(tweets), seed)
+    built = CorpusIndex(tweets, skipped=len(bad))
+    assert index_view(index) | query_view(index, seed) == index_view(built) | query_view(built, seed)
+    index.save(tmp_path / "ingested.json")
+    built.save(tmp_path / "built.json")
+    assert (tmp_path / "ingested.json").read_bytes() == (tmp_path / "built.json").read_bytes()
 
 
 def test_index_file_keeps_non_ascii_text_and_lone_surrogates(tmp_path):
@@ -804,7 +817,8 @@ def test_index_file_keeps_non_ascii_text_and_lone_surrogates(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text(
         '{"id": "\\u00e9t", "timestamp": 1300000000, "user": "\\ud800",'
-        ' "text": "caf\\u00e9 #Tag \\ud83d\\ude00 @B\\u00f6b \\udc80", "mentions": ["B\\u00f6b"]}\n',
+        ' "text": "caf\\u00e9 #Tag \\ud83d\\ude00 @B\\u00f6b \\udc80 #\\u00b2nd #\\u216b",'
+        ' "mentions": ["B\\u00f6b"]}\n',
         encoding="ascii")
     index = ingest_jsonl(path)
     index.save(tmp_path / "index.json")
@@ -812,7 +826,8 @@ def test_index_file_keeps_non_ascii_text_and_lone_surrogates(tmp_path):
     assert index_view(loaded) == index_view(index)
     [tweet] = loaded.tweets
     assert (tweet.id, tweet.user_id, tweet.mentions) == ("\u00e9t", "\ud800", ("b\u00f6b",))
-    assert tweet.text == "caf\u00e9 #Tag \U0001f600 @B\u00f6b \udc80"
+    assert tweet.text == "caf\u00e9 #Tag \U0001f600 @B\u00f6b \udc80 #\u00b2nd #\u216b"
+    assert loaded.hashtags() == ["tag"]  # '²' and 'Ⅻ' do not start a hashtag
 
 
 def test_ingest_missing_file_raises_oserror(tmp_path):

@@ -57,7 +57,7 @@ from tagmerge.lexicon import (
 from tagmerge.topicmodel import HashtagDocument, TopicModel, build_documents
 
 from conftest import make_tweet, utc
-from oracles import oracle_window_features, tokenize
+from oracles import oracle_window_features, tags_of, tokenize
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +340,7 @@ def test_hashtag_clarity_matches_inline_recompute():
     bg_total = sum(bg.values())
     tag_counts = {}
     for t in index.tweets:
-        if window[0] < t.timestamp < window[1] and "focus" in {h.canonical for h in t.hashtags}:
+        if window[0] < t.timestamp < window[1] and "focus" in tags_of(t):
             for tok in tokenize(t.text):
                 tag_counts[tok] = tag_counts.get(tok, 0) + 1
     n = sum(tag_counts.values())

@@ -82,7 +82,7 @@ def test_plant_spec_validation():
         hand_plant(planted_class=2)
 
 
-@pytest.mark.parametrize("words", [("9pm",), ("don't",), ("snow day",)])
+@pytest.mark.parametrize("words", [("9pm",), ("don't",), ("snow day",), ("\u00b2nd",)])
 def test_a_plant_name_that_does_not_read_back_as_one_hashtag_is_refused(words):
     with pytest.raises(ValueError, match="does not read back as one hashtag"):
         hand_plant(b_words=words)
@@ -119,14 +119,18 @@ def wide_vocab_config(n_candidates, seed):
     (lambda: wide_vocab_config(20, 7), True),
 ], ids=["reference", "signal", "wide-vocab"])
 def test_generated_tweets_carry_the_hashtags_and_mentions_their_text_gives(make, planted_mentions):
-    """`generate` hands each tweet its hashtags and mentions; deriving them
-    from the text must give the same."""
-    tweets = generate(make()).tweets
+    """`generate` hands each tweet its mentions, and deriving them from the
+    text must give the same; the hashtags the texts give are the planted
+    names, as written."""
+    config = make()
+    tweets = generate(config).tweets
+    tags = [extract_hashtags(t.text) for t in tweets]
     if planted_mentions:  # mentions and joint tweets are written
-        assert any(t.mentions for t in tweets) and any(len(t.hashtags) == 2 for t in tweets)
+        assert any(t.mentions for t in tweets) and any(len(found) == 2 for found in tags)
     for tweet in tweets:
-        assert tweet.hashtags == tuple(extract_hashtags(tweet.text)), tweet
         assert tweet.mentions == tuple(extract_mentions(tweet.text)), tweet
+    planted = {name for p in config.plants for name in (p.a_display, p.b_display, p.ab_display)}
+    assert {h.display for found in tags for h in found} == planted
 
 
 def test_plant_display_forms():
