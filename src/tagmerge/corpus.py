@@ -185,7 +185,7 @@ def hashtag_spellings(text: str) -> list[str]:
     A hashtag is '#' followed by a maximal run of Unicode word characters
     starting with a letter or underscore; '#café' reads as 'café', and
     '#9pm', '#²nd' and '#Ⅻ' yield nothing. This is the one hashtag rule:
-    the index, `extract_hashtags` and the synthetic plants all read it.
+    the index and the synthetic plants both read it.
     """
     found = HASHTAG_RE.findall(text)
     # HASHTAG_RE also admits a leading number that is not a decimal digit
@@ -195,11 +195,6 @@ def hashtag_spellings(text: str) -> list[str]:
     return [tag for tag in found if tag[0].isalpha() or tag[0] == "_"]
 
 
-def extract_hashtags(text: str) -> list[HashtagId]:
-    """All hashtags in a text (`hashtag_spellings`), original casing preserved."""
-    return list(map(HashtagId.from_display, hashtag_spellings(text)))
-
-
 def extract_mentions(text: str) -> list[str]:
     return [m.lower() for m in MENTION_RE.findall(text)]
 
@@ -207,7 +202,7 @@ def extract_mentions(text: str) -> list[str]:
 @dataclass(frozen=True, slots=True)
 class Tweet:
     """One tweet: the fields of a JSONL record. Mentions derive from the text
-    when absent; hashtags are always read from it (`extract_hashtags`)."""
+    when absent; hashtags are always read from it (`hashtag_spellings`)."""
 
     id: str
     timestamp: int

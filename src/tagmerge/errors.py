@@ -26,8 +26,10 @@ class InsufficientHistoryError(TagmergeError):
 
 
 class SplitError(TagmergeError):
-    """Raised when the rows cannot be split as asked: a test fraction outside
-    (0, 1), fewer than 2 folds, or a class with fewer rows than folds."""
+    """Raised when the rows of a feature file cannot be split or fit as asked:
+    a test fraction outside (0, 1), fewer than 2 folds, a class with fewer
+    rows than folds (or than 2 for a holdout), or a single class where a
+    split, a balance or a fit needs two."""
 
 
 def read_tsv(path, columns, header=False):

@@ -6,10 +6,12 @@ bindings are always derived from training rows only, inside each fold, so
 no test information leaks into the learner.
 
 `train` fits one model on a whole dataset, and `holdout_evaluate` one on
-its training split. `cross_validate` fits one model per fold, but descends
-on the folds together: the folds with equally many training rows form one
-stack, so a stratified cross validation makes at most two descents. Each
-fold's weights are bit-identical to a fit on that fold alone. Descent
+its training split. `cross_validate` fits one model per fold and column
+subset, but descends on them together: the fits whose training sets have
+the same (rows, width) shape form one stack. A stratified cross validation
+of one column set makes at most two descents, and the seven subsets of an
+ablation share one set of folds and one descent per shape. Each fit's
+weights are bit-identical to a fit on its training set alone. Descent
 steps with the gradient alone. Only `train` computes the loss, to record
 `LinearModel.loss_history`; evaluation fits never compute it.
 """
@@ -107,23 +109,6 @@ class Dataset:
         )
 
 
-def select_groups(dataset: Dataset, groups: tuple[str, ...]) -> Dataset:
-    """Dataset restricted to the features of the given groups."""
-    keep = [i for i, n in enumerate(dataset.feature_names) if dataset.groups[n] in groups]
-    if not keep:
-        raise ValueError(f"no features left after selecting groups {groups}")
-    names = tuple(dataset.feature_names[i] for i in keep)
-    has_slots = not set(names).isdisjoint(POS_SLOT_NAMES + NE_SLOT_NAMES)
-    return replace(
-        dataset,
-        matrix=dataset.matrix[:, keep].copy(),
-        feature_names=names,
-        groups={n: dataset.groups[n] for n in names},
-        binary_mask=dataset.binary_mask[keep],
-        combos=dataset.combos if has_slots else None,
-    )
-
-
 def _run_starts(ordered: np.ndarray) -> np.ndarray:
     """Positions in a sorted 1-d array at which each run of equal values
     starts; a NaN, equal to nothing, is a run of its own.
@@ -156,7 +141,7 @@ def balance_dataset(dataset: Dataset, seed: int = 0) -> Dataset:
     labels = dataset.labels
     classes, counts = distinct(labels)
     if len(classes) != 2:
-        raise ValueError("balancing needs exactly two classes")
+        raise SplitError("balancing needs exactly two classes")
     target = counts.min()
     rng = np.random.default_rng(seed)
     keep: list[int] = []
@@ -323,10 +308,13 @@ def _hinge_gradient(stack: np.ndarray, labels: np.ndarray, l2: float):
     never formed.
 
     The active rows of all members are gathered at once, and each member's
-    product runs on its own slice of them; the last member's slice is the
-    rest, so a one-member stack counts nothing. A product over every row
-    with the inactive ones zeroed would differ in the last bits, since the
-    zeros shift how BLAS splits the sum. The bias gradient sums the active
+    product runs on its own slice of them. The slices end at the running
+    sum of the members' active counts, one reduction per call, so a
+    one-member stack counts nothing. A member with no active rows, common
+    once a fit separates its training set, skips its product: the product
+    of no rows is zero. A product over every row with the inactive ones
+    zeroed would differ in the last bits, since the zeros shift how BLAS
+    splits the sum. The bias gradient sums the active
     values of +-1, which is exact in any order.
     """
     n = labels.shape[1]
@@ -346,12 +334,16 @@ def _hinge_gradient(stack: np.ndarray, labels: np.ndarray, l2: float):
         active = scaled < 1.0
         rows = all_rows[active.ravel()]
         signed_active = signed[active]
-        start = 0
-        for member in range(members - 1):
-            end = start + int(np.count_nonzero(active[member]))
-            np.matmul(rows[start:end].T, signed_active[start:end], out=grad_w[member])
-            start = end
-        np.matmul(rows[start:].T, signed_active[start:], out=grad_w[-1])
+        if members == 1:
+            np.matmul(rows.T, signed_active, out=grad_w[0])
+        else:
+            # a member with no active rows keeps the zero product
+            grad_w[...] = 0.0
+            start = 0
+            for member, end in enumerate(np.add.reduce(active, axis=1).cumsum().tolist()):
+                if end > start:
+                    np.matmul(rows[start:end].T, signed_active[start:end], out=grad_w[member])
+                start = end
         np.add.reduce(signed, axis=1, where=active, out=grad_b)
         np.negative(grad, out=grad)
         np.divide(grad, n, out=grad)
@@ -420,7 +412,7 @@ def _fit_linear(
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
     if np.any(labels.min(axis=1) == labels.max(axis=1)):
-        raise ValueError("training data holds a single class")
+        raise SplitError("training data holds a single class")
     gradient = _GRADIENT[kind](stack, labels, config.l2)
     loss = _LOSS[kind]
     rng = np.random.default_rng(config.seed)
@@ -557,15 +549,21 @@ def roc_auc(scores, labels) -> float:
 
 
 def _metrics(y_true: np.ndarray, y_pred: np.ndarray, scores: np.ndarray) -> dict:
-    """The EvalReport fields that the predictions decide, by field name."""
+    """The EvalReport fields that the predictions decide, by field name.
+
+    Every count comes from one 2x2 table: `confusion[t][p]` counts the rows
+    of true class t predicted as p, both 0 or 1.
+    """
+    confusion = np.bincount(2 * y_true + y_pred, minlength=4).reshape(2, 2).tolist()
     per_class = {}
     weighted = {"precision": 0.0, "recall": 0.0, "f_score": 0.0}
     n = len(y_true)
     for cls in (0, 1):
-        tp = int(np.sum((y_pred == cls) & (y_true == cls)))
-        fp = int(np.sum((y_pred == cls) & (y_true != cls)))
-        fn = int(np.sum((y_pred != cls) & (y_true == cls)))
-        support = int(np.sum(y_true == cls))
+        other = 1 - cls
+        tp = confusion[cls][cls]
+        fp = confusion[other][cls]
+        fn = confusion[cls][other]
+        support = tp + fn
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
         f_score = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
@@ -577,12 +575,8 @@ def _metrics(y_true: np.ndarray, y_pred: np.ndarray, scores: np.ndarray) -> dict
         }
         for key, value in (("precision", precision), ("recall", recall), ("f_score", f_score)):
             weighted[key] += value * support / n
-    confusion = [
-        [int(np.sum((y_true == 0) & (y_pred == 0))), int(np.sum((y_true == 0) & (y_pred == 1)))],
-        [int(np.sum((y_true == 1) & (y_pred == 0))), int(np.sum((y_true == 1) & (y_pred == 1)))],
-    ]
     return {
-        "accuracy": float(np.mean(y_true == y_pred)),
+        "accuracy": (confusion[0][0] + confusion[1][1]) / n,
         **weighted,
         "per_class": per_class,
         "confusion": confusion,
@@ -597,7 +591,7 @@ def stratified_folds(labels, n_folds: int, seed: int = 0) -> list[np.ndarray]:
         raise SplitError(f"need at least 2 folds, got {n_folds}")
     classes, counts = distinct(labels)
     if len(classes) < 2:
-        raise ValueError("dataset holds a single class")
+        raise SplitError("dataset holds a single class")
     for cls, count in zip(classes, counts):
         if count < n_folds:
             raise SplitError(f"cannot make {n_folds} folds: class {cls} has {count} rows")
@@ -646,14 +640,17 @@ def _rebind_combo_columns(
 
 
 def _standardized_split(
-    dataset: Dataset, train_idx: np.ndarray, test_idx: np.ndarray
+    matrix: np.ndarray,
+    binary_mask: np.ndarray,
+    columns: np.ndarray,
+    train_idx: np.ndarray,
+    test_idx: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Training and test rows, with combination slots and standardization from training rows."""
-    matrix = dataset.matrix
-    if dataset.combos is not None:
-        matrix = _rebind_combo_columns(matrix, dataset.feature_names, dataset.combos, train_idx)
-    stats = standardize_fit(matrix[train_idx], dataset.binary_mask)
-    return standardize_apply(stats, matrix[train_idx]), standardize_apply(stats, matrix[test_idx])
+    """Training and test rows of `columns`, standardized by the training rows' statistics."""
+    train_m = matrix[np.ix_(train_idx, columns)]
+    stats = standardize_fit(train_m, binary_mask[columns])
+    test_m = matrix[np.ix_(test_idx, columns)]
+    return standardize_apply(stats, train_m), standardize_apply(stats, test_m)
 
 
 def _fit_eval_splits(
@@ -661,29 +658,45 @@ def _fit_eval_splits(
     kind: str,
     splits: list[tuple[np.ndarray, np.ndarray]],
     config: TrainConfig,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Predictions and scores of each split's test rows by a model fit on its training rows.
+    subsets: list[np.ndarray] | None = None,
+) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """Predictions and scores of each split's test rows by a model fit on its
+    training rows, for each column subset (by default one of every column):
+    `results[s][i]` is subset s on split i.
 
-    Splits with equally many training rows are fit together in one stacked
-    descent; stratified folds have at most two sizes. Stacks are never
-    padded to one size, since zero rows would change the sums' order. Each
-    stack's splits are prepared just before its descent, so one stack of
-    training rows is held at a time.
+    Combination slots are bound once per split, from its training rows and
+    over every column; each fit then standardizes its own columns of them.
+    Fits whose training sets share a (rows, width) shape are fit together in
+    one stacked descent; stratified folds have at most two sizes. Stacks are
+    never padded to one shape, since zero rows would change the sums' order.
+    Each stack's fits are prepared just before its descent, so besides one
+    slot-bound copy of the matrix per split, one stack of training rows is
+    held at a time.
     """
-    by_size: dict[int, list[int]] = {}
-    for i, (train_idx, _) in enumerate(splits):
-        by_size.setdefault(len(train_idx), []).append(i)
-    results: list = [None] * len(splits)
-    for n_train, members in by_size.items():
-        stack = np.empty((len(members), n_train, dataset.matrix.shape[1]))
+    if subsets is None:
+        subsets = [np.arange(dataset.matrix.shape[1])]
+    matrices = [
+        dataset.matrix if dataset.combos is None
+        else _rebind_combo_columns(dataset.matrix, dataset.feature_names, dataset.combos, train_idx)
+        for train_idx, _ in splits
+    ]
+    by_shape: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for s, columns in enumerate(subsets):
+        for i, (train_idx, _) in enumerate(splits):
+            by_shape.setdefault((len(train_idx), len(columns)), []).append((s, i))
+    results: list[list] = [[None] * len(splits) for _ in subsets]
+    for shape, members in by_shape.items():
+        stack = np.empty((len(members), *shape))
         test_ms = []
-        for member, i in enumerate(members):
-            stack[member], test_m = _standardized_split(dataset, *splits[i])
+        for member, (s, i) in enumerate(members):
+            stack[member], test_m = _standardized_split(
+                matrices[i], dataset.binary_mask, subsets[s], *splits[i]
+            )
             test_ms.append(test_m)
-        labels = np.stack([dataset.labels[splits[i][0]] for i in members]).astype(float)
+        labels = np.stack([dataset.labels[splits[i][0]] for _, i in members]).astype(float)
         weights, bias, _ = _fit_linear(kind, stack, labels, config)
-        for i, test_m, member_weights, member_bias in zip(members, test_ms, weights, bias):
-            results[i] = _classify(kind, test_m @ member_weights + member_bias)
+        for (s, i), test_m, member_weights, member_bias in zip(members, test_ms, weights, bias):
+            results[s][i] = _classify(kind, test_m @ member_weights + member_bias)
     return results
 
 
@@ -693,30 +706,42 @@ def cross_validate(
     n_folds: int = 10,
     seed: int = 0,
     config: TrainConfig | None = None,
-) -> EvalReport:
-    """Stratified k-fold cross validation with leak-free per-fold fitting."""
+    subsets: list[np.ndarray] | None = None,
+) -> EvalReport | list[EvalReport]:
+    """Stratified k-fold cross validation with leak-free per-fold fitting.
+
+    Without `subsets`, the report of the dataset's every column. With
+    `subsets`, a list of column-index arrays, one report per subset, all
+    over the same folds; each equals the report of the dataset cut down to
+    that subset's columns.
+    """
     config = config or TrainConfig()
     folds = stratified_folds(dataset.labels, n_folds, seed)
-    pooled_pred = np.zeros(dataset.n_rows, dtype=int)
-    pooled_score = np.zeros(dataset.n_rows)
-    per_fold = []
     splits = [(_complement(dataset.n_rows, test_idx), test_idx) for test_idx in folds]
-    fitted = _fit_eval_splits(dataset, kind, splits, config)
-    for f, (test_idx, (preds, scores)) in enumerate(zip(folds, fitted)):
-        pooled_pred[test_idx] = preds
-        pooled_score[test_idx] = scores
-        fold_metrics = _metrics(dataset.labels[test_idx], preds, scores)
-        per_fold.append(
-            {
-                "fold": f,
-                "n_test": int(len(test_idx)),
-                "accuracy": fold_metrics["accuracy"],
-                "roc_area": fold_metrics["roc_area"],
-            }
-        )
-    m = _metrics(dataset.labels, pooled_pred, pooled_score)
+    fitted = _fit_eval_splits(dataset, kind, splits, config, subsets)
     protocol = {"mode": "cv", "folds": n_folds, "seed": seed}
-    return EvalReport(kind=kind, n_rows=dataset.n_rows, per_fold=per_fold, protocol=protocol, **m)
+    reports = []
+    for subset_fits in fitted:
+        pooled_pred = np.zeros(dataset.n_rows, dtype=int)
+        pooled_score = np.zeros(dataset.n_rows)
+        per_fold = []
+        for f, (test_idx, (preds, scores)) in enumerate(zip(folds, subset_fits)):
+            pooled_pred[test_idx] = preds
+            pooled_score[test_idx] = scores
+            fold_metrics = _metrics(dataset.labels[test_idx], preds, scores)
+            per_fold.append(
+                {
+                    "fold": f,
+                    "n_test": int(len(test_idx)),
+                    "accuracy": fold_metrics["accuracy"],
+                    "roc_area": fold_metrics["roc_area"],
+                }
+            )
+        m = _metrics(dataset.labels, pooled_pred, pooled_score)
+        reports.append(EvalReport(
+            kind=kind, n_rows=dataset.n_rows, per_fold=per_fold, protocol=dict(protocol), **m
+        ))
+    return reports[0] if subsets is None else reports
 
 
 def holdout_evaluate(
@@ -733,19 +758,19 @@ def holdout_evaluate(
     labels = dataset.labels
     classes, _ = distinct(labels)
     if len(classes) < 2:
-        raise ValueError("dataset holds a single class")
+        raise SplitError("dataset holds a single class")
     rng = np.random.default_rng(seed)
     test_parts = []
     for cls in classes:
         idx = np.where(labels == cls)[0]
         if len(idx) < 2:
-            raise ValueError(f"class {cls} has fewer than 2 rows")
+            raise SplitError(f"class {cls} has fewer than 2 rows")
         n_test = min(len(idx) - 1, max(1, round(len(idx) * test_fraction)))
         shuffled = idx[rng.permutation(len(idx))]
         test_parts.append(shuffled[:n_test])
     test_idx = np.array(sorted(np.concatenate(test_parts)), dtype=int)
     train_idx = _complement(dataset.n_rows, test_idx)
-    ((preds, scores),) = _fit_eval_splits(dataset, kind, [(train_idx, test_idx)], config)
+    [[(preds, scores)]] = _fit_eval_splits(dataset, kind, [(train_idx, test_idx)], config)
     m = _metrics(labels[test_idx], preds, scores)
     protocol = {
         "mode": "holdout",

@@ -5,19 +5,29 @@ detection joins hashtag pairs instead of scanning split positions,
 segmentation enumerates every one of the 2^(n-1) parses, tokenization
 re-reads the raw text, window features scan every tweet and join n-grams as
 strings, topic words are ranked by a full sort of the vocabulary, model fitting is a plain descent loop on one training set with
-no reused buffers and no in-place arithmetic, and tied scores are ranked by
-walking each run of equal values.
+no reused buffers and no in-place arithmetic, tied scores are ranked by
+walking each run of equal values, and an ablation cross-validates one
+cut-down copy of the dataset per feature-group subset.
 """
 
 import string
 from collections import Counter, defaultdict
+from dataclasses import replace
 
 import numpy as np
 
-from tagmerge.corpus import CorpusIndex, Tweet, extract_hashtags, observation_window
-from tagmerge.features import CLARITY_EPS, avg_topic_overlap, entropy
-from tagmerge.learn import hinge_loss_grad, logreg_loss_grad
+from tagmerge.analysis import ABLATION_COMBOS, AblationReport
+from tagmerge.corpus import CorpusIndex, HashtagId, Tweet, hashtag_spellings, observation_window
+from tagmerge.features import (
+    CLARITY_EPS, NE_SLOT_NAMES, POS_SLOT_NAMES, avg_topic_overlap, entropy,
+)
+from tagmerge.learn import cross_validate, hinge_loss_grad, logreg_loss_grad
 from tagmerge.topicmodel import HashtagDocument
+
+
+def extract_hashtags(text):
+    """All hashtags in a text (`hashtag_spellings`), original casing preserved."""
+    return list(map(HashtagId.from_display, hashtag_spellings(text)))
 
 
 def tags_of(tweet):
@@ -267,3 +277,43 @@ def reference_roc_auc(scores, labels):
         i = j + 1
     rank_sum = float(ranks[labels == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def select_groups(dataset, groups):
+    """Dataset restricted to the features of the given groups, as a copy.
+
+    Its combos are kept only when a combination slot column is left, so a
+    cross validation of it rebinds slots only when it has some.
+    """
+    keep = [i for i, n in enumerate(dataset.feature_names) if dataset.groups[n] in groups]
+    if not keep:
+        raise ValueError(f"no features left after selecting groups {groups}")
+    names = tuple(dataset.feature_names[i] for i in keep)
+    has_slots = not set(names).isdisjoint(POS_SLOT_NAMES + NE_SLOT_NAMES)
+    return replace(
+        dataset,
+        matrix=dataset.matrix[:, keep].copy(),
+        feature_names=names,
+        groups={n: dataset.groups[n] for n in names},
+        binary_mask=dataset.binary_mask[keep],
+        combos=dataset.combos if has_slots else None,
+    )
+
+
+def reference_ablate(dataset, kind, n_folds, seed, config):
+    """The ablation as one cross validation per subset, each on its own `select_groups` copy."""
+    report = AblationReport(kind=kind, n_folds=n_folds, seed=seed)
+    for name, groups in ABLATION_COMBOS:
+        subset = select_groups(dataset, groups)
+        result = cross_validate(subset, kind=kind, n_folds=n_folds, seed=seed, config=config)
+        report.reports[name] = result
+        report.entries[name] = {
+            "groups": list(groups),
+            "n_features": len(subset.feature_names),
+            "accuracy": result.accuracy,
+            "precision": result.precision,
+            "recall": result.recall,
+            "f_score": result.f_score,
+            "roc_area": result.roc_area,
+        }
+    return report

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from tagmerge import analysis
+from tagmerge import analysis, learn
 from tagmerge.analysis import (
     ABLATION_COMBOS,
     ablate,
@@ -15,8 +15,10 @@ from tagmerge.analysis import (
     info_gain_stat,
     rank_features,
 )
-from tagmerge.learn import Dataset, TrainConfig, cross_validate
+from tagmerge.features import ZoneCombo
+from tagmerge.learn import Dataset, TrainConfig, cross_validate, stratified_folds
 
+from oracles import reference_ablate
 from test_learn import toy_dataset
 
 
@@ -247,3 +249,71 @@ def test_ablation_json_is_deterministic():
     r1 = ablate(ds, "linsvm", n_folds=4, seed=1, config=cfg)
     r2 = ablate(ds, "linsvm", n_folds=4, seed=1, config=cfg)
     assert r1.to_json() == r2.to_json()
+
+
+def test_ablation_without_a_group_names_the_empty_subset():
+    ds = grouped_dataset()
+    ds.groups = {name: "tweet_content" for name in ds.feature_names}
+    with pytest.raises(ValueError, match="no features left after selecting groups"):
+        ablate(ds, "logreg", n_folds=4, config=TrainConfig(epochs=5))
+
+
+@pytest.mark.parametrize("kind", ["logreg", "linsvm"])
+def test_ablation_equals_one_cross_validation_per_subset(kind, monkeypatch):
+    """One batched call reports every subset as its own cut-down cross validation does.
+
+    The tweet and user groups are equally wide, so "tweet" and "user" share a
+    stack, and so do "tweet+hashtag" and "hashtag+user". The hashtag group
+    holds combination slots, rebound in each fold from the training rows.
+    """
+    names = ("t0", "t1", "u0", "u1", "h0", "pos_combo_00", "pos_combo_01",
+             "ne_combo_00", "ne_combo_01")
+    groups = {name: {"t": "tweet_content", "u": "user"}.get(name[0], "hashtag_content")
+              for name in names}
+    pos_pairs = [("A", "N"), ("N", "N"), ("V", "N")]
+    ne_pairs = [("none", "none"), ("PER", "none")]
+    shapes = []
+    real_fit = learn._fit_linear
+
+    def fit_spy(kind, stack, labels, config, record_loss=False):
+        shapes.append(stack.shape[1:])
+        return real_fit(kind, stack, labels, config, record_loss)
+
+    monkeypatch.setattr(learn, "_fit_linear", fit_spy)
+    for n in (23, 26, 27, 29):  # 5 folds of two sizes
+        rng = np.random.default_rng([n, 81])
+        labels = rng.permutation(np.arange(n) % 2)
+        combos = [
+            ZoneCombo(pos=pos_pairs[int(rng.integers(3))], ne=ne_pairs[int(rng.integers(2))],
+                      oov="INV-INV")
+            for _ in range(n)
+        ]
+        matrix = rng.normal(0, 1, size=(n, len(names)))
+        matrix[:, [0, 2]] += float(rng.choice([0.5, 1.5])) * labels[:, None]
+        dataset = Dataset(
+            matrix=matrix,
+            labels=labels,
+            feature_names=names,
+            groups=groups,
+            binary_mask=np.array(["combo" in name for name in names]),
+            schema_id="s",
+            combos=combos,
+        )
+        seed = int(rng.integers(100))
+        n_train = {n - len(f) for f in stratified_folds(labels, 5, seed)}
+        assert len(n_train) == 2
+        config = TrainConfig(
+            learning_rate=float(rng.choice([0.05, 0.1, 0.5])),
+            epochs=int(rng.integers(20, 80)),
+            l2=float(rng.choice([0.0, 1e-3, 0.05])),
+        )
+        shapes.clear()
+        got = ablate(dataset, kind, n_folds=5, seed=seed, config=config)
+        # widths 9, 4, 7 (twice), 2 (twice) and 5: five shapes per fold size
+        want_shapes = [(rows, width) for rows in n_train for width in (9, 4, 7, 2, 5)]
+        assert sorted(shapes) == sorted(want_shapes)
+        want = reference_ablate(dataset, kind, 5, seed, config)
+        assert got.to_json() == want.to_json(), n
+        assert list(got.reports) == list(want.reports)
+        for name in got.reports:
+            assert got.reports[name].to_json() == want.reports[name].to_json(), (n, name)

@@ -632,6 +632,40 @@ def test_a_split_the_rows_cannot_take_exits_one(case, feature_csv, tmp_path, cap
     assert not out.exists()
 
 
+# Feature files whose labels the fits cannot use: the labels of the data rows
+# in order (the last one repeating), the command line and what the error says.
+ONE_CLASS = [1]
+ONE_ROW_OF_CLASS_0 = [0, 1]
+BAD_LABELS = {
+    "cv-one-class": (ONE_CLASS, ["evaluate", "cv"], "dataset holds a single class"),
+    "holdout-one-class": (ONE_CLASS, ["evaluate", "holdout"], "dataset holds a single class"),
+    "ablate-one-class": (ONE_CLASS, ["ablate"], "dataset holds a single class"),
+    "balance-one-class": (ONE_CLASS, ["evaluate", "cv", "--balance"],
+                          "balancing needs exactly two classes"),
+    "train-one-class": (ONE_CLASS, ["train"], "training data holds a single class"),
+    "holdout-one-row-class": (ONE_ROW_OF_CLASS_0, ["evaluate", "holdout"],
+                              "class 0 has fewer than 2 rows"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_LABELS)
+def test_a_feature_file_the_fits_cannot_use_exits_one(case, feature_csv, tmp_path, capsys):
+    labels, argv, message = BAD_LABELS[case]
+    target = tmp_path / "feats.csv"
+    sidecar = feature_csv.with_name("feats.schema.json")
+    (tmp_path / sidecar.name).write_bytes(sidecar.read_bytes())
+    header, *rows = feature_csv.read_text().splitlines()
+    relabeled = [
+        ",".join([*row.split(",")[:-1], str(labels[min(i, len(labels) - 1)])])
+        for i, row in enumerate(rows)
+    ]
+    target.write_text("\n".join([header, *relabeled]) + "\n")
+    out = tmp_path / "report.json"
+    assert cli.main([*argv, "--features", str(target), "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_holdout_and_model_choice(feature_csv, tmp_path, capsys):
     out = tmp_path / "holdout.json"
     rc = cli.main([

@@ -11,7 +11,6 @@ from tagmerge.corpus import (
     CorpusIndex,
     HashtagId,
     Tweet,
-    extract_hashtags,
     extract_mentions,
     ingest_jsonl,
     month_of,
@@ -24,7 +23,7 @@ from tagmerge.corpus import (
 from tagmerge.errors import CorpusFormatError
 
 from conftest import make_tweet, rewrite_index, string_members, utc
-from oracles import tags_of, tokenize
+from oracles import extract_hashtags, tags_of, tokenize
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +530,7 @@ def test_fresh_sidecar_is_used_without_tagging_or_tokenizing(tmp_path, monkeypat
     def never(*args, **kwargs):
         raise AssertionError("the load derived what the file holds")
 
-    for name in ("hashtag_spellings", "extract_hashtags", "_table_ids", "_tokenize", "_encode"):
+    for name in ("hashtag_spellings", "_table_ids", "_tokenize", "_encode"):
         monkeypatch.setattr(corpus, name, never)
     assert index_view(CorpusIndex.load(path)) == index_view(index)
 

@@ -24,14 +24,13 @@ from tagmerge.learn import (
     logreg_loss_grad,
     predict,
     roc_auc,
-    select_groups,
     standardize_apply,
     standardize_fit,
     stratified_folds,
     train,
 )
 
-from oracles import expression_gradient, reference_fit, reference_roc_auc
+from oracles import expression_gradient, reference_fit, reference_roc_auc, select_groups
 
 
 def toy_dataset(n=40, seed=0, d=3, sep=8.0):
@@ -126,6 +125,30 @@ def test_gradients_equal_their_out_of_place_expressions():
             want_w, want_b = expression_gradient(kind, weights, bias, matrix, labels, l2)
             assert np.array_equal(grad_w, want_w), (seed, kind)
             assert grad_b == want_b, (seed, kind)
+
+
+@pytest.mark.parametrize("empty", [0, 1, 2], ids=["first", "middle", "last"])
+def test_hinge_gradient_of_a_stack_member_with_no_active_rows(empty):
+    """A member whose every margin is met gets a zero-length slice of the
+    active rows, and the members around it keep theirs."""
+    rng = np.random.default_rng([empty, 73])
+    n, d, l2 = 12, 3, 0.01
+    stack = rng.normal(0, 1, size=(3, n, d))
+    labels = np.tile([0.0, 1.0], (3, n // 2))
+    params = rng.normal(0, 1, size=(3, d + 1))
+    # every row of the empty member lies 10 past its margin on the first axis
+    stack[empty, :, 0] = 10.0 * (2.0 * labels[empty] - 1.0)
+    params[empty] = (1.0, 0.0, 0.0, 0.0)
+    grad = learn._hinge_gradient(stack, labels, l2)(params)
+    for member in range(3):
+        weights, bias = params[member, :d], params[member, d]
+        matrix, y = stack[member], labels[member]
+        active = 1.0 - (2.0 * y - 1.0) * (matrix @ weights + bias) > 0
+        assert active.any() != (member == empty)
+        want_w, want_b = expression_gradient("linsvm", weights, bias, matrix, y, l2)
+        assert np.array_equal(grad[member, :d], want_w), member
+        assert grad[member, d] == want_b, member
+    assert np.array_equal(grad[empty, :d], l2 * params[empty, :d])
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +246,7 @@ def test_training_is_seed_deterministic():
 def test_training_rejects_single_class():
     ds = toy_dataset()
     ds.labels[:] = 1
-    with pytest.raises(ValueError):
+    with pytest.raises(SplitError, match="training data holds a single class"):
         train(ds, "logreg")
 
 
@@ -348,7 +371,7 @@ def test_stratified_folds_determinism_and_errors():
         stratified_folds(labels, 1)
     with pytest.raises(SplitError):
         stratified_folds(labels, 21)
-    with pytest.raises(ValueError):
+    with pytest.raises(SplitError, match="dataset holds a single class"):
         stratified_folds(np.ones(10, dtype=int), 2)
     with pytest.raises(SplitError, match="class 1 has 3 rows"):
         stratified_folds([0] * 10 + [1] * 3, 4)
@@ -375,7 +398,7 @@ def test_balance_downsamples_majority_deterministically():
 def test_balance_requires_two_classes():
     ds = toy_dataset()
     ds.labels[:] = 0
-    with pytest.raises(ValueError):
+    with pytest.raises(SplitError, match="balancing needs exactly two classes"):
         balance_dataset(ds)
 
 

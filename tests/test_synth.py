@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tagmerge.compound import classify_trend, detect_candidates, label_candidate
-from tagmerge.corpus import CorpusIndex, extract_hashtags, extract_mentions, observation_window
+from tagmerge.corpus import CorpusIndex, extract_mentions, observation_window
 from tagmerge.errors import CorpusFormatError
 from tagmerge.features import collocation_frequency
 from tagmerge.synth import (
@@ -22,6 +22,8 @@ from tagmerge.synth import (
     write_corpus,
     write_scenario,
 )
+
+from oracles import extract_hashtags
 
 
 def hand_plant(**overrides):
