@@ -314,8 +314,8 @@ def _hinge_gradient(stack: np.ndarray, labels: np.ndarray, l2: float):
     once a fit separates its training set, skips its product: the product
     of no rows is zero. A product over every row with the inactive ones
     zeroed would differ in the last bits, since the zeros shift how BLAS
-    splits the sum. The bias gradient sums the active
-    values of +-1, which is exact in any order.
+    splits the sum. The bias gradient sums the active values of +-1, which
+    is exact in any order.
     """
     n = labels.shape[1]
     members, d = len(stack), stack.shape[2]
