@@ -27,7 +27,8 @@ for k in range(2):
     top = ", ".join(model.vocab[i] for i in order)
     print(f"topic {k} ({model.word_topic[:, k].sum()} tokens): {top}")
 
-# topic_overlap reads only doc_top_words: per topic, a document's own words by count
+# topic_overlap reads only the ranking behind doc_top_words (doc_top_rows):
+# per topic, a document's own words by count
 first, second = documents[0].doc_id, documents[2].doc_id
 tops_a, tops_b = model.doc_top_words(first, 4), model.doc_top_words(second, 4)
 print(f"\n{first} words ranked within its own vocabulary: {', '.join(tops_a[0])}")

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import SplitError
 from .features import GROUP_HASHTAG, GROUP_TWEET, GROUP_USER
 from .learn import Dataset, EvalReport, TrainConfig, cross_validate, distinct
 
@@ -135,13 +136,16 @@ RANK_METHODS = tuple(_STATISTICS)
 
 
 def rank_features(dataset: Dataset, method: str) -> FeatureRanking:
-    """Every feature ranked by the statistic `method` names, one of RANK_METHODS."""
+    """Every feature ranked by the statistic `method` names, one of RANK_METHODS.
+
+    A dataset of a single class raises SplitError.
+    """
     if method not in _STATISTICS:
         raise ValueError(f"unknown ranking method {method!r}")
     stat_fn = _STATISTICS[method]
     labels = np.asarray(dataset.labels, dtype=int)
     if len(distinct(labels)[0]) < 2:
-        raise ValueError("ranking needs both classes present")
+        raise SplitError("ranking needs both classes present")
     scored = []
     for col, name in enumerate(dataset.feature_names):
         bins = bin_column(dataset.matrix[:, col], bool(dataset.binary_mask[col]))

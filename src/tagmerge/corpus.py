@@ -344,26 +344,30 @@ class CorpusIndex:
     def __len__(self) -> int:
         return len(self._ids)
 
-    def token_ids(self, positions: Sequence[int]) -> tuple[list[int], list[int]]:
+    def token_ids(self, positions: Sequence[int]) -> tuple[list[int], list[int], np.ndarray]:
         """The vocabulary ids of the tokens of the tweets at these positions,
-        in order, and the bounds of each tweet's run of them: the tweet at
-        positions[k] has ids[bounds[k]:bounds[k + 1]].
+        in order; the bounds of each tweet's run of them: the tweet at
+        positions[k] has ids[bounds[k]:bounds[k + 1]]; and, as an int32
+        array, the ids of those tokens that did not come from a '#' or '@'
+        word, in order.
 
         A text's tokens are its whitespace-split words, edge punctuation
         stripped and lowercased, dropping any left empty.
         """
         stream, bounds = _stream(self._token_offsets, positions)
-        return self._token_ids[stream].tolist(), bounds.tolist()
+        ids = self._token_ids[stream]
+        tagged = self._tagged
+        if len(tagged):
+            nearest = tagged[np.minimum(np.searchsorted(tagged, stream), len(tagged) - 1)]
+            plain = ids[nearest != stream]
+        else:
+            plain = ids
+        return ids.tolist(), bounds.tolist(), plain
 
     def plain_words(self, positions: Sequence[int]) -> tuple[str, ...]:
         """The tokens of the tweets at these positions, in order, as words,
         without those that came from a '#' or '@' word."""
-        stream, _ = _stream(self._token_offsets, positions)
-        tagged = self._tagged
-        if len(tagged):
-            nearest = tagged[np.minimum(np.searchsorted(tagged, stream), len(tagged) - 1)]
-            stream = stream[nearest != stream]
-        return tuple(map(self._vocab.__getitem__, self._token_ids[stream].tolist()))
+        return tuple(map(self._vocab.__getitem__, self.token_ids(positions)[2].tolist()))
 
     def audience(self, positions: Sequence[int]) -> tuple[set[str], set[str], set[str]]:
         """The distinct users, mentioned ids and retweet tweet ids of the

@@ -5,18 +5,22 @@ the open interval of `obs_months` months ending at the compounding instant.
 Nothing at or after t0 may influence a vector; appending later tweets to the
 corpus must leave previously computed vectors bit-identical.
 
-`featurize` reads each constituent's window once, as the positions of its
-tweets in the index: one `Counter` of their token ids, the table n-grams
-among their token ids, and one document of plain words (hashtag and mention
-tokens dropped). The window extractors take those, or read the users,
-mentions and retweets of the positions from the index's columns; none of
-them builds a `Tweet` or turns a token id back into a word. Only the topic
-documents are words. `topic_overlap` fits its topic model, when it needs
-one, on the candidate's own two documents, so it too depends on nothing but
-the candidate's window. `featurize_all` runs all those pair fits in one
-`topicmodel.fit_lda_batch`; each pair gets the model its own
-`topicmodel.fit_lda` would, so the vectors are those of `featurize`. It
-also reads the background counts of each distinct window end once.
+`featurize_all` reads each constituent's window once, as the positions of
+its tweets in the index and their token stream: one `Counter` of their token
+ids, the table n-grams among their token ids, and one topic document of the
+ids of its plain words (hashtag and mention tokens dropped), an int32 array.
+The window extractors take those, or read the users, mentions and retweets
+of the positions from the index's columns; none of them builds a `Tweet` or
+turns a token id back into a word. `topic_overlap` fits its topic model,
+when it needs one, on the candidate's own two documents, so it too depends
+on nothing but the candidate's window. `featurize_all` runs all those pair
+fits in one `topicmodel.fit_lda_batch` on the id documents, and counts each
+pair's shared top words as `word_topic` rows. The index vocabulary is
+sorted, so each pair gets the model, and the ranking, that its own
+`topicmodel.fit_lda` of word documents would, and the vectors are those of
+`featurize`, which fits the word documents of `topicmodel.build_documents`.
+`featurize_all` also reads the background of each distinct window end
+once, as `clarity_background`.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .corpus import CorpusIndex, observation_window
 from .errors import CorpusFormatError, InsufficientHistoryError, dataclass_fields, read_json
 from .lexicon import Dictionary, EntityGazetteer, NgramTable, PosLexicon, ner_tag, pos_tag
 from . import topicmodel
-from .topicmodel import HashtagDocument
+from .topicmodel import HashtagDocument, IdDocument
 
 logger = logging.getLogger(__name__)
 
@@ -419,25 +423,32 @@ def collocation_frequency(positions_a: Sequence[int], positions_b: Sequence[int]
     return len(set(positions_a).intersection(positions_b))
 
 
-def hashtag_clarity(counts: Counter, background: tuple[np.ndarray, int]) -> float:
+def clarity_background(bg_counts: np.ndarray, bg_total: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """What `hashtag_clarity` reads of a background: the mask of the words
+    that `bg_counts` holds, how many they are, and their probabilities.
+
+    `bg_counts` and `bg_total` are `CorpusIndex.background_before` of a
+    window's end: the corpus token counts strictly before it and their total.
+    """
+    support = bg_counts > 0
+    return support, int(support.sum()), bg_counts[support] / bg_total
+
+
+def hashtag_clarity(counts: Counter, background: tuple[np.ndarray, int, np.ndarray]) -> float:
     """KL divergence of a hashtag's language model from the background.
 
-    `counts` holds the hashtag's window token ids and `background` is
-    `CorpusIndex.background_before` of the window's end: the corpus token
-    counts strictly before it and their total. High divergence means focused
+    `counts` holds the hashtag's window token ids and `background` is the
+    `clarity_background` of the window's end. High divergence means focused
     use. The hashtag side is additively smoothed over the background's
     vocabulary. No tokens score zero.
     """
     n_tokens = sum(counts.values())
     if n_tokens == 0:
         return 0.0
-    bg_counts, bg_total = background
-    tag_counts = np.zeros(len(bg_counts), dtype=np.int64)
+    support, v, q = background
+    tag_counts = np.zeros(len(support), dtype=np.int64)
     tag_counts[list(counts)] = list(counts.values())
-    support = bg_counts > 0
-    v = int(support.sum())
     p = (tag_counts[support] + CLARITY_EPS) / (n_tokens + CLARITY_EPS * v)
-    q = bg_counts[support] / bg_total
     return float(np.sum(p * np.log(p / q)))
 
 
@@ -466,30 +477,28 @@ def avg_topic_overlap(
     fit, and no fit runs. The fit is `topicmodel.fit_lda`; `featurize_all`
     gets the same value for many pairs from one `topicmodel.fit_lda_batch`.
     """
-    overlap = _overlap_without_fit(doc_a, doc_b, top_n)
+    overlap = _overlap_without_fit(set(doc_a.tokens), set(doc_b.tokens), top_n)
     if overlap is not None:
         return overlap
     model = topicmodel.fit_lda([doc_a, doc_b], n_topics=n_topics, iterations=iterations, seed=seed)
-    return _fitted_overlap(model, doc_a, doc_b, top_n)
+    return _fitted_overlap(model, doc_a.doc_id, doc_b.doc_id, top_n)
 
 
-def _overlap_without_fit(
-    doc_a: HashtagDocument, doc_b: HashtagDocument, top_n: int
-) -> float | None:
+def _overlap_without_fit(vocab_a: Set, vocab_b: Set, top_n: int) -> float | None:
     """The shared vocabulary size when no document exceeds `top_n` words, else None."""
-    vocab_a, vocab_b = set(doc_a.tokens), set(doc_b.tokens)
     if len(vocab_a) <= top_n and len(vocab_b) <= top_n:
         return float(len(vocab_a & vocab_b))
     return None
 
 
-def _fitted_overlap(
-    model: topicmodel.TopicModel, doc_a: HashtagDocument, doc_b: HashtagDocument, top_n: int
-) -> float:
-    tops_a = model.doc_top_words(doc_a.doc_id, top_n)
-    tops_b = model.doc_top_words(doc_b.doc_id, top_n)
-    total = sum(len(set(a).intersection(b)) for a, b in zip(tops_a, tops_b))
-    return total / model.n_topics
+def _fitted_overlap(model: topicmodel.TopicModel, doc_a: str, doc_b: str, top_n: int) -> float:
+    """The mean over topics of how many of their top `top_n` words two
+    documents of `model` share, counted as `word_topic` rows."""
+    topics = np.arange(model.n_topics)
+    top_a = np.zeros(model.word_topic.shape, dtype=bool)
+    top_a[model.doc_top_rows(doc_a, top_n), topics] = True
+    shared = int(np.count_nonzero(top_a[model.doc_top_rows(doc_b, top_n), topics]))
+    return shared / model.n_topics
 
 
 # ---------------------------------------------------------------------------
@@ -540,23 +549,23 @@ class FeatureResources:
 
 def _read_window(
     index: CorpusIndex, canonical: str, window: tuple[int, int], phrases: PhraseIds
-) -> tuple[Sequence[int], Counter, set[tuple[int, ...]], HashtagDocument]:
+) -> tuple[Sequence[int], Counter, set[tuple[int, ...]], IdDocument]:
     """One constituent's window: its tweet positions, token id counts, table
-    n-grams and plain-word document.
+    n-grams and topic document.
 
     The counts are filled tweet by tweet in the index's (time, id) order,
-    and n-grams never span two tweets. The document is the one
-    `topicmodel.build_documents` makes for the same window.
+    and n-grams never span two tweets. The document holds the index
+    vocabulary ids of the words of the one `topicmodel.build_documents`
+    makes for the same window.
     """
     positions = index.positions_between(canonical, *window)
-    token_ids, bounds = index.token_ids(positions)
+    token_ids, bounds, plain_ids = index.token_ids(positions)
     counts = Counter(token_ids)
     ngrams = set(phrases.find(token_ids, bounds))
     if not positions:
         logger.warning("hashtag %r has no tweets in window, clarity and diversity set to 0",
                        canonical)
-    document = HashtagDocument(f"{canonical}@{window[1]}", canonical, index.plain_words(positions))
-    return positions, counts, ngrams, document
+    return positions, counts, ngrams, IdDocument(f"{canonical}@{window[1]}", plain_ids)
 
 
 def featurize(
@@ -569,10 +578,15 @@ def featurize(
     """Full feature vector of one eligible candidate.
 
     Raises InsufficientHistoryError when the corpus does not span the whole
-    observation window.
+    observation window. `topic_overlap` comes from the word documents of
+    `topicmodel.build_documents`.
     """
-    values, doc_a, doc_b = _window_features(
+    values, _, _ = _window_features(
         candidate, index, resources, schema, combo, PhraseIds(resources.ngrams, index), {}
+    )
+    window = observation_window(candidate.compound_first_seen, schema.config.obs_months)
+    doc_a, doc_b = topicmodel.build_documents(
+        index, [candidate.part_a.canonical, candidate.part_b.canonical], window
     )
     values["topic_overlap"] = avg_topic_overlap(
         doc_a, doc_b, schema.config.lda_topics, resources.lda_iterations, resources.lda_seed
@@ -587,11 +601,12 @@ def _window_features(
     schema: FeatureSchema,
     combo: ZoneCombo | None,
     phrases: PhraseIds,
-    backgrounds: dict[int, tuple[np.ndarray, int]],
-) -> tuple[dict[str, float], HashtagDocument, HashtagDocument]:
-    """Every feature of one candidate but `topic_overlap`, and its two window documents.
+    backgrounds: dict[int, tuple[np.ndarray, int, np.ndarray]],
+) -> tuple[dict[str, float], IdDocument, IdDocument]:
+    """Every feature of one candidate but `topic_overlap`, and its two topic documents.
 
-    `backgrounds` caches `index.background_before` by window end.
+    `backgrounds` caches the `clarity_background` of `index.background_before`
+    by window end.
     """
     if schema is None:
         raise ValueError("featurize needs a derived schema")
@@ -608,7 +623,8 @@ def _window_features(
     positions_b, counts_b, ngrams_b, doc_b = _read_window(index, part_b, window, phrases)
     background = backgrounds.get(window[1])
     if background is None:
-        background = backgrounds[window[1]] = index.background_before(window[1])
+        background = backgrounds[window[1]] = clarity_background(
+            *index.background_before(window[1]))
 
     values: dict[str, float] = {}
     values["char_length"] = float(char_length(candidate))
@@ -647,9 +663,9 @@ def featurize_all(
 
     Each vector equals `featurize(c, index, resources, schema, combo)`. The
     pairs whose `topic_overlap` needs a fit are fitted in one
-    `topicmodel.fit_lda_batch` call, which gives every pair the model that
-    its own `fit_lda` would; the last value counts them. The background
-    counts of each distinct window end are read once. Vectors and combos
+    `topicmodel.fit_lda_batch` call on their id documents, which gives every
+    pair the model that its own `fit_lda` would; the last value counts them.
+    The background of each distinct window end is read once. Vectors and combos
     are in input order. Nothing here changes the index or the resources, and
     the combo binding does not depend on order, so a candidate's vector is
     the same whatever the order of `candidates`.
@@ -660,24 +676,25 @@ def featurize_all(
     ]
     schema = build_schema(combos, config)
     phrases = PhraseIds(resources.ngrams, index)
-    backgrounds: dict[int, tuple[np.ndarray, int]] = {}
+    backgrounds: dict[int, tuple[np.ndarray, int, np.ndarray]] = {}
     rows = [
         _window_features(c, index, resources, schema, combo, phrases, backgrounds)
         for c, combo in zip(candidates, combos)
     ]
     fitted = []
     for values, doc_a, doc_b in rows:
-        overlap = _overlap_without_fit(doc_a, doc_b, TOPIC_TOP_N)
+        overlap = _overlap_without_fit(
+            set(doc_a.ids.tolist()), set(doc_b.ids.tolist()), TOPIC_TOP_N)
         if overlap is None:
             fitted.append((values, doc_a, doc_b))
         else:
             values["topic_overlap"] = overlap
     models = topicmodel.fit_lda_batch(
-        [[doc_a, doc_b] for _, doc_a, doc_b in fitted], n_topics=config.lda_topics,
-        iterations=resources.lda_iterations, seed=resources.lda_seed,
+        [[doc_a, doc_b] for _, doc_a, doc_b in fitted], index.vocabulary,
+        n_topics=config.lda_topics, iterations=resources.lda_iterations, seed=resources.lda_seed,
     )
     for (values, doc_a, doc_b), model in zip(fitted, models):
-        values["topic_overlap"] = _fitted_overlap(model, doc_a, doc_b, TOPIC_TOP_N)
+        values["topic_overlap"] = _fitted_overlap(model, doc_a.doc_id, doc_b.doc_id, TOPIC_TOP_N)
     schema_id = schema.schema_id
     vectors = [
         FeatureVector({name: values[name] for name in schema.names}, schema_id)

@@ -5,21 +5,28 @@ words; topics are fit by collapsed Gibbs sampling with symmetric priors.
 Sampling is seeded and single-threaded.
 
 There are two samplers of one model, one per job. `fit_lda` runs a single
-fit: the sweep runs over plain Python lists and draws its uniforms in
-blocks, one block per document, from the same PCG64 stream that one scalar
-draw per token would read. Each weight, its running sum and the search over
-that sum are the same floating-point operations as numpy's elementwise
-product, cumsum and searchsorted, so a fixed seed reproduces the model bit
-for bit. It serves a one-candidate `features.featurize` and
-`fit_candidate_topics`, and is the reference for the batch.
+fit over `HashtagDocument`s of words: the sweep runs over plain Python lists
+and draws its uniforms in blocks, one block per document, from the same
+PCG64 stream that one scalar draw per token would read. Each weight, its
+running sum and the search over that sum are the same floating-point
+operations as numpy's elementwise product, cumsum and searchsorted, so a
+fixed seed reproduces the model bit for bit. It serves a one-candidate
+`features.featurize` and `fit_candidate_topics`, and is the reference for
+the batch.
 
 `fit_lda_batch` runs many independent fits in lockstep, one token position
 of every fit per numpy step, and gives each fit exactly the model fit_lda
-would. `features.featurize_all` fits all its candidate pairs with it, and
-reads each model only through `TopicModel.doc_top_words`. Each step costs
-tens of microseconds of numpy calls whatever the number of fits, and the
-batch runs as many steps as its longest fit has tokens, so a batch of one
-is several times slower than fit_lda.
+would. Its documents are `IdDocument`s: int32 ids into a sorted vocabulary,
+as `features` reads them off the index's token stream, so a fit's sorted
+distinct ids order its rows as fit_lda's sorted words do. The batch's row
+table is term-major, `rows[t, j, b]` for token t, term j (word, document or
+total row) and fit b, so each step gathers, adds priors to, multiplies and
+divides contiguous (fits, K) blocks. `features.featurize_all` fits all its
+candidate pairs with it, and reads each model only through
+`TopicModel.doc_top_rows`. Each step costs tens of microseconds of numpy
+calls whatever the number of fits, and the batch runs as many steps as its
+longest fit has tokens, so a batch of one is several times slower than
+fit_lda.
 """
 
 from __future__ import annotations
@@ -65,6 +72,14 @@ def build_documents(
     return docs
 
 
+@dataclass(frozen=True, eq=False)
+class IdDocument:
+    """A document as the int32 ids of its tokens, in order, into a sorted vocabulary."""
+
+    doc_id: str
+    ids: np.ndarray
+
+
 @dataclass(eq=False)
 class TopicModel:
     """Fitted LDA state: final-sweep count matrices plus priors."""
@@ -80,18 +95,27 @@ class TopicModel:
     seed: int
     iterations: int
 
-    def doc_top_words(self, doc_id: str, n: int = 100) -> list[list[str]]:
-        """Per topic, the document's n highest-count words; ties resolve alphabetically.
+    def doc_top_rows(self, doc_id: str, n: int = 100) -> np.ndarray:
+        """Column k holds the `word_topic` rows of the document's n highest-count
+        words in topic k; ties resolve alphabetically.
 
         Members are sorted alphabetically first, so one stable sort of the
-        negated counts, column by column, gives the (-count, word) order.
+        negated counts, column by column, gives the (-count, word) order. A
+        fitted vocabulary is sorted, so the members in row order are already
+        in word order, and the sort by word only confirms it.
         """
         if doc_id not in self.doc_ids:
             raise ValueError(f"model was not fitted over document {doc_id!r}")
-        members = sorted(self.doc_vocab[self.doc_ids.index(doc_id)], key=self.vocab.__getitem__)
-        words = np.array([self.vocab[i] for i in members], dtype=object)
-        order = np.argsort(-self.word_topic[members], axis=0, kind="stable")[:n]
-        return words[order].T.tolist()
+        members = np.array(
+            sorted(sorted(self.doc_vocab[self.doc_ids.index(doc_id)]), key=self.vocab.__getitem__),
+            dtype=np.intp,
+        )
+        return members[np.argsort(-self.word_topic[members], axis=0, kind="stable")[:n]]
+
+    def doc_top_words(self, doc_id: str, n: int = 100) -> list[list[str]]:
+        """Per topic, the words of `doc_top_rows`, in rank order."""
+        return [list(map(self.vocab.__getitem__, column))
+                for column in self.doc_top_rows(doc_id, n).T.tolist()]
 
 
 def fit_lda(
@@ -204,7 +228,8 @@ def _check_counts(word_topic, doc_topic, topic_total, doc_alpha, total_v_beta,
 
 
 def fit_lda_batch(
-    fits: Sequence[Sequence[HashtagDocument]],
+    fits: Sequence[Sequence[IdDocument]],
+    vocabulary: Sequence[str],
     n_topics: int,
     alpha: float | None = None,
     beta: float = 0.01,
@@ -213,16 +238,22 @@ def fit_lda_batch(
 ) -> list[TopicModel]:
     """`fit_lda(documents, ...)` of every document list in `fits`, run in lockstep.
 
-    Each fit keeps its own vocabulary, counts and `default_rng(seed)`, and
-    draws one block of uniforms per sweep, the same PCG64 stream as
-    fit_lda's per-document blocks. One step resamples token position t of
-    every fit at once, as rows of numpy arrays: the weights are the same
-    elementwise operations, `cumsum` along a row adds in sequence like
-    `accumulate`, and the count of running sums <= u * total, clamped to
-    K - 1, is the index `bisect_right` returns. So each model equals, count
-    for count, the one fit_lda makes; its count matrices are int32 views
-    into the batch's state. Fits are sorted by length, longest first, so the
-    fits still sampling at step t are a prefix of the rows.
+    The documents of a fit are `IdDocument`s, whose ids index `vocabulary`;
+    it must be sorted and distinct, as `CorpusIndex.vocabulary` is, and
+    each fit is then that of the `HashtagDocument`s of those words. A fit's
+    sorted distinct ids are its vocabulary, in fit_lda's sorted order.
+
+    Each fit keeps its own counts and `default_rng(seed)`, and draws one
+    block of uniforms per sweep, the same PCG64 stream as fit_lda's
+    per-document blocks. One step resamples token position t of every fit
+    at once, as rows of numpy arrays: the weights are the same elementwise
+    operations, `cumsum` along a row adds in sequence like `accumulate`,
+    and the first of the K - 1 leading running sums > u * total, else
+    K - 1, is the index `bisect_right` returns clamped to K - 1, since
+    running sums of positive weights never fall. So each model equals,
+    count for count, the one fit_lda makes; its count matrices are int32
+    views into the batch's state. Fits are sorted by length, longest first,
+    so the fits still sampling at step t are a prefix of the rows.
 
     Raises what fit_lda raises for the same settings or for any one fit,
     and audits every fit's counts after the last sweep. An empty batch fits
@@ -236,58 +267,69 @@ def fit_lda_batch(
         raise ValueError("iterations must be positive")
     if alpha is None:
         alpha = 50.0 / n_topics
-    vocabs = [tuple(sorted({tok for doc in docs for tok in doc.tokens})) for docs in fits]
-    if not all(vocabs):
+    tokens = [np.concatenate([doc.ids for doc in docs]) for docs in fits]
+    words = [_distinct(ids) for ids in tokens]  # each fit's vocabulary, as ids
+    if not all(map(len, words)):
         raise ValueError("all documents are empty, nothing to fit")
 
-    sizes = [sum(len(doc.tokens) for doc in docs) for docs in fits]
-    order = sorted(range(len(fits)), key=lambda f: -sizes[f])  # longest first
-    lengths = [sizes[f] for f in order]
+    order = sorted(range(len(fits)), key=lambda f: -len(tokens[f]))  # longest first
+    lengths = [len(tokens[f]) for f in order]
     # One int32 matrix holds every fit's counts: for the b-th longest fit,
     # from row start[b], its word-topic rows, its document-topic rows and its
     # topic totals.
-    start = np.cumsum([0] + [len(vocabs[f]) + len(fits[f]) + 1 for f in order])
-    # rows[t, b]: the word, document and total rows of fit b's token t
-    rows = np.zeros((lengths[0], len(fits), 3), dtype=np.int32)
+    start = np.cumsum([0] + [len(words[f]) + len(fits[f]) + 1 for f in order])
+    # rows[t, j, b]: the word (j = 0), document (1) and total (2) row of fit
+    # b's token t
+    rows = np.zeros((lengths[0], 3, len(fits)), dtype=np.int32)
+    row_of = np.empty(len(vocabulary), dtype=np.int32)  # a vocabulary id's row in one fit
     for b, f in enumerate(order):
-        n, v, docs = lengths[b], len(vocabs[f]), fits[f]
-        word_index = {w: i for i, w in enumerate(vocabs[f])}
-        rows[:n, b, 0] = [word_index[tok] for doc in docs for tok in doc.tokens]
-        rows[:n, b, 1] = np.repeat(np.arange(v, v + len(docs)), [len(doc.tokens) for doc in docs])
-        rows[:n, b, 2] = v + len(docs)
-        rows[:n, b] += start[b]
-    v_beta = [len(vocabs[f]) * beta for f in order]
+        n, v, docs = lengths[b], len(words[f]), fits[f]
+        row_of[words[f]] = np.arange(v, dtype=np.int32)
+        rows[:n, 0, b] = row_of[tokens[f]]
+        rows[:n, 1, b] = np.repeat(np.arange(v, v + len(docs)), [len(doc.ids) for doc in docs])
+        rows[:n, 2, b] = v + len(docs)
+        rows[:n, :, b] += start[b]
+    v_beta = [len(words[f]) * beta for f in order]
     counts = _lockstep_sweeps(rows, lengths, start, v_beta, n_topics, alpha, beta, iterations,
                               seed)
 
     models = {}
     for b, f in enumerate(order):
-        n, v, docs = lengths[b], len(vocabs[f]), fits[f]
+        n, v, docs = lengths[b], len(words[f]), fits[f]
         block = counts[start[b] : start[b + 1]]
-        words = rows[:n, b, 0] - start[b]
-        spans = np.cumsum([0] + [len(doc.tokens) for doc in docs])
+        local = rows[:n, 0, b] - start[b]
+        spans = np.cumsum([0] + [len(doc.ids) for doc in docs])
         models[f] = TopicModel(
             n_topics=n_topics,
             alpha=alpha,
             beta=beta,
-            vocab=vocabs[f],
+            vocab=tuple(map(vocabulary.__getitem__, words[f].tolist())),
             doc_ids=tuple(doc.doc_id for doc in docs),
             word_topic=block[:v],
             doc_topic=block[v : v + len(docs)],
-            doc_vocab=tuple(frozenset(words[lo:hi].tolist()) for lo, hi in zip(spans, spans[1:])),
+            doc_vocab=tuple(frozenset(local[lo:hi].tolist()) for lo, hi in zip(spans, spans[1:])),
             seed=seed,
             iterations=iterations,
         )
     return [models[f] for f in range(len(fits))]
 
 
+def _distinct(ids: np.ndarray) -> np.ndarray:
+    """The distinct values of `ids`, ascending (what `np.unique` returns,
+    without the `numpy.ma` import of its first call)."""
+    ids = np.sort(ids)
+    keep = np.ones(len(ids), dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+    return ids[keep]
+
+
 def _lockstep_sweeps(rows, lengths, start, v_beta, n_topics, alpha, beta, iterations, seed):
     """Final int32 counts of `fit_lda_batch`'s fits.
 
     Fit b (the b-th longest) owns count rows start[b] to start[b + 1], has
-    lengths[b] tokens, and `rows[t, b]` holds its token t's word, document
-    and total rows. The buffers made here are freed on return, before the
-    models are built.
+    lengths[b] tokens, and `rows[t, :, b]` holds its token t's word,
+    document and total rows. The buffers made here are freed on return,
+    before the models are built.
     """
     n_fits, longest = len(lengths), lengths[0]
     topic = np.zeros((longest, n_fits), dtype=np.intp)
@@ -304,31 +346,38 @@ def _lockstep_sweeps(rows, lengths, start, v_beta, n_topics, alpha, beta, iterat
     counts = flat.reshape(-1, n_topics)
 
     # the term added to the word, document and total counts, per fit
-    priors = np.empty((n_fits, 3, 1))
-    priors[:, 0], priors[:, 1], priors[:, 2, 0] = beta, alpha, v_beta
+    priors = np.empty((3, n_fits, n_topics))
+    priors[0], priors[1], priors[2] = beta, alpha, np.array(v_beta)[:, None]
     uniforms = np.zeros((longest, n_fits))
-    terms = np.empty((n_fits, 3, n_topics))
+    terms = np.empty((3, n_fits, n_topics))
     weight = np.empty((n_fits, n_topics))
-    below = np.empty((n_fits, n_topics), dtype=bool)
     last = n_topics - 1
+    # above[b, k]: fit b's running sum through topic k exceeds u * total;
+    # the last column is set True each step, so the last topic is taken when
+    # no earlier one is
+    above = np.empty((n_fits, n_topics), dtype=bool)
     for _ in range(iterations):
         for b, (rng, n) in enumerate(zip(rngs, lengths)):
             uniforms[:n, b] = rng.random(n)
         for t in range(longest):
             m = running[t]
-            at = cells[t, :m] + topic[t, :m, None]  # int64, the fast index type
+            at = cells[t, :, :m] + topic[t, :m]  # int64, the fast index type
             flat[at] -= 1
-            # (n_wk + beta) * (n_dk + alpha) / (n_k + V*beta), row by row
-            np.add(np.take(counts, rows[t, :m], axis=0), priors[:m], out=terms[:m])
+            # (n_wk + beta) * (n_dk + alpha) / (n_k + V*beta), row by row; the
+            # counts are cast before the priors are added, which runs faster
+            # than numpy's mixed int32 + float64 add and rounds the same
+            term = terms[:, :m]
+            np.copyto(term, counts.take(rows[t, :, :m], axis=0))
+            term += priors[:, :m]
             w = weight[:m]
-            np.multiply(terms[:m, 0], terms[:m, 1], out=w)
-            w /= terms[:m, 2]
-            np.cumsum(w, axis=1, out=w)
-            np.less_equal(w, (uniforms[t, :m] * w[:, last])[:, None], out=below[:m])
-            k = below[:m].sum(axis=1)
-            np.minimum(k, last, out=k)
+            np.multiply(term[0], term[1], out=w)
+            w /= term[2]
+            w.cumsum(axis=1, out=w)
+            np.greater(w, (uniforms[t, :m] * w[:, last])[:, None], out=above[:m])
+            above[:m, last] = True
+            k = above[:m].argmax(axis=1)
             topic[t, :m] = k
-            flat[cells[t, :m] + k[:, None]] += 1
+            flat[cells[t, :, :m] + k] += 1
 
     if topic.min() < 0 or topic.max() >= n_topics:
         raise AssertionError("topic assignment out of range")
@@ -342,7 +391,7 @@ def _tallies(cells, topic, lengths, bounds):
     """Fit by fit, its flat cells [lo, hi) and how many of its assignments take each."""
     for b, n in enumerate(lengths):
         lo, hi = bounds[b], bounds[b + 1]
-        taken = (cells[:n, b] + topic[:n, b, None]).ravel() - lo
+        taken = (cells[:n, :, b] + topic[:n, b, None]).ravel() - lo
         yield lo, hi, np.bincount(taken, minlength=hi - lo)
 
 

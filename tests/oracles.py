@@ -22,7 +22,7 @@ from tagmerge.features import (
     CLARITY_EPS, NE_SLOT_NAMES, POS_SLOT_NAMES, avg_topic_overlap, entropy,
 )
 from tagmerge.learn import cross_validate, hinge_loss_grad, logreg_loss_grad
-from tagmerge.topicmodel import HashtagDocument
+from tagmerge.topicmodel import HashtagDocument, build_documents, fit_lda
 
 
 def extract_hashtags(text):
@@ -149,6 +149,30 @@ def top_words(model, topic, n=100):
     column = model.word_topic[:, topic]
     order = sorted(range(len(model.vocab)), key=lambda i: (-column[i], model.vocab[i]))
     return [model.vocab[i] for i in order[:n]]
+
+
+def reference_topic_overlap(index, candidate, obs_months, n_topics, iterations, seed, top_n):
+    """A candidate's `topic_overlap` from its word documents.
+
+    The two documents are `build_documents`' words. When neither has more
+    than `top_n` distinct words, the value is the size of their shared
+    vocabulary; else `fit_lda` fits the pair, and per topic each document
+    keeps its `top_n` words by a full sort on (-count, word).
+    """
+    window = observation_window(candidate.compound_first_seen, obs_months)
+    docs = build_documents(index, [candidate.part_a.canonical, candidate.part_b.canonical], window)
+    vocab_a, vocab_b = (set(doc.tokens) for doc in docs)
+    if len(vocab_a) <= top_n and len(vocab_b) <= top_n:
+        return float(len(vocab_a & vocab_b))
+    model = fit_lda(docs, n_topics=n_topics, iterations=iterations, seed=seed)
+    row = {word: i for i, word in enumerate(model.vocab)}
+
+    def top(words, topic):
+        column = model.word_topic[:, topic]
+        return set(sorted(words, key=lambda w: (-column[row[w]], w))[:top_n])
+
+    shared = sum(len(top(vocab_a, k) & top(vocab_b, k)) for k in range(n_topics))
+    return shared / n_topics
 
 
 def oracle_detect(index):

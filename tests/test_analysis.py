@@ -15,6 +15,7 @@ from tagmerge.analysis import (
     info_gain_stat,
     rank_features,
 )
+from tagmerge.errors import SplitError
 from tagmerge.features import ZoneCombo
 from tagmerge.learn import Dataset, TrainConfig, cross_validate, stratified_folds
 
@@ -180,7 +181,7 @@ def test_rank_features_dispatch():
 def test_ranking_requires_both_classes():
     ds = planted_dataset()
     ds.labels[:] = 1
-    with pytest.raises(ValueError):
+    with pytest.raises(SplitError, match="ranking needs both classes present"):
         rank_features(ds, "chi2")
 
 

@@ -18,6 +18,7 @@ from tagmerge.corpus import CorpusIndex, Tweet
 from conftest import rewrite_index, string_members, utc
 
 from test_analysis import read_ranking_tsv
+from test_features import wide_vocab_scenario
 
 
 @pytest.fixture(scope="module")
@@ -499,16 +500,21 @@ print("numpy.ma" in sys.modules)
 """
 
 
-def test_the_pipeline_never_imports_numpy_ma(scen_dir, tmp_path):
-    """`np.unique`, and `np.quantile` or `np.setdiff1d` through it, import
-    `numpy.ma` on their first call in a process; no command calls them."""
+def test_the_pipeline_never_imports_numpy_ma(tmp_path):
+    """`np.unique`, and `np.quantile`, `np.setdiff1d` or `np.intersect1d`
+    through it, import `numpy.ma` on their first call in a process; no
+    command calls them. Every document of this scenario exceeds the top-100
+    cut, so `featurize` runs the batch fit and the fitted overlap too."""
+    scen = synth.write_scenario(wide_vocab_scenario(12, seed=9), tmp_path / "scen")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", _PIPELINE_SCRIPT, str(Path(scen_dir["corpus"]).parent),
-         str(tmp_path)],
+        [sys.executable, "-c", _PIPELINE_SCRIPT, str(Path(scen["corpus"]).parent), str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    (summary,) = [line for line in proc.stdout.splitlines() if line.startswith("featurized ")]
+    fits = int(summary.split("; ")[1].split(" topic fits")[0])
+    assert fits > 0, summary
     assert proc.stdout.splitlines()[-1] == "False"
 
 
@@ -643,6 +649,8 @@ BAD_LABELS = {
     "balance-one-class": (ONE_CLASS, ["evaluate", "cv", "--balance"],
                           "balancing needs exactly two classes"),
     "train-one-class": (ONE_CLASS, ["train"], "training data holds a single class"),
+    "rank-features-one-class": (ONE_CLASS, ["rank-features"],
+                                "ranking needs both classes present"),
     "holdout-one-row-class": (ONE_ROW_OF_CLASS_0, ["evaluate", "holdout"],
                               "class 0 has fewer than 2 rows"),
 }

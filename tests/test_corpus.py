@@ -142,14 +142,16 @@ def test_index_tokens_match_tokenize_on_random_texts(seed):
         assert index.plain_words([position]) == tuple(plain)
         plains += plain
     assert index.plain_words(range(len(index))) == tuple(plains)
-    ids, bounds = index.token_ids(range(len(index)))
+    ids, bounds, plain_ids = index.token_ids(range(len(index)))
     assert [ids[i:j] for i, j in zip(bounds, bounds[1:])] == [
         index.token_ids([p])[0] for p in range(len(index))]
+    assert plain_ids.dtype == np.int32
+    assert [index.vocabulary[i] for i in plain_ids] == plains
 
 
 def words_at(index, position):
     """The tokens of the tweet at `position`, as words."""
-    ids, bounds = index.token_ids([position])
+    ids, bounds, _ = index.token_ids([position])
     assert bounds == [0, len(ids)]
     return [index.vocabulary[i] for i in ids]
 

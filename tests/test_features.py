@@ -22,6 +22,7 @@ from tagmerge.features import (
     avg_common_ngram_freq,
     avg_topic_overlap,
     build_schema,
+    clarity_background,
     collocation_frequency,
     combo_bits,
     compounding_zone,
@@ -57,7 +58,7 @@ from tagmerge.lexicon import (
 from tagmerge.topicmodel import HashtagDocument, TopicModel, build_documents
 
 from conftest import make_tweet, utc
-from oracles import oracle_window_features, tags_of, tokenize
+from oracles import oracle_window_features, reference_topic_overlap, tags_of, tokenize
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +300,7 @@ def test_phrase_ids_find_runs_inside_one_tweet():
         "city new york city", "new york", "new york city", "new zealand", "york city", "york new"]
 
     def found(positions):
-        return {phrases.entries[run][0] for run in phrases.find(*index.token_ids(positions))}
+        return {phrases.entries[run][0] for run in phrases.find(*index.token_ids(positions)[:2])}
 
     # overlapping and repeated runs count once each; "york new" never occurs
     assert found([0]) == {"new york", "new york city", "york city", "city new york city"}
@@ -322,7 +323,7 @@ def clarity_fixture():
 
 def clarity(index, canonical, window):
     counts = id_counts(index, window_tweets(index, canonical, window))
-    return hashtag_clarity(counts, index.background_before(window[1]))
+    return hashtag_clarity(counts, clarity_background(*index.background_before(window[1])))
 
 
 def test_hashtag_clarity_matches_inline_recompute():
@@ -821,6 +822,42 @@ def test_read_feature_csv_rejects_mismatched_header(tmp_path):
     path.write_text("\n".join(body) + "\n")
     with pytest.raises(CorpusFormatError):
         read_feature_csv(path)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_featurize_all_topic_overlap_equals_the_word_document_reference(seed, tmp_path):
+    """Random corpora whose documents straddle the top-100 cut.
+
+    Tweets of 3 to 8 words put each six-month document near 100 distinct
+    words or well above it, and few sweeps leave many tied counts at the
+    cut. The id documents, the batch and the ranking of count rows must
+    give the value of `fit_lda` on the word documents, ranked by a sort.
+    """
+    rng = np.random.default_rng(seed)
+    config = replace(
+        wide_vocab_scenario(2 * int(rng.integers(2, 5)), seed=int(rng.integers(1000))),
+        words_per_tweet=int(rng.integers(3, 9)),
+    )
+    result = synth.generate(config)
+    for filename, content in result.resources.items():
+        (tmp_path / filename).write_text(content)
+    index = CorpusIndex(result.tweets)
+    cands = filter_eligible(detect_candidates(index), index)
+    n_topics, sweeps, lda_seed = int(rng.choice([2, 3, 7])), int(rng.integers(1, 4)), seed
+    res = FeatureResources(
+        load_dictionary(tmp_path / "dictionary.txt"),
+        load_ngram_table(tmp_path / "ngrams.tsv"),
+        load_pos_lexicon(tmp_path / "pos_lexicon.tsv"),
+        load_gazetteer(tmp_path / "gazetteer.tsv"),
+        lda_iterations=sweeps,
+        lda_seed=lda_seed,
+    )
+    observation = ObservationConfig(obs_months=6, horizon_months=10, lda_topics=n_topics)
+    vectors, _, _, fits = featurize_all(cands, index, res, observation)
+    assert fits > 0
+    assert [vec.values["topic_overlap"] for vec in vectors] == [
+        reference_topic_overlap(index, cand, 6, n_topics, sweeps, lda_seed, 100) for cand in cands
+    ]
 
 
 @pytest.mark.parametrize("wide, expected", [

@@ -11,6 +11,7 @@ from tagmerge.compound import detect_candidates
 from tagmerge.corpus import CorpusIndex
 from tagmerge.topicmodel import (
     HashtagDocument,
+    IdDocument,
     TopicModel,
     build_documents,
     fit_candidate_topics,
@@ -176,6 +177,24 @@ def random_fits(rng, n_fits):
     return fits
 
 
+def batch_fit(fits, **settings):
+    """`fit_lda_batch` of word-document fits, as `IdDocument`s.
+
+    The ids index one sorted vocabulary of every word of the batch and
+    three that no document holds, so no fit's ids start at 0 or run
+    without gaps.
+    """
+    words = {tok for docs in fits for d in docs for tok in d.tokens}
+    vocabulary = tuple(sorted(words | {"a-unused", "m-unused", "zz-unused"}))
+    word_id = {w: i for i, w in enumerate(vocabulary)}
+    id_fits = [
+        [IdDocument(d.doc_id, np.array([word_id[t] for t in d.tokens], dtype=np.int32))
+         for d in docs]
+        for docs in fits
+    ]
+    return fit_lda_batch(id_fits, vocabulary, **settings)
+
+
 def assert_solo_models(fits, models, settings):
     """Each model is, count for count, the one `fit_lda` makes of its fit."""
     assert len(models) == len(fits)
@@ -235,24 +254,24 @@ BATCH_CASES = {str(case): partial(random_case, case) for case in range(12)} | {
 @pytest.mark.parametrize("make_case", BATCH_CASES.values(), ids=BATCH_CASES.keys())
 def test_fit_lda_batch_equals_each_solo_fit(make_case):
     fits, settings = make_case()
-    assert_solo_models(fits, fit_lda_batch(fits, **settings), settings)
+    assert_solo_models(fits, batch_fit(fits, **settings), settings)
 
 
 def test_fit_lda_batch_of_one_equals_golden_fit():
     make_docs, settings, digest = GOLDEN_FITS[1]
-    (model,) = fit_lda_batch([make_docs()], **settings)
+    (model,) = batch_fit([make_docs()], **settings)
     assert model_digest(model) == digest
 
 
 def test_fit_lda_batch_validates_arguments():
     good, empty = [doc("a@0", ["x", "y"])], [doc("e@0", []), doc("f@0", [])]
     with pytest.raises(ValueError):
-        fit_lda_batch([good], n_topics=1)
+        batch_fit([good], n_topics=1)
     with pytest.raises(ValueError):
-        fit_lda_batch([good], n_topics=2, iterations=0)
+        batch_fit([good], n_topics=2, iterations=0)
     with pytest.raises(ValueError):
-        fit_lda_batch([good, empty], n_topics=2)
-    assert fit_lda_batch([], n_topics=2) == []
+        batch_fit([good, empty], n_topics=2)
+    assert fit_lda_batch([], (), n_topics=2) == []
 
 
 def test_fit_lda_batch_audits_every_fit(monkeypatch):
@@ -270,7 +289,7 @@ def test_fit_lda_batch_audits_every_fit(monkeypatch):
     monkeypatch.setattr(topicmodel, "_tallies", drift_on_audit)
     fits = [[doc("a@0", ["x", "y", "z"])], [doc("b@0", ["x"])]]
     with pytest.raises(AssertionError, match="drifted"):
-        fit_lda_batch(fits, n_topics=2, iterations=1)
+        batch_fit(fits, n_topics=2, iterations=1)
 
 
 def test_alpha_defaults_to_fifty_over_k():
