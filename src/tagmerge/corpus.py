@@ -355,13 +355,11 @@ class CorpusIndex:
         stripped and lowercased, dropping any left empty.
         """
         stream, bounds = _stream(self._token_offsets, positions)
-        ids = self._token_ids[stream]
+        ids = plain = self._token_ids[stream]
         tagged = self._tagged
         if len(tagged):
             nearest = tagged[np.minimum(np.searchsorted(tagged, stream), len(tagged) - 1)]
             plain = ids[nearest != stream]
-        else:
-            plain = ids
         return ids.tolist(), bounds.tolist(), plain
 
     def plain_words(self, positions: Sequence[int]) -> tuple[str, ...]:

@@ -503,8 +503,8 @@ print("numpy.ma" in sys.modules)
 def test_the_pipeline_never_imports_numpy_ma(tmp_path):
     """`np.unique`, and `np.quantile`, `np.setdiff1d` or `np.intersect1d`
     through it, import `numpy.ma` on their first call in a process; no
-    command calls them. Every document of this scenario exceeds the top-100
-    cut, so `featurize` runs the batch fit and the fitted overlap too."""
+    command calls them. This scenario's documents exceed the top-100 cut,
+    so `featurize` runs the batch fit and the fitted overlap too."""
     scen = synth.write_scenario(wide_vocab_scenario(12, seed=9), tmp_path / "scen")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     proc = subprocess.run(
