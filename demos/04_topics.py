@@ -27,10 +27,16 @@ for k in range(2):
     top = ", ".join(model.vocab[i] for i in order)
     print(f"topic {k} ({model.word_topic[:, k].sum()} tokens): {top}")
 
-# topic_overlap reads only the ranking behind doc_top_words (doc_top_rows):
-# per topic, a document's own words by count
+
+def top_words(doc_id, n):
+    """Per topic, the words of the document's n top `word_topic` rows, in rank order."""
+    return [[model.vocab[row] for row in column] for column in model.doc_top_rows(doc_id, n).T]
+
+
+# topic_overlap reads only this ranking (doc_top_rows): per topic, a
+# document's own words by count
 first, second = documents[0].doc_id, documents[2].doc_id
-tops_a, tops_b = model.doc_top_words(first, 4), model.doc_top_words(second, 4)
+tops_a, tops_b = top_words(first, 4), top_words(second, 4)
 print(f"\n{first} words ranked within its own vocabulary: {', '.join(tops_a[0])}")
 shared = [len(set(a) & set(b)) for a, b in zip(tops_a, tops_b)]
 print(f"top-4 words {first} and {second} share per topic: {shared}")

@@ -143,7 +143,8 @@ def filter_eligible(
     Support is counted over the open observation window before the
     compounding instant; the boundary count itself is eligible (>=). A
     window that starts before `index.coverage_start` is dropped, since
-    `features.featurize` refuses it; one that starts exactly there is kept.
+    `features.featurize_all` refuses it; one that starts exactly there is
+    kept.
     """
     kept = []
     for cand in candidates:

@@ -17,10 +17,10 @@ on nothing but the candidate's window. `featurize_all` runs all those pair
 fits in one `topicmodel.fit_lda_batch` on the id documents, and counts each
 pair's shared top words as `word_topic` rows. The index vocabulary is
 sorted, so each pair gets the model, and the ranking, that its own
-`topicmodel.fit_lda` of word documents would, and the vectors are those of
-`featurize`, which fits the word documents of `topicmodel.build_documents`.
-`featurize_all` also reads the background of each distinct window end
-once, as `clarity_background`.
+`topicmodel.fit_lda` of the word documents of `topicmodel.build_documents`
+would; `avg_topic_overlap` is that one-pair fit. `featurize_all` also
+reads the background of each distinct window end once, as
+`clarity_background`.
 """
 
 from __future__ import annotations
@@ -81,20 +81,6 @@ def entropy(weights: Sequence[float] | np.ndarray) -> float:
     p = arr / total
     nz = p[p > 0]
     return float(-np.sum(nz * np.log(nz)))
-
-
-def kl_divergence(p: Sequence[float] | np.ndarray, q: Sequence[float] | np.ndarray) -> float:
-    """KL(p || q) in nats. q must dominate p (q > 0 wherever p > 0)."""
-    p_arr = np.asarray(p, dtype=float)
-    q_arr = np.asarray(q, dtype=float)
-    if p_arr.shape != q_arr.shape or p_arr.ndim != 1:
-        raise ValueError("kl_divergence needs two 1-d vectors of equal length")
-    p_arr = p_arr / p_arr.sum()
-    q_arr = q_arr / q_arr.sum()
-    mask = p_arr > 0
-    if np.any(q_arr[mask] <= 0):
-        raise ValueError("q must be positive wherever p is positive")
-    return float(np.sum(p_arr[mask] * np.log(p_arr[mask] / q_arr[mask])))
 
 
 def overlap_coefficient(a: Set, b: Set) -> float:
@@ -239,7 +225,6 @@ class FeatureVector:
     """One candidate's features, keyed by name in schema order."""
 
     values: dict[str, float]
-    schema_id: str
 
     def as_array(self, names: Sequence[str]) -> np.ndarray:
         return np.array([self.values[n] for n in names], dtype=float)
@@ -535,8 +520,7 @@ class FeatureResources:
     """Everything featurization needs beyond the corpus index.
 
     The topic fits behind `topic_overlap` run `lda_iterations` sweeps from
-    `lda_seed`: one `fit_lda` per pair in `featurize`, one `fit_lda_batch`
-    over every pair in `featurize_all`.
+    `lda_seed`, in one `fit_lda_batch` over every pair of `featurize_all`.
     """
 
     dictionary: Dictionary
@@ -568,38 +552,12 @@ def _read_window(
     return positions, counts, ngrams, IdDocument(f"{canonical}@{window[1]}", plain_ids)
 
 
-def featurize(
-    candidate: CompoundCandidate,
-    index: CorpusIndex,
-    resources: FeatureResources,
-    schema: FeatureSchema,
-    combo: ZoneCombo | None = None,
-) -> FeatureVector:
-    """Full feature vector of one eligible candidate.
-
-    Raises InsufficientHistoryError when the corpus does not span the whole
-    observation window. `topic_overlap` comes from the word documents of
-    `topicmodel.build_documents`.
-    """
-    values, _, _ = _window_features(
-        candidate, index, resources, schema, combo, PhraseIds(resources.ngrams, index), {}
-    )
-    window = observation_window(candidate.compound_first_seen, schema.config.obs_months)
-    doc_a, doc_b = topicmodel.build_documents(
-        index, [candidate.part_a.canonical, candidate.part_b.canonical], window
-    )
-    values["topic_overlap"] = avg_topic_overlap(
-        doc_a, doc_b, schema.config.lda_topics, resources.lda_iterations, resources.lda_seed
-    )
-    return FeatureVector({name: values[name] for name in schema.names}, schema.schema_id)
-
-
 def _window_features(
     candidate: CompoundCandidate,
     index: CorpusIndex,
     resources: FeatureResources,
     schema: FeatureSchema,
-    combo: ZoneCombo | None,
+    combo: ZoneCombo,
     phrases: PhraseIds,
     backgrounds: dict[int, tuple[np.ndarray, int, np.ndarray]],
 ) -> tuple[dict[str, float], IdDocument, IdDocument]:
@@ -608,8 +566,6 @@ def _window_features(
     `backgrounds` caches the `clarity_background` of `index.background_before`
     by window end.
     """
-    if schema is None:
-        raise ValueError("featurize needs a derived schema")
     config = schema.config
     window = observation_window(candidate.compound_first_seen, config.obs_months)
     if window[0] < index.coverage_start:
@@ -633,11 +589,6 @@ def _window_features(
         ngram_presence(candidate, resources.dictionary, resources.ngrams)
     )
     values["pos_diversity"] = pos_diversity(candidate, resources.pos_lexicon, resources.dictionary)
-
-    if combo is None:
-        combo = zone_combo(
-            candidate, resources.dictionary, resources.pos_lexicon, resources.gazetteer
-        )
     values.update(combo_bits(combo, schema.combo))
 
     values["word_overlap"] = word_overlap(counts_a, counts_b)
@@ -661,10 +612,11 @@ def featurize_all(
 ) -> tuple[list[FeatureVector], list[ZoneCombo], FeatureSchema, int]:
     """Vectors, zone combos, the schema bound from those combos, and the topic fits run.
 
-    Each vector equals `featurize(c, index, resources, schema, combo)`. The
-    pairs whose `topic_overlap` needs a fit are fitted in one
-    `topicmodel.fit_lda_batch` call on their id documents, which gives every
-    pair the model that its own `fit_lda` would; the last value counts them.
+    Raises InsufficientHistoryError when the corpus does not span a
+    candidate's whole observation window. The pairs whose `topic_overlap`
+    needs a fit are fitted in one `topicmodel.fit_lda_batch` call on their id
+    documents, which gives every pair the model that its own `fit_lda` would;
+    the last value counts them.
     The background of each distinct window end is read once. Vectors and combos
     are in input order. Nothing here changes the index or the resources, and
     the combo binding does not depend on order, so a candidate's vector is
@@ -695,11 +647,8 @@ def featurize_all(
     )
     for (values, doc_a, doc_b), model in zip(fitted, models):
         values["topic_overlap"] = _fitted_overlap(model, doc_a.doc_id, doc_b.doc_id, TOPIC_TOP_N)
-    schema_id = schema.schema_id
-    vectors = [
-        FeatureVector({name: values[name] for name in schema.names}, schema_id)
-        for values, _, _ in rows
-    ]
+    vectors = [FeatureVector({name: values[name] for name in schema.names})
+               for values, _, _ in rows]
     return vectors, combos, schema, len(fitted)
 
 
@@ -791,9 +740,13 @@ def read_feature_csv(path) -> tuple[np.ndarray, np.ndarray, FeatureSchema, list[
 
 def _decode_sidecar(sidecar: dict) -> tuple[FeatureSchema, list[ZoneCombo] | None]:
     features = sidecar["features"]
+    groups = {f["name"]: f["group"] for f in features}
+    for name, group in groups.items():
+        if group not in GROUPS:
+            raise ValueError(f"feature {name!r} has unknown group {group!r}")
     schema = FeatureSchema(
         names=tuple(f["name"] for f in features),
-        groups={f["name"]: f["group"] for f in features},
+        groups=groups,
         binary=frozenset(f["name"] for f in features if f["binary"]),
         combo=ComboSchema.from_payload(sidecar["combo"]),
         config=ObservationConfig(**dataclass_fields(ObservationConfig, sidecar["config"])),

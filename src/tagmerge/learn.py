@@ -25,8 +25,7 @@ import numpy as np
 
 from .errors import SplitError, dataclass_fields, read_json
 from .features import (
-    NE_SLOT_NAMES, POS_SLOT_NAMES, FeatureSchema, FeatureVector, ZoneCombo, derive_combo_schema,
-    read_feature_csv,
+    NE_SLOT_NAMES, POS_SLOT_NAMES, FeatureSchema, ZoneCombo, derive_combo_schema, read_feature_csv,
 )
 
 MODEL_FORMAT = "tagmerge-model"
@@ -80,17 +79,6 @@ class Dataset:
     @property
     def n_rows(self) -> int:
         return self.matrix.shape[0]
-
-    @classmethod
-    def from_vectors(
-        cls,
-        vectors: list[FeatureVector],
-        labels,
-        schema: FeatureSchema,
-        combos: list[ZoneCombo],
-    ) -> "Dataset":
-        matrix = np.array([v.as_array(schema.names) for v in vectors], dtype=float)
-        return cls._from_schema(matrix, np.asarray(labels, dtype=int), schema, list(combos))
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":
@@ -367,30 +355,6 @@ def _hinge_loss(
     return float(np.mean(np.maximum(margin, 0.0)) + 0.5 * l2 * np.dot(weights, weights))
 
 
-def _solo_gradient(
-    kind: str, weights: np.ndarray, bias: float, matrix: np.ndarray, labels: np.ndarray, l2: float
-) -> tuple[np.ndarray, float]:
-    """The gradient of one training set, as the one-member stack of it."""
-    grad = _GRADIENT[kind](matrix[None], labels[None], l2)(np.append(weights, bias)[None])
-    return grad[0, :-1], float(grad[0, -1])
-
-
-def logreg_loss_grad(
-    weights: np.ndarray, bias: float, matrix: np.ndarray, labels: np.ndarray, l2: float
-) -> tuple[float, np.ndarray, float]:
-    """Mean regularized logistic loss and its exact gradient."""
-    grad_w, grad_b = _solo_gradient("logreg", weights, bias, matrix, labels, l2)
-    return _logreg_loss(weights, bias, matrix, labels, l2), grad_w, grad_b
-
-
-def hinge_loss_grad(
-    weights: np.ndarray, bias: float, matrix: np.ndarray, labels: np.ndarray, l2: float
-) -> tuple[float, np.ndarray, float]:
-    """Mean regularized hinge loss and a subgradient. Labels are 0/1."""
-    grad_w, grad_b = _solo_gradient("linsvm", weights, bias, matrix, labels, l2)
-    return _hinge_loss(weights, bias, matrix, labels, l2), grad_w, grad_b
-
-
 _GRADIENT = {"logreg": _logreg_gradient, "linsvm": _hinge_gradient}
 _LOSS = {"logreg": _logreg_loss, "linsvm": _hinge_loss}
 
@@ -477,13 +441,10 @@ def _classify(kind: str, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (z > 0.0).astype(int), z
 
 
-def predict(model: LinearModel, vector: FeatureVector | np.ndarray) -> tuple[int, float]:
-    """Label and score of one raw (unstandardized) feature vector."""
-    if isinstance(vector, FeatureVector):
-        arr = vector.as_array(model.feature_names)
-    else:
-        arr = np.asarray(vector, dtype=float)
-    standardized = standardize_apply(model.stats, arr[None, :])
+def predict(model: LinearModel, vector: np.ndarray) -> tuple[int, float]:
+    """Label and score of one raw (unstandardized) feature vector, in the
+    order of `model.feature_names`."""
+    standardized = standardize_apply(model.stats, np.asarray(vector, dtype=float)[None, :])
     preds, scores = _classify(model.kind, standardized @ model.weights + model.bias)
     return int(preds[0]), float(scores[0])
 

@@ -31,12 +31,6 @@ class Dictionary:
 
     words: frozenset[str]
 
-    def __contains__(self, word: str) -> bool:
-        return word.lower() in self.words
-
-    def __len__(self) -> int:
-        return len(self.words)
-
 
 @dataclass(frozen=True)
 class NgramTable:

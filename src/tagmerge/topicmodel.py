@@ -10,9 +10,9 @@ and draws its uniforms in blocks, one block per document, from the same
 PCG64 stream that one scalar draw per token would read. Each weight, its
 running sum and the search over that sum are the same floating-point
 operations as numpy's elementwise product, cumsum and searchsorted, so a
-fixed seed reproduces the model bit for bit. It serves a one-candidate
-`features.featurize` and `fit_candidate_topics`, and is the reference for
-the batch.
+fixed seed reproduces the model bit for bit. It serves
+`features.avg_topic_overlap` and `fit_candidate_topics`, and is the
+reference for the batch.
 
 `fit_lda_batch` runs many independent fits in lockstep, one token position
 of every fit per numpy step, and gives each fit exactly the model fit_lda
@@ -111,11 +111,6 @@ class TopicModel:
             dtype=np.intp,
         )
         return members[np.argsort(-self.word_topic[members], axis=0, kind="stable")[:n]]
-
-    def doc_top_words(self, doc_id: str, n: int = 100) -> list[list[str]]:
-        """Per topic, the words of `doc_top_rows`, in rank order."""
-        return [list(map(self.vocab.__getitem__, column))
-                for column in self.doc_top_rows(doc_id, n).T.tolist()]
 
 
 def fit_lda(
@@ -257,14 +252,14 @@ def fit_lda_batch(
 
     Raises what fit_lda raises for the same settings or for any one fit,
     and audits every fit's counts after the last sweep. An empty batch fits
-    nothing and returns [].
+    nothing and returns [], once its settings are checked.
     """
-    if not fits:
-        return []
     if n_topics < 2:
         raise ValueError(f"need at least 2 topics, got {n_topics}")
     if iterations < 1:
         raise ValueError("iterations must be positive")
+    if not fits:
+        return []
     if alpha is None:
         alpha = 50.0 / n_topics
     tokens = [np.concatenate([doc.ids for doc in docs]) for docs in fits]

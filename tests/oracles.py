@@ -4,10 +4,12 @@ These deliberately take different algorithmic routes than the library:
 detection joins hashtag pairs instead of scanning split positions,
 segmentation enumerates every one of the 2^(n-1) parses, tokenization
 re-reads the raw text, window features scan every tweet and join n-grams as
-strings, topic words are ranked by a full sort of the vocabulary, model fitting is a plain descent loop on one training set with
-no reused buffers and no in-place arithmetic, tied scores are ranked by
-walking each run of equal values, and an ablation cross-validates one
-cut-down copy of the dataset per feature-group subset.
+strings, topic words are ranked by a full sort of the vocabulary, model
+fitting is a plain descent loop on one training set with its own copies of
+the losses, its gradients written as expressions, no reused buffers and no
+in-place arithmetic, tied scores are ranked by walking each run of equal
+values, and an ablation cross-validates one cut-down copy of the dataset per
+feature-group subset.
 """
 
 import string
@@ -21,7 +23,7 @@ from tagmerge.corpus import CorpusIndex, HashtagId, Tweet, hashtag_spellings, ob
 from tagmerge.features import (
     CLARITY_EPS, NE_SLOT_NAMES, POS_SLOT_NAMES, avg_topic_overlap, entropy,
 )
-from tagmerge.learn import cross_validate, hinge_loss_grad, logreg_loss_grad
+from tagmerge.learn import cross_validate
 from tagmerge.topicmodel import HashtagDocument, build_documents, fit_lda
 
 
@@ -260,23 +262,32 @@ def expression_gradient(kind, weights, bias, matrix, labels, l2):
     return grad_w, float(-signed[active].sum() / n)
 
 
+def reference_loss(kind, weights, bias, matrix, labels, l2):
+    """Mean regularized logistic or hinge loss; labels are 0/1."""
+    z = matrix @ weights + bias
+    penalty = 0.5 * l2 * np.dot(weights, weights)
+    if kind == "logreg":
+        return float(np.mean(np.logaddexp(0.0, z) - labels * z) + penalty)
+    return float(np.mean(np.maximum(1.0 - (2.0 * labels - 1.0) * z, 0.0)) + penalty)
+
+
 def reference_fit(kind, matrix, labels, config):
-    """Weights, bias and losses of plain full-batch descent on the public loss functions.
+    """Weights, bias and losses of plain full-batch descent on `reference_loss`
+    and `expression_gradient`.
 
     Every step builds new arrays; `losses` holds the loss before each epoch
     and after the last one.
     """
-    loss_grad = {"logreg": logreg_loss_grad, "linsvm": hinge_loss_grad}[kind]
     rng = np.random.default_rng(config.seed)
     weights = rng.normal(0.0, config.init_scale, size=matrix.shape[1])
     bias = 0.0
     losses = []
     for _ in range(config.epochs):
-        loss, grad_w, grad_b = loss_grad(weights, bias, matrix, labels, config.l2)
-        losses.append(loss)
+        losses.append(reference_loss(kind, weights, bias, matrix, labels, config.l2))
+        grad_w, grad_b = expression_gradient(kind, weights, bias, matrix, labels, config.l2)
         weights = weights - config.learning_rate * grad_w
         bias = bias - config.learning_rate * grad_b
-    losses.append(loss_grad(weights, bias, matrix, labels, config.l2)[0])
+    losses.append(reference_loss(kind, weights, bias, matrix, labels, config.l2))
     return weights, bias, losses
 
 

@@ -16,7 +16,7 @@ import scipy.stats
 
 from conftest import make_tweet, utc
 from oracles import oracle_detect, random_corpus, top_words
-from tagmerge import synth, topicmodel
+from tagmerge import synth
 from tagmerge.analysis import (
     bin_column,
     chi_square_stat,
@@ -28,20 +28,12 @@ from tagmerge.corpus import CorpusIndex
 from tagmerge.features import (
     FeatureResources,
     ObservationConfig,
-    build_schema,
     entropy,
-    featurize,
     featurize_all,
-    kl_divergence,
     overlap_coefficient,
-    zone_combo,
+    write_feature_csv,
 )
-from tagmerge.learn import (
-    Dataset,
-    cross_validate,
-    hinge_loss_grad,
-    logreg_loss_grad,
-)
+from tagmerge.learn import Dataset, cross_validate
 from tagmerge.lexicon import (
     load_dictionary,
     load_gazetteer,
@@ -50,7 +42,6 @@ from tagmerge.lexicon import (
 )
 from tagmerge.topicmodel import HashtagDocument, fit_lda
 from test_features import pipeline_fixture, pipeline_resources, wide_vocab_scenario
-from test_learn import central_difference, rel_err
 
 
 def load_resources(res_dir, generated):
@@ -117,9 +108,6 @@ def test_information_formulas_at_fixed_points():
     assert entropy([1] * 7) == pytest.approx(math.log(7), abs=1e-9)
     assert entropy([5]) == pytest.approx(0.0, abs=1e-9)
 
-    expect = 0.5 * math.log(0.5 / (2 / 3)) + 0.5 * math.log(0.5 / (1 / 3))
-    assert kl_divergence([0.5, 0.5], [2 / 3, 1 / 3]) == pytest.approx(expect, abs=1e-9)
-
     assert overlap_coefficient({"a", "b"}, {"b", "c"}) == pytest.approx(0.5, abs=1e-9)
     assert overlap_coefficient({"a", "b", "c"}, {"a", "b"}) == pytest.approx(1.0, abs=1e-9)
 
@@ -152,47 +140,8 @@ def test_distribution_fuzz_invariants():
     rng = np.random.default_rng(2026)
     for _ in range(1000):
         k = int(rng.integers(2, 21))
-        p = rng.dirichlet(np.ones(k))
-        q = rng.dirichlet(np.ones(k))
-        h = entropy(p)
+        h = entropy(rng.dirichlet(np.ones(k)))
         assert 0.0 <= h <= math.log(k) + 1e-12
-        assert kl_divergence(p, q) >= -1e-12
-        assert kl_divergence(p, p) <= 1e-9
-
-
-# ---------------------------------------------------------------------------
-# gradient checks
-
-
-def test_gradients_match_central_differences():
-    worst = 0.0
-    for seed in range(100):
-        rng = np.random.default_rng(seed)
-        matrix = rng.normal(0, 1, size=(10, 6))
-        labels = rng.integers(0, 2, size=10).astype(float)
-        weights = rng.normal(0, 1, size=6)
-        bias = float(rng.normal())
-        _, grad_w, grad_b = logreg_loss_grad(weights, bias, matrix, labels, l2=0.01)
-        fd_w, fd_b = central_difference(logreg_loss_grad, weights, bias, matrix, labels, 0.01)
-        worst = max(worst, rel_err(grad_w, fd_w), rel_err(np.array([grad_b]), np.array([fd_b])))
-    assert worst < 1e-4
-
-    checked = 0
-    for seed in range(100):
-        rng = np.random.default_rng([7, seed])
-        matrix = rng.normal(0, 1, size=(10, 6))
-        labels = rng.integers(0, 2, size=10).astype(float)
-        weights = rng.normal(0, 1, size=6)
-        bias = float(rng.normal())
-        margin = 1.0 - (2 * labels - 1) * (matrix @ weights + bias)
-        if np.min(np.abs(margin)) < 1e-3:
-            continue  # central differences straddle the hinge corner there
-        _, grad_w, grad_b = hinge_loss_grad(weights, bias, matrix, labels, l2=0.01)
-        fd_w, fd_b = central_difference(hinge_loss_grad, weights, bias, matrix, labels, 0.01)
-        assert rel_err(grad_w, fd_w) < 1e-4
-        assert rel_err(np.array([grad_b]), np.array([fd_b])) < 1e-4
-        checked += 1
-    assert checked >= 60
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +171,8 @@ def signal_cv_accuracy(tmp_path, strength):
     )
     y = [1 if label_candidate(index, c, 10).value == "Popular" else 0 for c in eligible]
     assert sum(y) == 200
-    dataset = Dataset.from_vectors(vectors, y, schema, combos=combos)
+    write_feature_csv(res_dir / "features.csv", vectors, y, schema, combos)
+    dataset = Dataset.from_csv(res_dir / "features.csv")
     report = cross_validate(dataset, kind="logreg", n_folds=10, seed=0)
     return report.accuracy
 
@@ -303,9 +253,8 @@ def test_future_tweets_leave_feature_vectors_unchanged():
     index, t0 = pipeline_fixture()
     cands = detect_candidates(index)
     res = pipeline_resources()
-    combos = [zone_combo(cands[0], res.dictionary, res.pos_lexicon, res.gazetteer)]
-    schema = build_schema(combos, ObservationConfig(obs_months=6, horizon_months=2, lda_topics=2))
-    before = featurize(cands[0], index, res, schema)
+    config = ObservationConfig(obs_months=6, horizon_months=2, lda_topics=2)
+    (before,), _, _, _ = featurize_all(cands, index, res, config)
 
     extra = [
         make_tweet("#snowday goes wide", t0, user="n1", tid="n1"),
@@ -313,7 +262,7 @@ def test_future_tweets_leave_feature_vectors_unchanged():
         make_tweet("#day winds down", utc(2011, 9, 10), user="n3", tid="n3"),
     ]
     grown = CorpusIndex(list(index.tweets) + extra)
-    after = featurize(cands[0], grown, res, schema)
+    (after,), _, _, _ = featurize_all(cands, grown, res, config)
     assert after == before
 
 
@@ -358,26 +307,17 @@ def late_corpus(tmp_path_factory):
     return late_candidate_corpus(tmp_path_factory.mktemp("late"))
 
 
-def test_later_candidates_leave_earlier_vectors_unchanged(late_corpus, monkeypatch):
-    """One candidate at a time: each `featurize` call fits its own pair."""
+def test_later_candidates_leave_earlier_vectors_unchanged(late_corpus):
+    """One candidate at a time: each `featurize_all` call fits its own pair."""
     full, cands, early, early_cands, resources = late_corpus
-    combos = [
-        zone_combo(c, resources.dictionary, resources.pos_lexicon, resources.gazetteer)
-        for c in cands
-    ]
-    schema = build_schema(combos, LATE_OBSERVATION)
-    fits = []
-    real_fit = topicmodel.fit_lda
 
-    def counted_fit(documents, **settings):
-        fits.append(documents)
-        return real_fit(documents, **settings)
+    def alone(candidate, index):
+        (vector,), _, _, fits = featurize_all([candidate], index, resources, LATE_OBSERVATION)
+        assert fits == 1
+        return vector
 
-    monkeypatch.setattr(topicmodel, "fit_lda", counted_fit)
-    before = [featurize(c, early, resources, schema) for c in early_cands]
-    assert len(fits) == 3
-    assert all(len(set(doc.tokens)) > 100 for docs in fits for doc in docs)
-    after = {c.compound.canonical: featurize(c, full, resources, schema) for c in cands}
+    before = [alone(c, early) for c in early_cands]
+    after = {c.compound.canonical: alone(c, full) for c in cands}
     assert [after[c.compound.canonical] for c in early_cands] == before
 
 
@@ -401,16 +341,6 @@ def test_later_candidates_leave_earlier_rows_of_featurize_all_unchanged(late_cor
 
     for cand, vector in zip(early_cands, before):
         assert causal_columns(after_by_name[cand.compound.canonical]) == causal_columns(vector)
-
-
-def test_featurize_all_rows_equal_per_candidate_featurize(late_corpus):
-    full, cands, _, _, resources = late_corpus
-    vectors, combos, schema, fits = featurize_all(cands, full, resources, LATE_OBSERVATION)
-    assert fits == 4
-    alone = [
-        featurize(c, full, resources, schema, combo=combo) for c, combo in zip(cands, combos)
-    ]
-    assert vectors == alone
 
 
 # ---------------------------------------------------------------------------

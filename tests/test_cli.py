@@ -547,6 +547,25 @@ def test_featurize_refuses_a_horizon_outside_2_6_10(staged, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--topics", "1"], "need at least 2 topics, got 1"),
+    (["--topics", "0"], "need at least 2 topics, got 0"),
+    (["--lda-iterations", "0"], "iterations must be positive"),
+], ids=["one-topic", "no-topics", "no-sweeps"])
+def test_featurize_refuses_topic_settings_when_no_pair_needs_a_fit(
+    flags, message, staged, tmp_path, capsys
+):
+    """`featurize` checks the settings of the topic fits even when, as on the
+    staged scenario, every document is within the top-100 cut."""
+    out = tmp_path / "f.csv"
+    assert cli.main(featurize_args(staged, out)) == 0
+    assert "; 0 topic fits, " in capsys.readouterr().out
+    out.unlink()
+    assert cli.main(featurize_args(staged, out) + flags) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_featurize_refuses_eligible_candidates_without_a_label(staged, tmp_path, capsys):
     rows = staged["labeled"].read_text().splitlines()
     cells = rows[1].split("\t")
@@ -671,6 +690,26 @@ def test_a_feature_file_the_fits_cannot_use_exits_one(case, feature_csv, tmp_pat
     out = tmp_path / "report.json"
     assert cli.main([*argv, "--features", str(target), "--out", str(out)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["evaluate", "cv"], ["rank-features"], ["ablate"]],
+                         ids=["evaluate-cv", "rank-features", "ablate"])
+def test_a_sidecar_with_an_unknown_feature_group_exits_one_naming_the_file(
+    argv, feature_csv, tmp_path, capsys
+):
+    target = tmp_path / "feats.csv"
+    target.write_bytes(feature_csv.read_bytes())
+    sidecar = tmp_path / "feats.schema.json"
+    payload = json.loads(feature_csv.with_name(sidecar.name).read_text())
+    for feature in payload["features"]:
+        if feature["group"] == "user":
+            feature["group"] = "users"
+    sidecar.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--features", str(target), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{sidecar}: bad value: feature 'unique_users_a' has unknown group 'users'" in err
     assert not out.exists()
 
 

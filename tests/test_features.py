@@ -29,10 +29,8 @@ from tagmerge.features import (
     derive_combo_schema,
     entropy,
     feature_layout,
-    featurize,
     featurize_all,
     hashtag_clarity,
-    kl_divergence,
     ngram_overlap,
     ngram_presence,
     overlap_coefficient,
@@ -86,27 +84,6 @@ def test_entropy_rejects_bad_input():
         entropy([1, -1])
     with pytest.raises(ValueError):
         entropy([0, 0])
-
-
-def test_kl_divergence_frozen_value():
-    # 0.5*log(4/3), by hand
-    assert kl_divergence([0.5, 0.5], [0.25, 0.75]) == pytest.approx(
-        0.5 * math.log(4 / 3), abs=1e-12
-    )
-    assert kl_divergence([2, 2], [1, 3]) == pytest.approx(0.5 * math.log(4 / 3), abs=1e-12)
-
-
-def test_kl_divergence_of_identical_is_zero():
-    assert kl_divergence([3, 1, 6], [3, 1, 6]) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_kl_divergence_requires_support():
-    with pytest.raises(ValueError):
-        kl_divergence([0.5, 0.5], [1.0, 0.0])
-    with pytest.raises(ValueError):
-        kl_divergence([0.5, 0.5], [0.2, 0.3, 0.5])
-    # zero in q is fine where p is zero too
-    assert kl_divergence([1, 0], [1, 0]) == 0.0
 
 
 def test_overlap_coefficient():
@@ -478,12 +455,10 @@ def test_featurize_end_to_end():
     cands = detect_candidates(index)
     assert [c.compound.canonical for c in cands] == ["snowday"]
     res = pipeline_resources()
-    combos = [zone_combo(c, res.dictionary, res.pos_lexicon, res.gazetteer) for c in cands]
-    schema = build_schema(combos, ObservationConfig(obs_months=6, horizon_months=2, lda_topics=2))
-    vec = featurize(cands[0], index, res, schema)
+    config = ObservationConfig(obs_months=6, horizon_months=2, lda_topics=2)
+    (vec,), _, schema, _ = featurize_all(cands, index, res, config)
 
     assert list(vec.values.keys()) == list(schema.names)
-    assert vec.schema_id == schema.schema_id
     assert vec.values["char_length"] == 7.0
     assert vec.values["word_count"] == 2.0
     assert vec.values["ngram_presence"] == 1.0
@@ -508,19 +483,17 @@ def test_featurize_requires_covered_window():
     index, _ = pipeline_fixture()
     cands = detect_candidates(index)
     res = pipeline_resources()
-    combos = [zone_combo(cands[0], res.dictionary, res.pos_lexicon, res.gazetteer)]
-    schema = build_schema(combos, ObservationConfig(obs_months=12, horizon_months=2, lda_topics=2))
+    config = ObservationConfig(obs_months=12, horizon_months=2, lda_topics=2)
     with pytest.raises(InsufficientHistoryError):
-        featurize(cands[0], index, res, schema)
+        featurize_all(cands, index, res, config)
 
 
 def test_future_tweets_never_change_vectors():
     index, t0 = pipeline_fixture()
     cands = detect_candidates(index)
     res = pipeline_resources()
-    combos = [zone_combo(cands[0], res.dictionary, res.pos_lexicon, res.gazetteer)]
-    schema = build_schema(combos, ObservationConfig(obs_months=6, horizon_months=2, lda_topics=2))
-    before = featurize(cands[0], index, res, schema)
+    config = ObservationConfig(obs_months=6, horizon_months=2, lda_topics=2)
+    (before,), _, _, _ = featurize_all(cands, index, res, config)
 
     extra = [
         make_tweet("#snowday viral now", t0, user="z1", tid="z1"),
@@ -532,7 +505,7 @@ def test_future_tweets_never_change_vectors():
     cands2 = detect_candidates(grown)
     (cand2,) = [c for c in cands2 if c.compound.canonical == "snowday"]
     res2 = pipeline_resources()
-    after = featurize(cand2, grown, res2, schema)
+    (after,), _, _, _ = featurize_all([cand2], grown, res2, config)
     assert after == before  # bit-identical values
 
 
@@ -895,6 +868,11 @@ def brute_force_top(model, doc_id, topic, n):
     return sorted(words, key=lambda w: (-count[w], w))[:n]
 
 
+def doc_top_words(model, doc_id, n):
+    """Per topic, the words of `doc_top_rows(doc_id, n)` in rank order."""
+    return [[model.vocab[row] for row in column] for column in model.doc_top_rows(doc_id, n).T]
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_topic_overlap_top_n_cut_matches_brute_force_ranking(seed, monkeypatch):
     """Documents larger than top_n, tied counts, and a vocabulary out of alphabetical order."""
@@ -917,9 +895,9 @@ def test_topic_overlap_top_n_cut_matches_brute_force_ranking(seed, monkeypatch):
     for k in range(n_topics):
         top_a = brute_force_top(model, "a@0", k, top_n)
         top_b = brute_force_top(model, "b@0", k, top_n)
-        assert model.doc_top_words("a@0", top_n)[k] == top_a
-        assert model.doc_top_words("b@0", top_n)[k] == top_b
-        assert model.doc_top_words("a@0")[k] == brute_force_top(model, "a@0", k, 100)
+        assert doc_top_words(model, "a@0", top_n)[k] == top_a
+        assert doc_top_words(model, "b@0", top_n)[k] == top_b
+        assert doc_top_words(model, "a@0", 100)[k] == brute_force_top(model, "a@0", k, 100)
         expected += len(set(top_a) & set(top_b))
     docs = [
         HashtagDocument(doc_id, doc_id[0], tuple(vocab[i] for i in sorted(members)))
@@ -984,8 +962,8 @@ def test_compound_of_one_hashtag_twice_overlaps_min_of_top_n_and_vocabulary(n_wo
     index = CorpusIndex(tweets)
     (cand,) = detect_candidates(index)
     assert cand.part_a == cand.part_b
-    res = pipeline_resources()
-    combos = [zone_combo(cand, res.dictionary, res.pos_lexicon, res.gazetteer)]
-    schema = build_schema(combos, ObservationConfig(obs_months=6, horizon_months=2, lda_topics=3))
-    vec = featurize(cand, index, replace(res, lda_iterations=3), schema)
+    res = replace(pipeline_resources(), lda_iterations=3)
+    config = ObservationConfig(obs_months=6, horizon_months=2, lda_topics=3)
+    (vec,), _, _, fits = featurize_all([cand], index, res, config)
+    assert fits == int(n_words > 100)
     assert vec.values["topic_overlap"] == expected

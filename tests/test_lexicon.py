@@ -13,11 +13,13 @@ from tagmerge.lexicon import (
 )
 
 
-def test_dictionary_is_case_insensitive(lexicon_dir):
+def test_dictionary_is_case_insensitive(lexicon_dir, tmp_path):
     d = load_dictionary(lexicon_dir / "dictionary.txt")
-    assert "love" in d
-    assert "LOVE" in d
-    assert "zzz" not in d
+    assert "love" in d.words
+    assert "zzz" not in d.words
+    path = tmp_path / "d.txt"
+    path.write_text("Love\nFRESH\n")
+    assert load_dictionary(path).words == {"love", "fresh"}
 
 
 def test_empty_dictionary_rejected(tmp_path):

@@ -344,7 +344,7 @@ def test_write_scenario_emits_usable_resources(tmp_path):
     from tagmerge.lexicon import load_dictionary, load_gazetteer, load_ngram_table, load_pos_lexicon
 
     d = load_dictionary(paths["dictionary.txt"])
-    assert "snow" in d and "day" in d
+    assert {"snow", "day"} <= d.words
     load_ngram_table(paths["ngrams.tsv"])
     load_pos_lexicon(paths["pos_lexicon.tsv"])
     load_gazetteer(paths["gazetteer.tsv"])

@@ -272,6 +272,11 @@ def test_fit_lda_batch_validates_arguments():
     with pytest.raises(ValueError):
         batch_fit([good, empty], n_topics=2)
     assert fit_lda_batch([], (), n_topics=2) == []
+    # an empty batch checks its settings too
+    with pytest.raises(ValueError, match="need at least 2 topics, got 1"):
+        fit_lda_batch([], (), n_topics=1)
+    with pytest.raises(ValueError, match="iterations must be positive"):
+        fit_lda_batch([], (), n_topics=2, iterations=0)
 
 
 def test_fit_lda_batch_audits_every_fit(monkeypatch):
@@ -326,15 +331,16 @@ def fruit_model(members):
 
 def test_top_words_tie_break_is_alphabetical():
     model = fruit_model({0, 1, 2})
-    assert model.doc_top_words("d0") == [["apple", "berry", "cherry"], ["cherry", "apple", "berry"]]
-    assert model.doc_top_words("d0", 2) == [["apple", "berry"], ["cherry", "apple"]]
+    # rows 0, 1, 2 are apple, berry, cherry; column k ranks topic k
+    assert model.doc_top_rows("d0").T.tolist() == [[0, 1, 2], [2, 0, 1]]
+    assert model.doc_top_rows("d0", 2).T.tolist() == [[0, 1], [2, 0]]
 
 
 def test_top_words_in_doc_restricted_to_doc_vocabulary():
     model = fruit_model({0, 2})
-    assert model.doc_top_words("d0")[0] == ["apple", "cherry"]
+    assert model.doc_top_rows("d0")[:, 0].tolist() == [0, 2]
     with pytest.raises(ValueError):
-        model.doc_top_words("missing")
+        model.doc_top_rows("missing")
 
 
 def test_fit_candidate_topics_keys_and_windows():
